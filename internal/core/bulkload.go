@@ -238,9 +238,6 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 				deg := int32(st.g.Degree(int(cp.v)))
 				cp.leaf.Agg = btAgg{copies: 1, edges: deg}
 				wgt += int(deg)
-			} else {
-				cp.leaf = st.btT.NewLeaf(cp)
-				cp.leaf.Agg = btAgg{copies: 1}
 			}
 			pend = append(pend, cp.leaf)
 			acc += wgt

@@ -206,20 +206,28 @@ func (st *Store) unregisterChunk(c *Chunk) {
 // of the symmetric entry pair (Section 2.6, insertion). The aggregate
 // refreshes above the touched chunks are deferred to the batch flush.
 func (st *Store) noteEdgeEntryInserted(e *graph.Edge) {
-	c1 := st.pcs[e.U].chunk
-	c2 := st.pcs[e.V].chunk
 	st.ch.Seq(1)
-	if c1.id >= 0 && c2.id >= 0 {
-		if e.W < st.C[int(c1.id)*st.J+int(c2.id)] {
-			st.C[int(c1.id)*st.J+int(c2.id)] = e.W
-		}
-		if e.W < st.C[int(c2.id)*st.J+int(c1.id)] {
-			st.C[int(c2.id)*st.J+int(c1.id)] = e.W
-		}
-		st.markCAdjDirty(c1)
-		if c2 != c1 {
-			st.markCAdjDirty(c2)
-		}
+	st.lowerEntryPair(st.pcs[e.U].chunk, st.pcs[e.V].chunk, e.W)
+}
+
+// lowerEntryPair min-updates the symmetric entry pair (c1, c2) with an edge
+// of weight w newly charged between them (the diagonal once when c1 == c2)
+// and marks both chunks for the deferred aggregate flush. Entries of
+// unregistered chunks are not recorded.
+func (st *Store) lowerEntryPair(c1, c2 *Chunk, w Weight) {
+	if c1.id < 0 || c2.id < 0 {
+		return
+	}
+	i, j := int(c1.id), int(c2.id)
+	if w < st.C[i*st.J+j] {
+		st.C[i*st.J+j] = w
+	}
+	if w < st.C[j*st.J+i] {
+		st.C[j*st.J+i] = w
+	}
+	st.markCAdjDirty(c1)
+	if c2 != c1 {
+		st.markCAdjDirty(c2)
 	}
 }
 

@@ -18,7 +18,9 @@ import (
 // max(1, deg_F(v)) copies; joining trees adds one copy at each endpoint
 // (none at an endpoint that was isolated), cutting removes them again.
 
-// newCopy creates a non-principal copy of v and inserts it into v's ring.
+// newCopy creates a non-principal copy of v, inserts it into v's ring and
+// gives it a detached BTc leaf (one copy, no charged edges) for the caller
+// to place.
 func (st *Store) newCopy(v int) *Copy {
 	cp := &Copy{v: int32(v)}
 	anchor := st.pcs[v]
@@ -26,6 +28,8 @@ func (st *Store) newCopy(v int) *Copy {
 	cp.ringPrev = anchor
 	anchor.ringNext.ringPrev = cp
 	anchor.ringNext = cp
+	cp.leaf = st.btT.NewLeaf(cp)
+	cp.leaf.Agg = btAgg{copies: 1}
 	st.ch.Seq(1)
 	return cp
 }
@@ -33,7 +37,9 @@ func (st *Store) newCopy(v int) *Copy {
 // linkTours splices the tours of e's endpoints into one around new tree
 // edge e, setting its occurrence anchors. The endpoints must currently be
 // in different tours. Returns the chunks whose contents changed (for
-// normalize).
+// normalize). A link with an isolated endpoint takes the leaf-local path of
+// linkIsolated; any other link makes each endpoint's copy a chunk head,
+// splitting up to two chunks.
 func (st *Store) linkTours(e *graph.Edge) []*Chunk {
 	st.sts.TourLinks++
 	u, v := int(e.U), int(e.V)
@@ -43,94 +49,56 @@ func (st *Store) linkTours(e *graph.Edge) []*Chunk {
 	if tu == tv {
 		panic("core: linkTours within one tour")
 	}
-	uIso := cu.next == cu // isolated vertex: single copy, no pairs
-	vIso := cv.next == cv
+	switch {
+	case cu.next == cu: // u isolated: single copy, no pairs
+		return st.linkIsolated(e, cu, tu, cv)
+	case cv.next == cv:
+		return st.linkIsolated(e, cv, tv, cu)
+	}
 	dirty := []*Chunk{cu.chunk, cv.chunk}
 
 	// --- Rearrange the v-side list (tv) to start at cv. ---
 	var tvRoot *lsNode
-	if vIso {
-		tvRoot = tv.root // single chunk, single copy; nothing to rotate
+	cvChunk := st.ensureBoundaryBefore(cv)
+	dirty = append(dirty, cvChunk)
+	if first := seqtree.First(tv.root); first != cvChunk.leaf {
+		st.lsOp(func() {
+			p, q := st.lsT.SplitBefore(cvChunk.leaf)
+			tvRoot = st.lsT.Join(q, p)
+		})
+		st.setRoot(tv, tvRoot) // keep tv live for column sweeps below
 	} else {
-		cvChunk := st.ensureBoundaryBefore(cv)
-		dirty = append(dirty, cvChunk)
-		if first := seqtree.First(tv.root); first != cvChunk.leaf {
-			st.lsOp(func() {
-				p, q := st.lsT.SplitBefore(cvChunk.leaf)
-				tvRoot = st.lsT.Join(q, p)
-			})
-			st.setRoot(tv, tvRoot) // keep tv live for column sweeps below
-		} else {
-			tvRoot = tv.root
-		}
+		tvRoot = tv.root
 	}
 
 	// --- Insert the new copies. ---
-	var u2, v2 *Copy
 	ap, bq := cu.prev, cv.prev // cyclic predecessors before splicing
-	if !uIso {
-		u2 = st.newCopy(u)
-		// u2 becomes the first copy of the v-side part: immediately before
-		// cv in cv's chunk.
-		u2.chunk = cv.chunk
-		u2.leaf = st.btT.NewLeaf(u2)
-		u2.leaf.Agg = btAgg{copies: 1}
-		st.btOp(func() { cv.chunk.bt = st.btT.InsertBefore(cv.leaf, u2.leaf) })
-		dirty = append(dirty, cv.chunk)
-	}
-	if !vIso {
-		v2 = st.newCopy(v)
-		// v2 becomes the last copy of the v-side part: immediately after
-		// bq (the cyclic predecessor of cv) in bq's chunk.
-		v2.chunk = bq.chunk
-		v2.leaf = st.btT.NewLeaf(v2)
-		v2.leaf.Agg = btAgg{copies: 1}
-		st.btOp(func() { bq.chunk.bt = st.btT.InsertAfter(bq.leaf, v2.leaf) })
-		dirty = append(dirty, bq.chunk)
-	}
+	// u2 becomes the first copy of the v-side part: immediately before cv
+	// in cv's chunk.
+	u2 := st.newCopy(u)
+	u2.chunk = cv.chunk
+	st.btOp(func() { cv.chunk.bt = st.btT.InsertBefore(cv.leaf, u2.leaf) })
+	// v2 becomes the last copy of the v-side part: immediately after bq
+	// (the cyclic predecessor of cv) in bq's chunk.
+	v2 := st.newCopy(v)
+	v2.chunk = bq.chunk
+	st.btOp(func() { bq.chunk.bt = st.btT.InsertAfter(bq.leaf, v2.leaf) })
+	dirty = append(dirty, cv.chunk, bq.chunk)
 
 	// --- Splice the cyclic copy order: [.. ap, u2, cv, .., bq, v2, cu ..].
 	st.ch.Seq(1)
-	switch {
-	case uIso && vIso:
-		cu.next, cu.prev = cv, cv
-		cv.next, cv.prev = cu, cu
-	case uIso: // no u2: [cu, cv, .., bq, v2] cyclically
-		cu.next = cv
-		cv.prev = cu
-		bq.next = v2
-		v2.prev = bq
-		v2.next = cu
-		cu.prev = v2
-	case vIso: // no v2: [cu, a.., ap, u2, cv]
-		ap.next = u2
-		u2.prev = ap
-		u2.next = cv
-		cv.prev = u2
-		cv.next = cu
-		cu.prev = cv
-	default:
-		ap.next = u2
-		u2.prev = ap
-		u2.next = cv
-		cv.prev = u2
-		bq.next = v2
-		v2.prev = bq
-		v2.next = cu
-		cu.prev = v2
-	}
+	ap.next = u2
+	u2.prev = ap
+	u2.next = cv
+	cv.prev = u2
+	bq.next = v2
+	v2.prev = bq
+	v2.next = cu
+	cu.prev = v2
 
 	// --- Occurrence anchors: the copy preceding each directed pair. ---
-	if u2 != nil {
-		st.occU[e.ID] = u2
-	} else {
-		st.occU[e.ID] = cu
-	}
-	if v2 != nil {
-		st.occV[e.ID] = v2
-	} else {
-		st.occV[e.ID] = cv
-	}
+	st.occU[e.ID] = u2
+	st.occV[e.ID] = v2
 
 	// --- Splice the linear chunk sequences: X + tv' + Y. ---
 	cuChunk := st.ensureBoundaryBefore(cu)
@@ -147,11 +115,70 @@ func (st *Store) linkTours(e *graph.Edge) []*Chunk {
 	return dirty
 }
 
+// linkIsolated is linkTours' leaf-local path for an endpoint x that is
+// isolated: its single principal copy cx is alone in a one-copy chunk,
+// which is always an unregistered short list (n_c <= 4 < K). Instead of
+// splitting cy's chunk and splicing tours, cx and y's new copy y2 go into
+// the chunk of y's principal copy cy, immediately before cy, so the cyclic
+// order reads pred(cy) -> y2 -> cx -> cy and no chunk boundary moves. The
+// retired short list recorded no CAdj entries, so folding x's edges into
+// the host chunk's row is a symmetric min-update per edge, exact because a
+// row is a minimum over its chunk's charged edges. When y is isolated too,
+// y gains no copy and the tour is just cx, cy.
+func (st *Store) linkIsolated(e *graph.Edge, cx *Copy, tx *Tour, cy *Copy) []*Chunk {
+	c := cy.chunk
+	y2 := cy
+	if cy.next != cy {
+		y2 = st.newCopy(int(cy.v))
+		y2.chunk = c
+		st.btOp(func() { c.bt = st.btT.InsertBefore(cy.leaf, y2.leaf) })
+	}
+
+	// Retire x's one-copy chunk and its tour; cx's BTc leaf, which already
+	// carries x's edge charge, moves into c.
+	st.dropTour(tx)
+	xc := cx.chunk
+	xc.bt, xc.leaf = nil, nil
+	cx.chunk = c
+	st.btOp(func() { c.bt = st.btT.InsertBefore(cy.leaf, cx.leaf) })
+
+	// Splice the cyclic copy order; the pair into cy now enters y2.
+	st.ch.Seq(1)
+	p := cy.prev // cy itself when y is isolated
+	if y2 != cy {
+		p.next = y2
+		y2.prev = p
+		p = y2
+	}
+	p.next = cx
+	cx.prev = p
+	cx.next = cy
+	cy.prev = cx
+
+	// Occurrence anchors: cx precedes x->y, p (y2, or cy) precedes y->x.
+	if e.U == cx.v {
+		st.occU[e.ID], st.occV[e.ID] = cx, p
+	} else {
+		st.occU[e.ID], st.occV[e.ID] = p, cx
+	}
+
+	if c.id >= 0 {
+		st.g.Incident(int(cx.v), func(f *graph.Edge) bool {
+			st.ch.Seq(1)
+			st.lowerEntryPair(c, st.otherChunk(f, cx.v), f.W)
+			return true
+		})
+	}
+	return []*Chunk{c}
+}
+
 // cutTours splits the tour containing tree edge e in two, removing the
 // duplicate copies at the cut points. occA and occB are e's occurrence
 // anchors (captured before the edge left the graph). It returns the two
 // resulting tours — first the one containing e.U, then e.V — and the dirty
-// chunks for normalize.
+// chunks for normalize. A cut that isolates an endpoint takes the
+// leaf-local path of cutLeaf; any other cut makes both segment heads chunk
+// heads, splitting up to two chunks.
 func (st *Store) cutTours(e *graph.Edge, occA, occB *Copy) (tU, tV *Tour, dirty []*Chunk) {
 	st.sts.TourCuts++
 	a := occA // copy of u; pair (a, b) is the u->v traversal
@@ -162,6 +189,16 @@ func (st *Store) cutTours(e *graph.Edge, occA, occB *Copy) (tU, tV *Tour, dirty 
 		panic("core: occurrence anchors inconsistent with edge")
 	}
 	t := st.tourOf(a.chunk)
+	st.occU[e.ID] = nil
+	st.occV[e.ID] = nil
+	switch {
+	case b == c: // v becomes isolated: segment [b..c] is one copy
+		tV, dirty = st.cutLeaf(b)
+		return t, tV, dirty
+	case a == d:
+		tU, dirty = st.cutLeaf(a)
+		return tU, t, dirty
+	}
 
 	// Chunk boundaries before the segment heads.
 	cb := st.ensureBoundaryBefore(b)
@@ -204,19 +241,44 @@ func (st *Store) cutTours(e *graph.Edge, occA, occB *Copy) (tU, tV *Tour, dirty 
 	tV = &Tour{regIdx: -1}
 	st.setRoot(tV, svRoot)
 	st.setNormal(tV, anyRegistered(svRoot))
-	tU = t
 
-	// Remove the duplicate copies at the seams (none at an endpoint that
-	// becomes isolated, i.e. when the segment has a single copy).
-	if b != c {
-		dirty = append(dirty, st.deleteCopy(c)...)
+	// Remove the duplicate copies at the seams.
+	dirty = append(dirty, st.deleteCopy(c)...)
+	dirty = append(dirty, st.deleteCopy(a)...)
+	return t, tV, dirty
+}
+
+// cutLeaf is cutTours' leaf-local path for a cut that leaves x's vertex
+// isolated: x, its only (hence principal) copy, leaves its chunk's BTc for
+// a fresh one-copy short list, and the seam copy preceding it — a duplicate
+// of the other endpoint's copy that follows x — is deleted as on the
+// general path (none when that side is a single copy too). No chunk
+// boundary moves; the old chunk's row is rebuilt by normalize only if x
+// still has incident edges, whose charges left with it. Returns x's new
+// tour and the dirty chunks. The old chunk keeps a copy: under Invariant 1
+// every chunk of a tour with two or more copies holds at least two.
+func (st *Store) cutLeaf(x *Copy) (*Tour, []*Chunk) {
+	old := x.chunk
+	st.btOp(func() { old.bt = st.btT.DeleteLeaf(x.leaf) })
+	if x.leaf.Agg.edges > 0 {
+		old.rowStale = true
 	}
-	if a != d {
-		dirty = append(dirty, st.deleteCopy(a)...)
+	c := &Chunk{id: -1, bt: x.leaf}
+	c.leaf = st.lsT.NewLeaf(c)
+	x.chunk = c
+	t := &Tour{regIdx: -1}
+	st.setRoot(t, c.leaf)
+
+	st.ch.Seq(1)
+	p, q := x.prev, x.next
+	p.next = q
+	q.prev = p
+	x.next, x.prev = x, x
+	dirty := []*Chunk{old}
+	if p != q {
+		dirty = append(dirty, st.deleteCopy(p)...)
 	}
-	st.occU[e.ID] = nil
-	st.occV[e.ID] = nil
-	return tU, tV, dirty
+	return t, dirty
 }
 
 // anyRegistered reports whether the subtree rooted at nd contains a

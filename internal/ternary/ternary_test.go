@@ -97,58 +97,80 @@ func TestCapacityExhaustion(t *testing.T) {
 }
 
 // TestAgainstReference drives the wrapper (around the real core engine) and
-// a plain Kruskal on the ORIGINAL graph in lockstep.
+// a plain Kruskal on the ORIGINAL graph in lockstep: once with the core's
+// default chunk size, and once with K=8, where the ring surgery crosses
+// chunk boundaries and the core's own invariants are checked as well.
 func TestAgainstReference(t *testing.T) {
-	const n = 24
-	w := newCoreWrapper(n, 4*n)
-	ref := baseline.NewKruskal(n)
-	rng := xrand.New(777)
-	type pair struct{ u, v int }
-	var live []pair
-	nextW := int64(1)
-	for step := 0; step < 1500; step++ {
-		if rng.Intn(5) < 3 || len(live) == 0 {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v {
-				continue
+	for _, tc := range []struct {
+		name  string
+		cfg   core.Config
+		check bool
+	}{
+		{"default", core.Config{}, false},
+		{"k8", core.Config{K: 8}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 24
+			var eng *core.MSF
+			w := New(n, 4*n, func(gn int) Engine {
+				eng = core.NewMSF(gn, tc.cfg, core.SeqCharger{})
+				return eng
+			})
+			ref := baseline.NewKruskal(n)
+			rng := xrand.New(777)
+			type pair struct{ u, v int }
+			var live []pair
+			nextW := int64(1)
+			for step := 0; step < 1500; step++ {
+				if rng.Intn(5) < 3 || len(live) == 0 {
+					u, v := rng.Intn(n), rng.Intn(n)
+					if u == v {
+						continue
+					}
+					e1 := w.InsertEdge(u, v, nextW)
+					if e1 == ErrCapacity {
+						continue
+					}
+					e2 := ref.InsertEdge(u, v, nextW)
+					if (e1 == nil) != (e2 == nil) {
+						t.Fatalf("step %d: %v vs %v", step, e1, e2)
+					}
+					if e1 == nil {
+						live = append(live, pair{u, v})
+					}
+					nextW += int64(1 + rng.Intn(4))
+				} else {
+					i := rng.Intn(len(live))
+					p := live[i]
+					if err := w.DeleteEdge(p.u, p.v); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					if err := ref.DeleteEdge(p.u, p.v); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
+				if w.Weight() != ref.Weight() || w.ForestSize() != ref.ForestSize() {
+					t.Fatalf("step %d: wrapper (w=%d,n=%d) vs kruskal (w=%d,n=%d)",
+						step, w.Weight(), w.ForestSize(), ref.Weight(), ref.ForestSize())
+				}
+				if step%37 == 0 {
+					if err := w.CheckGadget(); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					if tc.check {
+						if err := eng.Store().CheckInvariants(); err != nil {
+							t.Fatalf("step %d: core: %v", step, err)
+						}
+					}
+					u, v := rng.Intn(n), rng.Intn(n)
+					if w.Connected(u, v) != ref.Connected(u, v) {
+						t.Fatalf("step %d: connectivity disagreement", step)
+					}
+				}
 			}
-			e1 := w.InsertEdge(u, v, nextW)
-			if e1 == ErrCapacity {
-				continue
-			}
-			e2 := ref.InsertEdge(u, v, nextW)
-			if (e1 == nil) != (e2 == nil) {
-				t.Fatalf("step %d: %v vs %v", step, e1, e2)
-			}
-			if e1 == nil {
-				live = append(live, pair{u, v})
-			}
-			nextW += int64(1 + rng.Intn(4))
-		} else {
-			i := rng.Intn(len(live))
-			p := live[i]
-			if err := w.DeleteEdge(p.u, p.v); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			if err := ref.DeleteEdge(p.u, p.v); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-		if w.Weight() != ref.Weight() || w.ForestSize() != ref.ForestSize() {
-			t.Fatalf("step %d: wrapper (w=%d,n=%d) vs kruskal (w=%d,n=%d)",
-				step, w.Weight(), w.ForestSize(), ref.Weight(), ref.ForestSize())
-		}
-		if step%37 == 0 {
-			if err := w.CheckGadget(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			u, v := rng.Intn(n), rng.Intn(n)
-			if w.Connected(u, v) != ref.Connected(u, v) {
-				t.Fatalf("step %d: connectivity disagreement", step)
-			}
-		}
+		})
 	}
 }
 

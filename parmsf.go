@@ -15,7 +15,10 @@
 //
 // Typical use:
 //
-//	f := parmsf.New(n, parmsf.Options{})
+//	f, err := parmsf.New(n, parmsf.Options{}) // MustNew panics instead
+//	if err != nil {
+//		return err
+//	}
 //	f.Insert(u, v, w)
 //	f.Delete(u, v)
 //	connected := f.Connected(a, b)
@@ -35,15 +38,17 @@
 // Mutators (Insert, Delete, InsertEdges, DeleteEdges) are serialized by an
 // internal lock: concurrent callers are safe but apply one at a time. A
 // mutator that changed the forest republishes the snapshot before
-// returning — queries immediately observe its effect — at an O(n + forest
-// size) publication cost per applied update. Batches amortize that cost
-// over every edge they carry; for streams of single-edge updates prefer
-// Submit, which enqueues updates on a write-coalescing queue: a single
-// drainer batches whatever has accumulated into the engine's batch entry
-// points — amortizing engine work and publication across clients and
-// bounding write latency by batch cadence — and each submission resolves
-// its own Pending result once applied. Flush waits for everything
-// previously submitted.
+// returning — queries immediately observe its effect. Publication costs
+// O(delta) per applied update: a link merges two component labels and a
+// cut relabels the smaller side it split off, while the O(n + forest size)
+// rebuild runs only when a snapshot era's patch budget runs out. Batches
+// publish once for every edge they carry; for streams of single-edge
+// updates prefer Submit, which enqueues updates on a write-coalescing
+// queue: a single drainer batches whatever has accumulated into the
+// engine's batch entry points — amortizing engine work and publication
+// across clients and bounding write latency by batch cadence — and each
+// submission resolves its own Pending result once applied. Flush waits for
+// everything previously submitted.
 package parmsf
 
 import (
