@@ -214,11 +214,6 @@ func (c *Cluster) Shard(s int) *parmsf.Forest { return c.shards[s] }
 // boundary ids, not global ids).
 func (c *Cluster) Coordinator() *parmsf.Forest { return c.coord }
 
-// badEdge reports an endpoint pair no edge can carry.
-func (c *Cluster) badEdge(u, v int) bool {
-	return u < 0 || u >= c.n || v < 0 || v >= c.n || u == v
-}
-
 // boundaryPair resolves the boundary ids of a cross-shard edge's
 // endpoints. With create set, unregistered endpoints are assigned the next
 // dense ids (failing only past MaxBoundary); without it, an unregistered
@@ -255,22 +250,45 @@ func (c *Cluster) boundaryPair(u, v int, create bool) (bu, bv int32, ok bool) {
 	return bu, bv, true
 }
 
+// route resolves where an update of edge (u, v) applies: the index into
+// c.all of its target forest — the owning shard, or the coordinator for a
+// cross-shard edge — and the edge's endpoints in that forest's vertex
+// space. An update no forest can take fails instead: a malformed pair with
+// parmsf.ErrBadEdge (parmsf.ErrNotFound for a deletion), a cross-shard
+// insertion whose new boundary endpoints would exceed Options.MaxBoundary
+// with parmsf.ErrCapacity, and a cross-shard deletion whose endpoints were
+// never boundary-registered — so no edge can exist — with
+// parmsf.ErrNotFound.
+func (c *Cluster) route(u, v int, del bool) (t, lu, lv int, err error) {
+	if u < 0 || u >= c.n || v < 0 || v >= c.n || u == v {
+		if del {
+			return 0, 0, 0, parmsf.ErrNotFound
+		}
+		return 0, 0, 0, parmsf.ErrBadEdge
+	}
+	if su, sv := c.owner[u], c.owner[v]; su == sv {
+		return int(su), int(c.local[u]), int(c.local[v]), nil
+	}
+	bu, bv, ok := c.boundaryPair(u, v, !del)
+	switch {
+	case ok:
+		return c.k, int(bu), int(bv), nil
+	case del:
+		return 0, 0, 0, parmsf.ErrNotFound
+	}
+	return 0, 0, 0, parmsf.ErrCapacity
+}
+
 // Insert synchronously adds edge (u, v) with weight w, routing to the
 // owning shard or — for a cross-shard edge — the coordinator. Errors as
 // parmsf.Forest.Insert, plus parmsf.ErrCapacity when registering a new
 // boundary endpoint would exceed Options.MaxBoundary.
 func (c *Cluster) Insert(u, v int, w parmsf.Weight) error {
-	if c.badEdge(u, v) {
-		return parmsf.ErrBadEdge
+	t, lu, lv, err := c.route(u, v, false)
+	if err != nil {
+		return err
 	}
-	if su, sv := c.owner[u], c.owner[v]; su == sv {
-		return c.shards[su].Insert(int(c.local[u]), int(c.local[v]), w)
-	}
-	bu, bv, ok := c.boundaryPair(u, v, true)
-	if !ok {
-		return parmsf.ErrCapacity
-	}
-	return c.coord.Insert(int(bu), int(bv), w)
+	return c.all[t].Insert(lu, lv, w)
 }
 
 // Delete synchronously removes edge (u, v). Errors as
@@ -278,17 +296,11 @@ func (c *Cluster) Insert(u, v int, w parmsf.Weight) error {
 // boundary-registered cannot hold an edge and reports parmsf.ErrNotFound
 // without consulting the coordinator.
 func (c *Cluster) Delete(u, v int) error {
-	if c.badEdge(u, v) {
-		return parmsf.ErrNotFound
+	t, lu, lv, err := c.route(u, v, true)
+	if err != nil {
+		return err
 	}
-	if su, sv := c.owner[u], c.owner[v]; su == sv {
-		return c.shards[su].Delete(int(c.local[u]), int(c.local[v]))
-	}
-	bu, bv, ok := c.boundaryPair(u, v, false)
-	if !ok {
-		return parmsf.ErrNotFound
-	}
-	return c.coord.Delete(int(bu), int(bv))
+	return c.all[t].Delete(lu, lv)
 }
 
 // Submit enqueues one update on the owning shard's (or the coordinator's)
@@ -296,25 +308,12 @@ func (c *Cluster) Delete(u, v int) error {
 // shards admit and drain fully independently; updates to one shard keep
 // their submission order. Backpressure is per shard queue.
 func (c *Cluster) Submit(up parmsf.Update) *parmsf.Pending {
-	if c.badEdge(up.U, up.V) {
-		if up.Delete {
-			return ingest.NewFailed(parmsf.ErrNotFound)
-		}
-		return ingest.NewFailed(parmsf.ErrBadEdge)
+	t, lu, lv, err := c.route(up.U, up.V, up.Delete)
+	if err != nil {
+		return ingest.NewFailed(err)
 	}
-	if su, sv := c.owner[up.U], c.owner[up.V]; su == sv {
-		up.U, up.V = int(c.local[up.U]), int(c.local[up.V])
-		return c.shards[su].Submit(up)
-	}
-	bu, bv, ok := c.boundaryPair(up.U, up.V, !up.Delete)
-	if !ok {
-		if up.Delete {
-			return ingest.NewFailed(parmsf.ErrNotFound)
-		}
-		return ingest.NewFailed(parmsf.ErrCapacity)
-	}
-	up.U, up.V = int(bu), int(bv)
-	return c.coord.Submit(up)
+	up.U, up.V = lu, lv
+	return c.all[t].Submit(up)
 }
 
 // SubmitBatch enqueues ups, fanning the batch out to the owning shards'
@@ -331,45 +330,22 @@ func (c *Cluster) SubmitBatch(ups []parmsf.Update) []*parmsf.Pending {
 		ops []parmsf.Update
 		idx []int
 	}
-	groups := make([]group, c.k+1)
+	groups := make([]group, len(c.all))
 	for i, up := range ups {
-		if c.badEdge(up.U, up.V) {
-			if up.Delete {
-				res[i] = ingest.NewFailed(parmsf.ErrNotFound)
-			} else {
-				res[i] = ingest.NewFailed(parmsf.ErrBadEdge)
-			}
+		t, lu, lv, err := c.route(up.U, up.V, up.Delete)
+		if err != nil {
+			res[i] = ingest.NewFailed(err)
 			continue
 		}
-		t := int(c.k)
-		if su, sv := c.owner[up.U], c.owner[up.V]; su == sv {
-			t = int(su)
-			up.U, up.V = int(c.local[up.U]), int(c.local[up.V])
-		} else {
-			bu, bv, ok := c.boundaryPair(up.U, up.V, !up.Delete)
-			if !ok {
-				if up.Delete {
-					res[i] = ingest.NewFailed(parmsf.ErrNotFound)
-				} else {
-					res[i] = ingest.NewFailed(parmsf.ErrCapacity)
-				}
-				continue
-			}
-			up.U, up.V = int(bu), int(bv)
-		}
+		up.U, up.V = lu, lv
 		groups[t].ops = append(groups[t].ops, up)
 		groups[t].idx = append(groups[t].idx, i)
 	}
-	for t := range groups {
-		g := &groups[t]
+	for t, g := range groups {
 		if len(g.ops) == 0 {
 			continue
 		}
-		f := c.coord
-		if t < c.k {
-			f = c.shards[t]
-		}
-		for j, p := range f.SubmitBatch(g.ops) {
+		for j, p := range c.all[t].SubmitBatch(g.ops) {
 			res[g.idx[j]] = p
 		}
 	}

@@ -139,10 +139,10 @@ func TestClusterFlatParity(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		for _, cfg := range []string{"default", "sparsify"} {
 			t.Run(fmt.Sprintf("k=%d/%s", k, cfg), func(t *testing.T) {
-				shardOpt := parmsf.Options{Sparsify: cfg == "sparsify", FaultPoints: []string{}}
+				shardOpt := parmsf.Options{Sparsify: cfg == "sparsify"}
 				c := cluster.MustNew(n, k, cluster.Options{Shard: shardOpt})
 				defer c.Close()
-				flat := parmsf.MustNew(n, parmsf.Options{FaultPoints: []string{}})
+				flat := parmsf.MustNew(n, parmsf.Options{})
 				defer flat.Close()
 				rng := rand.New(rand.NewSource(7))
 				live := map[[2]int]int64{}
@@ -184,10 +184,10 @@ func TestClusterSubmitParity(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			c := cluster.MustNew(n, k, cluster.Options{
-				Shard: parmsf.Options{CoalesceCancel: true, MaxBatch: 16, FaultPoints: []string{}},
+				Shard: parmsf.Options{CoalesceCancel: true, MaxBatch: 16},
 			})
 			defer c.Close()
-			flat := parmsf.MustNew(n, parmsf.Options{FaultPoints: []string{}})
+			flat := parmsf.MustNew(n, parmsf.Options{})
 			defer flat.Close()
 			rng := rand.New(rand.NewSource(11))
 			ops := stream(n, steps, 99)
@@ -249,9 +249,9 @@ func TestClusterPlacements(t *testing.T) {
 		{"bymap", cluster.ByMap(owner)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := cluster.MustNew(n, 4, cluster.Options{Placement: tc.place, Shard: parmsf.Options{FaultPoints: []string{}}})
+			c := cluster.MustNew(n, 4, cluster.Options{Placement: tc.place})
 			defer c.Close()
-			flat := parmsf.MustNew(n, parmsf.Options{FaultPoints: []string{}})
+			flat := parmsf.MustNew(n, parmsf.Options{})
 			defer flat.Close()
 			rng := rand.New(rand.NewSource(3))
 			for _, o := range stream(n, steps, 17) {
@@ -282,7 +282,7 @@ func TestClusterValidation(t *testing.T) {
 		t.Fatalf("bad placement: %v", err)
 	}
 
-	c := cluster.MustNew(8, 2, cluster.Options{MaxBoundary: 2, Shard: parmsf.Options{FaultPoints: []string{}}})
+	c := cluster.MustNew(8, 2, cluster.Options{MaxBoundary: 2})
 	defer c.Close()
 	if err := c.Insert(0, 0, parmsf.MinWeight+1); !errors.Is(err, parmsf.ErrBadEdge) {
 		t.Fatalf("self loop: %v", err)
@@ -315,7 +315,7 @@ func TestClusterValidation(t *testing.T) {
 // TestClusterEpochVector checks that Epochs is per-shard monotone and that
 // an idle shard's epoch holds while others advance.
 func TestClusterEpochVector(t *testing.T) {
-	c := cluster.MustNew(16, 4, cluster.Options{Shard: parmsf.Options{FaultPoints: []string{}}})
+	c := cluster.MustNew(16, 4, cluster.Options{})
 	defer c.Close()
 	e0 := c.Epochs()
 	if len(e0) != 5 {
@@ -344,7 +344,7 @@ func TestClusterEpochVector(t *testing.T) {
 func TestClusterConcurrentReadWrite(t *testing.T) {
 	const n, k = 128, 4
 	c := cluster.MustNew(n, k, cluster.Options{
-		Shard: parmsf.Options{CoalesceCancel: true, QueueDepth: 256, FaultPoints: []string{}},
+		Shard: parmsf.Options{CoalesceCancel: true, QueueDepth: 256},
 	})
 	defer c.Close()
 	stop := make(chan struct{})

@@ -17,10 +17,10 @@ import (
 func TestClusterShardPoisoning(t *testing.T) {
 	const n = 64 // Ranges(64,4): shard s owns 16s..16s+15
 	c := cluster.MustNew(n, 4, cluster.Options{
-		Shard: parmsf.Options{QueueDepth: 16, MaxBatch: 8, FaultPoints: []string{}},
+		Shard: parmsf.Options{QueueDepth: 16, MaxBatch: 8},
 	})
 	defer c.Close()
-	flat := parmsf.MustNew(n, parmsf.Options{FaultPoints: []string{}})
+	flat := parmsf.MustNew(n, parmsf.Options{})
 	defer flat.Close()
 
 	// Seed every shard and the coordinator with committed state.
@@ -116,7 +116,7 @@ func TestClusterShardPoisoning(t *testing.T) {
 func TestClusterShardAutoRecover(t *testing.T) {
 	const n = 32 // Ranges(32,4): shard 1 owns 8..15
 	c := cluster.MustNew(n, 4, cluster.Options{
-		Shard: parmsf.Options{AutoRecover: true, QueueDepth: 8, MaxBatch: 4, FaultPoints: []string{}},
+		Shard: parmsf.Options{AutoRecover: true, QueueDepth: 8, MaxBatch: 4},
 	})
 	defer c.Close()
 	w := int64(parmsf.MinWeight) + 1

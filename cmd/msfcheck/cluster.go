@@ -59,7 +59,7 @@ func checkCluster(path string, seed uint64) {
 	if len(edges)+8 > maxEdges {
 		maxEdges = len(edges) + 8
 	}
-	shardOpt := parmsf.Options{MaxEdges: maxEdges, FaultPoints: []string{}}
+	shardOpt := parmsf.Options{MaxEdges: maxEdges}
 
 	flat := parmsf.MustNew(n, shardOpt)
 	defer flat.Close()

@@ -34,8 +34,8 @@ func checkCrash(n, steps int, seed uint64) {
 		opt    parmsf.Options
 		points []string
 	}{
-		{"flat", parmsf.Options{MaxEdges: 16 * n, FaultPoints: []string{}}, flat},
-		{"sparsify", parmsf.Options{Sparsify: true, FaultPoints: []string{}},
+		{"flat", parmsf.Options{MaxEdges: 16 * n}, flat},
+		{"sparsify", parmsf.Options{Sparsify: true},
 			append(append([]string{}, flat...), "sparsify/run-batch", "sparsify/node-task")},
 	}
 

@@ -51,8 +51,7 @@ func (m *MSF) planInsertConnectivity(idx []int, ops []BatchOp) *insertConn {
 	if st.icIDs == nil {
 		st.icIDs = make(map[*Tour]int32, 2*k)
 	}
-	ids := st.icIDs
-	clear(ids)
+	ids := st.icIDs // empty between batches
 	tok := func(t *Tour) int32 {
 		id, ok := ids[t]
 		if !ok {
@@ -67,9 +66,13 @@ func (m *MSF) planInsertConnectivity(idx []int, ops []BatchOp) *insertConn {
 		ic.rv[i] = tok(roots[2*i+1])
 	}
 	// Drop the tour pointers so the pooled scratch does not pin tours that
-	// later surgery retires.
+	// later surgery retires. The densifier is emptied key by key: clear
+	// costs the map's capacity, which the largest batch so far has set, and
+	// the few-op batches behind single updates would pay it every time.
+	for _, t := range roots {
+		delete(ids, t)
+	}
 	clear(roots)
-	clear(ids)
 	return ic
 }
 

@@ -208,7 +208,7 @@ func mkSparsifyScenario(n int) (edges []parmsf.Edge, del []parmsf.EdgeKey, ins [
 // timeSparsify measures one delete-batch/reinsert-batch round of the E14
 // mixed update set on a sparsified forest (min/median over Repeat,
 // nanoseconds per edge update). With batched=false the same updates run one
-// edge at a time through the per-edge sparsify path.
+// edge at a time, each a one-element batch through the tree.
 func timeSparsify(n, workers int, edges []parmsf.Edge, del []parmsf.EdgeKey, ins []parmsf.Edge, batched bool) sample {
 	f := parmsf.MustNew(n, parmsf.Options{Sparsify: true, Workers: workers})
 	defer f.Close()
@@ -289,18 +289,20 @@ func timeSparsifySched(n, workers int, edges []parmsf.Edge, del []parmsf.EdgeKey
 }
 
 // E14SparsifyBatch — batch-aware sparsification: wall time of mixed update
-// batches on an m = 16n graph through the Section 5 tree, per-edge versus
-// batched, across worker counts. The batched path groups pending updates
-// and REdges deltas by node and applies independent nodes concurrently;
-// even at one worker it wins by batching each node's engine work (one
-// classify round, one aggregate flush, batched ring surgeries) instead of
-// paying per-edge overheads O(log n) times per update. Both arms run the
-// full public API, which since the concurrent read plane includes one
-// snapshot publication per forest-changing update — per edge on the
-// per-edge arm, per batch on the batched arm — so the batched column's
-// win includes publication amortization (deliberately: that amortization
-// is part of what batching buys the serving path). Attainable extra
-// speedup is capped by GOMAXPROCS.
+// batches on an m = 16n graph through the Section 5 tree, one edge at a
+// time versus batched, across worker counts. The per-edge arm issues the
+// same updates through Insert/Delete, each a one-element batch through the
+// same tree path, so the gap is what sharing a batch buys. The batched
+// path groups pending updates and REdges deltas by node and applies
+// independent nodes concurrently; even at one worker it wins by batching
+// each node's engine work (one classify round, one aggregate flush,
+// batched ring surgeries) instead of paying per-batch overheads O(log n)
+// times per update. Both arms run the full public API, which since the
+// concurrent read plane includes one snapshot publication per
+// forest-changing batch — per edge on the per-edge arm, per batch on the
+// batched arm — so the batched column's win includes publication
+// amortization (deliberately: that amortization is part of what batching
+// buys the serving path). Attainable extra speedup is capped by GOMAXPROCS.
 func E14SparsifyBatch(w io.Writer, sc Scale) {
 	sz := batchSizesFor(sc)
 	n := sz.sparsifyN

@@ -38,10 +38,7 @@ type recSample struct {
 // and time Recover. Readers never stop; the outage read rate comes from
 // the same counters over the poison -> recover window.
 func runRecovery(n, readers int, seed uint64) recSample {
-	f := parmsf.MustNew(n, parmsf.Options{
-		MaxEdges:    8 * n,
-		FaultPoints: []string{}, // env-proof: this run arms explicitly
-	})
+	f := parmsf.MustNew(n, parmsf.Options{MaxEdges: 8 * n})
 	defer f.Close()
 
 	rng := xrand.New(seed)

@@ -15,8 +15,8 @@
 // comparison after recovery — runs the same workload untouched.
 //
 // Point names are registered at package init time by the packages that hit
-// them; Points reports the full set compiled into the binary, which the CI
-// fault-injection matrix sweeps via the PARMSF_FAULT environment variable.
+// them; Points reports the full set compiled into the binary, which the
+// fault-injection tests sweep.
 package faultinject
 
 import (
@@ -108,8 +108,8 @@ func (in *Injector) Arm(point string, after int) error {
 }
 
 // ArmSpec arms a comma-separated list of "point" or "point:N" specs (N = the
-// hit number that fires, default 1). The format of the PARMSF_FAULT
-// environment variable and Options.FaultPoints entries.
+// hit number that fires, default 1), the format parmsf.Forest.ArmFault
+// takes.
 func (in *Injector) ArmSpec(spec string) error {
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)

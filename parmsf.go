@@ -26,7 +26,7 @@
 //
 // # Concurrency
 //
-// The read and write planes are decoupled. After every applied update the
+// The read and write planes are decoupled. After every applied batch the
 // forest publishes an immutable epoch-versioned Snapshot (component ids,
 // forest edge list, total weight); Connected, Weight, Size, Components and
 // Edges answer from the current snapshot with lock-free reads, so any
@@ -36,33 +36,30 @@
 // consistency at one epoch.
 //
 // Mutators (Insert, Delete, InsertEdges, DeleteEdges) are serialized by an
-// internal lock: concurrent callers are safe but apply one at a time. A
-// mutator that changed the forest republishes the snapshot before
-// returning — queries immediately observe its effect. Publication costs
-// O(delta) per applied update: a link merges two component labels and a
-// cut relabels the smaller side it split off, while the O(n + forest size)
-// rebuild runs only when a snapshot era's patch budget runs out. Batches
-// publish once for every edge they carry; for streams of single-edge
-// updates prefer Submit, which enqueues updates on a write-coalescing
-// queue: a single drainer batches whatever has accumulated into the
-// engine's batch entry points — amortizing engine work and publication
-// across clients and bounding write latency by batch cadence — and each
-// submission resolves its own Pending result once applied. Flush waits for
-// everything previously submitted.
+// internal lock: concurrent callers are safe but apply one at a time. The
+// single-edge mutators are one-element batches: every mutation takes the
+// same commit path into the engine's batch pipeline. A mutator that changed
+// the forest republishes the snapshot before returning — queries
+// immediately observe its effect. Publication costs O(delta) per applied
+// batch: a link merges two component labels and a cut relabels the smaller
+// side it split off, while the O(n + forest size) rebuild runs only when a
+// snapshot era's patch budget runs out. A batch publishes one epoch however
+// many edges it carries; for streams of single-edge updates prefer Submit,
+// which enqueues updates on a write-coalescing queue: a single drainer
+// batches whatever has accumulated into the engine's batch entry points —
+// amortizing engine work and publication across clients and bounding write
+// latency by batch cadence — and each submission resolves its own Pending
+// result once applied. Flush waits for everything previously submitted.
 package parmsf
 
 import (
-	"errors"
 	"fmt"
-	"os"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"parmsf/internal/batch"
 	"parmsf/internal/core"
 	"parmsf/internal/faultinject"
 	"parmsf/internal/ingest"
@@ -76,7 +73,9 @@ import (
 type Weight = int64
 
 // MinWeight is the lowest admissible edge weight (weights at or below it
-// are reserved by the degree-reduction gadget).
+// are reserved by the degree-reduction gadget). Admissible weights also
+// stay below math.MaxInt64, which the core engine reserves as its infinity
+// sentinel.
 const MinWeight = ternary.RingWeight + 1
 
 // Common errors are declared in errors.go (the package error taxonomy).
@@ -84,7 +83,7 @@ const MinWeight = ternary.RingWeight + 1
 // Snapshot is an immutable point-in-time view of the forest: a flat
 // component-id array, the forest edge list, the total weight and an epoch
 // counter, safe for concurrent use by any number of goroutines. Epochs are
-// strictly monotone in publication order, one per applied update that
+// strictly monotone in publication order, one per applied batch that
 // changed the forest. Release (optional) returns the snapshot's buffers to
 // the publication pool; see the methods on the underlying type.
 type Snapshot = snapshot.Snapshot
@@ -101,9 +100,11 @@ type Options struct {
 	MaxEdges int
 	// Sparsify routes updates through the sparsification tree of Section
 	// 5, making update cost depend on n rather than m. Worthwhile when the
-	// graph is dense. Batch updates (InsertEdges/DeleteEdges) propagate
-	// through the tree level-by-level, applying all touched sibling nodes
-	// of a level concurrently on the worker pool when Workers is set.
+	// graph is dense. A batch enters the tree at its leaf nodes and
+	// propagates toward the root: level-by-level on a sequential forest,
+	// and with Parallel or Workers through the dependency pipeline, where a
+	// node applies as soon as its children have drained into it (node
+	// tasks run concurrently on the worker pool when Workers is set).
 	Sparsify bool
 	// Parallel runs the core structure's EREW PRAM driver (Section 3).
 	// Depth and work counters are exposed via PRAM().
@@ -150,9 +151,8 @@ type Options struct {
 	// (the incremental delta path rebases only when an era's ~n/8 patch
 	// budget runs out, or when an update's forest delta cannot be
 	// expressed incrementally). 1 disables the delta path entirely; 0
-	// selects the default, unless the PARMSF_SNAPSHOT_REBASE environment
-	// variable overrides it (tests and experiments exercising the
-	// rebase/patch boundary).
+	// selects the default (tests and experiments exercising the
+	// rebase/patch boundary set it).
 	SnapshotRebaseEvery int
 	// SubmitPolicy selects what Submit and SubmitBatch do when QueueDepth
 	// updates are already waiting: block for space (SubmitBlock, the
@@ -174,15 +174,6 @@ type Options struct {
 	// forest is healthy again by the time that error is observed. Without
 	// it, the forest stays poisoned until Recover is called.
 	AutoRecover bool
-	// FaultPoints arms deterministic crash points for fault-injection
-	// testing: each entry is a "point" or "point:N" spec naming a
-	// registered injection site (see FaultPoints()) that will panic on its
-	// N-th upcoming hit. nil falls back to the PARMSF_FAULT environment
-	// variable (same comma-separated spec format); an empty non-nil slice
-	// explicitly disarms the forest regardless of environment. Production
-	// forests leave this nil with PARMSF_FAULT unset: every site then
-	// costs one atomic load.
-	FaultPoints []string
 }
 
 // SubmitPolicy is the ingest queue's admission policy (Options.SubmitPolicy).
@@ -200,8 +191,7 @@ const (
 )
 
 // FaultPoints returns the names of every registered fault-injection crash
-// point compiled into the engine stack, sorted (see Options.FaultPoints and
-// Forest.ArmFault).
+// point compiled into the engine stack, sorted (see Forest.ArmFault).
 func FaultPoints() []string { return faultinject.Points() }
 
 // Forest is a dynamic minimum spanning forest over vertices 0..n-1.
@@ -220,11 +210,11 @@ type Forest struct {
 	fault *faultinject.Injector
 
 	mu       sync.Mutex // serializes mutators (engine + publication state)
+	sc       commitScratch
 	pub      *snapshot.Publisher
 	dirty    bool // forest changed since the last published epoch
 	dc       deltaCollector
 	suppress bool // Recover's rebuild in progress: skip epoch publication
-	ufPar    []int32
 
 	// jour is the live-edge journal: the canonical (u<v) key and weight of
 	// every edge currently in the graph, maintained by the API layer and
@@ -248,19 +238,19 @@ type Forest struct {
 	qclosed bool
 }
 
-// engine abstracts the composed pipeline.
+// engine is what the commit path and publication call on the composed
+// engine stack: the ternary wrapper, or the sparsification tree over
+// ternary-wrapped nodes.
 type engine interface {
-	InsertEdge(u, v int, w int64) error
-	DeleteEdge(u, v int) error
-	Connected(u, v int) bool
+	InsertEdges(items []ternary.BatchEdge) []error
+	DeleteEdges(keys [][2]int) []error
 	Weight() int64
-	ForestSize() int
 	ForestEdges(f func(u, v int, w int64) bool)
+	ExportComponents(comp []int32, upto int) bool
 }
 
 // New creates an empty forest over n vertices (n >= 2). Returns
-// ErrTooFewVertices when n < 2, or an error naming a malformed
-// Options.FaultPoints (or PARMSF_FAULT) spec.
+// ErrTooFewVertices when n < 2.
 func New(n int, opt Options) (*Forest, error) {
 	if n < 2 {
 		return nil, ErrTooFewVertices
@@ -272,17 +262,6 @@ func New(n int, opt Options) (*Forest, error) {
 		opt.Parallel = true
 	}
 	f := &Forest{n: n, opt: opt, fault: faultinject.New(), jour: make(map[[2]int]int64)}
-	if specs := opt.FaultPoints; specs != nil {
-		for _, s := range specs {
-			if err := f.fault.ArmSpec(s); err != nil {
-				return nil, err
-			}
-		}
-	} else if env := os.Getenv("PARMSF_FAULT"); env != "" {
-		if err := f.fault.ArmSpec(env); err != nil {
-			return nil, err
-		}
-	}
 	if opt.Parallel {
 		if opt.Workers != 0 && !opt.CheckEREW {
 			f.mach = pram.NewParallel(opt.Workers)
@@ -304,13 +283,7 @@ func New(n int, opt Options) (*Forest, error) {
 	// monotone across a poison/recover cycle.
 	f.pub = snapshot.NewPublisher(n)
 	f.pub.SetFault(f.fault)
-	if k := opt.SnapshotRebaseEvery; k > 0 {
-		f.pub.SetRebaseEvery(k)
-	} else if env := os.Getenv("PARMSF_SNAPSHOT_REBASE"); env != "" {
-		if k, err := strconv.Atoi(env); err == nil && k > 0 {
-			f.pub.SetRebaseEvery(k)
-		}
-	}
+	f.pub.SetRebaseEvery(opt.SnapshotRebaseEvery)
 	f.qa.f = f
 	return f, nil
 }
@@ -329,83 +302,55 @@ func MustNew(n int, opt Options) *Forest {
 // snapshot hooks and the fault injector into every layer. Called once by
 // New and again by Recover, which drops the poisoned engines and rebuilds
 // on the same machine, task pool, publisher and injector.
+//
+// Whichever the composition, the top layer reports forest deltas (so no-op
+// updates skip republication) and fires the epoch hook once per fully
+// applied batch — past the sparsification pipeline barrier, past the
+// ternary slot surgeries — at which point the engine is quiescent and a
+// consistent snapshot can be built and swapped in.
 func (f *Forest) buildEngine() {
-	opt := f.opt
-	n := f.n
-	mkCore := func(gn int) ternary.Engine {
-		cfg := core.Config{K: opt.K, Fault: f.fault}
-		if f.mach != nil {
-			return core.NewMSF(gn, cfg, core.PRAMCharger{M: f.mach})
-		}
-		return core.NewMSF(gn, cfg, core.SeqCharger{})
-	}
-	if opt.Sparsify {
-		var sp *sparsify.Forest
-		if f.mach != nil {
-			// Section 5.3 wiring: every tree node runs the PRAM driver on a
-			// private sequential simulator, so independent nodes can apply
-			// concurrently with no shared counter state; the tree merges
-			// per-node depth (max) and work (sum) through DepthFn/WorkFn,
-			// and the public update entry points absorb those totals back
-			// into the shared machine. Batches run through the pipelined
-			// scheduler — a node applies as soon as its children have
-			// drained into it — with node tasks fanned out over at most
-			// Workers goroutines when a real pool is configured.
-			sp = sparsify.New(n, func(localN, maxEdges int) sparsify.Engine {
-				nm := pram.New(false)
-				tw := ternary.New(localN, maxEdges, func(gn int) ternary.Engine {
-					return core.NewMSF(gn, core.Config{K: opt.K, Fault: f.fault}, core.PRAMCharger{M: nm})
-				})
-				tw.SetFault(f.fault)
-				return tw
-			})
-			sp.DepthFn = func(e sparsify.Engine) int64 {
-				if m := nodeMachine(e); m != nil {
-					return m.Time
-				}
-				return 0
-			}
-			sp.WorkFn = func(e sparsify.Engine) int64 {
-				if m := nodeMachine(e); m != nil {
-					return m.Work
-				}
-				return 0
-			}
-			sp.Exec = func(tasks int, run func(t int)) { f.mach.Run(tasks, run) }
-			sp.Pipeline = true
-			if f.tasks != nil {
-				sp.Spawn = f.tasks.Spawn
-			}
-		} else {
-			sp = sparsify.New(n, func(localN, maxEdges int) sparsify.Engine {
-				tw := ternary.New(localN, maxEdges, mkCore)
-				tw.SetFault(f.fault)
-				return tw
-			})
-		}
-		sp.Fault = f.fault
-		f.eng = sp
-		f.spars = sp
-	} else {
-		tw := ternary.New(n, opt.MaxEdges, mkCore)
+	cfg := core.Config{K: f.opt.K, Fault: f.fault}
+	newTernary := func(n, maxEdges int, ch core.Charger) *ternary.Wrapper {
+		tw := ternary.New(n, maxEdges, func(gn int) ternary.Engine { return core.NewMSF(gn, cfg, ch) })
 		tw.SetFault(f.fault)
+		return tw
+	}
+	if !f.opt.Sparsify {
+		tw := newTernary(f.n, f.opt.MaxEdges, f.ch)
+		tw.SetEvents(f.noteDelta)
+		tw.SetCutSides(f.noteCutSide)
+		tw.OnApplied = f.publishIfDirty
 		f.eng = tw
+		return
 	}
-	// The engine reports forest deltas (so no-op updates skip
-	// republication) and fires the epoch hook once per fully applied
-	// update — past the sparsification pipeline barrier, past the ternary
-	// slot surgeries — at which point the engine is quiescent and a
-	// consistent snapshot can be built and swapped in.
-	switch e := f.eng.(type) {
-	case *sparsify.Forest:
-		e.SetEvents(f.noteDelta)
-		e.SetCutSides(f.noteCutSide)
-		e.OnApplied = f.publishIfDirty
-	case *ternary.Wrapper:
-		e.SetEvents(f.noteDelta)
-		e.SetCutSides(f.noteCutSide)
-		e.OnApplied = f.publishIfDirty
+	// Section 5.3 wiring: with a machine, every tree node runs the PRAM
+	// driver on a private sequential simulator, so independent nodes can
+	// apply concurrently with no shared counter state; the tree merges
+	// per-node depth (max) and work (sum) through DepthFn/WorkFn, and
+	// absorbSpars folds those totals back into the shared machine. Batches
+	// then run through the pipelined scheduler — a node applies as soon as
+	// its children have drained into it — with node tasks fanned out over
+	// at most Workers goroutines when a real pool is configured.
+	sp := sparsify.New(f.n, func(localN, maxEdges int) sparsify.Engine {
+		ch := core.Charger(core.SeqCharger{})
+		if f.mach != nil {
+			ch = core.PRAMCharger{M: pram.New(false)}
+		}
+		return newTernary(localN, maxEdges, ch)
+	})
+	if f.mach != nil {
+		sp.DepthFn = func(e sparsify.Engine) int64 { return nodeMachine(e).Time }
+		sp.WorkFn = func(e sparsify.Engine) int64 { return nodeMachine(e).Work }
+		sp.Pipeline = true
+		if f.tasks != nil {
+			sp.Spawn = f.tasks.Spawn
+		}
 	}
+	sp.Fault = f.fault
+	sp.SetEvents(f.noteDelta)
+	sp.SetCutSides(f.noteCutSide)
+	sp.OnApplied = f.publishIfDirty
+	f.eng, f.spars = sp, sp
 }
 
 // deltaCollector accumulates one applied update's forest mutations in
@@ -474,13 +419,14 @@ func (f *Forest) noteCutSide(side []int32) {
 	op.SideLen = int32(len(side))
 }
 
-// publishIfDirty is the engine's epoch hook: once per applied update, with
-// the mutator lock held by the caller chain. Updates that did not change
-// the forest (failed ops, pure non-tree churn cancellations) publish
-// nothing — the current snapshot is still exact. A changed forest
-// publishes through the O(delta) path when the collected mutations fit
-// the current era, and falls back to the full sweep (which is also the
-// rebase that restores delta capacity) when they do not.
+// publishIfDirty is the engine's epoch hook: once per applied batch (a
+// single-edge mutator is a one-element batch), with the mutator lock held
+// by commit. Batches that did not change the forest (failed ops, pure
+// non-tree churn cancellations) publish nothing — the current snapshot is
+// still exact. A changed forest publishes through the O(delta) path when
+// the collected mutations fit the current era, and falls back to the full
+// sweep (which is also the rebase that restores delta capacity) when they
+// do not.
 func (f *Forest) publishIfDirty() {
 	if f.suppress {
 		// Recover's rebuild drives the whole journal through the engine's
@@ -511,11 +457,14 @@ func (f *Forest) PublishStats() snapshot.Stats { return f.pub.Stats() }
 // publish builds the next snapshot from the engine on pooled buffers and
 // swaps it in with one atomic pointer store. O(n + forest size); amortized
 // across every update a batch coalesced.
+//
+// The component array comes from the engine's export sweep: one tour-root
+// sweep through the core structure (reusing the insert-classification
+// kernel), which every composition buildEngine builds provides.
 func (f *Forest) publish() {
 	b := f.pub.Begin(f.n)
-	comp := b.Comp(f.n)
-	if ex, ok := f.eng.(componentExporter); !ok || !ex.ExportComponents(comp, f.n) {
-		f.componentsFromEdges(comp)
+	if !f.eng.ExportComponents(b.Comp(f.n), f.n) {
+		panic("parmsf: engine cannot export components")
 	}
 	f.eng.ForestEdges(func(u, v int, w int64) bool {
 		b.AppendEdge(u, v, w)
@@ -525,67 +474,10 @@ func (f *Forest) publish() {
 	f.pub.Publish(b)
 }
 
-// componentExporter is the engine-side snapshot hook: one tour-root sweep
-// through the core structure (reusing the insert-classification kernel)
-// filling a dense component-id array. Engines that cannot export (baseline
-// gadgets in tests) return false and components are derived from the
-// forest edge list instead.
-type componentExporter interface {
-	ExportComponents(comp []int32, upto int) bool
-}
-
-// componentsFromEdges derives the component-id array from the forest edge
-// list with a pooled union-find (path halving): the fallback for engines
-// without the export sweep.
-func (f *Forest) componentsFromEdges(comp []int32) {
-	n := f.n
-	if cap(f.ufPar) < n {
-		f.ufPar = make([]int32, n)
-	}
-	par := f.ufPar[:n]
-	for v := range par {
-		par[v] = int32(v)
-	}
-	find := func(x int32) int32 {
-		for par[x] != x {
-			par[x] = par[par[x]]
-			x = par[x]
-		}
-		return x
-	}
-	f.eng.ForestEdges(func(u, v int, w int64) bool {
-		ru, rv := find(int32(u)), find(int32(v))
-		if ru != rv {
-			par[rv] = ru
-		}
-		return true
-	})
-	for v := range comp {
-		comp[v] = -1
-	}
-	next := int32(0)
-	for v := 0; v < n; v++ {
-		r := find(int32(v))
-		if comp[r] < 0 {
-			comp[r] = next
-			next++
-		}
-		comp[v] = comp[r]
-	}
-}
-
-// nodeMachine extracts the private PRAM simulator of a sparsification node
-// engine (ternary wrapper over the core structure), or nil.
+// nodeMachine returns the private PRAM simulator of a sparsification node
+// engine (a ternary wrapper over the core structure).
 func nodeMachine(e sparsify.Engine) *pram.Machine {
-	w, ok := e.(*ternary.Wrapper)
-	if !ok {
-		return nil
-	}
-	m, ok := w.Gadget().(*core.MSF)
-	if !ok {
-		return nil
-	}
-	return m.Machine()
+	return e.(*ternary.Wrapper).Gadget().(*core.MSF).Machine()
 }
 
 // absorbSpars snapshots the sparsification tree's accumulated Section 5.3
@@ -604,55 +496,16 @@ func (f *Forest) absorbSpars() func() {
 func (f *Forest) N() int { return f.n }
 
 // poisonWith mints (or returns the already-installed) PoisonError for a
-// panic recovered at stage. Lock-free: the ingest drainer poisons without
-// the mutator lock. First panic wins; later ones report the original.
+// panic recovered at stage. Its only caller is commit's containment, under
+// the mutator lock; the install is still a compare-and-swap because readers
+// load the poison state without that lock. First panic wins; later ones
+// report the original.
 func (f *Forest) poisonWith(stage string, r any) *PoisonError {
 	pe := &PoisonError{Stage: stage, Value: r, Stack: debug.Stack()}
 	if !f.poison.CompareAndSwap(nil, pe) {
 		pe = f.poison.Load()
 	}
 	return pe
-}
-
-// guarded is the mutator containment boundary: with the mutator lock held,
-// fail fast if the forest is already poisoned, otherwise run fn and convert
-// any panic that escapes the engine stack — including worker-pool kernel
-// panics and pipeline node-task panics, which the executors re-throw on
-// this goroutine once their barriers resolve — into a poisoned forest and
-// an ErrPoisoned-wrapping error. The journal is written only after fn's
-// batch commits, so a panicked fn leaves the journal at the pre-batch
-// state: the failed batch is, observably, never applied.
-func (f *Forest) guarded(stage string, fn func() error) (err error) {
-	if pe := f.poison.Load(); pe != nil {
-		return pe
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = f.poisonWith(stage, r)
-		}
-	}()
-	return fn()
-}
-
-// maybeAutoRecover runs Recover after a mutator returned poisoned, when
-// Options.AutoRecover is set. Called without the mutator lock.
-func (f *Forest) maybeAutoRecover(err error) {
-	if err != nil && f.opt.AutoRecover && errors.Is(err, ErrPoisoned) {
-		_ = f.Recover()
-	}
-}
-
-// maybeAutoRecoverBatch is maybeAutoRecover for per-edge error slices.
-func (f *Forest) maybeAutoRecoverBatch(errs []error) {
-	if errs == nil || !f.opt.AutoRecover {
-		return
-	}
-	for _, err := range errs {
-		if err != nil && errors.Is(err, ErrPoisoned) {
-			_ = f.Recover()
-			return
-		}
-	}
 }
 
 // Poisoned returns the forest's poison state: nil while healthy, else the
@@ -663,300 +516,8 @@ func (f *Forest) Poisoned() *PoisonError { return f.poison.Load() }
 // ArmFault arms deterministic crash points on this forest's fault injector
 // ("point" or "point:N" comma-separated specs; see FaultPoints for the
 // registry). Points are one-shot: each fires once and disarms. Testing
-// hook; see Options.FaultPoints.
+// hook: a forest nobody arms pays one atomic load per crash site.
 func (f *Forest) ArmFault(spec string) error { return f.fault.ArmSpec(spec) }
-
-// jkey returns the canonical journal key of an edge.
-func jkey(u, v int) [2]int {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]int{u, v}
-}
-
-// poisonErrs fills a batch result with the poison error.
-func poisonErrs(n int, pe *PoisonError) []error {
-	errs := make([]error, n)
-	for i := range errs {
-		errs[i] = pe
-	}
-	return errs
-}
-
-// Insert adds edge (u, v) with weight w and updates the forest. Weights at
-// or below MinWeight are rejected.
-func (f *Forest) Insert(u, v int, w Weight) error {
-	f.mu.Lock()
-	err := f.guarded("insert", func() error { return f.insertLocked(u, v, w) })
-	f.mu.Unlock()
-	f.maybeAutoRecover(err)
-	return err
-}
-
-func (f *Forest) insertLocked(u, v int, w Weight) error {
-	if w < MinWeight {
-		// Rejected up front — the same set the batch validation kernel
-		// rejects — so the sparsification tree never sees a weight its
-		// ternary node engines would refuse mid-propagation.
-		return ErrBadEdge
-	}
-	defer f.absorbSpars()()
-	err := f.eng.InsertEdge(u, v, w)
-	switch err {
-	case nil:
-		f.jour[jkey(u, v)] = w
-		return nil
-	case ternary.ErrExists, sparsify.ErrExists:
-		return ErrExists
-	case ternary.ErrCapacity:
-		return ErrCapacity
-	case ternary.ErrSelfLoop, ternary.ErrVertex, ternary.ErrWeight:
-		return ErrBadEdge
-	}
-	return ErrBadEdge
-}
-
-// Delete removes edge (u, v) and updates the forest (finding a replacement
-// when a forest edge is removed).
-func (f *Forest) Delete(u, v int) error {
-	f.mu.Lock()
-	err := f.guarded("delete", func() error { return f.deleteLocked(u, v) })
-	f.mu.Unlock()
-	f.maybeAutoRecover(err)
-	return err
-}
-
-func (f *Forest) deleteLocked(u, v int) error {
-	defer f.absorbSpars()()
-	err := f.eng.DeleteEdge(u, v)
-	switch err {
-	case nil:
-		delete(f.jour, jkey(u, v))
-		return nil
-	case ternary.ErrMissing, sparsify.ErrMissing:
-		return ErrNotFound
-	}
-	return err
-}
-
-// Edge is a batch-insertion item for InsertEdges.
-type Edge struct {
-	U, V int
-	W    Weight
-}
-
-// EdgeKey names an edge for batch deletion with DeleteEdges.
-type EdgeKey struct {
-	U, V int
-}
-
-// batchEngine is the optional batch interface of the composed engine: it
-// drives whole batches through the staged classify/shard/apply pipeline
-// instead of one engine operation per edge. The ternary wrapper implements
-// it over the core structure, and the sparsification tree implements it by
-// level-parallel propagation over ternary-wrapped nodes (BatchEdge is an
-// alias of the shared batch.Edge, so one interface covers both).
-type batchEngine interface {
-	InsertEdges(items []ternary.BatchEdge) []error
-	DeleteEdges(keys [][2]int) []error
-}
-
-// InsertEdges inserts a batch of edges, updating the forest once per edge.
-// The batch runs through the staged pipeline on the forest's executor: a
-// validation kernel classifies every item in one round, a parallel merge
-// sort orders the survivors by ascending weight — so an edge can never
-// displace a lighter batch-mate that was inserted after it, which avoids
-// quadratic cycle-swap churn inside a batch — and the engine applies the
-// sorted batch with its CAdj effect application sharded across the worker
-// pool (one deduplicated, level-parallel aggregate flush per batch instead
-// of one climb per edge). With Options.Sparsify the sorted batch instead
-// enters the Section 5 tree at its leaf nodes and propagates level-by-level,
-// all touched sibling nodes of a level applying concurrently. Application
-// order is deterministic — (weight, endpoints, batch index) — so the
-// resulting forest and the PRAM cost counters are independent of the worker
-// count.
-//
-// The result is nil when every edge was inserted; otherwise it has one
-// entry per input edge, nil for successes and the same error Insert would
-// have returned (ErrBadEdge, ErrExists, ErrCapacity) for failures.
-func (f *Forest) InsertEdges(edges []Edge) []error {
-	if len(edges) == 0 {
-		return nil
-	}
-	f.mu.Lock()
-	errs := f.insertEdgesLocked(edges)
-	f.mu.Unlock()
-	f.maybeAutoRecoverBatch(errs)
-	return errs
-}
-
-// insertEdgesLocked is InsertEdges' guarded body: poisoned fast-fail, then
-// the staged batch with panic containment — a panic anywhere in the engine
-// stack poisons the forest and every result slot reports the PoisonError
-// (the journal, written only post-commit below, treats the batch as never
-// applied).
-func (f *Forest) insertEdgesLocked(edges []Edge) (errs []error) {
-	if pe := f.poison.Load(); pe != nil {
-		return poisonErrs(len(edges), pe)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			errs = poisonErrs(len(edges), f.poisonWith("insert-batch", r))
-		}
-	}()
-	defer f.absorbSpars()()
-	errs = make([]error, len(edges))
-	// Validation kernel: one EREW round, one processor per item, each
-	// writing only its own errs cell.
-	f.ch.ParDo(len(edges), func(i int) {
-		e := edges[i]
-		if e.U < 0 || e.U >= f.n || e.V < 0 || e.V >= f.n || e.U == e.V || e.W < MinWeight {
-			errs[i] = ErrBadEdge
-		}
-	})
-	items := make([]batch.Item, 0, len(edges))
-	for i, e := range edges {
-		if errs[i] == nil {
-			items = append(items, batch.Item{Key: e.W, A: e.U, B: e.V, Idx: i})
-		}
-	}
-	failed := len(edges) - len(items)
-	batch.Sort(f.mach, items)
-	if be, ok := f.eng.(batchEngine); ok {
-		bes := make([]ternary.BatchEdge, len(items))
-		for i, it := range items {
-			bes[i] = ternary.BatchEdge{U: it.A, V: it.B, W: it.Key}
-		}
-		for i, err := range be.InsertEdges(bes) {
-			if err != nil {
-				errs[items[i].Idx] = mapBatchInsertErr(err)
-				failed++
-			}
-		}
-		// Commit point: the engine batch fully applied; record the accepted
-		// edges in the live-edge journal.
-		for i, it := range items {
-			if errs[items[i].Idx] == nil {
-				f.jour[jkey(it.A, it.B)] = it.Key
-			}
-		}
-	} else {
-		for _, it := range items {
-			if err := f.insertLocked(it.A, it.B, it.Key); err != nil {
-				errs[it.Idx] = err
-				failed++
-			}
-		}
-	}
-	if failed == 0 {
-		return nil
-	}
-	return errs
-}
-
-// mapBatchInsertErr translates an engine batch error (ternary wrapper or
-// sparsification tree) to the public error Insert would have returned.
-func mapBatchInsertErr(err error) error {
-	switch err {
-	case ternary.ErrExists, sparsify.ErrExists:
-		return ErrExists
-	case ternary.ErrCapacity:
-		return ErrCapacity
-	}
-	return ErrBadEdge
-}
-
-// DeleteEdges deletes a batch of edges, finding replacements as needed. The
-// keys are canonicalized by a parallel kernel on the forest's executor; the
-// engine's planner then classifies the batch — tree versus non-tree
-// deletions — in one parallel round and deletes the non-tree edges first
-// (as one group of concurrently recomputed chunk-pair entries), so no
-// replacement search can ever pick an edge the same batch is about to
-// remove. Tree-edge deletions follow, each running its replacement search
-// through the parallel MWR. With Options.Sparsify the batch propagates
-// through the Section 5 tree level-by-level, replacement promotions riding
-// the same sweep as the deletions that caused them.
-//
-// The result is nil when every edge was deleted; otherwise it has one entry
-// per input key, nil for successes and the error Delete would have returned
-// (ErrNotFound for absent or malformed keys) for failures.
-func (f *Forest) DeleteEdges(keys []EdgeKey) []error {
-	if len(keys) == 0 {
-		return nil
-	}
-	f.mu.Lock()
-	errs := f.deleteEdgesLocked(keys)
-	f.mu.Unlock()
-	f.maybeAutoRecoverBatch(errs)
-	return errs
-}
-
-// deleteEdgesLocked is DeleteEdges' guarded body (see insertEdgesLocked).
-func (f *Forest) deleteEdgesLocked(keys []EdgeKey) (errs []error) {
-	if pe := f.poison.Load(); pe != nil {
-		return poisonErrs(len(keys), pe)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			errs = poisonErrs(len(keys), f.poisonWith("delete-batch", r))
-		}
-	}()
-	defer f.absorbSpars()()
-	errs = make([]error, len(keys))
-	canon := make([]EdgeKey, len(keys))
-	f.ch.ParDo(len(keys), func(i int) {
-		k := keys[i]
-		if k.U > k.V {
-			k.U, k.V = k.V, k.U
-		}
-		if k.U < 0 || k.V >= f.n || k.U == k.V {
-			// Such an edge cannot be present; match Delete's answer for an
-			// absent edge without consulting the engine.
-			errs[i] = ErrNotFound
-		}
-		canon[i] = k
-	})
-	failed := 0
-	if be, ok := f.eng.(batchEngine); ok {
-		var bk [][2]int
-		var bki []int
-		for i, k := range canon {
-			if errs[i] != nil {
-				failed++
-				continue
-			}
-			bk = append(bk, [2]int{k.U, k.V})
-			bki = append(bki, i)
-		}
-		for j, err := range be.DeleteEdges(bk) {
-			if err != nil {
-				errs[bki[j]] = ErrNotFound
-				failed++
-			}
-		}
-		// Commit point: drop the deleted edges from the live-edge journal.
-		for j, k := range bk {
-			if errs[bki[j]] == nil {
-				delete(f.jour, k)
-			}
-		}
-	} else {
-		for i, k := range canon {
-			if errs[i] != nil {
-				failed++
-				continue
-			}
-			if err := f.deleteLocked(k.U, k.V); err != nil {
-				errs[i] = err
-				failed++
-			}
-		}
-	}
-	if failed == 0 {
-		return nil
-	}
-	return errs
-}
 
 // Close drains and stops the ingest queue (every accepted Submit applies
 // before Close returns) and releases the worker goroutines behind
@@ -1225,7 +786,7 @@ func (f *Forest) IngestCancelled() uint64 {
 }
 
 // Epoch returns the current snapshot epoch: strictly monotone, advancing
-// once per applied update that changed the forest. Safe from any
+// once per applied batch that changed the forest. Safe from any
 // goroutine; the cluster layer uses it to detect shard staleness without
 // materializing a full snapshot.
 func (f *Forest) Epoch() uint64 {
@@ -1256,68 +817,6 @@ func (f *Forest) queue() *ingest.Queue {
 		})
 	}
 	return f.q
-}
-
-// fpIngestApply is the drainer-side crash point: it fires on the ingest
-// drainer goroutine, before the coalesced run reaches the engine,
-// exercising the path where poisoning originates off the mutator
-// goroutines and every queued future must still resolve.
-var fpIngestApply = faultinject.Register("ingest/apply")
-
-// queueApplier adapts the forest's synchronous batch entry points to the
-// ingest drainer's sink, reusing one conversion buffer per kind (the
-// drainer is a single goroutine). Engine panics are contained inside
-// InsertEdges/DeleteEdges; the recover here is the drainer-side boundary
-// for faults outside that containment (the ingest/apply crash point, or
-// conversion bugs) — the drainer goroutine must survive and resolve the
-// run's futures, so a panic poisons the forest and fails the run's ops
-// with the PoisonError.
-type queueApplier struct {
-	f     *Forest
-	edges []Edge
-	keys  []EdgeKey
-}
-
-// ApplyInserts implements ingest.Applier.
-func (a *queueApplier) ApplyInserts(ops []ingest.Op) []error {
-	errs := a.applyInserts(ops)
-	a.f.maybeAutoRecoverBatch(errs)
-	return errs
-}
-
-func (a *queueApplier) applyInserts(ops []ingest.Op) (errs []error) {
-	defer func() {
-		if r := recover(); r != nil {
-			errs = poisonErrs(len(ops), a.f.poisonWith("ingest", r))
-		}
-	}()
-	a.f.fault.Hit(fpIngestApply)
-	a.edges = a.edges[:0]
-	for _, op := range ops {
-		a.edges = append(a.edges, Edge{U: op.U, V: op.V, W: op.W})
-	}
-	return a.f.InsertEdges(a.edges)
-}
-
-// ApplyDeletes implements ingest.Applier.
-func (a *queueApplier) ApplyDeletes(ops []ingest.Op) []error {
-	errs := a.applyDeletes(ops)
-	a.f.maybeAutoRecoverBatch(errs)
-	return errs
-}
-
-func (a *queueApplier) applyDeletes(ops []ingest.Op) (errs []error) {
-	defer func() {
-		if r := recover(); r != nil {
-			errs = poisonErrs(len(ops), a.f.poisonWith("ingest", r))
-		}
-	}()
-	a.f.fault.Hit(fpIngestApply)
-	a.keys = a.keys[:0]
-	for _, op := range ops {
-		a.keys = append(a.keys, EdgeKey{U: op.U, V: op.V})
-	}
-	return a.f.DeleteEdges(a.keys)
 }
 
 // PRAM returns the simulated EREW machine when Options.Parallel was set

@@ -2,6 +2,7 @@ package parmsf
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"parmsf/internal/workload"
@@ -51,6 +52,52 @@ func TestInsertEdgesMatchesSingles(t *testing.T) {
 		t.Fatalf("InsertEdges reported errors: %v", errs)
 	}
 	sameForest(t, one, bat, "batch vs singles")
+
+	// A single op is a one-element batch: one churn stream — including
+	// duplicate inserts, self loops and absent deletes — through
+	// Insert/Delete and through InsertEdges([e])/DeleteEdges([k]) must
+	// leave identical forests, per-op errors and PRAM counters after every
+	// op.
+	single := MustNew(n, Options{Parallel: true})
+	twin := MustNew(n, Options{Parallel: true})
+	first := func(errs []error) error {
+		if errs == nil {
+			return nil
+		}
+		return errs[0]
+	}
+	rng := xrand.New(5)
+	var live []EdgeKey
+	for op := 0; op < 400; op++ {
+		var err, twinErr error
+		if rng.Intn(3) == 0 && len(live) > 0 {
+			k := EdgeKey{rng.Intn(n), rng.Intn(n)} // usually absent
+			if rng.Intn(4) != 0 {
+				j := rng.Intn(len(live))
+				k = live[j]
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			err = single.Delete(k.U, k.V)
+			twinErr = first(twin.DeleteEdges([]EdgeKey{k}))
+		} else {
+			e := Edge{rng.Intn(n), rng.Intn(n), Weight(rng.Intn(1 << 20))}
+			err = single.Insert(e.U, e.V, e.W)
+			twinErr = first(twin.InsertEdges([]Edge{e}))
+			if err == nil {
+				live = append(live, EdgeKey{e.U, e.V})
+			}
+		}
+		label := fmt.Sprintf("op %d", op)
+		if err != twinErr {
+			t.Fatalf("%s: single op returned %v, one-element batch %v", label, err, twinErr)
+		}
+		sameForest(t, single, twin, label)
+		if ms, mt := single.PRAM(), twin.PRAM(); ms.Time != mt.Time || ms.Work != mt.Work {
+			t.Fatalf("%s: PRAM diverges: single {T=%d W=%d} vs batch {T=%d W=%d}",
+				label, ms.Time, ms.Work, mt.Time, mt.Work)
+		}
+	}
 }
 
 func TestInsertEdgesErrors(t *testing.T) {
@@ -61,17 +108,21 @@ func TestInsertEdgesErrors(t *testing.T) {
 		{2, 99, 5},            // bad vertex
 		{-1, 3, 5},            // bad vertex
 		{2, 3, MinWeight - 1}, // reserved weight
+		{2, 3, math.MaxInt64}, // reserved weight: the core engine's infinity
 		{0, 1, 11},            // duplicate of index 0 (heavier, applies second)
 		{4, 5, 7},             // ok
 	})
 	if errs == nil {
 		t.Fatal("expected errors")
 	}
-	want := []error{nil, ErrBadEdge, ErrBadEdge, ErrBadEdge, ErrBadEdge, ErrExists, nil}
+	want := []error{nil, ErrBadEdge, ErrBadEdge, ErrBadEdge, ErrBadEdge, ErrBadEdge, ErrExists, nil}
 	for i, w := range want {
 		if errs[i] != w {
 			t.Fatalf("errs[%d] = %v, want %v", i, errs[i], w)
 		}
+	}
+	if pe := f.Poisoned(); pe != nil {
+		t.Fatalf("invalid edges poisoned the forest: %v", pe)
 	}
 	if f.Size() != 2 || f.Weight() != 17 {
 		t.Fatalf("forest after partial batch: size=%d weight=%d", f.Size(), f.Weight())

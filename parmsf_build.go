@@ -1,8 +1,6 @@
 package parmsf
 
 import (
-	"math"
-
 	"parmsf/internal/batch"
 	"parmsf/internal/core"
 	"parmsf/internal/pram"
@@ -28,24 +26,24 @@ import (
 // Build creates a forest over n vertices (n >= 2) preloaded with edges, in
 // bulk. The edge set is validated and deduplicated exactly as a per-edge
 // replay would resolve it — malformed edges (out-of-range or equal
-// endpoints, weights below MinWeight) fail with ErrBadEdge, repeats of an
-// earlier edge with ErrExists — and the accepted set is classified
-// statically and loaded without per-edge connectivity or path-max work.
-// opt.MaxEdges is raised to the accepted edge count when smaller, so a
-// bulk build never fails on capacity. The first snapshot epoch (1) is
-// published before Build returns, so readers are lock-free immediately;
-// the forest then behaves exactly as one built incrementally — mixed
-// Insert/Delete/ingest streams, Close, and further epochs continue from
-// there.
+// endpoints, weights below MinWeight or equal to math.MaxInt64) fail with
+// ErrBadEdge, repeats of an earlier edge with ErrExists — and the accepted
+// set is classified statically and loaded without per-edge connectivity or
+// path-max work. opt.MaxEdges is raised to the accepted edge count when
+// smaller, so a bulk build never fails on capacity. The first snapshot
+// epoch (1) is published before Build returns, so readers are lock-free
+// immediately; the forest then behaves exactly as one built incrementally —
+// mixed Insert/Delete/ingest streams, Close, and further epochs continue
+// from there.
 //
 // The returned error slice is nil when every edge loaded; otherwise it has
 // one entry per input edge (nil on success). The final error is non-nil
 // only when no forest could be constructed at all: ErrTooFewVertices for
-// n < 2, or a malformed Options.FaultPoints spec (as with New). The result
-// is deterministic: for one input it is bit-identical across Workers values
-// and equal to inserting the accepted edges with InsertEdges (or per-edge
-// in ascending (W, U, V) order); ties between equal-weight edges resolve by
-// the (W, U, V, index) order of the input, as with InsertEdges.
+// n < 2 (as with New). The result is deterministic: for one input it is
+// bit-identical across Workers values and equal to inserting the accepted
+// edges with InsertEdges (or per-edge in ascending (W, U, V) order); ties
+// between equal-weight edges resolve by the (W, U, V, index) order of the
+// input, as with InsertEdges.
 func Build(n int, edges []Edge, opt Options) (*Forest, []error, error) {
 	if n < 2 {
 		return nil, nil, ErrTooFewVertices
@@ -55,18 +53,12 @@ func Build(n int, edges []Edge, opt Options) (*Forest, []error, error) {
 	seen := make(map[[2]int]bool, len(edges))
 	accepted := 0
 	for i, e := range edges {
-		// The core engine reserves math.MaxInt64 as its Inf sentinel and
-		// rejects it at apply time; Build rejects it up front so the bulk
-		// loader only ever sees loadable ops.
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n || e.U == e.V || e.W < MinWeight || e.W == math.MaxInt64 {
+		if !validEdge(n, e) {
 			errs[i] = ErrBadEdge
 			failed++
 			continue
 		}
-		k := [2]int{e.U, e.V}
-		if k[0] > k[1] {
-			k[0], k[1] = k[1], k[0]
-		}
+		k := jkey(e.U, e.V)
 		if seen[k] {
 			errs[i] = ErrExists
 			failed++

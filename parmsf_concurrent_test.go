@@ -50,12 +50,19 @@ func checkSnapshotConsistent(s *Snapshot, n int) string {
 // reader; readers must progress throughout (they never take the engine
 // lock) and must observe many distinct epochs, i.e. they really do read
 // while batches apply. Run with -race to certify the read plane shares no
-// unsynchronized state with the write plane.
+// unsynchronized state with the write plane. The rebase configs repeat the
+// three shapes with a forced rebase every 4 epochs, so readers cross
+// snapshot era boundaries while full sweeps run on the worker pool and the
+// sparsify pipeline publishes, instead of on the rare capacity-driven
+// schedule.
 func TestConcurrentReadersDuringBatches(t *testing.T) {
 	configs := map[string]Options{
-		"default":          {},
-		"workers":          {Workers: 2},
-		"sparsify-workers": {Sparsify: true, Workers: 2},
+		"default":                   {},
+		"workers":                   {Workers: 2},
+		"sparsify-workers":          {Sparsify: true, Workers: 2},
+		"rebase-every-4":            {SnapshotRebaseEvery: 4},
+		"workers-rebase-4":          {Workers: 2, SnapshotRebaseEvery: 4},
+		"sparsify-workers-rebase-4": {Sparsify: true, Workers: 2, SnapshotRebaseEvery: 4},
 	}
 	for name, opt := range configs {
 		opt := opt
@@ -63,10 +70,8 @@ func TestConcurrentReadersDuringBatches(t *testing.T) {
 			const n = 96
 			const readers = 4
 			const rounds = 25
-			f := MustNew(n, Options{
-				Sparsify: opt.Sparsify, Workers: opt.Workers,
-				MaxEdges: 8 * n,
-			})
+			opt.MaxEdges = 8 * n
+			f := MustNew(n, opt)
 			defer f.Close()
 
 			var fail atomic.Value // string

@@ -62,10 +62,8 @@ type faultChurn struct {
 
 func newFaultChurn(t *testing.T, n int, opt Options) *faultChurn {
 	t.Helper()
-	// FaultPoints: []string{} pins both forests disarmed regardless of any
-	// PARMSF_FAULT in the environment; the suite arms explicitly via
-	// ArmFault so the twin can never trip.
-	opt.FaultPoints = []string{}
+	// The suite arms the faulty forest explicitly via ArmFault, so the twin
+	// can never trip.
 	c := &faultChurn{
 		t:     t,
 		n:     n,
@@ -281,9 +279,9 @@ func faultConfigs() []struct {
 // stream continues to a final three-way parity check (twin + Kruskal).
 func TestFaultRecoveryParity(t *testing.T) {
 	// The CI injection matrix sets PARMSF_FAULT to one point per job; the
-	// suite then runs exactly that point (the forests themselves are
-	// constructed env-disarmed and armed explicitly, so the sweep selects
-	// rather than double-arms). Unset, every point runs.
+	// suite then runs exactly that point. Only this test reads the variable:
+	// New reads no environment, so forests start disarmed and the sweep arms
+	// each point explicitly. Unset, every point runs.
 	only := ""
 	if spec := os.Getenv("PARMSF_FAULT"); spec != "" {
 		only = strings.SplitN(strings.SplitN(spec, ",", 2)[0], ":", 2)[0]
@@ -341,7 +339,7 @@ func TestFaultRecoveryParity(t *testing.T) {
 // the stream synchronously.
 func TestFaultRecoveryIngest(t *testing.T) {
 	const n = 32
-	opt := Options{MaxEdges: 1024, QueueDepth: 16, MaxBatch: 8, FaultPoints: []string{}}
+	opt := Options{MaxEdges: 1024, QueueDepth: 16, MaxBatch: 8}
 	f := MustNew(n, opt)
 	defer f.Close()
 	twin := MustNew(n, opt)
@@ -415,7 +413,7 @@ func TestFaultRecoveryIngest(t *testing.T) {
 // the crash, only a quiet period followed by one delta.
 func TestPoisonedKeepsServing(t *testing.T) {
 	const n = 64
-	f := MustNew(n, Options{MaxEdges: 1024, FaultPoints: []string{}})
+	f := MustNew(n, Options{MaxEdges: 1024})
 	defer f.Close()
 
 	var fail atomic.Value
@@ -513,9 +511,9 @@ func TestPoisonedKeepsServing(t *testing.T) {
 // forest has already rebuilt and admits the retry.
 func TestAutoRecover(t *testing.T) {
 	const n = 32
-	f := MustNew(n, Options{MaxEdges: 1024, AutoRecover: true, FaultPoints: []string{}})
+	f := MustNew(n, Options{MaxEdges: 1024, AutoRecover: true})
 	defer f.Close()
-	twin := MustNew(n, Options{MaxEdges: 1024, FaultPoints: []string{}})
+	twin := MustNew(n, Options{MaxEdges: 1024})
 	defer twin.Close()
 
 	var base []Edge
@@ -544,8 +542,8 @@ func TestAutoRecover(t *testing.T) {
 		t.Fatalf("retry after auto-recovery: %v", err)
 	}
 
-	// Single-op path: the batch planner is bypassed, so arm the publish
-	// point and fail a forest-changing single Delete.
+	// Single-op path: a single Delete is a one-element batch through the
+	// same commit; fail a forest-changing one at publication.
 	if err := f.ArmFault("snapshot/publish"); err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +578,6 @@ func TestSubmitBackpressure(t *testing.T) {
 			QueueDepth: 2, MaxBatch: 2,
 			SubmitPolicy: SubmitFail,
 			FlushTimeout: 100 * time.Millisecond,
-			FaultPoints:  []string{},
 		})
 		defer f.Close()
 		if err := f.Submit(Update{U: 0, V: 1, W: 5}).Wait(); err != nil {
@@ -623,7 +620,6 @@ func TestSubmitBackpressure(t *testing.T) {
 			QueueDepth: 1, MaxBatch: 1,
 			SubmitPolicy:  SubmitWait,
 			SubmitTimeout: 25 * time.Millisecond,
-			FaultPoints:   []string{},
 		})
 		defer f.Close()
 		if err := f.Submit(Update{U: 0, V: 1, W: 5}).Wait(); err != nil {
@@ -670,7 +666,7 @@ func TestSubmitBackpressure(t *testing.T) {
 func TestIngestLifecycleNoLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for cycle := 0; cycle < 8; cycle++ {
-		f := MustNew(16, Options{MaxEdges: 256, FaultPoints: []string{}})
+		f := MustNew(16, Options{MaxEdges: 256})
 		var ps []*Pending
 		for i := 0; i+1 < 16; i++ {
 			ps = append(ps, f.Submit(Update{U: i, V: i + 1, W: Weight(10 + i)}))

@@ -8,10 +8,12 @@ import (
 )
 
 // TestSparsifyBatchParity drives identical random mixed batch streams
-// through the per-edge sparsify path, the batched sparsify path on the
-// sequential simulator and on real worker pools of 1, 2 and 4 (all under
-// the pipelined scheduler), a worker-pool run forced back onto the strict
-// level-barrier scheduler, and the flat (non-sparsified) engine, requiring
+// through single-edge Insert/Delete on a sequential sparsified forest (each
+// a one-element batch, so the reference sees no batch-mates), the batched
+// sparsify path on the sequential simulator and on real worker pools of 1,
+// 2 and 4 (all under the pipelined scheduler), a worker-pool run forced
+// back onto the strict level-barrier scheduler with its node tasks fanned
+// out over the pool, and the flat (non-sparsified) engine, requiring
 // identical forests, weights and per-item errors everywhere, plus
 // identical Time/Work/MaxActive counters across every machine-backed
 // sparsify run — the scheduler and the worker count must both be invisible
@@ -31,6 +33,13 @@ func TestSparsifyBatchParity(t *testing.T) {
 	barrier := MustNew(n, Options{Sparsify: true, Workers: 2})
 	defer barrier.Close()
 	barrier.spars.Pipeline = false // level-barrier scheduler on the pool
+	barrierFanouts := 0
+	barrier.spars.Exec = func(k int, run func(int)) {
+		if k > 1 {
+			barrierFanouts++
+		}
+		barrier.mach.Run(k, run)
+	}
 	machined = append(machined, barrier)
 	batched := append([]*Forest{flat}, machined...)
 
@@ -77,7 +86,7 @@ func TestSparsifyBatchParity(t *testing.T) {
 		// Error paths in every backend: self loop, bad vertex, reserved
 		// weight, in-batch duplicate.
 		ins = append(ins, Edge{7, 7, nextW}, Edge{-1, 3, nextW}, Edge{2, 5, MinWeight - 1}, ins[0])
-		// Per-edge reference applies the batch in the same weight-sorted
+		// The single-edge reference applies the batch in the same weight-sorted
 		// order the batch path uses (weights are distinct and ascending by
 		// construction, so batch order == sorted order here).
 		var refErrs []error
@@ -132,6 +141,9 @@ func TestSparsifyBatchParity(t *testing.T) {
 		if f.spars.BatchNodeOps == 0 {
 			t.Fatal("batch path never applied a node batch")
 		}
+	}
+	if barrierFanouts == 0 {
+		t.Fatal("level-barrier scheduler never ran a level's node tasks on the pool")
 	}
 }
 
