@@ -60,7 +60,7 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 	edges := make([]*graph.Edge, 0, len(ops))
 	treeEdges := make([]*graph.Edge, 0, len(ops))
 	for i, op := range ops {
-		if op.Del {
+		if op.Del || op.Splice {
 			panic("core: BulkLoad is insert-only")
 		}
 		if op.W == Inf {

@@ -27,10 +27,12 @@ type MSF struct {
 	// to the union of child forests.
 	Events func(u, v int, w Weight, added bool)
 
-	// CutSides, when non-nil, is invoked once per forest-edge removal,
-	// directly after the matching Events(added=false) and before any
-	// further event, with the vertex set of the smaller tree the cut left
-	// (see cutsides.go). The slice is pooled and only valid for the call.
+	// CutSides, when non-nil, is invoked once per forest-edge removal of a
+	// deletion or cycle swap, directly after the matching
+	// Events(added=false) and before any further event, with the vertex set
+	// of the smaller tree the cut left (see cutsides.go). A splice, whose
+	// removals only isolate its middle vertex, reports none. The slice is
+	// pooled and only valid for the call.
 	CutSides func(side []int32)
 	cutBuf   []int32
 
@@ -188,6 +190,77 @@ func (m *MSF) deleteTreeEdge(u, v int) {
 	}
 }
 
+// splice applies one planned splice (BatchOp.Splice): the forest edges
+// (a, h) and (h, b) of weight w at degree-2 vertex h become the forest
+// edge (a, b) of weight w, and h is left isolated. The forest stays
+// minimum, since the new edge weighs what each removed one did and every
+// other vertex keeps its tree, so no replacement search or path-max query
+// runs: two dynamic-tree cuts, one link, and the O(1) tour surgery of
+// spliceTours, which moves no chunk boundary.
+func (m *MSF) splice(op BatchOp) {
+	st := m.st
+	a, h, b, w := op.U, int(op.H), op.V, op.W
+	e1, e2 := st.g.Find(a, h), st.g.Find(h, b)
+	if a == b || e1 == nil || e2 == nil || !e1.Tree || !e2.Tree ||
+		e1.W != w || e2.W != w || st.g.Degree(h) != 2 {
+		panic(fmt.Sprintf("core: splice of %d between %d and %d: not a degree-2 forest vertex on two weight-%d edges", h, a, b, w))
+	}
+	// x precedes the a->h pair and y the b->h pair; they become the
+	// anchors of a->b and b->a once h's copies leave the cyclic order.
+	x, y := st.anchorAt(e1, a), st.anchorAt(e2, b)
+	if x.next.v != int32(h) || x.next.next.v != int32(b) || y.next.v != int32(h) || y.next.next.v != int32(a) {
+		panic("core: occurrence anchors inconsistent with splice")
+	}
+	pa, ph, pb := st.pcs[a].chunk, st.pcs[h].chunk, st.pcs[b].chunk
+
+	st.ch.Seq(3 * log2ceil(st.n+1)) // two dynamic-tree cuts and one link
+	for _, e := range [2]*graph.Edge{e1, e2} {
+		m.lf.Cut(m.lctE[e.ID])
+		m.lctE[e.ID] = nil
+		st.occU[e.ID], st.occV[e.ID] = nil, nil
+		if _, err := st.g.Delete(int(e.U), int(e.V)); err != nil {
+			panic("core: splice deletion failed: " + err.Error())
+		}
+		if m.Events != nil {
+			m.Events(int(e.U), int(e.V), w, false)
+		}
+	}
+	e3, err := st.g.Insert(a, b, w)
+	if err != nil {
+		panic("core: splice insertion failed: " + err.Error())
+	}
+	m.growTables()
+	e3.Tree = true
+	m.lctE[e3.ID] = m.lf.Link(a, b, w)
+	m.w -= w
+	m.size--
+	if m.Events != nil {
+		m.Events(a, b, w, true)
+	}
+
+	dirty := st.spliceTours(x, y)
+	st.occU[e3.ID], st.occV[e3.ID] = x, y
+	// CAdj: (a, h) and (h, b) leave, (a, b) arrives, all of weight w. An
+	// entry that loses a weight-w edge and gains one keeps its minimum, so
+	// only entries left with no replacement are rescanned.
+	switch {
+	case pa == ph && ph == pb: // the diagonal keeps its minimum
+	case pa == ph: // (a, b) takes (h, b)'s place in entry (pa, pb)
+		st.recomputeEntryPair(pa, pa)
+	case pb == ph: // (a, b) takes (a, h)'s place in entry (pa, pb)
+		st.recomputeEntryPair(pb, pb)
+	default:
+		st.recomputeEntryPair(pa, ph)
+		if pb != pa {
+			st.recomputeEntryPair(pb, ph)
+		}
+		st.lowerEntryPair(pa, pb, w)
+	}
+	// a and b keep their copies and charges; only the chunks h left need
+	// repair, and normalize keeps the tour's registry status with them.
+	st.normalize(dirty)
+}
+
 // becomeTree promotes graph edge e to a forest edge: dynamic-tree link plus
 // tour splice.
 func (m *MSF) becomeTree(e *graph.Edge) {
@@ -237,6 +310,15 @@ func (m *MSF) growTables() {
 		m.st.occU = append(m.st.occU, nil)
 		m.st.occV = append(m.st.occV, nil)
 	}
+}
+
+// anchorAt returns tree edge e's occurrence anchor at endpoint v: the copy
+// of v that precedes the pair leaving v along e.
+func (st *Store) anchorAt(e *graph.Edge, v int) *Copy {
+	if int(e.U) == v {
+		return st.occU[e.ID]
+	}
+	return st.occV[e.ID]
 }
 
 // bumpCharge adjusts the edge charge of a principal copy's chunk after an

@@ -15,20 +15,27 @@ var fpApplyBatch = faultinject.Register("core/apply-batch")
 // engine: classify -> shard -> apply. A batch of edge updates is first
 // classified by a data-parallel kernel (one processor per item, read-only
 // lookups), then partitioned into a plan — non-tree deletions, tree
-// deletions, insertions — and applied in plan order. Non-tree deletions
-// form independent per-chunk-pair groups whose CAdj recomputation scans run
-// concurrently on the worker pool; tree deletions run their replacement
-// search through the parallel MWR; insertions apply in batch order with
-// their aggregate refreshes deferred to a single level-parallel flush
+// deletions, splices, insertions — and applied in plan order. Non-tree
+// deletions form independent per-chunk-pair groups whose CAdj recomputation
+// scans run concurrently on the worker pool; tree deletions run their
+// replacement search through the parallel MWR; splices apply in batch order
+// as O(1) surgeries with no search at all; insertions apply in batch order
+// with their aggregate refreshes deferred to a single level-parallel flush
 // (flush.go). The single-edge InsertEdge/DeleteEdge entry points of
 // engine.go are thin wrappers over one-element batches of this pipeline.
 
 // BatchOp is one edge update in a batch: an insertion of (U, V) with weight
-// W, or — when Del is set — a deletion of edge (U, V).
+// W; when Del is set, a deletion of edge (U, V); when Splice is set, the
+// splice of vertex H out of the forest path U–H–V, whose two edges (U, H)
+// and (H, V) both weigh W: they become the forest edge (U, V) of weight W
+// and H is left isolated (engine.go). A splice is the ternary gadget's slot
+// compaction; it panics unless H is such a degree-2 forest vertex. H sits
+// beside the flags as an int32 so a BatchOp stays 32 bytes.
 type BatchOp struct {
-	Del  bool
-	U, V int
-	W    Weight
+	Del, Splice bool
+	H           int32
+	U, V        int
+	W           Weight
 }
 
 // opClass is the planner's classification of a batch element against the
@@ -41,24 +48,32 @@ const (
 	opDelTree
 	opDelMissing
 	opBadWeight
+	opSplice
 )
 
 // Plan is the partition of a classified batch into application stages, in
 // the order they apply. Deleting non-tree edges first is the batch delete
 // ordering heuristic: a non-tree edge can never be promoted to a tree edge
 // by another deletion's replacement search, so replacement searches never
-// pick an edge the same batch is about to remove. The stage slices live in
-// pooled Store scratch, valid until the next planned batch.
+// pick an edge the same batch is about to remove. Splices follow the
+// deletions, which leave their middle vertices at degree 2; a splice may
+// name an edge an earlier splice of the batch created. The stage slices
+// live in pooled Store scratch, valid until the next planned batch.
 type Plan struct {
 	NonTreeDel []int // indices of deletions of live non-tree edges
 	TreeDel    []int // indices of deletions of tree edges (surgery + MWR)
+	Splices    []int // indices of splices, in batch order
 	Inserts    []int // indices of insertions, in batch order
 }
 
 // classifyOp classifies one batch element against the current state:
 // read-only lookups, shared by the batch classify kernel and the
-// one-element fast path so the two can never drift.
+// one-element fast path so the two can never drift. A splice is checked
+// when it applies, because it may name an edge an earlier splice creates.
 func (st *Store) classifyOp(op BatchOp) opClass {
+	if op.Splice {
+		return opSplice
+	}
 	if op.Del {
 		switch e := st.g.Find(op.U, op.V); {
 		case e == nil:
@@ -115,13 +130,16 @@ func (m *MSF) planBatch(ops []BatchOp, errs []error) Plan {
 		}
 	}
 
-	p := Plan{NonTreeDel: st.planNonTree[:0], TreeDel: st.planTree[:0], Inserts: st.planIns[:0]}
+	p := Plan{NonTreeDel: st.planNonTree[:0], TreeDel: st.planTree[:0],
+		Splices: st.planSplice[:0], Inserts: st.planIns[:0]}
 	for i := range ops {
 		switch cls[i] {
 		case opDelNonTree:
 			p.NonTreeDel = append(p.NonTreeDel, i)
 		case opDelTree:
 			p.TreeDel = append(p.TreeDel, i)
+		case opSplice:
+			p.Splices = append(p.Splices, i)
 		case opInsert:
 			p.Inserts = append(p.Inserts, i)
 		case opDelMissing:
@@ -132,16 +150,16 @@ func (m *MSF) planBatch(ops []BatchOp, errs []error) Plan {
 	}
 	// Return the (possibly regrown) stage slices to the pool so capacity
 	// accumulates across batches.
-	st.planNonTree, st.planTree, st.planIns = p.NonTreeDel, p.TreeDel, p.Inserts
+	st.planNonTree, st.planTree, st.planSplice, st.planIns = p.NonTreeDel, p.TreeDel, p.Splices, p.Inserts
 	return p
 }
 
 // ApplyBatch applies a batch of edge updates through the staged pipeline
 // and returns one error slot per item (nil on success). Application order
-// is the plan order — non-tree deletions, tree deletions, then insertions,
-// each stage in batch order — independent of the charger backend and of the
-// worker count, so the resulting forest and the PRAM cost counters are
-// identical for every execution configuration.
+// is the plan order — non-tree deletions, tree deletions, splices, then
+// insertions, each stage in batch order — independent of the charger
+// backend and of the worker count, so the resulting forest and the PRAM
+// cost counters are identical for every execution configuration.
 //
 // The returned slice is pooled engine scratch: it is valid until the next
 // batch enters this engine and must not be retained. Callers that need the
@@ -163,9 +181,12 @@ func (m *MSF) ApplyBatch(ops []BatchOp) []error {
 	for _, i := range p.TreeDel {
 		m.deleteTreeEdge(ops[i].U, ops[i].V)
 	}
-	// Crash point between the delete stages and the insert stage: the worst
-	// mid-batch state recovery must cope with (deletions applied, CAdj
-	// aggregate unflushed, insertions never reached).
+	for _, i := range p.Splices {
+		m.splice(ops[i])
+	}
+	// Crash point between the delete and splice stages and the insert stage:
+	// the worst mid-batch state recovery must cope with (deletions and
+	// splices applied, CAdj aggregate unflushed, insertions never reached).
 	m.fault.Hit(fpApplyBatch)
 	if len(p.Inserts) > 0 {
 		// Insert-side classification for the whole stage: one read-only
@@ -208,6 +229,10 @@ func (m *MSF) applyOne(op BatchOp) error {
 		return nil
 	case opDelNonTree:
 		m.deleteNonTreeEdge(op.U, op.V)
+		st.flushCAdj()
+		return nil
+	case opSplice:
+		m.splice(op)
 		st.flushCAdj()
 		return nil
 	}

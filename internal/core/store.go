@@ -121,6 +121,7 @@ type Store struct {
 	// union-find of insertclass.go.
 	planNonTree []int           // planBatch: non-tree deletion indices
 	planTree    []int           // planBatch: tree deletion indices
+	planSplice  []int           // planBatch: splice indices
 	planIns     []int           // planBatch: insertion indices
 	errScratch  []error         // ApplyBatch: per-item error slots
 	ic          insertConn      // planInsertConnectivity: pooled result

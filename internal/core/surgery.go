@@ -249,15 +249,47 @@ func (st *Store) cutTours(e *graph.Edge, occA, occB *Copy) (tU, tV *Tour, dirty 
 }
 
 // cutLeaf is cutTours' leaf-local path for a cut that leaves x's vertex
-// isolated: x, its only (hence principal) copy, leaves its chunk's BTc for
-// a fresh one-copy short list, and the seam copy preceding it — a duplicate
-// of the other endpoint's copy that follows x — is deleted as on the
-// general path (none when that side is a single copy too). No chunk
-// boundary moves; the old chunk's row is rebuilt by normalize only if x
-// still has incident edges, whose charges left with it. Returns x's new
-// tour and the dirty chunks. The old chunk keeps a copy: under Invariant 1
-// every chunk of a tour with two or more copies holds at least two.
+// isolated: x, its only (hence principal) copy, is detached into a fresh
+// short list, and the seam copy preceding it — a duplicate of the other
+// endpoint's copy that follows x — is deleted as on the general path (none
+// when that side is a single copy too). No chunk boundary moves. Returns
+// x's new tour and the dirty chunks.
 func (st *Store) cutLeaf(x *Copy) (*Tour, []*Chunk) {
+	p, q := x.prev, x.next
+	t, old := st.detachCopy(x)
+	dirty := []*Chunk{old}
+	if p != q {
+		dirty = append(dirty, st.deleteCopy(p)...)
+	}
+	return t, dirty
+}
+
+// spliceTours is the Euler-tour surgery of a splice (engine.go): the two
+// copies of degree-2 vertex h, x.next and y.next, leave the cyclic order,
+// so "… x,h,b … y,h,a …" reads "… x,b … y,a …" and x and y precede the
+// pairs of the new edge (a, b). h's non-principal copy is deleted and its
+// principal copy, whose edges are gone, is detached into a fresh short
+// list. No chunk boundary moves. Returns the dirty chunks.
+func (st *Store) spliceTours(x, y *Copy) []*Chunk {
+	hp, hn := x.next, y.next
+	if !hp.principal {
+		hp, hn = hn, hp
+	}
+	dirty := st.deleteCopy(hn)
+	// Drop h's edge charge; detaching refreshes the old BTc path.
+	hp.leaf.Agg = btAgg{copies: 1}
+	_, old := st.detachCopy(hp)
+	return append(dirty, old)
+}
+
+// detachCopy moves x, the only copy of its vertex, out of its chunk's BTc
+// into a fresh one-copy short list and tour, closing the cyclic order
+// around it. No chunk boundary moves; the old chunk's row is rebuilt by
+// normalize only if x still has incident edges, whose charges leave with
+// it. Returns x's new tour and the old chunk, which keeps a copy: under
+// Invariant 1 every chunk of a tour with two or more copies holds at least
+// two.
+func (st *Store) detachCopy(x *Copy) (*Tour, *Chunk) {
 	old := x.chunk
 	st.btOp(func() { old.bt = st.btT.DeleteLeaf(x.leaf) })
 	if x.leaf.Agg.edges > 0 {
@@ -274,11 +306,7 @@ func (st *Store) cutLeaf(x *Copy) (*Tour, []*Chunk) {
 	p.next = q
 	q.prev = p
 	x.next, x.prev = x, x
-	dirty := []*Chunk{old}
-	if p != q {
-		dirty = append(dirty, st.deleteCopy(p)...)
-	}
-	return t, dirty
+	return t, old
 }
 
 // anyRegistered reports whether the subtree rooted at nd contains a

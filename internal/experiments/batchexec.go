@@ -403,18 +403,28 @@ func E13BatchPipeline(w io.Writer, sc Scale) {
 	fmt.Fprintln(w)
 }
 
+// Host records the parallelism a measurement ran under: GOMAXPROCS and the
+// logical CPUs the process may use (what nproc prints), so single-core,
+// time-sliced (GOMAXPROCS above nproc) and multicore snapshots stay
+// distinguishable after they are copied around. Every BENCH_batch.json
+// entry embeds one.
+type Host struct {
+	GOMAXPROCS int `json:"gomaxprocs"`
+	NProc      int `json:"nproc"`
+}
+
+func hostNow() Host { return Host{runtime.GOMAXPROCS(0), runtime.NumCPU()} }
+
 // BatchPoint is one worker-count measurement of a batch stage; Value's
 // unit is carried by the enclosing array's key (sort_ms: milliseconds,
 // insert_ns_per_edge / nontree_ns_per_edge: nanoseconds per edge). Value is
-// the minimum across -repeat runs, Median the median; GOMAXPROCS records
-// the host parallelism the entry ran under, so single-core and multi-core
-// snapshots stay distinguishable after they are copied around.
+// the minimum across -repeat runs, Median the median.
 type BatchPoint struct {
-	Workers    int     `json:"workers"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	Value      float64 `json:"value"`
-	Median     float64 `json:"median"`
-	Speedup    float64 `json:"speedup"`
+	Workers int `json:"workers"`
+	Host
+	Value   float64 `json:"value"`
+	Median  float64 `json:"median"`
+	Speedup float64 `json:"speedup"`
 }
 
 // SparsifyPoint is one worker-count measurement of the E14 sparsified
@@ -422,8 +432,8 @@ type BatchPoint struct {
 // path and through the batched tree path (minima across -repeat runs), and
 // the batched path's speedup over per-edge at the same worker count.
 type SparsifyPoint struct {
-	Workers    int     `json:"workers"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
+	Workers int `json:"workers"`
+	Host
 	PerEdge    float64 `json:"per_edge_ns_per_edge"`
 	PerEdgeMed float64 `json:"per_edge_median"`
 	Batched    float64 `json:"batched_ns_per_edge"`
@@ -436,8 +446,8 @@ type SparsifyPoint struct {
 // and through the dependency-driven pipeline (minima across -repeat runs),
 // and the pipeline's speedup over the barrier at the same worker count.
 type PipelinePoint struct {
-	Workers      int     `json:"workers"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
+	Workers int `json:"workers"`
+	Host
 	Barrier      float64 `json:"barrier_ns_per_edge"`
 	BarrierMed   float64 `json:"barrier_median"`
 	Pipelined    float64 `json:"pipelined_ns_per_edge"`
@@ -459,8 +469,8 @@ type PipelinePoint struct {
 // cluster scenario (aggregate write throughput and composed-read rate vs
 // shard count).
 type BatchReport struct {
-	Generated  string           `json:"generated"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
+	Generated string `json:"generated"`
+	Host
 	Repeat     int              `json:"repeat"`
 	Scale      string           `json:"scale"`
 	SortItems  int              `json:"sort_items"`
@@ -484,10 +494,10 @@ type BatchReport struct {
 // BuildBatchReport runs the E12-E17 measurements and assembles the report.
 func BuildBatchReport(sc Scale) BatchReport {
 	sz := batchSizesFor(sc)
-	gmp := runtime.GOMAXPROCS(0)
+	host := hostNow()
 	rep := BatchReport{
 		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GOMAXPROCS: gmp,
+		Host:       host,
 		Repeat:     Repeat,
 		Scale:      sz.name,
 		SortItems:  sz.sortItems,
@@ -514,11 +524,11 @@ func BuildBatchReport(sc Scale) BatchReport {
 		if workers == 1 {
 			s1, i1, n1 = st.Min, it.Min, nt.Min
 		}
-		rep.Sort = append(rep.Sort, BatchPoint{workers, gmp, st.Min / 1e6, st.Med / 1e6, s1 / st.Min})
-		rep.Insert = append(rep.Insert, BatchPoint{workers, gmp, it.Min, it.Med, i1 / it.Min})
-		rep.Nontree = append(rep.Nontree, BatchPoint{workers, gmp, nt.Min, nt.Med, n1 / nt.Min})
-		rep.Sparsify = append(rep.Sparsify, SparsifyPoint{workers, gmp, pe.Min, pe.Med, ba.Min, ba.Med, pe.Min / ba.Min})
-		rep.Pipeline = append(rep.Pipeline, PipelinePoint{workers, gmp, sb.Min, sb.Med, sp.Min, sp.Med, sb.Min / sp.Min})
+		rep.Sort = append(rep.Sort, BatchPoint{workers, host, st.Min / 1e6, st.Med / 1e6, s1 / st.Min})
+		rep.Insert = append(rep.Insert, BatchPoint{workers, host, it.Min, it.Med, i1 / it.Min})
+		rep.Nontree = append(rep.Nontree, BatchPoint{workers, host, nt.Min, nt.Med, n1 / nt.Min})
+		rep.Sparsify = append(rep.Sparsify, SparsifyPoint{workers, host, pe.Min, pe.Med, ba.Min, ba.Med, pe.Min / ba.Min})
+		rep.Pipeline = append(rep.Pipeline, PipelinePoint{workers, host, sb.Min, sb.Med, sp.Min, sp.Med, sb.Min / sp.Min})
 	}
 	rep.ReadWrite = buildReadWritePoints(sc)
 	rep.Bulk = buildBulkPoints(sc)

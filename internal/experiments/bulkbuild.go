@@ -129,9 +129,9 @@ func timePerEdgeInsert(n int, edges []parmsf.Edge, runs int) sample {
 // scaled from the cap-size measurement (flagged), so their speedups are
 // lower bounds too.
 type BulkPoint struct {
-	M                int     `json:"m"`
-	N                int     `json:"n"`
-	GOMAXPROCS       int     `json:"gomaxprocs"`
+	M int `json:"m"`
+	N int `json:"n"`
+	Host
 	BuildMs          float64 `json:"build_ms"`
 	BuildMsMed       float64 `json:"build_ms_median"`
 	GiantMs          float64 `json:"giant_batch_ms"`
@@ -148,7 +148,7 @@ type BulkPoint struct {
 // the cap row where they exceed it.
 func buildBulkPoints(sc Scale) []BulkPoint {
 	sz := bulkSizesFor(sc)
-	gmp := runtime.GOMAXPROCS(0)
+	host := hostNow()
 	capM := sz.ms[0]
 	if capM > sz.cap {
 		capM = sz.cap
@@ -167,7 +167,7 @@ func buildBulkPoints(sc Scale) []BulkPoint {
 		bulk := timeBulkBuild(n, edges, bulkRepeat(m, false))
 		bms := bulk.Min / 1e6
 		p := BulkPoint{
-			M: m, N: n, GOMAXPROCS: gmp,
+			M: m, N: n, Host: host,
 			BuildMs: bms, BuildMsMed: bulk.Med / 1e6,
 		}
 		if m == capM {

@@ -217,15 +217,14 @@ func runClusterReads(n, k int, streams []workload.ShardedStream) float64 {
 // annihilates in the queue (CoalesceCancelled of TotalOps), which is the
 // coalescer's gain, reported alongside rather than mixed into the
 // throughput headline. ReadsPerSec is the composed-query rate of the
-// separate read phase. GOMAXPROCS records the host parallelism the entry
-// ran under.
+// separate read phase. Host records the parallelism the entry ran under.
 type ClusterPoint struct {
-	K                   int     `json:"k"`
-	CrossPermille       int     `json:"cross_permille"`
-	Writers             int     `json:"writers"`
-	TotalOps            int     `json:"total_ops"`
-	SubmitChunk         int     `json:"submit_chunk"`
-	GOMAXPROCS          int     `json:"gomaxprocs"`
+	K             int `json:"k"`
+	CrossPermille int `json:"cross_permille"`
+	Writers       int `json:"writers"`
+	TotalOps      int `json:"total_ops"`
+	SubmitChunk   int `json:"submit_chunk"`
+	Host
 	WriteOpsPerSec      float64 `json:"write_ops_per_sec"`
 	WriteOpsMed         float64 `json:"write_ops_per_sec_median"`
 	WriteNsPerOp        float64 `json:"write_ns_per_op"`
@@ -246,7 +245,7 @@ type ClusterPoint struct {
 func buildClusterPoints(sc Scale) []ClusterPoint {
 	sz := batchSizesFor(sc)
 	n := sz.clusterN
-	gmp := runtime.GOMAXPROCS(0)
+	host := hostNow()
 	total := 4 * n
 	r := Repeat
 	if r < 1 {
@@ -282,7 +281,7 @@ func buildClusterPoints(sc Scale) []ClusterPoint {
 				Writers:       k,
 				TotalOps:      churnOps,
 				SubmitChunk:   clusterSubmitChunk,
-				GOMAXPROCS:    gmp,
+				Host:          host,
 			}
 			p.WriteOpsPerSec, p.WriteOpsMed = bestMed(opsV)
 			p.WriteNsPerOp = 1e9 / p.WriteOpsPerSec

@@ -207,9 +207,9 @@ func E18PublishDelta(w io.Writer, sc Scale) {
 // capacity-driven schedule) or "sweep" (SnapshotRebaseEvery: 1, delta path
 // disabled).
 type PublishPoint struct {
-	N              int     `json:"n"`
-	Mode           string  `json:"mode"`
-	GOMAXPROCS     int     `json:"gomaxprocs"`
+	N    int    `json:"n"`
+	Mode string `json:"mode"`
+	Host
 	NsPerEpoch     float64 `json:"ns_per_epoch"`
 	NsPerEpochMed  float64 `json:"ns_per_epoch_median"`
 	AllocsPerEpoch float64 `json:"allocs_per_epoch"`
@@ -222,7 +222,7 @@ type PublishPoint struct {
 // buildPublishPoints runs the E18 sweep for the JSON report.
 func buildPublishPoints(sc Scale) []PublishPoint {
 	ns, batches, sweepBatches := pdSizesFor(sc)
-	gmp := runtime.GOMAXPROCS(0)
+	host := hostNow()
 	var out []PublishPoint
 	for _, n := range ns {
 		for _, sweep := range []bool{false, true} {
@@ -239,7 +239,7 @@ func buildPublishPoints(sc Scale) []PublishPoint {
 			out = append(out, PublishPoint{
 				N:              n,
 				Mode:           mode,
-				GOMAXPROCS:     gmp,
+				Host:           host,
 				NsPerEpoch:     best.nsPerEpoch,
 				NsPerEpochMed:  med,
 				AllocsPerEpoch: best.allocsPerEp,

@@ -247,13 +247,12 @@ func E16ReadWrite(w io.Writer, sc Scale) {
 // scenario for BENCH_batch.json: snapshot-query and write throughput
 // (best and median across -repeat runs), the coalescing factor, and the
 // epochs published. SubmitChunk is the writers' SubmitBatch group size (0:
-// per-op Submit). GOMAXPROCS records the host parallelism the entry ran
-// under.
+// per-op Submit). Host records the parallelism the entry ran under.
 type ReadWritePoint struct {
-	Readers        int     `json:"readers"`
-	Writers        int     `json:"writers"`
-	SubmitChunk    int     `json:"submit_chunk"`
-	GOMAXPROCS     int     `json:"gomaxprocs"`
+	Readers     int `json:"readers"`
+	Writers     int `json:"writers"`
+	SubmitChunk int `json:"submit_chunk"`
+	Host
 	ReadsPerSec    float64 `json:"reads_per_sec"`
 	ReadsPerSecMed float64 `json:"reads_per_sec_median"`
 	WriteOpsPerSec float64 `json:"write_ops_per_sec"`
@@ -267,7 +266,7 @@ type ReadWritePoint struct {
 func buildReadWritePoints(sc Scale) []ReadWritePoint {
 	sz := batchSizesFor(sc)
 	n := sz.readwriteN
-	gmp := runtime.GOMAXPROCS(0)
+	host := hostNow()
 	streams := workload.WriterStreams(n, rwWriters, n, uint64(n)+1607)
 	var out []ReadWritePoint
 	for _, readers := range rwReaders {
@@ -277,7 +276,7 @@ func buildReadWritePoints(sc Scale) []ReadWritePoint {
 				Readers:        readers,
 				Writers:        rwWriters,
 				SubmitChunk:    chunk,
-				GOMAXPROCS:     gmp,
+				Host:           host,
 				ReadsPerSec:    best.readsPerSec,
 				ReadsPerSecMed: med.readsPerSec,
 				WriteOpsPerSec: best.opsPerSec,

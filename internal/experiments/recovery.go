@@ -213,9 +213,9 @@ func E19Recovery(w io.Writer, sc Scale) {
 // RecoveryPoint is one problem-size measurement of the E19 crash-recovery
 // scenario for BENCH_batch.json.
 type RecoveryPoint struct {
-	N                  int     `json:"n"`
-	LiveEdges          int     `json:"live_edges"`
-	GOMAXPROCS         int     `json:"gomaxprocs"`
+	N         int `json:"n"`
+	LiveEdges int `json:"live_edges"`
+	Host
 	RecoverMS          float64 `json:"recover_ms"`
 	RecoverMSMed       float64 `json:"recover_ms_median"`
 	OutageMS           float64 `json:"outage_ms"`
@@ -225,14 +225,14 @@ type RecoveryPoint struct {
 
 // buildRecoveryPoints runs the E19 sweep for the JSON report.
 func buildRecoveryPoints(sc Scale) []RecoveryPoint {
-	gmp := runtime.GOMAXPROCS(0)
+	host := hostNow()
 	var out []RecoveryPoint
 	for _, n := range sc.sizes() {
 		best, med := measureRecovery(n, recReaders, uint64(n)+977)
 		out = append(out, RecoveryPoint{
 			N:                  n,
 			LiveEdges:          best.liveEdges,
-			GOMAXPROCS:         gmp,
+			Host:               host,
 			RecoverMS:          best.recoverMS,
 			RecoverMSMed:       med.recoverMS,
 			OutageMS:           best.outageMS,

@@ -3,6 +3,8 @@ package ternary
 import (
 	"testing"
 
+	"parmsf/internal/baseline"
+	"parmsf/internal/core"
 	"parmsf/internal/xrand"
 )
 
@@ -19,22 +21,39 @@ func forestSet(w *Wrapper) map[[3]int64]bool {
 	return s
 }
 
-// TestBatchDeleteCompaction drives random delete batches through the
-// staged-compaction DeleteEdges path against a per-edge twin: identical
-// forests, weights and gadget bookkeeping after every batch. The staged
-// path folds the real deletions, the move surgeries and the ring
-// retirements of all touched vertices into one engine ApplyBatch; the
-// ring-count invariant is asserted inside the entry point after the batch.
+// recorder is a core engine that keeps a copy of the last gadget batch it
+// applied.
+type recorder struct {
+	*core.MSF
+	last []core.BatchOp
+}
+
+func (r *recorder) ApplyBatch(ops []core.BatchOp) []error {
+	r.last = append(r.last[:0], ops...)
+	return r.MSF.ApplyBatch(ops)
+}
+
+// TestBatchDeleteCompaction drives random delete batches through
+// DeleteEdges over a K=8 core, where slot retirements and splices cross
+// chunk boundaries, against a per-edge twin of one-key batches and a
+// Kruskal reference on the original graph: identical forests, weights and
+// gadget bookkeeping after every batch, and the core's own invariants.
+// The ring-count invariant is asserted inside the entry point.
 func TestBatchDeleteCompaction(t *testing.T) {
 	const n = 24
-	bat := newCoreWrapper(n, 256)
+	var eng *core.MSF
+	bat := New(n, 256, func(gn int) Engine {
+		eng = core.NewMSF(gn, core.Config{K: 8}, core.SeqCharger{})
+		return eng
+	})
 	one := newCoreWrapper(n, 256)
+	ref := baseline.NewKruskal(n)
 	rng := xrand.New(4242)
 	var live [][2]int
 	liveSet := map[[2]int]bool{}
 	nextW := int64(100)
 	for round := 0; round < 8; round++ {
-		// Refill with fresh random edges (per-edge inserts on both twins:
+		// Refill with fresh random edges (per-edge inserts on every twin:
 		// this test isolates the delete side).
 		for added := 0; added < 24; {
 			u, v := rng.Intn(n), rng.Intn(n)
@@ -50,6 +69,9 @@ func TestBatchDeleteCompaction(t *testing.T) {
 			}
 			if err := one.InsertEdge(u, v, nextW); err != nil {
 				t.Fatalf("round %d: per-edge twin insert %v: %v", round, k, err)
+			}
+			if err := ref.InsertEdge(u, v, nextW); err != nil {
+				t.Fatalf("round %d: reference insert %v: %v", round, k, err)
 			}
 			liveSet[k] = true
 			live = append(live, k)
@@ -73,17 +95,22 @@ func TestBatchDeleteCompaction(t *testing.T) {
 			var want error
 			if i >= len(del)-2 {
 				want = ErrMissing
-			} else if err := one.DeleteEdge(k[0], k[1]); err != nil {
-				t.Fatalf("round %d: per-edge delete %v: %v", round, k, err)
+			} else {
+				if err := one.DeleteEdge(k[0], k[1]); err != nil {
+					t.Fatalf("round %d: per-edge delete %v: %v", round, k, err)
+				}
+				if err := ref.DeleteEdge(k[0], k[1]); err != nil {
+					t.Fatalf("round %d: reference delete %v: %v", round, k, err)
+				}
 			}
 			if errs[i] != want {
 				t.Fatalf("round %d: del errs[%d] (%v) = %v, want %v", round, i, k, errs[i], want)
 			}
 		}
 
-		if bat.Weight() != one.Weight() || bat.ForestSize() != one.ForestSize() {
-			t.Fatalf("round %d: (w=%d,s=%d) vs per-edge (w=%d,s=%d)",
-				round, bat.Weight(), bat.ForestSize(), one.Weight(), one.ForestSize())
+		if bat.Weight() != ref.Weight() || bat.ForestSize() != ref.ForestSize() {
+			t.Fatalf("round %d: (w=%d,s=%d) vs Kruskal (w=%d,s=%d)",
+				round, bat.Weight(), bat.ForestSize(), ref.Weight(), ref.ForestSize())
 		}
 		fa, fb := forestSet(bat), forestSet(one)
 		for e := range fa {
@@ -100,18 +127,25 @@ func TestBatchDeleteCompaction(t *testing.T) {
 		if err := one.CheckGadget(); err != nil {
 			t.Fatalf("round %d: per-edge twin gadget: %v", round, err)
 		}
+		if err := eng.Store().CheckInvariants(); err != nil {
+			t.Fatalf("round %d: core: %v", round, err)
+		}
 	}
 }
 
-// TestBatchDeleteDoubleMove pins the coalescing case of the staged
-// compaction: one surviving edge whose BOTH endpoints compact in the same
-// batch. The edge's record moves once per endpoint, and the stage must
-// emit a single delete of the pre-batch hosting plus a single insert of
-// the final hosting — emitting per-move ops would address a slot pair that
-// never existed in the engine and panic the batch.
+// TestBatchDeleteDoubleMove pins a delete batch that empties interior
+// slots on both paths of one surviving edge: (0, 1) sits in the last slot
+// of vertices 0 and 1, and the batch deletes two lower spokes of each. The
+// unhosted bases stay and the emptied interior slots are spliced out, so
+// the engine batch is the four real deletions plus one splice per path,
+// with no insertion — (0, 1) never moves and keeps its hosting slots.
 func TestBatchDeleteDoubleMove(t *testing.T) {
 	const n = 10
-	w := newCoreWrapper(n, 128)
+	var eng *recorder
+	w := New(n, 128, func(gn int) Engine {
+		eng = &recorder{MSF: core.NewMSF(gn, core.Config{}, core.SeqCharger{})}
+		return eng
+	})
 	// Give vertices 0 and 1 three spokes each, then the shared edge (0, 1)
 	// — inserted last, so it is hosted at the last slot of both paths.
 	var wt int64 = 100
@@ -121,13 +155,29 @@ func TestBatchDeleteDoubleMove(t *testing.T) {
 		}
 		wt++
 	}
-	// Deleting two lower spokes of each path leaves holes below (0, 1) on
-	// both sides; compaction moves it down twice — once per endpoint.
+	shared := *w.edges[key(0, 1)]
 	errs := w.DeleteEdges([][2]int{{0, 2}, {0, 3}, {1, 5}, {1, 6}})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("del errs[%d] = %v", i, err)
 		}
+	}
+	if rec := w.edges[key(0, 1)]; rec.su != shared.su || rec.sv != shared.sv {
+		t.Fatalf("(0,1) moved from slots (%d,%d) to (%d,%d)", shared.su, shared.sv, rec.su, rec.sv)
+	}
+	var dels, splices, ins int
+	for _, op := range eng.last {
+		switch {
+		case op.Splice:
+			splices++
+		case op.Del:
+			dels++
+		default:
+			ins++
+		}
+	}
+	if dels != 4 || splices != 2 || ins != 0 {
+		t.Fatalf("engine batch: %d deletions, %d splices, %d insertions; want 4, 2, 0", dels, splices, ins)
 	}
 	if err := w.CheckGadget(); err != nil {
 		t.Fatal(err)
@@ -138,9 +188,8 @@ func TestBatchDeleteDoubleMove(t *testing.T) {
 	if w.ForestSize() != 3 || w.M() != 3 {
 		t.Fatalf("forest=%d m=%d, want 3/3", w.ForestSize(), w.M())
 	}
-	// And the moved edge must still be deletable at its new hosting.
 	if err := w.DeleteEdge(0, 1); err != nil {
-		t.Fatalf("delete moved edge: %v", err)
+		t.Fatalf("delete (0,1): %v", err)
 	}
 	if err := w.CheckGadget(); err != nil {
 		t.Fatal(err)

@@ -2,15 +2,17 @@
 // (assumed in Section 1.1 of the paper): it wraps a dynamic MSF engine that
 // requires maximum degree 3 and presents an unbounded-degree interface.
 //
-// Each original vertex v is represented by a path of "slot" gadget vertices,
-// one slot per incident edge (a lone base slot when isolated). Consecutive
-// slots are joined by ring edges of weight lighter than every real edge, so
-// all ring edges always belong to the gadget MSF and the remaining MSF edges
+// Each original vertex v is represented by a path of "slot" gadget vertices:
+// a base slot, then one slot per further incident edge. Consecutive slots
+// are joined by ring edges of weight lighter than every real edge, so all
+// ring edges always belong to the gadget MSF and the remaining MSF edges
 // are exactly the MSF of the original graph. Each slot hosts at most one
 // real edge, so gadget degrees never exceed 3 (ring prev + ring next + one
-// real edge). Insertions append a slot; deletions move the last slot's
-// hosted edge into the freed slot, keeping paths compact — O(1) engine
-// operations per update.
+// real edge). Every slot but the base hosts an edge: an insertion hosts at
+// the base when it is free and appends a slot otherwise; a deletion retires
+// its slot when it ends the path and otherwise splices it out, turning the
+// two ring edges around it into one. No surviving edge ever moves, and each
+// update costs O(1) engine operations.
 package ternary
 
 import (
@@ -91,16 +93,14 @@ type Wrapper struct {
 	OnApplied func()
 
 	// Pooled batch scratch: the staged-slot op buffer shared by the
-	// InsertEdges / DeleteEdges entry points, the record list of a delete
-	// batch, and the staged compaction bookkeeping. Reused across batches
-	// (contents never retained), so warm batch entry points allocate only
-	// their returned error slices.
+	// InsertEdges / DeleteEdges entry points, the touched vertices of a
+	// delete batch, and the slots it frees, whose release waits for the
+	// engine batch. Reused across batches (contents never retained), so warm
+	// batch entry points allocate only their returned error slices.
 	opsScratch  []core.BatchOp
 	flagScratch []bool
-	recScratch  []*edgeRec
-	stage       compactStage
 	touchedVs   []int
-	touchedSet  map[int]bool
+	retired     []int32
 
 	fault *faultinject.Injector // crash points (SetFault; nil no-op)
 }
@@ -254,14 +254,14 @@ func (w *Wrapper) stageInsert(u, v int, wt int64, rings *[]core.BatchOp) (*edgeR
 	return rec, nil
 }
 
-// openSlot returns a slot of x able to host a new edge, appending a slot
-// (and ring edge) when all are busy. With rings non-nil the ring edge is
-// staged into *rings for a later engine batch instead of being applied
-// immediately. The caller (stageInsert) guarantees a free pool slot.
+// openSlot returns a slot of x able to host a new edge: the base when it is
+// free, else a new slot appended with its ring edge. With rings non-nil the
+// ring edge is staged into *rings for a later engine batch instead of being
+// applied immediately. The caller (stageInsert) guarantees a free pool slot.
 func (w *Wrapper) openSlot(x int, rings *[]core.BatchOp) int32 {
 	s, h := w.slots[x], w.hosted[x]
-	if h[0] == nil && len(s) == 1 {
-		return s[0] // isolated vertex: base slot is free
+	if h[0] == nil {
+		return s[0]
 	}
 	if len(w.free) == 0 {
 		panic("ternary: openSlot without a free pool slot")
@@ -282,39 +282,6 @@ func (w *Wrapper) openSlot(x int, rings *[]core.BatchOp) int32 {
 	return g
 }
 
-// closeSlot removes slot index i of x, which must be the last and unhosted.
-// With stage non-nil the ring deletion is staged for the compaction batch
-// instead of being applied to the engine immediately; the wrapper
-// bookkeeping updates either way.
-func (w *Wrapper) closeSlot(x, i int, stage *compactStage) {
-	s := w.slots[x]
-	if i != len(s)-1 || w.hosted[x][i] != nil {
-		panic("ternary: closeSlot misuse")
-	}
-	if i == 0 {
-		return // base slot is permanent
-	}
-	g := s[i]
-	if stage != nil {
-		// The byslot entry and the free-list return are deferred to the
-		// stage's release (after the engine batch): forest-change events the
-		// engine emits while applying the batch still name g, and the event
-		// forwarding translates them through byslot.
-		stage.rings = append(stage.rings, [2]int32{s[i-1], g})
-		stage.retired = append(stage.retired, g)
-	} else {
-		if err := w.eng.DeleteEdge(int(s[i-1]), int(g)); err != nil {
-			panic(fmt.Sprintf("ternary: ring delete failed: %v", err))
-		}
-		delete(w.byslot, g)
-		w.free = append(w.free, g)
-	}
-	w.rings--
-	w.nslots--
-	w.slots[x] = s[:i]
-	w.hosted[x] = w.hosted[x][:i]
-}
-
 func (w *Wrapper) hostAt(x int, slot int32, rec *edgeRec) {
 	for i, g := range w.slots[x] {
 		if g == slot {
@@ -325,85 +292,9 @@ func (w *Wrapper) hostAt(x int, slot int32, rec *edgeRec) {
 	panic("ternary: hostAt: slot not found")
 }
 
-// DeleteEdge removes edge (u, v).
+// DeleteEdge removes edge (u, v): a one-key DeleteEdges.
 func (w *Wrapper) DeleteEdge(u, v int) error {
-	k := key(u, v)
-	rec, ok := w.edges[k]
-	if !ok {
-		return ErrMissing
-	}
-	if err := w.eng.DeleteEdge(int(rec.su), int(rec.sv)); err != nil {
-		panic(fmt.Sprintf("ternary: gadget delete failed: %v", err))
-	}
-	delete(w.edges, k)
-	w.compact(rec.u, rec.su)
-	w.compact(rec.v, rec.sv)
-	w.applied()
-	return nil
-}
-
-// compact frees the slot of x that hosted a just-deleted edge, moving the
-// last slot's hosted edge into it when the freed slot is interior.
-func (w *Wrapper) compact(x int, slot int32) {
-	s, h := w.slots[x], w.hosted[x]
-	idx := -1
-	for i, g := range s {
-		if g == slot {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		panic("ternary: compact: slot not found")
-	}
-	h[idx] = nil
-	last := len(s) - 1
-	if idx != last && h[last] != nil {
-		w.moveHosted(x, last, idx, nil)
-	}
-	// The last slot is now unhosted; retire it (base stays).
-	if last > 0 && h[last] == nil {
-		w.closeSlot(x, last, nil)
-	}
-}
-
-// moveHosted moves the edge hosted at slot index from of x into the
-// unhosted slot index to (an engine delete + insert), repairing the
-// record's hosting. With stage non-nil no engine ops run: the record's
-// pre-batch hosting is captured on its first move — a record can move once
-// per endpoint within one compaction batch — and the stage later emits one
-// coalesced delete of the original hosting plus one insert of the final
-// hosting per moved record.
-func (w *Wrapper) moveHosted(x, from, to int, stage *compactStage) {
-	s, h := w.slots[x], w.hosted[x]
-	mv := h[from]
-	other := mv.sv
-	if mv.su != s[from] {
-		if mv.sv != s[from] {
-			panic("ternary: hosted record inconsistent")
-		}
-		other = mv.su
-	}
-	if stage != nil {
-		if _, seen := stage.orig[mv]; !seen {
-			stage.orig[mv] = [2]int32{mv.su, mv.sv}
-			stage.moved = append(stage.moved, mv)
-		}
-	} else {
-		if err := w.eng.DeleteEdge(int(s[from]), int(other)); err != nil {
-			panic(fmt.Sprintf("ternary: move delete failed: %v", err))
-		}
-		if err := w.eng.InsertEdge(int(s[to]), int(other), mv.w); err != nil {
-			panic(fmt.Sprintf("ternary: move insert failed: %v", err))
-		}
-	}
-	if mv.su == s[from] {
-		mv.su = s[to]
-	} else {
-		mv.sv = s[to]
-	}
-	h[to] = mv
-	h[from] = nil
+	return w.DeleteEdges([][2]int{{u, v}})[0]
 }
 
 // Connected reports whether u and v are connected in the original graph.
@@ -477,13 +368,6 @@ type BatchEdge = batch.Edge
 // MSF).
 func (w *Wrapper) InsertEdges(items []BatchEdge) []error {
 	errs := make([]error, len(items))
-	be, ok := w.eng.(BatchEngine)
-	if !ok {
-		for i, it := range items {
-			errs[i] = w.InsertEdge(it.U, it.V, it.W)
-		}
-		return errs
-	}
 	ops := w.opsScratch[:0]
 	for i, it := range items {
 		rec, err := w.stageInsert(it.U, it.V, it.W, &ops)
@@ -495,11 +379,7 @@ func (w *Wrapper) InsertEdges(items []BatchEdge) []error {
 	}
 	if len(ops) > 0 {
 		w.fault.Hit(fpBatchInsert)
-		for _, err := range be.ApplyBatch(ops) {
-			if err != nil {
-				panic(fmt.Sprintf("ternary: gadget batch insert failed: %v", err))
-			}
-		}
+		w.apply(ops)
 	}
 	applied := len(ops) > 0
 	w.opsScratch = ops[:0]
@@ -508,6 +388,35 @@ func (w *Wrapper) InsertEdges(items []BatchEdge) []error {
 		w.applied()
 	}
 	return errs
+}
+
+// apply hands a staged gadget batch to the engine: one ApplyBatch when it
+// has one, else op by op in batch order, a splice as its two ring
+// deletions and one ring insertion.
+func (w *Wrapper) apply(ops []core.BatchOp) {
+	if be, ok := w.eng.(BatchEngine); ok {
+		for _, err := range be.ApplyBatch(ops) {
+			if err != nil {
+				panic(fmt.Sprintf("ternary: gadget batch failed: %v", err))
+			}
+		}
+		return
+	}
+	for _, op := range ops {
+		var err error
+		switch {
+		case op.Splice:
+			err = errors.Join(w.eng.DeleteEdge(op.U, int(op.H)), w.eng.DeleteEdge(int(op.H), op.V),
+				w.eng.InsertEdge(op.U, op.V, op.W))
+		case op.Del:
+			err = w.eng.DeleteEdge(op.U, op.V)
+		default:
+			err = w.eng.InsertEdge(op.U, op.V, op.W)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("ternary: gadget op %+v failed: %v", op, err))
+		}
+	}
 }
 
 // assertRings checks the O(1) ring-edge invariants after a batch: every
@@ -527,26 +436,17 @@ func (w *Wrapper) assertRings() {
 // DeleteEdges deletes a batch of edges named by endpoint pairs, returning
 // one error slot per item (nil on success, ErrMissing for absent edges and
 // for repeated keys after their first occurrence). The hosted real edges
-// AND the slot-path compaction surgeries they trigger are removed/applied
-// as one engine batch: every deleted hosting is cleared first (so a move
-// can never resurrect a batch-deleted edge), each touched vertex's path is
-// compacted once in first-touch order with its move and ring-retirement
-// surgeries staged, and the engine sees a single ApplyBatch — its planner
-// classifies tree versus non-tree deletions across real deletions, moves
-// and ring retirements together, orders non-tree deletions first, and runs
-// one deferred aggregate flush for the whole batch. The ring-count
-// invariant is asserted after the batch.
+// and the slot-path repairs they leave go to the engine as one batch:
+// every deleted hosting is cleared first, then each touched vertex's path
+// retires its trailing unhosted slots (a ring deletion each) and splices
+// out every other unhosted slot but the base (a core splice each). The
+// engine's planner orders the deletions before the splices, which need
+// their slots at degree 2. The ring-count invariant is asserted after the
+// batch.
 func (w *Wrapper) DeleteEdges(keys [][2]int) []error {
 	errs := make([]error, len(keys))
-	be, ok := w.eng.(BatchEngine)
-	if !ok {
-		for i, k := range keys {
-			errs[i] = w.DeleteEdge(k[0], k[1])
-		}
-		return errs
-	}
 	ops := w.opsScratch[:0]
-	recs := w.recScratch[:0]
+	vs := w.touchedVs[:0]
 	for i, kk := range keys {
 		k := key(kk[0], kk[1])
 		rec, ok := w.edges[k]
@@ -556,45 +456,27 @@ func (w *Wrapper) DeleteEdges(keys [][2]int) []error {
 		}
 		delete(w.edges, k)
 		ops = append(ops, core.BatchOp{Del: true, U: int(rec.su), V: int(rec.sv)})
-		recs = append(recs, rec)
-	}
-	if len(ops) == 0 {
-		w.opsScratch = ops
-		return errs
-	}
-	vs := w.touchedVs[:0]
-	if w.touchedSet == nil {
-		w.touchedSet = make(map[int]bool, 2*len(recs))
-	}
-	touched := w.touchedSet
-	clear(touched)
-	for _, rec := range recs {
 		w.clearHost(rec.u, rec.su)
 		w.clearHost(rec.v, rec.sv)
-		for _, x := range [2]int{rec.u, rec.v} {
-			if !touched[x] {
-				touched[x] = true
-				vs = append(vs, x)
-			}
+		vs = append(vs, rec.u, rec.v)
+	}
+	if len(ops) > 0 {
+		for _, x := range vs {
+			ops = w.closeHoles(x, ops)
 		}
-	}
-	w.stage.reset()
-	for _, x := range vs {
-		w.compactVertex(x, &w.stage)
-	}
-	ops = w.stage.emit(ops)
-	w.fault.Hit(fpBatchDelete)
-	for _, err := range be.ApplyBatch(ops) {
-		if err != nil {
-			panic(fmt.Sprintf("ternary: gadget batch delete failed: %v", err))
+		w.fault.Hit(fpBatchDelete)
+		w.apply(ops)
+		// Forest-change events of the batch named the freed slots, so their
+		// byslot entries and pool return wait until it is done.
+		for _, g := range w.retired {
+			delete(w.byslot, g)
+			w.free = append(w.free, g)
 		}
+		w.retired = w.retired[:0]
+		w.assertRings()
+		w.applied()
 	}
-	w.stage.release(w)
 	w.opsScratch, w.touchedVs = ops[:0], vs[:0]
-	clear(recs)
-	w.recScratch = recs[:0]
-	w.assertRings()
-	w.applied()
 	return errs
 }
 
@@ -609,128 +491,73 @@ func (w *Wrapper) clearHost(x int, slot int32) {
 	panic("ternary: clearHost: slot not found")
 }
 
-// compactVertex restores slot-path compactness for x after a batch of
-// deletions: holes below the last slot are filled by moving the last
-// hosted edge down (engine delete + insert, as in compact), and trailing
-// unhosted slots are retired. With stage non-nil every engine op is staged
-// instead of applied — the move surgeries of distinct vertices are
-// independent, so a whole delete batch's compactions run as one gadget
-// ApplyBatch.
-func (w *Wrapper) compactVertex(x int, stage *compactStage) {
-	for {
-		s, h := w.slots[x], w.hosted[x]
-		last := len(s) - 1
-		if last > 0 && h[last] == nil {
-			w.closeSlot(x, last, stage)
+// closeHoles stages the repair of x's slot path after unhostings: trailing
+// unhosted slots are retired by deleting their ring edge, and every other
+// unhosted slot but the base is spliced out of the path between its
+// surviving predecessor and its successor. A splice may name the ring edge
+// an earlier splice of the same path creates, which the engine's in-order
+// splice stage provides. Freed slots are queued in w.retired. A path with
+// nothing to repair — as on a vertex's second visit — stages nothing.
+func (w *Wrapper) closeHoles(x int, ops []core.BatchOp) []core.BatchOp {
+	s, h := w.slots[x], w.hosted[x]
+	last := len(s) - 1
+	for ; last > 0 && h[last] == nil; last-- {
+		ops = append(ops, core.BatchOp{Del: true, U: int(s[last-1]), V: int(s[last])})
+		w.retired = append(w.retired, s[last])
+	}
+	j := 1
+	for i := 1; i <= last; i++ {
+		if h[i] != nil {
+			s[j], h[j] = s[i], h[i]
+			j++
 			continue
 		}
-		hole := -1
-		for i := 0; i < last; i++ {
-			if h[i] == nil {
-				hole = i
-				break
-			}
-		}
-		if hole < 0 {
-			return
-		}
-		w.moveHosted(x, last, hole, stage)
+		ops = append(ops, core.BatchOp{Splice: true, U: int(s[j-1]), V: int(s[i+1]), H: s[i], W: RingWeight})
+		w.retired = append(w.retired, s[i])
 	}
-}
-
-// compactStage accumulates the staged engine ops of one delete batch's
-// slot-path compactions. Moves are coalesced per record: only the original
-// hosting (before the batch's first move) and the final hosting matter to
-// the engine, so a record whose both endpoints move still emits exactly one
-// delete + one insert. Ring retirements are plain deletions of pre-batch
-// ring edges. All staged deletions name edges live in the engine before the
-// batch and all staged insertions name slot pairs free after every staged
-// deletion, so the engine's plan order (deletions before insertions) keeps
-// every op applicable and the gadget degree bound intact throughout.
-type compactStage struct {
-	moved   []*edgeRec            // first-move order (deterministic)
-	orig    map[*edgeRec][2]int32 // record -> pre-batch hosting
-	rings   [][2]int32            // retired ring edges, retirement order
-	retired []int32               // retired slots, pending byslot/free release
-}
-
-func (st *compactStage) reset() {
-	clear(st.moved)
-	st.moved = st.moved[:0]
-	st.rings = st.rings[:0]
-	st.retired = st.retired[:0]
-	if st.orig == nil {
-		st.orig = make(map[*edgeRec][2]int32)
-	} else {
-		clear(st.orig)
-	}
-}
-
-// release finishes the deferred bookkeeping of the retired slots once the
-// engine batch — and every forest-change event it emitted — is done.
-func (st *compactStage) release(w *Wrapper) {
-	for _, g := range st.retired {
-		delete(w.byslot, g)
-		w.free = append(w.free, g)
-	}
-	st.retired = st.retired[:0]
-}
-
-// emit appends the staged compaction ops to a batch: coalesced move
-// deletions, ring retirements, then the move re-insertions at the final
-// hosting. Deletion keys are pairwise distinct (distinct records, distinct
-// ring edges) so the engine's duplicate-deletion filter never fires.
-func (st *compactStage) emit(ops []core.BatchOp) []core.BatchOp {
-	for _, rec := range st.moved {
-		o := st.orig[rec]
-		if o[0] == rec.su && o[1] == rec.sv {
-			continue // net no-op move (defensive; moves always relocate)
-		}
-		ops = append(ops, core.BatchOp{Del: true, U: int(o[0]), V: int(o[1])})
-	}
-	for _, r := range st.rings {
-		ops = append(ops, core.BatchOp{Del: true, U: int(r[0]), V: int(r[1])})
-	}
-	for _, rec := range st.moved {
-		o := st.orig[rec]
-		if o[0] == rec.su && o[1] == rec.sv {
-			continue
-		}
-		ops = append(ops, core.BatchOp{U: int(rec.su), V: int(rec.sv), W: rec.w})
-	}
+	clear(h[j:])
+	w.rings -= len(s) - j
+	w.nslots -= len(s) - j
+	w.slots[x], w.hosted[x] = s[:j], h[:j]
 	return ops
 }
 
-// CheckGadget verifies wrapper bookkeeping (tests): slot paths are compact
-// and every edge's hosting is mutual.
+// CheckGadget verifies wrapper bookkeeping (tests): every slot but the base
+// hosts an edge, so a vertex holds one slot per hosted edge plus its base
+// when that is unhosted, and every edge's hosting is mutual.
 func (w *Wrapper) CheckGadget() error {
+	deg := make([]int, w.n)
+	for _, rec := range w.edges {
+		deg[rec.u]++
+		deg[rec.v]++
+	}
 	for v := 0; v < w.n; v++ {
 		s, h := w.slots[v], w.hosted[v]
 		if len(s) != len(h) {
 			return fmt.Errorf("vertex %d: slots/hosted length mismatch", v)
 		}
-		deg := 0
-		for i := range s {
+		hosted := 0
+		for i, rec := range h {
 			if w.byslot[s[i]] != v {
 				return fmt.Errorf("vertex %d: byslot mismatch", v)
 			}
-			if h[i] != nil {
-				deg++
-			} else if i != 0 {
-				return fmt.Errorf("vertex %d: interior hole at slot %d", v, i)
+			if rec == nil {
+				if i != 0 {
+					return fmt.Errorf("vertex %d: unhosted slot %d is not the base", v, i)
+				}
+				continue
 			}
-		}
-		want := 0
-		for _, rec := range w.edges {
-			if rec.u == v || rec.v == v {
-				want++
+			mutual := (rec.u == v && rec.su == s[i]) || (rec.v == v && rec.sv == s[i])
+			if !mutual || w.edges[key(rec.u, rec.v)] != rec {
+				return fmt.Errorf("vertex %d: slot %d hosts a record that does not name it", v, i)
 			}
+			hosted++
 		}
-		if deg != want {
-			return fmt.Errorf("vertex %d: hosts %d edges, want %d", v, deg, want)
+		if hosted != deg[v] {
+			return fmt.Errorf("vertex %d: hosts %d edges, want %d", v, hosted, deg[v])
 		}
-		if want > 1 && len(s) != want {
-			return fmt.Errorf("vertex %d: %d slots for %d edges", v, len(s), want)
+		if h[0] == nil && len(s) != deg[v]+1 {
+			return fmt.Errorf("vertex %d: %d slots for %d edges and an unhosted base", v, len(s), deg[v])
 		}
 	}
 	return nil

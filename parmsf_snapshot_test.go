@@ -228,6 +228,31 @@ func TestSnapshotComponentLabels(t *testing.T) {
 		t.Fatalf("link kept label %d, want the larger side's %d", got, want)
 	}
 
+	// Deleting a non-tree edge leaves the forest unchanged, so it publishes
+	// no epoch and relabels nothing — also when the edge held the first
+	// gadget slots of endpoints whose forest edges sit in later slots.
+	for _, e := range [][3]int{{20, 21, 50}, {21, 22, 10}, {20, 22, 20}} {
+		if err := f.Insert(e[0], e[1], Weight(e[2])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s3 := f.Snapshot()
+	defer s3.Release()
+	st3 := f.PublishStats()
+	if err := f.Delete(20, 21); err != nil {
+		t.Fatal(err)
+	}
+	s4 := f.Snapshot()
+	defer s4.Release()
+	if st4 := f.PublishStats(); st4 != st3 {
+		t.Fatalf("non-tree delete published: %+v -> %+v", st3, st4)
+	}
+	for v := 0; v < n; v++ {
+		if s4.ComponentOf(v) != s3.ComponentOf(v) {
+			t.Fatalf("non-tree delete relabeled vertex %d: %d -> %d", v, s3.ComponentOf(v), s4.ComponentOf(v))
+		}
+	}
+
 	// A forced-rebase forest publishes dense labels: every rebase epoch's
 	// labels lie in [0, Components()).
 	fr := MustNew(n, Options{MaxEdges: 256, SnapshotRebaseEvery: 1})
