@@ -38,7 +38,7 @@ func TestClusterShardPoisoning(t *testing.T) {
 	e0 := c.Epochs()
 
 	// Poison shard 0 through its ingest drainer.
-	if err := c.Shard(0).ArmFault("ingest/apply"); err != nil {
+	if err := c.Shard(0).ArmFault("ternary/batch-insert"); err != nil {
 		t.Fatalf("ArmFault: %v", err)
 	}
 	if err := c.Submit(parmsf.Update{U: 2, V: 3, W: w}).Wait(); !errors.Is(err, parmsf.ErrPoisoned) {
@@ -109,10 +109,11 @@ func TestClusterShardPoisoning(t *testing.T) {
 	}
 }
 
-// TestClusterShardAutoRecover arms a one-shot drainer fault on a shard of
-// an AutoRecover cluster: the failing submission still reports
-// ErrPoisoned, but the shard is healthy again by the time the error is
-// observed, and no other forest's epoch is disturbed.
+// TestClusterShardAutoRecover arms a one-shot engine fault on a shard of
+// an AutoRecover cluster, which a submitted insert fires on the shard's
+// drainer: the failing submission still reports ErrPoisoned, but the
+// shard is healthy again by the time the error is observed, and no other
+// forest's epoch is disturbed.
 func TestClusterShardAutoRecover(t *testing.T) {
 	const n = 32 // Ranges(32,4): shard 1 owns 8..15
 	c := cluster.MustNew(n, 4, cluster.Options{
@@ -127,7 +128,7 @@ func TestClusterShardAutoRecover(t *testing.T) {
 		w++
 	}
 	e0 := c.Epochs()
-	if err := c.Shard(1).ArmFault("ingest/apply"); err != nil {
+	if err := c.Shard(1).ArmFault("ternary/batch-insert"); err != nil {
 		t.Fatalf("ArmFault: %v", err)
 	}
 	if err := c.Submit(parmsf.Update{U: 9, V: 10, W: w}).Wait(); !errors.Is(err, parmsf.ErrPoisoned) {

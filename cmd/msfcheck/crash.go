@@ -3,11 +3,8 @@ package main
 import (
 	"errors"
 	"fmt"
-	"os"
-	"time"
 
 	"parmsf"
-	"parmsf/internal/baseline"
 	"parmsf/internal/xrand"
 )
 
@@ -17,17 +14,11 @@ import (
 // after each poisoning the tool verifies the full contract against a
 // Kruskal baseline that never saw the failed batch — typed errors on the
 // batch, fail-fast mutators, a consistent still-served snapshot, a clean
-// Recover, and weight/size/partition agreement both right after recovery
-// and at the end of the stream (by which time the rolled-back batch has
-// been re-applied). Runs the flat pipeline and the sparsified pipeline so
-// every point fires on a configuration that actually routes through it.
-func checkCrash(n, steps int, seed uint64) {
-	start := time.Now()
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "msfcheck: FAIL: "+format+"\n", args...)
-		os.Exit(1)
-	}
-
+// Recover, and agreement both right after recovery and after every round
+// (by which time the rolled-back batch has been re-applied). Runs the flat
+// pipeline and the sparsified pipeline so every point fires on a
+// configuration that actually routes through it.
+func checkCrash(n, steps int, seed uint64) (string, error) {
 	flat := []string{"core/apply-batch", "ternary/batch-insert", "ternary/batch-delete", "snapshot/publish"}
 	configs := []struct {
 		name   string
@@ -38,156 +29,166 @@ func checkCrash(n, steps int, seed uint64) {
 		{"sparsify", parmsf.Options{Sparsify: true},
 			append(append([]string{}, flat...), "sparsify/run-batch", "sparsify/node-task")},
 	}
-
 	recoveries := 0
 	for _, cfg := range configs {
-		f := parmsf.MustNew(n, cfg.opt)
-		ref := baseline.NewKruskal(n)
-		rng := xrand.New(seed)
-		seen := map[[2]int]bool{}
-		var live [][2]int
-		nextW := int64(1)
-
-		freshBatch := func(count int) []parmsf.Edge {
-			batch := make([]parmsf.Edge, 0, count)
-			for len(batch) < count {
-				u, v := rng.Intn(n), rng.Intn(n)
-				if u == v {
-					continue
-				}
-				k := [2]int{u, v}
-				if u > v {
-					k = [2]int{v, u}
-				}
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				live = append(live, k)
-				batch = append(batch, parmsf.Edge{U: u, V: v, W: nextW})
-				nextW++
-			}
-			return batch
+		r, err := crashRounds(n, steps, seed, cfg.name, cfg.opt, cfg.points)
+		if err != nil {
+			return "", err
 		}
-		deleteBatch := func(count int) []parmsf.EdgeKey {
-			var del []parmsf.EdgeKey
-			for i := 0; i < count && len(live) > 0; i++ {
-				j := rng.Intn(len(live))
-				k := live[j]
-				live[j] = live[len(live)-1]
-				live = live[:len(live)-1]
-				delete(seen, k)
-				del = append(del, parmsf.EdgeKey{U: k[0], V: k[1]})
-			}
-			return del
-		}
-
-		armed := ""
-		fired := map[string]int{}
-		pi := 0
-		// onPoison verifies the containment contract after a batch reported
-		// poisoned, recovers, and checks parity against the baseline (which
-		// never applied the failed batch).
-		onPoison := func(round int, errs []error) {
-			for i, err := range errs {
-				if !errors.Is(err, parmsf.ErrPoisoned) {
-					fail("%s round %d (%s): errs[%d] = %v, want ErrPoisoned", cfg.name, round, armed, i, err)
-				}
-			}
-			pe := f.Poisoned()
-			if pe == nil || pe.Stage == "" {
-				fail("%s round %d (%s): Poisoned() = %+v after poisoned batch", cfg.name, round, armed, pe)
-			}
-			if err := f.Insert(0, 1, nextW); !errors.Is(err, parmsf.ErrPoisoned) {
-				fail("%s round %d (%s): mutator on poisoned forest: %v", cfg.name, round, armed, err)
-			}
-			s := f.Snapshot()
-			if s.Weight() != f.Weight() || s.Size() != f.Size() {
-				fail("%s round %d (%s): poisoned snapshot disagrees with queries", cfg.name, round, armed)
-			}
-			s.Release()
-			if err := f.Recover(); err != nil {
-				fail("%s round %d (%s): Recover: %v", cfg.name, round, armed, err)
-			}
-			if f.Weight() != ref.Weight() || f.Size() != ref.ForestSize() {
-				fail("%s round %d (%s): post-recover (w=%d,s=%d) vs ref (w=%d,s=%d)",
-					cfg.name, round, armed, f.Weight(), f.Size(), ref.Weight(), ref.ForestSize())
-			}
-			for u := 1; u < n; u += 7 {
-				if f.Connected(0, u) != ref.Connected(0, u) {
-					fail("%s round %d (%s): post-recover partition diverges at vertex %d", cfg.name, round, armed, u)
-				}
-			}
-			fired[armed]++
-			recoveries++
-			armed = ""
-		}
-
-		applyInserts := func(round int, batch []parmsf.Edge) {
-			errs := f.InsertEdges(batch)
-			if f.Poisoned() != nil {
-				onPoison(round, errs)
-				errs = f.InsertEdges(batch)
-			}
-			for i, err := range errs {
-				if err != nil {
-					fail("%s round %d: insert %v: %v", cfg.name, round, batch[i], err)
-				}
-			}
-			for _, e := range batch {
-				if err := ref.InsertEdge(e.U, e.V, e.W); err != nil {
-					fail("%s round %d: ref insert: %v", cfg.name, round, err)
-				}
-			}
-		}
-		applyDeletes := func(round int, batch []parmsf.EdgeKey) {
-			if len(batch) == 0 {
-				return
-			}
-			errs := f.DeleteEdges(batch)
-			if f.Poisoned() != nil {
-				onPoison(round, errs)
-				errs = f.DeleteEdges(batch)
-			}
-			for i, err := range errs {
-				if err != nil {
-					fail("%s round %d: delete %v: %v", cfg.name, round, batch[i], err)
-				}
-			}
-			for _, k := range batch {
-				if err := ref.DeleteEdge(k.U, k.V); err != nil {
-					fail("%s round %d: ref delete: %v", cfg.name, round, err)
-				}
-			}
-		}
-
-		applyInserts(0, freshBatch(2*n))
-		rounds := steps / 16
-		if rounds < 8*len(cfg.points) {
-			rounds = 8 * len(cfg.points)
-		}
-		for round := 1; round <= rounds; round++ {
-			if armed == "" {
-				armed = cfg.points[pi%len(cfg.points)]
-				pi++
-				if err := f.ArmFault(armed); err != nil {
-					fail("%s: ArmFault(%q): %v", cfg.name, armed, err)
-				}
-			}
-			applyInserts(round, freshBatch(10))
-			applyDeletes(round, deleteBatch(6))
-			if f.Weight() != ref.Weight() || f.Size() != ref.ForestSize() {
-				fail("%s round %d: (w=%d,s=%d) vs ref (w=%d,s=%d)",
-					cfg.name, round, f.Weight(), f.Size(), ref.Weight(), ref.ForestSize())
-			}
-		}
-		for _, p := range cfg.points {
-			if fired[p] == 0 {
-				fail("%s: crash point %q never fired in %d rounds", cfg.name, p, rounds)
-			}
-		}
-		f.Close()
+		recoveries += r
 	}
-	fmt.Printf("msfcheck: OK — crash mode: %d injected panics recovered across %d configurations on n=%d in %v\n",
-		recoveries, len(configs), n, time.Since(start).Round(time.Millisecond))
+	return fmt.Sprintf("crash mode: %d injected panics recovered across %d configurations on n=%d",
+		recoveries, len(configs), n), nil
+}
+
+// crashRounds runs one configuration's rotation and returns the number of
+// recoveries. Each round inserts up to 10 fresh edges and deletes 6 live
+// ones, one batch each, after arming the next point whenever the last
+// armed one has fired.
+func crashRounds(n, steps int, seed uint64, name string, opt parmsf.Options, points []string) (int, error) {
+	f := parmsf.MustNew(n, opt)
+	defer f.Close()
+	ref, subs := newKruskal(n), []named{{name, f}}
+	rng := xrand.New(seed)
+	seen := map[[2]int]bool{}
+	var live [][2]int
+	nextW := parmsf.Weight(1)
+
+	// fresh draws inserts of pairs not live, stopping short of count once
+	// every pair is.
+	fresh := func(count int) []op {
+		var ops []op
+		for len(ops) < count && len(seen) < n*(n-1)/2 {
+			u, v := rng.Intn(n), rng.Intn(n)
+			k := [2]int{min(u, v), max(u, v)}
+			if u == v || seen[k] {
+				continue
+			}
+			seen[k] = true
+			live = append(live, k)
+			ops = append(ops, op{u: u, v: v, w: nextW})
+			nextW++
+		}
+		return ops
+	}
+	stale := func(count int) []op {
+		var ops []op
+		for i := 0; i < count && len(live) > 0; i++ {
+			j := rng.Intn(len(live))
+			k := live[j]
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+			delete(seen, k)
+			ops = append(ops, op{u: k[0], v: k[1], del: true})
+		}
+		return ops
+	}
+
+	armed := ""
+	fired := map[string]int{}
+	recoveries := 0
+	// contain checks the containment contract after a batch poisoned f,
+	// recovers, and checks f against the reference, which never applied
+	// the failed batch.
+	contain := func(errs []error) error {
+		for i, err := range errs {
+			if !errors.Is(err, parmsf.ErrPoisoned) {
+				return fmt.Errorf("errs[%d] = %v, want ErrPoisoned", i, err)
+			}
+		}
+		if pe := f.Poisoned(); pe.Stage == "" {
+			return fmt.Errorf("Poisoned() = %+v has no stage", pe)
+		}
+		if err := f.Insert(0, 1, nextW); !errors.Is(err, parmsf.ErrPoisoned) {
+			return fmt.Errorf("mutator on poisoned forest: %v", err)
+		}
+		s := f.Snapshot()
+		served := s.Weight() == f.Weight() && s.Size() == f.Size()
+		s.Release()
+		if !served {
+			return errors.New("poisoned snapshot disagrees with queries")
+		}
+		if err := f.Recover(); err != nil {
+			return fmt.Errorf("Recover: %w", err)
+		}
+		var pairs [][2]int
+		for u := 1; u < n; u += 7 {
+			pairs = append(pairs, [2]int{0, u})
+		}
+		if err := agree(ref, subs, pairs...); err != nil {
+			return fmt.Errorf("after Recover: %w", err)
+		}
+		fired[armed]++
+		recoveries++
+		armed = ""
+		return nil
+	}
+	// commit applies one batch of inserts or deletes to f, containing and
+	// re-applying it once if it poisons f, and then to the reference.
+	commit := func(ops []op) error {
+		errs := batch(f, ops)
+		if f.Poisoned() != nil {
+			if err := contain(errs); err != nil {
+				return fmt.Errorf("%s (%s): %w", name, armed, err)
+			}
+			errs = batch(f, ops)
+		}
+		for i, err := range errs {
+			if err != nil {
+				return fmt.Errorf("%s: %v: %w", name, ops[i], err)
+			}
+		}
+		for _, o := range ops {
+			if err := o.to(ref); err != nil {
+				return fmt.Errorf("reference %v: %w", o, err)
+			}
+		}
+		return nil
+	}
+
+	if err := commit(fresh(2 * n)); err != nil {
+		return 0, fmt.Errorf("load: %w", err)
+	}
+	rounds := max(steps/16, 8*len(points))
+	for round, pi := 1, 0; round <= rounds; round++ {
+		if armed == "" {
+			armed = points[pi%len(points)]
+			pi++
+			if err := f.ArmFault(armed); err != nil {
+				return 0, fmt.Errorf("%s: ArmFault(%q): %w", name, armed, err)
+			}
+		}
+		err := commit(fresh(10))
+		if err == nil {
+			err = commit(stale(6))
+		}
+		if err == nil {
+			err = agree(ref, subs)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("round %d: %w", round, err)
+		}
+	}
+	for _, p := range points {
+		if fired[p] == 0 {
+			return 0, fmt.Errorf("%s: crash point %q never fired in %d rounds", name, p, rounds)
+		}
+	}
+	return recoveries, nil
+}
+
+// batch applies ops, all inserts or all deletes, to f as one batch.
+func batch(f *parmsf.Forest, ops []op) []error {
+	if len(ops) > 0 && ops[0].del {
+		keys := make([]parmsf.EdgeKey, len(ops))
+		for i, o := range ops {
+			keys[i] = parmsf.EdgeKey{U: o.u, V: o.v}
+		}
+		return f.DeleteEdges(keys)
+	}
+	edges := make([]parmsf.Edge, len(ops))
+	for i, o := range ops {
+		edges[i] = parmsf.Edge{U: o.u, V: o.v, W: o.w}
+	}
+	return f.InsertEdges(edges)
 }

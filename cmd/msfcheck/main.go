@@ -6,26 +6,26 @@
 // hold. Exit status 0 means no disagreement was found.
 //
 // With -build FILE the tool instead cross-validates the parallel bulk
-// constructor on an edge-list file ("u v w" per line, # comments): Build
-// across every configuration against an incremental InsertEdges replay and
-// the Kruskal baseline, edge for edge, plus cut-property spot checks
-// (deleting a forest edge never finds a lighter replacement).
+// constructor on an edge-list file ("u v w" per line, # comments; "-"
+// selects a builtin deterministic random-sparse list): Build across every
+// configuration against an incremental Insert replay and the Kruskal
+// baseline, edge for edge, plus cut-property spot checks (deleting a forest
+// edge never finds a lighter replacement).
 //
 // With -snapshot the tool instead cross-validates the O(delta) snapshot
 // publication path: a forest on the default capacity-driven delta schedule
 // and a forest with the delta path disabled (every epoch a from-scratch
-// rebase sweep) run the same recorded churn, and after every operation the
-// two published snapshots must agree on epoch, weight, forest size,
-// component count, live edge set and component partition (labels in
-// bijection), with weight and size also checked against the Kruskal
-// baseline. Run for the default and sparsified pipelines.
+// rebase sweep) run the same churn, and after every operation the two
+// published snapshots must agree on epoch, live edge set and component
+// partition (labels in bijection), with weight, size and component count
+// checked against the Kruskal baseline. Run for the default and sparsified
+// pipelines.
 //
-// With -cluster FILE the tool instead cross-validates the sharded
-// cluster package on an edge-list file ("-" selects a builtin
-// deterministic random-sparse list): every edge inserted one at a time,
-// then every live edge deleted in seeded random order, through k in
-// {2, 4} clusters under range and hash placements, against a flat
-// single-forest twin and the Kruskal baseline — Weight, Size and
+// With -cluster FILE (an edge list as for -build) the tool instead
+// cross-validates the sharded cluster package: every edge inserted one at
+// a time, then every live edge deleted in seeded random order, through k
+// in {2, 4} clusters under range and hash placements and a flat
+// single-forest twin, against the Kruskal baseline — Weight, Size and
 // Components compared after every operation, Connected sampled.
 //
 // With -crash the tool instead cross-validates panic containment and
@@ -41,23 +41,25 @@
 //	msfcheck -n 64 -steps 5000 -seed 1
 //	msfcheck -quick             # small smoke run
 //	msfcheck -build edges.txt   # bulk-constructor cross-validation
+//	msfcheck -build -           # the same on the builtin edge list
 //	msfcheck -cluster -         # sharded-cluster cross-validation (builtin edges)
 //	msfcheck -snapshot          # delta-vs-sweep snapshot cross-validation
 //	msfcheck -crash             # fault-injection + recovery cross-validation
 package main
 
 import (
-	"bufio"
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"parmsf"
-	"parmsf/internal/baseline"
 	"parmsf/internal/core"
-	"parmsf/internal/xrand"
 )
 
 func main() {
@@ -66,227 +68,202 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	quick := flag.Bool("quick", false, "small smoke run (n=16, steps=500)")
 	deep := flag.Int("deep", 97, "run the full O(n^2) core invariant check every `deep` ops on the raw core engine")
-	build := flag.String("build", "", "cross-validate parmsf.Build on this edge-list file instead of running the churn stress")
+	build := flag.String("build", "", "cross-validate parmsf.Build on this edge-list file ('-' for a builtin deterministic list) instead of running the churn stress")
 	clusterF := flag.String("cluster", "", "cross-validate the sharded cluster package on this edge-list file ('-' for a builtin deterministic list) instead of running the churn stress")
 	snapshotF := flag.Bool("snapshot", false, "cross-validate the O(delta) snapshot publication path against from-scratch sweeps instead of running the churn stress")
 	crash := flag.Bool("crash", false, "cross-validate panic containment and journaled recovery: inject engine panics at every registered crash point in rotation and verify each Recover against the Kruskal baseline")
 	flag.Parse()
-	if *build != "" {
-		checkBuild(*build)
-		return
-	}
-	if *clusterF != "" {
-		checkCluster(*clusterF, *seed)
-		return
-	}
 	if *quick {
 		*n, *steps = 16, 500
 	}
-	if *snapshotF {
-		checkSnapshot(*n, *steps, *seed)
-		return
-	}
-	if *crash {
-		checkCrash(*n, *steps, *seed)
-		return
-	}
-
-	start := time.Now()
-	rng := xrand.New(*seed)
-
-	forests := map[string]*parmsf.Forest{
-		"seq":      parmsf.MustNew(*n, parmsf.Options{MaxEdges: 16 * *n}),
-		"pram":     parmsf.MustNew(*n, parmsf.Options{MaxEdges: 16 * *n, CheckEREW: true}),
-		"sparsify": parmsf.MustNew(*n, parmsf.Options{Sparsify: true}),
-	}
-	ref := baseline.NewKruskal(*n)
-	// A raw core engine on a degree-3 stream mirror for deep invariant
-	// checking.
-	rawCore := core.NewMSF(*n, core.Config{}, core.SeqCharger{})
-
-	type pair struct{ u, v int }
-	var live []pair
-	rawLive := map[pair]bool{}
-	nextW := int64(1)
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "msfcheck: FAIL: "+format+"\n", args...)
-		os.Exit(1)
-	}
-
-	for step := 0; step < *steps; step++ {
-		if rng.Intn(5) < 3 || len(live) == 0 {
-			u, v := rng.Intn(*n), rng.Intn(*n)
-			if u == v {
-				continue
-			}
-			refErr := ref.InsertEdge(u, v, nextW)
-			for name, f := range forests {
-				if err := f.Insert(u, v, nextW); (err == nil) != (refErr == nil) {
-					fail("step %d: %s insert (%d,%d): %v vs ref %v", step, name, u, v, err, refErr)
-				}
-			}
-			if refErr == nil {
-				live = append(live, pair{u, v})
-			}
-			// Mirror on the raw degree-3 engine when degrees allow.
-			if err := rawCore.InsertEdge(u, v, nextW); err == nil {
-				rawLive[pair{u, v}] = true
-			}
-			nextW++
-		} else {
-			i := rng.Intn(len(live))
-			p := live[i]
-			ref.DeleteEdge(p.u, p.v)
-			for name, f := range forests {
-				if err := f.Delete(p.u, p.v); err != nil {
-					fail("step %d: %s delete (%d,%d): %v", step, name, p.u, p.v, err)
-				}
-			}
-			if rawLive[p] {
-				if err := rawCore.DeleteEdge(p.u, p.v); err != nil {
-					fail("step %d: raw core delete: %v", step, err)
-				}
-				delete(rawLive, p)
-			}
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-		for name, f := range forests {
-			if f.Weight() != ref.Weight() || f.Size() != ref.ForestSize() {
-				fail("step %d: %s forest (w=%d,s=%d) vs ref (w=%d,s=%d)",
-					step, name, f.Weight(), f.Size(), ref.Weight(), ref.ForestSize())
-			}
-		}
-		if step%11 == 0 {
-			u, v := rng.Intn(*n), rng.Intn(*n)
-			want := ref.Connected(u, v)
-			for name, f := range forests {
-				if got := f.Connected(u, v); got != want {
-					fail("step %d: %s Connected(%d,%d)=%v want %v", step, name, u, v, got, want)
-				}
-			}
-		}
-		if *deep > 0 && step%*deep == 0 {
-			if err := rawCore.Store().CheckInvariants(); err != nil {
-				fail("step %d: core invariants: %v", step, err)
-			}
-		}
-	}
-	if v := forests["pram"].PRAM().Violations(); len(v) != 0 {
-		fail("EREW violations: %v", v)
-	}
-	m := forests["pram"].PRAM()
-	fmt.Printf("msfcheck: OK — %d ops on n=%d in %v (final m=%d, forest=%d, PRAM depth=%d work=%d)\n",
-		*steps, *n, time.Since(start).Round(time.Millisecond),
-		len(live), ref.ForestSize(), m.Time, m.Work)
-}
-
-// parseEdgeList reads an edge-list file: one "u v w" triple per line,
-// blank lines and #-comments skipped. The vertex count is the largest
-// endpoint plus one.
-func parseEdgeList(path string) (int, []parmsf.Edge) {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "msfcheck: %v\n", err)
-		os.Exit(2)
-	}
-	defer f.Close()
 	var edges []parmsf.Edge
-	maxV := 1
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if i := len(text); i > 0 && text[0] == '#' {
-			continue
-		}
-		var u, v int
-		var w int64
-		k, err := fmt.Sscan(text, &u, &v, &w)
-		if k == 0 {
-			continue // blank line
-		}
-		if err != nil || k != 3 {
-			fmt.Fprintf(os.Stderr, "msfcheck: %s:%d: want \"u v w\", got %q\n", path, line, text)
+	if path := cmp.Or(*build, *clusterF); path != "" {
+		var err error
+		if *n, edges, err = loadEdges(path, *seed); err != nil {
+			fmt.Fprintf(os.Stderr, "msfcheck: %v\n", err)
 			os.Exit(2)
 		}
-		edges = append(edges, parmsf.Edge{U: u, V: v, W: w})
-		if u > maxV {
-			maxV = u
-		}
-		if v > maxV {
-			maxV = v
-		}
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "msfcheck: %v\n", err)
-		os.Exit(2)
-	}
-	return maxV + 1, edges
-}
 
-// buildTriples returns the sorted (u, v, w) forest edges of f.
-func buildTriples(f *parmsf.Forest) [][3]int64 {
-	var out [][3]int64
-	f.Edges(func(u, v int, w int64) bool {
-		if u > v {
-			u, v = v, u
-		}
-		out = append(out, [3]int64{int64(u), int64(v), w})
-		return true
-	})
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && less3(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func less3(a, b [3]int64) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	if a[1] != b[1] {
-		return a[1] < b[1]
-	}
-	return a[2] < b[2]
-}
-
-// checkBuild cross-validates the bulk constructor on an edge-list file:
-// Build across every pipeline configuration against an incremental replay
-// (per-edge Insert, which also yields the reference per-edge errors) and
-// the Kruskal baseline, then cut-property spot checks on the built forest.
-func checkBuild(path string) {
 	start := time.Now()
-	n, edges := parseEdgeList(path)
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "msfcheck: FAIL: "+format+"\n", args...)
+	var report string
+	var err error
+	switch {
+	case *build != "":
+		report, err = checkBuild(*n, edges)
+	case *clusterF != "":
+		report, err = checkCluster(*n, edges, *seed)
+	case *snapshotF:
+		report, err = checkSnapshot(*n, *steps, *seed)
+	case *crash:
+		report, err = checkCrash(*n, *steps, *seed)
+	default:
+		report, err = checkChurn(*n, *steps, *deep, *seed)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "msfcheck: FAIL: %v\n", err)
 		os.Exit(1)
 	}
+	fmt.Printf("msfcheck: OK — %s, in %v\n", report, time.Since(start).Round(time.Millisecond))
+}
 
-	maxEdges := 4 * n
-	if len(edges)+8 > maxEdges {
-		maxEdges = len(edges) + 8
+// checkChurn runs the churn stream through the sequential, EREW-checked
+// and sparsified pipelines, sampling Connected every 11th step. A raw core
+// engine mirrors the stream wherever degrees allow (it takes degree-3
+// graphs only) and gets the full invariant check every deep steps.
+func checkChurn(n, steps, deep int, seed uint64) (string, error) {
+	pram := parmsf.MustNew(n, parmsf.Options{MaxEdges: 16 * n, CheckEREW: true})
+	subs := []named{
+		{"seq", parmsf.MustNew(n, parmsf.Options{MaxEdges: 16 * n})},
+		{"pram", pram},
+		{"sparsify", parmsf.MustNew(n, parmsf.Options{Sparsify: true})},
 	}
-	ref := parmsf.MustNew(n, parmsf.Options{MaxEdges: maxEdges})
-	defer ref.Close()
-	kr := baseline.NewKruskal(n)
-	refErrs := make([]error, len(edges))
-	for i, e := range edges {
-		refErrs[i] = ref.Insert(e.U, e.V, e.W)
-		if refErrs[i] == nil {
-			if err := kr.InsertEdge(e.U, e.V, e.W); err != nil {
-				fail("baseline rejects edge %d (%d,%d,%d): %v", i, e.U, e.V, e.W, err)
+	defer closeAll(subs)
+	ref := newKruskal(n)
+	raw := core.NewMSF(n, core.Config{}, core.SeqCharger{})
+	rawLive := map[[2]int]bool{}
+	c := newChurn(n, seed)
+	err := c.run(ref, subs, steps, func(step int, o op) error {
+		k := [2]int{o.u, o.v}
+		switch {
+		case !o.del:
+			if raw.InsertEdge(o.u, o.v, o.w) == nil {
+				rawLive[k] = true
+			}
+		case rawLive[k]:
+			if err := raw.DeleteEdge(o.u, o.v); err != nil {
+				return fmt.Errorf("raw core %v: %w", o, err)
+			}
+			delete(rawLive, k)
+		}
+		if step%11 == 0 {
+			if err := agree(ref, subs, [2]int{c.rng.Intn(n), c.rng.Intn(n)}); err != nil {
+				return err
 			}
 		}
+		if deep > 0 && step%deep == 0 {
+			if err := raw.Store().CheckInvariants(); err != nil {
+				return fmt.Errorf("core invariants: %w", err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return "", err
 	}
-	if ref.Weight() != kr.Weight() || ref.Size() != kr.ForestSize() {
-		fail("replay (w=%d,s=%d) vs kruskal (w=%d,s=%d)", ref.Weight(), ref.Size(), kr.Weight(), kr.ForestSize())
+	m := pram.PRAM()
+	if v := m.Violations(); len(v) != 0 {
+		return "", fmt.Errorf("EREW violations: %v", v)
 	}
-	want := buildTriples(ref)
+	return fmt.Sprintf("%d ops on n=%d (final m=%d, forest=%d, PRAM depth=%d work=%d)",
+		steps, n, len(c.live), ref.Size(), m.Time, m.Work), nil
+}
+
+// checkSnapshot cross-validates the O(delta) publication path: a
+// delta-scheduled forest and a forced-sweep forest (SnapshotRebaseEvery:
+// 1, every epoch rebuilt from scratch off the engine) run the churn stream,
+// and after every step their published snapshots must agree on epoch, the
+// live edge set, and the component partition up to label bijection (the
+// delta path's labels are persistent identities, the sweep's are dense —
+// only the partition is comparable). Both also answer agree against the
+// Kruskal baseline, so the pair cannot drift in lockstep.
+func checkSnapshot(n, steps int, seed uint64) (string, error) {
+	type pair struct {
+		name         string
+		delta, sweep *parmsf.Forest
+	}
+	var pairs []pair
+	var subs []named
+	for _, c := range []struct {
+		name string
+		opt  parmsf.Options
+	}{
+		{"default", parmsf.Options{MaxEdges: 16 * n}},
+		{"sparsify", parmsf.Options{Sparsify: true}},
+	} {
+		sweep := c.opt
+		sweep.SnapshotRebaseEvery = 1
+		p := pair{c.name, parmsf.MustNew(n, c.opt), parmsf.MustNew(n, sweep)}
+		pairs = append(pairs, p)
+		subs = append(subs, named{p.name + " delta", p.delta}, named{p.name + " sweep", p.sweep})
+	}
+	defer closeAll(subs)
+
+	same := func(p pair) error {
+		a, b := p.delta.Snapshot(), p.sweep.Snapshot()
+		defer a.Release()
+		defer b.Release()
+		if a.Epoch() != b.Epoch() {
+			return fmt.Errorf("%s: delta epoch %d != sweep epoch %d", p.name, a.Epoch(), b.Epoch())
+		}
+		if !maps.Equal(edgeSet(a.Edges), edgeSet(b.Edges)) {
+			return fmt.Errorf("%s: delta and sweep snapshots list different edges", p.name)
+		}
+		ab, ba := map[int]int{}, map[int]int{}
+		for v := 0; v < n; v++ {
+			la, lb := a.ComponentOf(v), b.ComponentOf(v)
+			if x, ok := ab[la]; ok && x != lb {
+				return fmt.Errorf("%s: vertex %d: delta label %d maps to sweep labels %d and %d", p.name, v, la, x, lb)
+			}
+			if x, ok := ba[lb]; ok && x != la {
+				return fmt.Errorf("%s: vertex %d: sweep label %d maps to delta labels %d and %d", p.name, v, lb, x, la)
+			}
+			ab[la], ba[lb] = lb, la
+		}
+		return nil
+	}
+	err := newChurn(n, seed).run(newKruskal(n), subs, steps, func(int, op) error {
+		for _, p := range pairs {
+			if err := same(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return "", err
+	}
+
+	var lines []string
+	for _, p := range pairs {
+		dst, sst := p.delta.PublishStats(), p.sweep.PublishStats()
+		if dst.DeltaEpochs == 0 {
+			return "", fmt.Errorf("%s: delta-scheduled forest never took the delta path; the comparison is vacuous", p.name)
+		}
+		if sst.DeltaEpochs != 0 {
+			return "", fmt.Errorf("%s: sweep forest took %d delta epochs, want 0", p.name, sst.DeltaEpochs)
+		}
+		lines = append(lines, fmt.Sprintf("%s %d epochs (%d delta, %d rebases, %d patches)",
+			p.name, dst.Epochs, dst.DeltaEpochs, dst.Rebases, dst.PatchEntries))
+	}
+	return fmt.Sprintf("snapshot delta-vs-sweep parity over %d ops on n=%d: %s",
+		steps, n, strings.Join(lines, "; ")), nil
+}
+
+// checkBuild cross-validates the bulk constructor on an edge list: Build
+// across every pipeline configuration against an incremental replay
+// (per-edge Insert, which also yields the reference per-edge errors) and
+// the Kruskal baseline, then cut-property spot checks on a built forest.
+func checkBuild(n int, edges []parmsf.Edge) (string, error) {
+	maxEdges := max(4*n, len(edges)+8)
+	replay := parmsf.MustNew(n, parmsf.Options{MaxEdges: maxEdges})
+	defer replay.Close()
+	ref, rs := newKruskal(n), []named{{"replay", replay}}
+	replayErrs := make([]error, len(edges))
+	rejected := 0
+	for i, e := range edges {
+		var err error
+		if replayErrs[i], err = apply(ref, rs, op{u: e.U, v: e.V, w: e.W}); err != nil {
+			return "", fmt.Errorf("edge %d: %w", i, err)
+		}
+		if replayErrs[i] != nil {
+			rejected++
+		}
+	}
+	if err := agree(ref, rs); err != nil {
+		return "", err
+	}
+	want := edgeSet(replay.Edges)
 
 	configs := []struct {
 		name string
@@ -297,218 +274,64 @@ func checkBuild(path string) {
 		{"pram", parmsf.Options{MaxEdges: maxEdges, CheckEREW: true}},
 		{"sparsify", parmsf.Options{Sparsify: true}},
 	}
+	var built []named
+	defer func() { closeAll(built) }()
 	for _, cfg := range configs {
 		f, errs := parmsf.MustBuild(n, edges, cfg.opt)
-		for i := range edges {
-			var got error
-			if errs != nil {
-				got = errs[i]
-			}
-			if got != refErrs[i] {
-				fail("%s: edge %d error %v, replay %v", cfg.name, i, got, refErrs[i])
-			}
+		built = append(built, named{cfg.name, f})
+		if errs == nil {
+			errs = make([]error, len(edges))
 		}
-		if f.Weight() != ref.Weight() || f.Size() != ref.Size() || f.Components() != ref.Components() {
-			fail("%s: (w=%d,s=%d,c=%d) vs replay (w=%d,s=%d,c=%d)",
-				cfg.name, f.Weight(), f.Size(), f.Components(), ref.Weight(), ref.Size(), ref.Components())
-		}
-		got := buildTriples(f)
-		if len(got) != len(want) {
-			fail("%s: %d forest edges, replay has %d", cfg.name, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				fail("%s: forest edge %d = %v, replay %v", cfg.name, i, got[i], want[i])
+		for i, err := range errs {
+			if !errors.Is(err, replayErrs[i]) {
+				return "", fmt.Errorf("%s: edge %d error %v, replay %v", cfg.name, i, err, replayErrs[i])
 			}
 		}
-		f.Close()
+		if !maps.Equal(edgeSet(f.Edges), want) {
+			return "", fmt.Errorf("%s: forest edges differ from the replay's", cfg.name)
+		}
+	}
+	if err := agree(ref, built); err != nil {
+		return "", err
 	}
 
-	// Cut-property spot checks on a fresh default build: deleting a forest
-	// edge either splits its component (no replacement crosses the cut) or
-	// finds a replacement no lighter than the deleted edge, and reinsertion
-	// restores the forest weight exactly.
-	f, _ := parmsf.MustBuild(n, edges, parmsf.Options{MaxEdges: maxEdges})
-	defer f.Close()
-	stride := len(want)/64 + 1
+	// Cut-property spot checks: deleting a forest edge either splits its
+	// component (no replacement crosses the cut) or finds a replacement no
+	// lighter than the deleted edge, and reinsertion restores the forest
+	// weight exactly.
+	f := built[0].subject
+	cuts := slices.SortedFunc(maps.Keys(want), func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	stride := len(cuts)/64 + 1
 	checks := 0
-	for i := 0; i < len(want); i += stride {
-		u, v, w := int(want[i][0]), int(want[i][1]), want[i][2]
+	for i := 0; i < len(cuts); i += stride {
+		u, v, w := cuts[i][0], cuts[i][1], want[cuts[i]]
 		w0, c0 := f.Weight(), f.Components()
 		if err := f.Delete(u, v); err != nil {
-			fail("cut check: delete (%d,%d): %v", u, v, err)
+			return "", fmt.Errorf("cut check: delete (%d,%d): %w", u, v, err)
 		}
 		switch {
 		case f.Components() == c0+1:
 			if f.Weight() != w0-w {
-				fail("cut check: split after (%d,%d) but weight %d != %d", u, v, f.Weight(), w0-w)
+				return "", fmt.Errorf("cut check: split after (%d,%d) but weight %d != %d", u, v, f.Weight(), w0-w)
 			}
 		case f.Components() == c0:
 			if f.Weight() < w0 {
-				fail("cut check: replacement for (%d,%d,%d) lighter than cut minimum (weight %d < %d)", u, v, w, f.Weight(), w0)
+				return "", fmt.Errorf("cut check: replacement for (%d,%d,%d) lighter than cut minimum (weight %d < %d)", u, v, w, f.Weight(), w0)
 			}
 		default:
-			fail("cut check: components %d -> %d after one delete", c0, f.Components())
+			return "", fmt.Errorf("cut check: components %d -> %d after one delete", c0, f.Components())
 		}
 		if err := f.Insert(u, v, w); err != nil {
-			fail("cut check: reinsert (%d,%d): %v", u, v, err)
+			return "", fmt.Errorf("cut check: reinsert (%d,%d): %w", u, v, err)
 		}
 		if f.Weight() != w0 || f.Components() != c0 {
-			fail("cut check: reinsert of (%d,%d,%d) did not restore (w=%d c=%d, want w=%d c=%d)",
+			return "", fmt.Errorf("cut check: reinsert of (%d,%d,%d) did not restore (w=%d c=%d, want w=%d c=%d)",
 				u, v, w, f.Weight(), f.Components(), w0, c0)
 		}
 		checks++
 	}
-
-	rejected := 0
-	for _, err := range refErrs {
-		if err != nil {
-			rejected++
-		}
-	}
-	fmt.Printf("msfcheck: OK — bulk build of %d edges (%d rejected) on n=%d matches replay+kruskal across %d configs, %d cut checks, in %v\n",
-		len(edges), rejected, n, len(configs), checks, time.Since(start).Round(time.Millisecond))
-}
-
-// snapEdges collects a snapshot's live edge set keyed by normalized
-// endpoints.
-func snapEdges(s *parmsf.Snapshot) map[[2]int]int64 {
-	out := map[[2]int]int64{}
-	s.Edges(func(u, v int, w int64) bool {
-		if u > v {
-			u, v = v, u
-		}
-		out[[2]int{u, v}] = w
-		return true
-	})
-	return out
-}
-
-// checkSnapshot cross-validates the O(delta) publication path: a
-// delta-scheduled forest and a forced-sweep forest (SnapshotRebaseEvery:
-// 1, every epoch rebuilt from scratch off the engine) run identical
-// recorded churn; after every operation their published snapshots must
-// agree on epoch, weight, size, components, the live edge set, and the
-// component partition up to label bijection (the delta path's labels are
-// persistent identities, the sweep's are dense — only the partition is
-// comparable). Weight and size are also checked against the Kruskal
-// baseline, so the pair cannot drift in lockstep.
-func checkSnapshot(n, steps int, seed uint64) {
-	start := time.Now()
-	rng := xrand.New(seed)
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "msfcheck: FAIL: "+format+"\n", args...)
-		os.Exit(1)
-	}
-
-	type cfgPair struct {
-		name        string
-		delta, swee *parmsf.Forest
-	}
-	mk := func(name string, opt parmsf.Options) cfgPair {
-		sw := opt
-		sw.SnapshotRebaseEvery = 1
-		return cfgPair{name, parmsf.MustNew(n, opt), parmsf.MustNew(n, sw)}
-	}
-	pairs := []cfgPair{
-		mk("default", parmsf.Options{MaxEdges: 16 * n}),
-		mk("sparsify", parmsf.Options{Sparsify: true}),
-	}
-	ref := baseline.NewKruskal(n)
-
-	verify := func(step int, p cfgPair) {
-		a, b := p.delta.Snapshot(), p.swee.Snapshot()
-		defer a.Release()
-		defer b.Release()
-		if a.Epoch() != b.Epoch() {
-			fail("step %d: %s: delta epoch %d != sweep epoch %d", step, p.name, a.Epoch(), b.Epoch())
-		}
-		if a.Weight() != b.Weight() || a.Weight() != ref.Weight() {
-			fail("step %d: %s: weight delta=%d sweep=%d kruskal=%d", step, p.name, a.Weight(), b.Weight(), ref.Weight())
-		}
-		if a.Size() != b.Size() || a.Size() != ref.ForestSize() || a.Components() != b.Components() {
-			fail("step %d: %s: size/components delta=%d/%d sweep=%d/%d kruskal size=%d",
-				step, p.name, a.Size(), a.Components(), b.Size(), b.Components(), ref.ForestSize())
-		}
-		ea, eb := snapEdges(a), snapEdges(b)
-		if len(ea) != len(eb) {
-			fail("step %d: %s: delta lists %d edges, sweep %d", step, p.name, len(ea), len(eb))
-		}
-		for k, w := range ea {
-			if eb[k] != w {
-				fail("step %d: %s: edge (%d,%d) delta weight %d, sweep %d", step, p.name, k[0], k[1], w, eb[k])
-			}
-		}
-		ab, ba := map[int]int{}, map[int]int{}
-		for v := 0; v < n; v++ {
-			la, lb := a.ComponentOf(v), b.ComponentOf(v)
-			if x, ok := ab[la]; ok && x != lb {
-				fail("step %d: %s: vertex %d: delta label %d maps to sweep labels %d and %d", step, p.name, v, la, x, lb)
-			}
-			if x, ok := ba[lb]; ok && x != la {
-				fail("step %d: %s: vertex %d: sweep label %d maps to delta labels %d and %d", step, p.name, v, lb, x, la)
-			}
-			ab[la] = lb
-			ba[lb] = la
-		}
-	}
-
-	type pair struct{ u, v int }
-	var live []pair
-	nextW := int64(1)
-	for step := 0; step < steps; step++ {
-		if rng.Intn(5) < 3 || len(live) == 0 {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v {
-				continue
-			}
-			refErr := ref.InsertEdge(u, v, nextW)
-			for _, p := range pairs {
-				if err := p.delta.Insert(u, v, nextW); (err == nil) != (refErr == nil) {
-					fail("step %d: %s delta insert (%d,%d): %v vs ref %v", step, p.name, u, v, err, refErr)
-				}
-				if err := p.swee.Insert(u, v, nextW); (err == nil) != (refErr == nil) {
-					fail("step %d: %s sweep insert (%d,%d): %v vs ref %v", step, p.name, u, v, err, refErr)
-				}
-			}
-			if refErr == nil {
-				live = append(live, pair{u, v})
-			}
-			nextW++
-		} else {
-			i := rng.Intn(len(live))
-			p := live[i]
-			ref.DeleteEdge(p.u, p.v)
-			for _, pr := range pairs {
-				if err := pr.delta.Delete(p.u, p.v); err != nil {
-					fail("step %d: %s delta delete (%d,%d): %v", step, pr.name, p.u, p.v, err)
-				}
-				if err := pr.swee.Delete(p.u, p.v); err != nil {
-					fail("step %d: %s sweep delete (%d,%d): %v", step, pr.name, p.u, p.v, err)
-				}
-			}
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-		for _, p := range pairs {
-			verify(step, p)
-		}
-	}
-
-	var lines []string
-	for _, p := range pairs {
-		dst, sst := p.delta.PublishStats(), p.swee.PublishStats()
-		if dst.DeltaEpochs == 0 {
-			fail("%s: delta-scheduled forest never took the delta path; the comparison is vacuous", p.name)
-		}
-		if sst.DeltaEpochs != 0 {
-			fail("%s: sweep forest took %d delta epochs, want 0", p.name, sst.DeltaEpochs)
-		}
-		lines = append(lines, fmt.Sprintf("%s %d epochs (%d delta, %d rebases, %d patches)",
-			p.name, dst.Epochs, dst.DeltaEpochs, dst.Rebases, dst.PatchEntries))
-		p.delta.Close()
-		p.swee.Close()
-	}
-	fmt.Printf("msfcheck: OK — snapshot delta-vs-sweep parity over %d ops on n=%d: %s, in %v\n",
-		steps, n, strings.Join(lines, "; "), time.Since(start).Round(time.Millisecond))
+	return fmt.Sprintf("bulk build of %d edges (%d rejected) on n=%d matches replay+kruskal across %d configs, %d cut checks",
+		len(edges), rejected, n, len(configs), checks), nil
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"parmsf/internal/batch"
-	"parmsf/internal/faultinject"
 	"parmsf/internal/ingest"
 	"parmsf/internal/sparsify"
 	"parmsf/internal/ternary"
@@ -31,7 +30,7 @@ type EdgeKey struct {
 // below MinWeight and the weight math.MaxInt64 are rejected with
 // ErrBadEdge.
 func (f *Forest) Insert(u, v int, w Weight) error {
-	if errs := f.commit([]Edge{{U: u, V: v, W: w}}, nil, false); errs != nil {
+	if errs := f.commit([]Edge{{U: u, V: v, W: w}}, nil); errs != nil {
 		return errs[0]
 	}
 	return nil
@@ -40,7 +39,7 @@ func (f *Forest) Insert(u, v int, w Weight) error {
 // Delete removes edge (u, v) and updates the forest (finding a replacement
 // when a forest edge is removed): a one-element DeleteEdges.
 func (f *Forest) Delete(u, v int) error {
-	if errs := f.commit(nil, []EdgeKey{{U: u, V: v}}, false); errs != nil {
+	if errs := f.commit(nil, []EdgeKey{{U: u, V: v}}); errs != nil {
 		return errs[0]
 	}
 	return nil
@@ -64,7 +63,7 @@ func (f *Forest) Delete(u, v int) error {
 // The result is nil when every edge was inserted; otherwise it has one
 // entry per input edge, nil for successes and the same error Insert would
 // have returned (ErrBadEdge, ErrExists, ErrCapacity) for failures.
-func (f *Forest) InsertEdges(edges []Edge) []error { return f.commit(edges, nil, false) }
+func (f *Forest) InsertEdges(edges []Edge) []error { return f.commit(edges, nil) }
 
 // DeleteEdges deletes a batch of edges, finding replacements as needed. The
 // keys are canonicalized by a parallel kernel on the forest's executor; the
@@ -81,7 +80,7 @@ func (f *Forest) InsertEdges(edges []Edge) []error { return f.commit(edges, nil,
 // The result is nil when every edge was deleted; otherwise it has one entry
 // per input key, nil for successes and the error Delete would have returned
 // (ErrNotFound for absent or malformed keys) for failures.
-func (f *Forest) DeleteEdges(keys []EdgeKey) []error { return f.commit(nil, keys, false) }
+func (f *Forest) DeleteEdges(keys []EdgeKey) []error { return f.commit(nil, keys) }
 
 // validEdge reports whether e can be an edge of a forest over n vertices:
 // distinct endpoints in [0, n) and MinWeight <= W < math.MaxInt64 (the core
@@ -103,17 +102,17 @@ type commitScratch struct {
 	idx   []int               // input slot of each compacted delete key
 }
 
-// commit is the one path from a mutator to the engine: it applies ins or,
-// when ins is empty, del as one engine batch; drained marks a run handed
-// over by the ingest drainer. The result is nil when every item succeeded,
-// else one error per item. With Options.AutoRecover, a commit that reports
-// the forest poisoned has rebuilt it before returning.
-func (f *Forest) commit(ins []Edge, del []EdgeKey, drained bool) []error {
+// commit is the one path from a mutator or the ingest drainer to the
+// engine: it applies ins or, when ins is empty, del as one engine batch.
+// The result is nil when every item succeeded, else one error per item.
+// With Options.AutoRecover, a commit that reports the forest poisoned has
+// rebuilt it before returning.
+func (f *Forest) commit(ins []Edge, del []EdgeKey) []error {
 	if len(ins)+len(del) == 0 {
 		return nil
 	}
 	f.mu.Lock()
-	errs := f.commitLocked(ins, del, drained)
+	errs := f.commitLocked(ins, del)
 	f.mu.Unlock()
 	if f.opt.AutoRecover && errs != nil && errors.Is(errs[0], ErrPoisoned) {
 		_ = f.Recover()
@@ -131,7 +130,7 @@ func (f *Forest) commit(ins []Edge, del []EdgeKey, drained bool) []error {
 // write. The journal is written only after the engine batch returns, so a
 // panicked batch leaves it at the pre-batch state: the failed batch is,
 // observably, never applied.
-func (f *Forest) commitLocked(ins []Edge, del []EdgeKey, drained bool) (errs []error) {
+func (f *Forest) commitLocked(ins []Edge, del []EdgeKey) (errs []error) {
 	n := len(ins) + len(del)
 	if pe := f.poison.Load(); pe != nil {
 		return poisonErrs(n, pe)
@@ -139,17 +138,12 @@ func (f *Forest) commitLocked(ins []Edge, del []EdgeKey, drained bool) (errs []e
 	defer func() {
 		if r := recover(); r != nil {
 			stage := "insert"
-			if drained {
-				stage = "ingest"
-			} else if len(ins) == 0 {
+			if len(ins) == 0 {
 				stage = "delete"
 			}
 			errs = poisonErrs(n, f.poisonWith(stage, r))
 		}
 	}()
-	if drained {
-		f.fault.Hit(fpIngestApply)
-	}
 	defer f.absorbSpars()()
 	errs = grow(f.sc.errs, n)
 	f.sc.errs = errs
@@ -260,12 +254,6 @@ func poisonErrs(n int, pe *PoisonError) []error {
 	return errs
 }
 
-// fpIngestApply is the drainer-side crash point: it fires inside commit's
-// containment on the ingest drainer goroutine, before the coalesced run
-// reaches the engine, exercising the path where poisoning originates off
-// the mutator goroutines and every queued future must still resolve.
-var fpIngestApply = faultinject.Register("ingest/apply")
-
 // queueApplier is the ingest drainer's sink: it converts each coalesced run
 // into a reused buffer (the drainer is a single goroutine) and commits it.
 type queueApplier struct {
@@ -280,7 +268,7 @@ func (a *queueApplier) ApplyInserts(ops []ingest.Op) []error {
 	for _, op := range ops {
 		a.edges = append(a.edges, Edge{U: op.U, V: op.V, W: op.W})
 	}
-	return a.f.commit(a.edges, nil, true)
+	return a.f.commit(a.edges, nil)
 }
 
 // ApplyDeletes implements ingest.Applier.
@@ -289,5 +277,5 @@ func (a *queueApplier) ApplyDeletes(ops []ingest.Op) []error {
 	for _, op := range ops {
 		a.keys = append(a.keys, EdgeKey{U: op.U, V: op.V})
 	}
-	return a.f.commit(nil, a.keys, true)
+	return a.f.commit(nil, a.keys)
 }

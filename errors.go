@@ -53,7 +53,7 @@ var (
 // fails fast on it; Unwrap yields ErrPoisoned so errors.Is works, and
 // errors.As(*PoisonError) recovers the cause.
 type PoisonError struct {
-	Stage string // commit the panic escaped from: "insert", "delete", or "ingest" (a drained run)
+	Stage string // commit the panic escaped from: "insert" or "delete"
 	Value any    // the recovered panic value
 	Stack []byte // stack captured at the recovery site
 }

@@ -263,8 +263,8 @@ func (m *MSF) deleteNonTreeEdge(u, v int) {
 // vertices — with the deterministic degree-3 workload of the E13 batch
 // scenario and returns the two batches of independent non-tree updates:
 // delete every non-tree edge, then reinsert it. Shared by the E13
-// benchmark, the E13 experiment table and the BENCH_batch.json report so
-// all three measure the same scenario.
+// experiment table, which also feeds the BENCH_batch.json report, and the
+// warm batch-apply allocation gate.
 func LoadNontreeScenario(m *MSF, n int) (del, ins []BatchOp) {
 	for _, e := range workload.DegreeBounded(n, n*5/4, 3, uint64(n)+13) {
 		if err := m.InsertEdge(e.U, e.V, e.W); err != nil {

@@ -16,10 +16,6 @@ type Config struct {
 	// K is the chunk size parameter of Invariant 1 (chunks hold between K
 	// and 3K weight). Minimum 8.
 	K int
-	// JSlack scales the id space: J = JSlack*n/K + 8. The analysis needs
-	// sum(n_c) <= 5n, so 6 (the default) leaves headroom for transient
-	// states.
-	JSlack int
 	// Fault is the deterministic crash-point injector threaded down from
 	// the composing forest (fault-injection testing). Nil is a no-op.
 	Fault *faultinject.Injector
@@ -36,9 +32,6 @@ func (cfg Config) withDefaults(n int, parallel bool) Config {
 	}
 	if cfg.K < 8 {
 		cfg.K = 8
-	}
-	if cfg.JSlack == 0 {
-		cfg.JSlack = 6
 	}
 	return cfg
 }
@@ -132,6 +125,10 @@ type Store struct {
 	snapIDs   map[*Tour]int32 // ExportComponents: root densifier
 }
 
+// jSlack scales the chunk id space: J = jSlack*n/K + 8. The analysis needs
+// sum(n_c) <= 5n, so 6 leaves headroom for transient states.
+const jSlack = 6
+
 // NewStore builds the structure for graph g (which must be empty: edges are
 // inserted through the engine). ch selects sequential or PRAM accounting.
 func NewStore(g *graph.G, cfg Config, ch Charger) *Store {
@@ -141,7 +138,7 @@ func NewStore(g *graph.G, cfg Config, ch Charger) *Store {
 	n := g.N()
 	parallel := ch.Machine() != nil
 	cfg = cfg.withDefaults(n, parallel)
-	J := cfg.JSlack*n/cfg.K + 8
+	J := jSlack*n/cfg.K + 8
 	st := &Store{
 		g:          g,
 		n:          n,

@@ -3,7 +3,7 @@
 // Injector.Hit(point) at places where a violated invariant would panic in
 // production — batch application in the core engine, ring surgeries in the
 // ternary wrapper, node application in the sparsification tree, snapshot
-// publication, the ingest drainer's sink. A disarmed injector (the steady
+// publication. A disarmed injector (the steady
 // state, and a nil *Injector) makes Hit a nil check plus one atomic load;
 // an armed point panics with a Crash payload on its configured hit number
 // and then disarms itself, so recovery code rebuilding through the very

@@ -432,9 +432,9 @@ func installCutSides(e Engine, fn func(side []int32)) {
 // vertex v in [0, upto), per the current MSF: the root node's engine runs
 // its snapshot-export sweep (root-local ids are original ids). With no
 // root — the graph has never held an edge — every vertex is its own
-// component. Returns false when the root engine has no export hook; the
-// caller then derives components from the forest edge list instead. Must
-// not run concurrently with updates.
+// component. Returns false when the root engine has no export hook, which
+// a parmsf forest never builds and panics on. Must not run concurrently
+// with updates.
 func (f *Forest) ExportComponents(comp []int32, upto int) bool {
 	r := f.root()
 	if r == nil {

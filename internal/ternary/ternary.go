@@ -202,27 +202,17 @@ func key(u, v int) [2]int {
 	return [2]int{u, v}
 }
 
-// InsertEdge adds edge (u, v) of weight wt (must be > RingWeight).
+// InsertEdge adds edge (u, v) of weight wt (must be > RingWeight): a
+// one-item InsertEdges.
 func (w *Wrapper) InsertEdge(u, v int, wt int64) error {
-	rec, err := w.stageInsert(u, v, wt, nil)
-	if err != nil {
-		return err
-	}
-	if err := w.eng.InsertEdge(int(rec.su), int(rec.sv), wt); err != nil {
-		panic(fmt.Sprintf("ternary: gadget insert failed: %v", err))
-	}
-	w.applied()
-	return nil
+	return w.InsertEdges([]BatchEdge{{U: u, V: v, W: wt}})[0]
 }
 
 // stageInsert validates one insertion, claims its gadget slots and records
-// the wrapper bookkeeping; the hosted real edge (rec.su, rec.sv, wt) is
-// left for the caller to apply to the engine — singly (InsertEdge) or as
-// part of a batch (InsertEdges). With rings == nil, any ring edge a new
-// slot needs is applied to the engine immediately; with rings non-nil the
-// ring edges are staged into *rings instead, so a whole batch of slot
-// surgeries — independent isolated-vertex links — goes through one
-// gadget-level engine batch.
+// the wrapper bookkeeping. Any ring edge a new slot needs is staged into
+// *rings, so a whole batch of slot surgeries — independent isolated-vertex
+// links — goes through one gadget-level engine batch; the hosted real edge
+// (rec.su, rec.sv, wt) is left for the caller to stage after them.
 func (w *Wrapper) stageInsert(u, v int, wt int64, rings *[]core.BatchOp) (*edgeRec, error) {
 	if u < 0 || u >= w.n || v < 0 || v >= w.n {
 		return nil, ErrVertex
@@ -255,9 +245,9 @@ func (w *Wrapper) stageInsert(u, v int, wt int64, rings *[]core.BatchOp) (*edgeR
 }
 
 // openSlot returns a slot of x able to host a new edge: the base when it is
-// free, else a new slot appended with its ring edge. With rings non-nil the
-// ring edge is staged into *rings for a later engine batch instead of being
-// applied immediately. The caller (stageInsert) guarantees a free pool slot.
+// free, else a new slot appended with its ring edge, which is staged into
+// *rings for a later engine batch. The caller (stageInsert) guarantees a
+// free pool slot.
 func (w *Wrapper) openSlot(x int, rings *[]core.BatchOp) int32 {
 	s, h := w.slots[x], w.hosted[x]
 	if h[0] == nil {
@@ -268,12 +258,7 @@ func (w *Wrapper) openSlot(x int, rings *[]core.BatchOp) int32 {
 	}
 	g := w.free[len(w.free)-1]
 	w.free = w.free[:len(w.free)-1]
-	last := s[len(s)-1]
-	if rings != nil {
-		*rings = append(*rings, core.BatchOp{U: int(last), V: int(g), W: RingWeight})
-	} else if err := w.eng.InsertEdge(int(last), int(g), RingWeight); err != nil {
-		panic(fmt.Sprintf("ternary: ring insert failed: %v", err))
-	}
+	*rings = append(*rings, core.BatchOp{U: int(s[len(s)-1]), V: int(g), W: RingWeight})
 	w.rings++
 	w.nslots++
 	w.slots[x] = append(s, g)
@@ -329,8 +314,8 @@ func (w *Wrapper) M() int { return len(w.edges) }
 // ring paths keep every extra slot in its vertex's component, so the
 // gadget partition restricted to the base slots is exactly the original
 // partition). Returns false when the wrapped engine has no export hook
-// (non-core gadgets); the caller then derives components from the forest
-// edge list instead.
+// (non-core gadgets); a parmsf forest never builds one and panics on
+// false.
 func (w *Wrapper) ExportComponents(comp []int32, upto int) bool {
 	ex, ok := w.eng.(interface{ ExportComponents(comp []int32, upto int) })
 	if !ok {
@@ -356,14 +341,14 @@ type BatchEngine interface {
 type BatchEdge = batch.Edge
 
 // InsertEdges inserts a batch of edges in order, returning one error slot
-// per item (nil on success, else the error InsertEdge would have
-// returned). Slot allocation and ring maintenance are sequential wrapper
-// bookkeeping, but the ring-edge slot surgeries — independent
-// isolated-vertex links — are staged and applied inside the same single
-// engine batch as the hosted real edges (each ring precedes the real edge
-// whose slot it opened), so the engine sees one ApplyBatch with one
-// deferred aggregate flush instead of one engine insert per slot. With
-// distinct real weights the resulting forest is identical to per-edge
+// per item (nil on success, else ErrVertex, ErrSelfLoop, ErrWeight,
+// ErrExists or ErrCapacity). Slot allocation and ring maintenance are
+// sequential wrapper bookkeeping, but the ring-edge slot surgeries —
+// independent isolated-vertex links — are staged and applied inside the
+// same single engine batch as the hosted real edges (each ring precedes
+// the real edge whose slot it opened), so the engine sees one ApplyBatch
+// with one deferred aggregate flush instead of one engine insert per slot.
+// With distinct real weights the resulting forest is identical to per-edge
 // insertion (the MSF is unique; ring edges are forced into every gadget
 // MSF).
 func (w *Wrapper) InsertEdges(items []BatchEdge) []error {

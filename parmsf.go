@@ -121,9 +121,6 @@ type Options struct {
 	// machine (testing; implies Parallel and forces sequential kernel
 	// execution, overriding Workers).
 	CheckEREW bool
-	// K overrides the chunk-size parameter (default: sqrt(n log n)
-	// sequential, sqrt(n) parallel).
-	K int
 	// QueueDepth is the submission buffer of the write-coalescing ingest
 	// queue behind Submit: producers block (backpressure) once this many
 	// updates are waiting for the drainer. 0 selects the default (1024).
@@ -309,7 +306,7 @@ func MustNew(n int, opt Options) *Forest {
 // ternary slot surgeries — at which point the engine is quiescent and a
 // consistent snapshot can be built and swapped in.
 func (f *Forest) buildEngine() {
-	cfg := core.Config{K: f.opt.K, Fault: f.fault}
+	cfg := core.Config{Fault: f.fault}
 	newTernary := func(n, maxEdges int, ch core.Charger) *ternary.Wrapper {
 		tw := ternary.New(n, maxEdges, func(gn int) ternary.Engine { return core.NewMSF(gn, cfg, ch) })
 		tw.SetFault(f.fault)

@@ -22,7 +22,6 @@ import (
 func TestFaultPointsRegistry(t *testing.T) {
 	want := []string{
 		"core/apply-batch",
-		"ingest/apply",
 		"snapshot/publish",
 		"sparsify/node-task",
 		"sparsify/run-batch",
@@ -332,11 +331,12 @@ func TestFaultRecoveryParity(t *testing.T) {
 	}
 }
 
-// TestFaultRecoveryIngest injects the drainer-side crash point: every
-// in-flight future must resolve with ErrPoisoned (none may hang), the
-// drainer goroutine must survive the poisoning, and after Recover the
-// same updates resubmit and apply, restoring parity with a twin that took
-// the stream synchronously.
+// TestFaultRecoveryIngest poisons a forest from its ingest drainer — the
+// armed engine point fires on the drainer goroutine, since every armed
+// update is an insert submitted through the queue: every in-flight future
+// must resolve with ErrPoisoned (none may hang), the drainer goroutine must
+// survive the poisoning, and after Recover the same updates resubmit and
+// apply, restoring parity with a twin that took the stream synchronously.
 func TestFaultRecoveryIngest(t *testing.T) {
 	const n = 32
 	opt := Options{MaxEdges: 1024, QueueDepth: 16, MaxBatch: 8}
@@ -356,7 +356,7 @@ func TestFaultRecoveryIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := f.ArmFault("ingest/apply"); err != nil {
+	if err := f.ArmFault("ternary/batch-insert"); err != nil {
 		t.Fatal(err)
 	}
 	ups := make([]Update, 0, n/2)
@@ -672,7 +672,7 @@ func TestIngestLifecycleNoLeaks(t *testing.T) {
 			ps = append(ps, f.Submit(Update{U: i, V: i + 1, W: Weight(10 + i)}))
 		}
 		if cycle%2 == 1 {
-			if err := f.ArmFault("ingest/apply"); err != nil {
+			if err := f.ArmFault("ternary/batch-insert"); err != nil {
 				t.Fatal(err)
 			}
 		}
