@@ -7,13 +7,14 @@ import (
 )
 
 // TestSingleEdgeFastPathAllocs pins the steady-state allocation ceiling of
-// the single-edge fast path (applyOne): a warm non-tree delete + reinsert
-// pair allocates exactly one object — the graph's edge record, which is
-// live data, not dispatch overhead. Everything else on the path (classify,
-// entry-pair scan, deferred flush, normalize) runs on pooled Store scratch
-// and a persistent flush kernel. This is the regression gate for the batch
-// pipeline's scratch pooling; it will fail if a per-op closure or per-op
-// map/slice make sneaks back in.
+// single-edge updates, which InsertEdge/DeleteEdge send through ApplyBatch
+// as one-element batches: a warm non-tree delete + reinsert pair allocates
+// exactly one object — the graph's edge record, which is live data, not
+// dispatch overhead. Everything else on the path (the batch itself,
+// classify, entry-pair scan, insert-side root walks, deferred flush,
+// normalize) runs on pooled Store scratch and persistent kernels. This is
+// the regression gate for the batch pipeline's scratch pooling; it will
+// fail if a per-op closure or per-op map/slice make sneaks back in.
 func TestSingleEdgeFastPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs without -race")

@@ -81,34 +81,32 @@ func (m *MSF) ForestEdges(f func(u, v int, w Weight) bool) {
 var ErrWeight = errors.New("core: weight must be below Inf")
 
 // InsertEdge adds edge (u, v) with weight w, updating the forest (Section
-// 2.6 / 3.4 insertion). It is a one-element batch of the staged pipeline
-// in plan.go, entered through the allocation-free applyOne fast path.
+// 2.6 / 3.4 insertion): a one-element batch of the staged pipeline in
+// plan.go.
 func (m *MSF) InsertEdge(u, v int, w Weight) error {
-	return m.applyOne(BatchOp{U: u, V: v, W: w})
+	return m.applySingle(BatchOp{U: u, V: v, W: w})
 }
 
 // DeleteEdge removes edge (u, v), finding a replacement when a tree edge is
-// deleted (Section 2.6 / 3.4 deletion). It is a one-element batch of the
-// staged pipeline in plan.go, entered through the allocation-free applyOne
-// fast path.
+// deleted (Section 2.6 / 3.4 deletion): a one-element batch of the staged
+// pipeline in plan.go.
 func (m *MSF) DeleteEdge(u, v int) error {
-	return m.applyOne(BatchOp{Del: true, U: u, V: v})
+	return m.applySingle(BatchOp{Del: true, U: u, V: v})
 }
 
-// applyInsert applies one planned insertion on the single-op path: the
-// connectivity question is answered by a dynamic-tree query, then the
-// shared tail applies.
-func (m *MSF) applyInsert(u, v int, w Weight) error {
-	m.st.ch.Seq(log2ceil(m.st.n + 1)) // dynamic-tree connectivity query
-	return m.applyInsertPlanned(u, v, w, m.lf.Connected(u, v))
+// applySingle applies op as a one-element batch held in pooled Store
+// scratch, so a single update allocates no batch.
+func (m *MSF) applySingle(op BatchOp) error {
+	m.st.single[0] = op
+	return m.ApplyBatch(m.st.single[:])[0]
 }
 
 // applyInsertPlanned applies one planned insertion whose connectivity
-// answer was resolved upstream — per-op by applyInsert, or for a whole
-// batch by the tour-root kernel of insertclass.go. The CAdj entry update
-// defers its aggregate refreshes to the batch flush; the structural forest
-// update — dynamic-tree link or cycle swap — flushes first when it needs
-// surgery, because surgery reads the Memb aggregates.
+// answer the tour-root kernel of insertclass.go resolved for the whole
+// insert stage. The CAdj entry update defers its aggregate refreshes to the
+// batch flush; the structural forest update — dynamic-tree link or cycle
+// swap — flushes first when it needs surgery, because surgery reads the
+// Memb aggregates.
 func (m *MSF) applyInsertPlanned(u, v int, w Weight, connected bool) error {
 	e, err := m.st.g.Insert(u, v, w)
 	if err != nil {

@@ -98,12 +98,6 @@ func (st *Store) flushCAdj() {
 	for _, nd := range nodes {
 		buckets[depth[nd]] = append(buckets[depth[nd]], nd)
 	}
-	if st.flushKernel == nil {
-		// One persistent kernel closure reading the current bucket through
-		// the Store, so a steady-state flush allocates nothing (a closure
-		// literal per round would escape to the heap).
-		st.flushKernel = func(i int) { st.recomputeVec(st.flushCur[i]) }
-	}
 	for d := maxDepth; d >= 0; d-- {
 		b := buckets[d]
 		if len(b) == 0 {

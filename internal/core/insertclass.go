@@ -21,25 +21,19 @@ type insertConn struct {
 }
 
 // planInsertConnectivity computes the endpoint tour roots of every planned
-// insertion in one data-parallel round (2k processors, one per endpoint,
-// each a read-only O(log n) walk writing only its own cell) and densifies
-// them into union-find tokens. It must run after the deletion stages:
-// deletions split tours, so the roots snapshot the exact pre-insert state.
-// The returned value is pooled Store scratch, valid until the next batch.
-func (m *MSF) planInsertConnectivity(idx []int, ops []BatchOp) *insertConn {
+// insertion of the batch in flight (the plan's Inserts) in one
+// data-parallel round (2k processors, one per endpoint, each a read-only
+// O(log n) walk writing only its own cell) and densifies them into
+// union-find tokens. It must run after the deletion stages: deletions split
+// tours, so the roots snapshot the exact pre-insert state. The returned
+// value is pooled Store scratch, valid until the next batch.
+func (m *MSF) planInsertConnectivity() *insertConn {
 	st := m.st
-	k := len(idx)
+	k := len(st.planIns)
 	st.rootScratch = growScratch(st.rootScratch, 2*k)
 	roots := st.rootScratch
 	st.ch.Par(log2ceil(st.n+1), 2*k) // Lemma 3.1 shape: parallel root walks
-	st.ch.Apply(2*k, func(p int) {
-		op := ops[idx[p/2]]
-		v := op.U
-		if p%2 == 1 {
-			v = op.V
-		}
-		roots[p] = st.tourOf(st.pcs[v].chunk)
-	})
+	st.ch.Apply(2*k, st.rootKernel)
 
 	// Host pass: densify the root pointers into union-find ids in first-
 	// occurrence order (deterministic for every worker count).
@@ -74,6 +68,17 @@ func (m *MSF) planInsertConnectivity(idx []int, ops []BatchOp) *insertConn {
 	}
 	clear(roots)
 	return ic
+}
+
+// rootWalk is the root kernel's processor p: the tour root of endpoint p%2
+// of planned insertion p/2.
+func (st *Store) rootWalk(p int) {
+	op := st.batchOps[st.planIns[p/2]]
+	v := op.U
+	if p%2 == 1 {
+		v = op.V
+	}
+	st.rootScratch[p] = st.tourOf(st.pcs[v].chunk)
 }
 
 // find resolves a root token with path halving.

@@ -21,8 +21,8 @@ var fpApplyBatch = faultinject.Register("core/apply-batch")
 // replacement search through the parallel MWR; splices apply in batch order
 // as O(1) surgeries with no search at all; insertions apply in batch order
 // with their aggregate refreshes deferred to a single level-parallel flush
-// (flush.go). The single-edge InsertEdge/DeleteEdge entry points of
-// engine.go are thin wrappers over one-element batches of this pipeline.
+// (flush.go). It is the engine's only update path: the InsertEdge and
+// DeleteEdge entry points of engine.go pass it one-element batches.
 
 // BatchOp is one edge update in a batch: an insertion of (U, V) with weight
 // W; when Del is set, a deletion of edge (U, V); when Splice is set, the
@@ -67,9 +67,9 @@ type Plan struct {
 }
 
 // classifyOp classifies one batch element against the current state:
-// read-only lookups, shared by the batch classify kernel and the
-// one-element fast path so the two can never drift. A splice is checked
-// when it applies, because it may name an edge an earlier splice creates.
+// read-only lookups, one processor's work in the classify kernel. A splice
+// is checked when it applies, because it may name an edge an earlier
+// splice creates.
 func (st *Store) classifyOp(op BatchOp) opClass {
 	if op.Splice {
 		return opSplice
@@ -100,9 +100,7 @@ func (m *MSF) planBatch(ops []BatchOp, errs []error) Plan {
 	st.clsScratch = growScratch(st.clsScratch, len(ops))
 	cls := st.clsScratch
 	dels := 0
-	st.ch.ParDo(len(ops), func(i int) {
-		cls[i] = st.classifyOp(ops[i])
-	})
+	st.ch.ParDo(len(ops), st.classifyKernel)
 	for _, op := range ops {
 		if op.Del {
 			dels++
@@ -165,17 +163,14 @@ func (m *MSF) planBatch(ops []BatchOp, errs []error) Plan {
 // batch enters this engine and must not be retained. Callers that need the
 // errors later must copy them out.
 func (m *MSF) ApplyBatch(ops []BatchOp) []error {
-	m.st.errScratch = growScratch(m.st.errScratch, len(ops))
-	errs := m.st.errScratch
+	st := m.st
+	st.errScratch = growScratch(st.errScratch, len(ops))
+	errs := st.errScratch
 	clear(errs)
 	if len(ops) == 0 {
 		return errs
 	}
-	if len(ops) == 1 {
-		m.fault.Hit(fpApplyBatch)
-		errs[0] = m.applyOne(ops[0])
-		return errs
-	}
+	st.batchOps = ops
 	p := m.planBatch(ops, errs)
 	m.applyNonTreeDeletes(p.NonTreeDel, ops)
 	for _, i := range p.TreeDel {
@@ -192,7 +187,7 @@ func (m *MSF) ApplyBatch(ops []BatchOp) []error {
 		// Insert-side classification for the whole stage: one read-only
 		// kernel round of tour-root walks plus a host union-find replay
 		// (insertclass.go), leaving only path-max queries sequential.
-		ic := m.planInsertConnectivity(p.Inserts, ops)
+		ic := m.planInsertConnectivity()
 		for j, i := range p.Inserts {
 			op := ops[i]
 			conn := ic.connected(j)
@@ -202,61 +197,9 @@ func (m *MSF) ApplyBatch(ops []BatchOp) []error {
 			}
 		}
 	}
-	m.st.flushCAdj()
-	return errs
-}
-
-// applyOne is the one-element batch fast path of ApplyBatch: identical
-// stages, identical application order and identical charges (a width-1
-// classify round, then the planned apply and the flush) without the batch
-// bookkeeping allocations — this is the path behind the single-edge
-// InsertEdge/DeleteEdge wrappers, which the ternary gadget drives once or
-// more per public update. The classify round is charged via Par(1, 1) —
-// the exact charge ParDo(1, f) makes — and executed inline, so the fast
-// path builds no kernel closure.
-func (m *MSF) applyOne(op BatchOp) error {
-	st := m.st
-	st.ch.Par(1, 1)
-	cls := st.classifyOp(op)
-	switch cls {
-	case opDelMissing:
-		return ErrNotFound
-	case opBadWeight:
-		return ErrWeight
-	case opDelTree:
-		m.deleteTreeEdge(op.U, op.V)
-		st.flushCAdj()
-		return nil
-	case opDelNonTree:
-		m.deleteNonTreeEdge(op.U, op.V)
-		st.flushCAdj()
-		return nil
-	case opSplice:
-		m.splice(op)
-		st.flushCAdj()
-		return nil
-	}
-	err := m.applyInsert(op.U, op.V, op.W)
 	st.flushCAdj()
-	return err
-}
-
-// deleteNonTreeEdge applies a single planned non-tree deletion: the
-// one-group degenerate case of applyNonTreeDeletes, with the entry-pair
-// scan charged identically (recomputeEntryPair carries the same Par/Climb
-// shape the group stage charges per pair).
-func (m *MSF) deleteNonTreeEdge(u, v int) {
-	st := m.st
-	if _, err := st.g.Delete(u, v); err != nil {
-		panic("core: planned non-tree deletion vanished: " + err.Error())
-	}
-	pu, pv := st.pcs[u], st.pcs[v]
-	st.bumpCharge(pu, -1)
-	if pv != pu {
-		st.bumpCharge(pv, -1)
-	}
-	st.recomputeEntryPair(pu.chunk, pv.chunk)
-	st.normalize([]*Chunk{pu.chunk, pv.chunk})
+	st.batchOps = nil // do not pin the caller's batch
+	return errs
 }
 
 // LoadNontreeScenario populates m — a freshly created engine over n
@@ -287,6 +230,14 @@ func LoadNontreeScenario(m *MSF, n int) (del, ins []BatchOp) {
 // apply concurrently.
 type entryPair struct{ a, b *Chunk }
 
+// entryKey is the unordered id pair of the CAdj entry pair (a, b).
+func entryKey(a, b *Chunk) [2]int32 {
+	if a.id > b.id {
+		a, b = b, a
+	}
+	return [2]int32{a.id, b.id}
+}
+
 // applyNonTreeDeletes applies the planned non-tree deletions as one sharded
 // group. Phase 1 (host): graph deletions and chunk charge bookkeeping, in
 // plan order. Phase 2 (shard/apply): deduplicate the touched chunk pairs
@@ -305,8 +256,7 @@ func (m *MSF) applyNonTreeDeletes(idx []int, ops []BatchOp) {
 	if st.pairSeen == nil {
 		st.pairSeen = make(map[[2]int32]bool, len(idx))
 	}
-	seen := st.pairSeen
-	clear(seen)
+	seen := st.pairSeen // empty between batches
 	for _, i := range idx {
 		op := ops[i]
 		if _, err := st.g.Delete(op.U, op.V); err != nil {
@@ -322,25 +272,26 @@ func (m *MSF) applyNonTreeDeletes(idx []int, ops []BatchOp) {
 		if c1.id < 0 || c2.id < 0 {
 			continue // entries of unregistered chunks are not recorded
 		}
-		k := [2]int32{c1.id, c2.id}
-		if k[0] > k[1] {
-			k[0], k[1] = k[1], k[0]
-		}
-		if !seen[k] {
+		if k := entryKey(c1, c2); !seen[k] {
 			seen[k] = true
 			pairs = append(pairs, entryPair{c1, c2})
 		}
 	}
+	// Empty the filter key by key, before normalize can renumber chunks:
+	// clear costs the map's capacity, which the largest batch so far has
+	// set, and the one-op batches behind single updates would pay it.
+	for _, p := range pairs {
+		delete(seen, entryKey(p.a, p.b))
+	}
 
 	// Model cost of the scans (Section 2.6 deletion, one per group), then
-	// the uncharged kernels across the pool — the same charge shape and
-	// scan recomputeEntryPair uses on the single-edge path.
+	// the uncharged kernels across the pool — the charge shape and scan
+	// recomputeEntryPair uses for the other stages' entry pairs.
 	for _, p := range pairs {
 		st.chargeEntryPairScan(p.a)
 	}
-	st.ch.Apply(len(pairs), func(t int) {
-		st.scanEntryPair(pairs[t].a, pairs[t].b)
-	})
+	st.pairScratch = pairs
+	st.ch.Apply(len(pairs), st.scanKernel)
 	for _, p := range pairs {
 		st.markCAdjDirty(p.a)
 		st.markCAdjDirty(p.b)

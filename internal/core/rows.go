@@ -249,8 +249,8 @@ func (st *Store) recomputeEntryPair(c1, c2 *Chunk) {
 
 // chargeEntryPairScan charges the model cost of one entry-pair scan (the
 // getEdge assignment over c1's BTc plus the tournament climb). Shared by
-// the single-edge path and the batch group stage so both charge the exact
-// same shape — the counter-parity invariant depends on it.
+// recomputeEntryPair and the non-tree deletion stage, whose scans run
+// apart from their charges on the worker pool.
 func (st *Store) chargeEntryPairScan(c1 *Chunk) {
 	st.ch.Par(btHeight(c1)+3, c1.edgeCount())
 	st.ch.Climb(c1.edgeCount() + 1)

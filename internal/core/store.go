@@ -93,7 +93,7 @@ type Store struct {
 
 	// Pooled batch scratch: reused across batches so the hot classify /
 	// shard / flush stages allocate nothing in steady state. Each user
-	// resets its slice to [:0] (or clears its map) on entry, never retains
+	// resets its slice to [:0] (or empties its map) on entry, never retains
 	// the contents across calls, and grows capacity monotonically.
 	clsScratch   []opClass         // planBatch: per-op classes
 	delSeen      map[[2]int]bool   // planBatch: duplicate-deletion filter
@@ -105,8 +105,17 @@ type Store struct {
 	flushBuckets [][]*lsNode       // flushCAdj: nodes grouped by depth
 	flushPath    []*lsNode         // flushCAdj: one leaf's walk upward
 	flushCur     []*lsNode         // flushCAdj: bucket the kernel reads
-	flushKernel  func(i int)       // flushCAdj: persistent recompute kernel
 	rootScratch  []*Tour           // planInsertConnectivity: endpoint roots
+
+	// Persistent kernels, built once in NewStore. Each reads its inputs
+	// through the Store (the batch in flight, the plan and the scratch
+	// above), so no batch, however small, builds a closure: a closure
+	// literal handed to the charger would escape to the heap on every call.
+	batchOps       []BatchOp   // ApplyBatch: the batch in flight, else nil
+	classifyKernel func(i int) // planBatch: class of batchOps[i]
+	scanKernel     func(t int) // applyNonTreeDeletes: scan of pairScratch[t]
+	rootKernel     func(p int) // planInsertConnectivity: rootWalk
+	flushKernel    func(i int) // flushCAdj: recompute of flushCur[i]
 
 	// Pooled per-batch pipeline state (plan.go): the plan's stage index
 	// slices, the per-item error slots ApplyBatch returns (owned by the
@@ -117,6 +126,7 @@ type Store struct {
 	planSplice  []int           // planBatch: splice indices
 	planIns     []int           // planBatch: insertion indices
 	errScratch  []error         // ApplyBatch: per-item error slots
+	single      [1]BatchOp      // InsertEdge/DeleteEdge: the one-op batch
 	ic          insertConn      // planInsertConnectivity: pooled result
 	icIDs       map[*Tour]int32 // planInsertConnectivity: root densifier
 
@@ -172,6 +182,10 @@ func NewStore(g *graph.G, cfg Config, ch Charger) *Store {
 		OnCreate: func(nd *lsNode) { nd.Agg = st.getVec() },
 		OnFree:   func(nd *lsNode) { st.putVec(nd.Agg); nd.Agg = nil },
 	}
+	st.classifyKernel = func(i int) { st.clsScratch[i] = st.classifyOp(st.batchOps[i]) }
+	st.scanKernel = func(t int) { st.scanEntryPair(st.pairScratch[t].a, st.pairScratch[t].b) }
+	st.rootKernel = st.rootWalk
+	st.flushKernel = func(i int) { st.recomputeVec(st.flushCur[i]) }
 	// Every vertex starts as an isolated singleton tour (Section 6 short
 	// list): one principal copy in one unregistered chunk.
 	for v := 0; v < n; v++ {

@@ -99,21 +99,35 @@ func (s *Snapshot) Size() int { return int(s.nlive) }
 // count): n minus the number of forest edges.
 func (s *Snapshot) Components() int { return s.n - int(s.nlive) }
 
-// Connected reports whether u and v were in one tree at this epoch.
-// O(delta since the last rebase) in the worst case, O(1) for vertices the
-// intervening epochs did not relabel.
+// Connected reports whether u and v were in one tree at this epoch, and
+// false when either vertex is outside [0, N()). O(delta since the last
+// rebase) in the worst case, O(1) for vertices the intervening epochs did
+// not relabel.
 func (s *Snapshot) Connected(u, v int) bool {
+	if !s.has(u) || !s.has(v) {
+		return false
+	}
 	return s.era.labelOf(u, s.rel) == s.era.labelOf(v, s.rel)
 }
 
-// ComponentOf returns v's component id. Labels are persistent identities
-// between rebases: two snapshots of one era agree on the label of every
-// component that no intervening epoch changed (a link keeps the larger
-// side's label; a cut mints a fresh label for the smaller side only).
-// Labels are dense in [0, Components()) on rebase epochs and drawn from
-// [0, N()+N()/8+16) in between — they are component identifiers, not array
-// indices. As before, labels are not comparable across rebases.
-func (s *Snapshot) ComponentOf(v int) int { return int(s.era.labelOf(v, s.rel)) }
+// has reports whether v is a vertex of the snapshot, in [0, N()): one
+// unsigned compare, since a negative v converts above every N().
+func (s *Snapshot) has(v int) bool { return uint(v) < uint(s.n) }
+
+// ComponentOf returns v's component id, or -1 when v is outside [0, N()).
+// Labels are persistent identities between rebases: two snapshots of one
+// era agree on the label of every component that no intervening epoch
+// changed (a link keeps the larger side's label; a cut mints a fresh label
+// for the smaller side only). Labels are dense in [0, Components()) on
+// rebase epochs and drawn from [0, N()+N()/8+16) in between — they are
+// component identifiers, not array indices. As before, labels are not
+// comparable across rebases.
+func (s *Snapshot) ComponentOf(v int) int {
+	if !s.has(v) {
+		return -1
+	}
+	return int(s.era.labelOf(v, s.rel))
+}
 
 // Edges calls fn for every forest edge, stopping early on false. O(Size +
 // edges deleted since the last rebase). Iteration order is the era's edge

@@ -39,10 +39,11 @@ func sameForests(t *testing.T, label string, a, b Engine) {
 }
 
 // TestBatchMatchesPerEdge drives identical random mixed batches through the
-// batched sparsify path, the per-edge sparsify path, and a flat Kruskal
-// engine, requiring identical forests and weights throughout. Core-backed
-// nodes make the batch path exercise the native ternary BatchEngine (no
-// per-edge fallback); kruskal-backed nodes exercise the adapter.
+// sparsify batch path whole, one edge at a time (InsertEdge/DeleteEdge,
+// one-item batches), and through a flat Kruskal engine, requiring
+// identical forests and weights throughout. Core-backed nodes make the
+// batch path exercise the native ternary BatchEngine (no per-edge
+// fallback); kruskal-backed nodes exercise the adapter.
 func TestBatchMatchesPerEdge(t *testing.T) {
 	for name, fac := range map[string]Factory{"core": coreFactory, "kruskal": kruskalFactory} {
 		fac := fac

@@ -19,11 +19,14 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"parmsf/internal/batch"
 	"parmsf/internal/faultinject"
 )
 
-// Engine is the per-node dynamic MSF interface (matched by core.MSF, the
-// ternary wrapper, and the baselines).
+// Engine is the per-node dynamic MSF interface. Every node engine a parmsf
+// forest builds is a ternary wrapper, which also implements BatchEngine;
+// only test fakes reach the per-edge methods, through the batch path's
+// per-edge adapter (batch.go).
 type Engine interface {
 	InsertEdge(u, v int, w int64) error
 	DeleteEdge(u, v int) error
@@ -95,14 +98,13 @@ type Forest struct {
 	nodes   map[nodeKey]*node
 	edges   map[[2]int]int64
 	// DepthFn, when set, extracts an engine's accumulated parallel depth;
-	// per-update depth is then max over touched levels (on the batch path:
-	// max over the concurrently applied siblings of a level, then max over
-	// levels) plus the O(log n) coordination cost (Section 5.3),
-	// accumulated in ParDepth.
+	// per-batch depth is then the max over the concurrently applied
+	// siblings of a level, then the max over levels, plus the O(log n)
+	// coordination cost (Section 5.3), accumulated in ParDepth.
 	DepthFn  func(Engine) int64
 	ParDepth int64
 	// WorkFn, when set, extracts an engine's accumulated parallel work;
-	// per-update work is the sum over every touched node plus the O(log n)
+	// per-batch work is the sum over every touched node plus the O(log n)
 	// coordination cost, accumulated in ParWork.
 	WorkFn  func(Engine) int64
 	ParWork int64
@@ -142,13 +144,14 @@ type Forest struct {
 	// the panic back to the caller without deadlocking the schedule.
 	Fault *faultinject.Injector
 	// Applied counts the updates the tree has fully applied — one per
-	// single-edge operation, one per batch entry point that staged at
-	// least one edge. OnApplied, when set, fires at the same points,
-	// strictly past the batch's pipeline (or level-barrier) completion:
-	// every touched node has applied, every REdges delta has drained and
-	// every task goroutine has joined — the epoch source of the concurrent
-	// read plane, which publishes one immutable snapshot per applied
-	// update batch and must never observe the tree mid-propagation.
+	// batch entry point call that staged at least one edge (a single-edge
+	// operation is a one-item batch). OnApplied, when set, fires at the
+	// same points, strictly past the batch's pipeline (or level-barrier)
+	// completion: every touched node has applied, every REdges delta has
+	// drained and every task goroutine has joined — the epoch source of the
+	// concurrent read plane, which publishes one immutable snapshot per
+	// applied update batch and must never observe the tree
+	// mid-propagation.
 	Applied   uint64
 	OnApplied func()
 	// events is the externally installed forest-change callback (original
@@ -209,10 +212,6 @@ func (f *Forest) keyAt(level, u, v int) nodeKey {
 	return nodeKey{int32(level), a, b}
 }
 
-func (f *Forest) getOrCreate(level, u, v int) *node {
-	return f.getOrCreateKey(f.keyAt(level, u, v))
-}
-
 func (f *Forest) getOrCreateKey(k nodeKey) *node {
 	if nd, ok := f.nodes[k]; ok {
 		return nd
@@ -265,60 +264,6 @@ func (nd *node) drain() []event {
 	return out
 }
 
-// apply executes a batch of edge changes (in original-id space) on nd's
-// local engine and returns nd's resulting forest delta.
-func (f *Forest) apply(nd *node, delta []event) []event {
-	for _, ev := range delta {
-		lu, lv := nd.local(ev.u), nd.local(ev.v)
-		if ev.added {
-			if err := nd.eng.InsertEdge(lu, lv, ev.w); err != nil {
-				panic(fmt.Sprintf("sparsify: local insert (%d,%d): %v", ev.u, ev.v, err))
-			}
-			nd.m++
-		} else {
-			if err := nd.eng.DeleteEdge(lu, lv); err != nil {
-				panic(fmt.Sprintf("sparsify: local delete (%d,%d): %v", ev.u, ev.v, err))
-			}
-			nd.m--
-		}
-	}
-	return nd.drain()
-}
-
-// propagate runs the upward pass from the leaf of (u, v): each level applies
-// the forest delta of the level below (the paper's per-level "at most one
-// insertion and one deletion").
-func (f *Forest) propagate(u, v int, delta []event) {
-	var depth, work int64
-	for level := f.levels - 1; level >= 0; level-- {
-		if len(delta) == 0 {
-			break
-		}
-		nd := f.getOrCreate(level, u, v)
-		var before, beforeW int64
-		if f.DepthFn != nil {
-			before = f.DepthFn(nd.eng)
-		}
-		if f.WorkFn != nil {
-			beforeW = f.WorkFn(nd.eng)
-		}
-		delta = f.apply(nd, delta)
-		if f.DepthFn != nil {
-			if d := f.DepthFn(nd.eng) - before; d > depth {
-				depth = d
-			}
-		}
-		if f.WorkFn != nil {
-			work += f.WorkFn(nd.eng) - beforeW
-		}
-		f.gc(nd)
-	}
-	// Section 5.3: levels run in parallel; the sequential parts (pointer
-	// walks, REdges scan) cost O(log n).
-	f.ParDepth += depth + 2*int64(f.levels+1)
-	f.ParWork += work + 2*int64(f.levels+1)
-}
-
 // gc removes an emptied node.
 func (f *Forest) gc(nd *node) {
 	if nd.m == 0 && nd.key.level != 0 {
@@ -326,37 +271,14 @@ func (f *Forest) gc(nd *node) {
 	}
 }
 
-// InsertEdge adds edge (u, v) with weight w.
+// InsertEdge adds edge (u, v) with weight w: a one-item InsertEdges.
 func (f *Forest) InsertEdge(u, v int, w int64) error {
-	if u == v || u < 0 || v < 0 || u >= f.n || v >= f.n {
-		return ErrBadEdge
-	}
-	k := key(u, v)
-	if _, dup := f.edges[k]; dup {
-		return ErrExists
-	}
-	f.edges[k] = w
-	leaf := f.getOrCreate(f.levels, u, v)
-	delta := f.apply(leaf, []event{{u, v, w, true}})
-	f.gc(leaf)
-	f.propagate(u, v, delta)
-	f.applied()
-	return nil
+	return f.InsertEdges([]batch.Edge{{U: u, V: v, W: w}})[0]
 }
 
-// DeleteEdge removes edge (u, v).
+// DeleteEdge removes edge (u, v): a one-key DeleteEdges.
 func (f *Forest) DeleteEdge(u, v int) error {
-	k := key(u, v)
-	if _, ok := f.edges[k]; !ok {
-		return ErrMissing
-	}
-	delete(f.edges, k)
-	leaf := f.getOrCreate(f.levels, u, v)
-	delta := f.apply(leaf, []event{{u, v, 0, false}})
-	f.gc(leaf)
-	f.propagate(u, v, delta)
-	f.applied()
-	return nil
+	return f.DeleteEdges([][2]int{{u, v}})[0]
 }
 
 func (f *Forest) root() *node {
@@ -466,13 +388,11 @@ func (f *Forest) CheckInvariant() error {
 				want[key(u, v)] = w
 			}
 		} else {
-			span := f.pn >> uint(k.level+1)
 			for _, ck := range childKeys(k) {
 				c, ok := f.nodes[ck]
 				if !ok {
 					continue
 				}
-				_ = span
 				c.eng.ForestEdges(func(lu, lv int, w int64) bool {
 					want[key(c.global(lu), c.global(lv))] = w
 					return true

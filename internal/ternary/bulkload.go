@@ -6,13 +6,6 @@ import (
 	"parmsf/internal/core"
 )
 
-// bulkEngine is the optional static bulk-load interface of a wrapped engine
-// (core.MSF): insert-only ops with per-op MSF-membership flags, loaded by
-// direct construction of the final structure state.
-type bulkEngine interface {
-	BulkLoad(ops []core.BatchOp, tree []bool) []error
-}
-
 // BulkLoad seeds an empty wrapper with its whole initial edge set in one
 // engine batch. tree[i] must report whether items[i] belongs to the minimum
 // spanning forest of the item set (computed statically by the caller —
@@ -24,23 +17,15 @@ type bulkEngine interface {
 // staged gadget ops mark exactly the gadget graph's MSF.
 //
 // Returns one error slot per item (nil on success, else the error
-// InsertEdge would have returned); a failed item stages nothing. Engines
-// without the bulk interface fall back to per-edge insertion, which ignores
-// the flags (the engine then resolves each edge's role itself).
+// InsertEdge would have returned); a failed item stages nothing. The
+// engine's BulkLoad builds the final structure state directly from the
+// flagged gadget ops.
 func (w *Wrapper) BulkLoad(items []BatchEdge, tree []bool) []error {
 	if len(items) != len(tree) {
 		panic("ternary: BulkLoad items/tree length mismatch")
 	}
 	if len(w.edges) != 0 {
 		panic("ternary: BulkLoad requires an empty wrapper")
-	}
-	be, ok := w.eng.(bulkEngine)
-	if !ok {
-		errs := make([]error, len(items))
-		for i, it := range items {
-			errs[i] = w.InsertEdge(it.U, it.V, it.W)
-		}
-		return errs
 	}
 	errs := make([]error, len(items))
 	ops := w.opsScratch[:0]
@@ -58,7 +43,7 @@ func (w *Wrapper) BulkLoad(items []BatchEdge, tree []bool) []error {
 		flags = append(flags, tree[i])
 	}
 	if len(ops) > 0 {
-		for _, err := range be.BulkLoad(ops, flags) {
+		for _, err := range w.eng.BulkLoad(ops, flags) {
 			if err != nil {
 				panic(fmt.Sprintf("ternary: gadget bulk load failed: %v", err))
 			}

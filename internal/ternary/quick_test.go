@@ -22,7 +22,7 @@ func TestQuickWrapperScripts(t *testing.T) {
 		if len(s.Ops) > 200 {
 			s.Ops = s.Ops[:200]
 		}
-		w := New(n, 8*n, func(gn int) Engine { return baseline.NewKruskal(gn) })
+		w := newCoreWrapper(n, 8*n)
 		ref := baseline.NewKruskal(n)
 		rng := xrand.New(s.Seed)
 		type pair struct{ u, v int }

@@ -37,16 +37,21 @@ var (
 // every real edge weight; callers must keep real weights above it.
 const RingWeight = int64(-1) << 60
 
-// Engine is the degree-3 dynamic MSF interface being wrapped (satisfied by
-// core.MSF and the baselines).
+// Engine is the degree-3 dynamic MSF interface being wrapped: the batch
+// contract of core.MSF. Every gadget update the wrapper stages — ring
+// edges, hosted real edges, slot retirements and splices — reaches the
+// engine through ApplyBatch, or through BulkLoad when an empty wrapper is
+// seeded.
 type Engine interface {
-	InsertEdge(u, v int, w int64) error
-	DeleteEdge(u, v int) error
+	ApplyBatch(ops []core.BatchOp) []error
+	BulkLoad(ops []core.BatchOp, tree []bool) []error
+	ExportComponents(comp []int32, upto int)
 	Connected(u, v int) bool
 	Weight() int64
 	ForestSize() int
 	ForestEdges(f func(u, v int, w int64) bool)
 	SetEvents(f func(u, v int, w int64, added bool))
+	SetCutSides(f func(side []int32))
 }
 
 // Common errors.
@@ -83,8 +88,8 @@ type Wrapper struct {
 	sideScratch []int32 // pooled original-vertex side buffer
 
 	// Applied counts the engine updates this wrapper has fully applied —
-	// one per successful single-edge operation, one per batch entry point
-	// that reached the engine. OnApplied, when set, fires at the same
+	// one per batch entry point call that reached the engine (a single-edge
+	// operation is a one-item batch). OnApplied, when set, fires at the same
 	// points, strictly after the update (including its staged slot
 	// surgeries and deferred bookkeeping) has drained: the epoch source of
 	// the concurrent read plane, which publishes one immutable snapshot
@@ -128,9 +133,7 @@ func New(n, maxEdges int, mk func(gadgetN int) Engine) *Wrapper {
 		w.free = append(w.free, int32(id))
 	}
 	w.eng.SetEvents(w.forward)
-	if cs, ok := w.eng.(interface{ SetCutSides(f func(side []int32)) }); ok {
-		cs.SetCutSides(w.forwardSides)
-	}
+	w.eng.SetCutSides(w.forwardSides)
 	return w
 }
 
@@ -159,7 +162,7 @@ func (w *Wrapper) SetFault(in *faultinject.Injector) { w.fault = in }
 // every real (non-ring) forest-edge removal it receives the original
 // vertices of the smaller side the cut left, directly after the matching
 // events(added=false) call. The slice is pooled and only valid for the
-// call. No-op when the wrapped engine does not emit cut sides.
+// call.
 func (w *Wrapper) SetCutSides(f func(side []int32)) { w.cutSides = f }
 
 // forward translates engine events to original-vertex space, dropping ring
@@ -313,26 +316,12 @@ func (w *Wrapper) M() int { return len(w.edges) }
 // snapshot-export sweep (base slots carry the original vertex ids, and the
 // ring paths keep every extra slot in its vertex's component, so the
 // gadget partition restricted to the base slots is exactly the original
-// partition). Returns false when the wrapped engine has no export hook
-// (non-core gadgets); a parmsf forest never builds one and panics on
-// false.
+// partition). It always reports true; the result is part of the export
+// signature the wrapper shares with the sparsification tree, whose root
+// engine may lack an export hook.
 func (w *Wrapper) ExportComponents(comp []int32, upto int) bool {
-	ex, ok := w.eng.(interface{ ExportComponents(comp []int32, upto int) })
-	if !ok {
-		return false
-	}
-	ex.ExportComponents(comp, upto)
+	w.eng.ExportComponents(comp, upto)
 	return true
-}
-
-// BatchEngine is the optional batch interface of a wrapped engine: an
-// engine exposing the staged batch-application pipeline (core.MSF). When
-// the wrapped engine implements it, the wrapper's InsertEdges/DeleteEdges
-// translate whole batches of original-graph updates into one gadget-level
-// batch, so classification, sharding and the parallel apply stages see the
-// full batch instead of one edge at a time.
-type BatchEngine interface {
-	ApplyBatch(ops []core.BatchOp) []error
 }
 
 // BatchEdge is one item of a batch insertion through InsertEdges — an alias
@@ -375,31 +364,11 @@ func (w *Wrapper) InsertEdges(items []BatchEdge) []error {
 	return errs
 }
 
-// apply hands a staged gadget batch to the engine: one ApplyBatch when it
-// has one, else op by op in batch order, a splice as its two ring
-// deletions and one ring insertion.
+// apply hands a staged gadget batch to the engine as one ApplyBatch.
 func (w *Wrapper) apply(ops []core.BatchOp) {
-	if be, ok := w.eng.(BatchEngine); ok {
-		for _, err := range be.ApplyBatch(ops) {
-			if err != nil {
-				panic(fmt.Sprintf("ternary: gadget batch failed: %v", err))
-			}
-		}
-		return
-	}
-	for _, op := range ops {
-		var err error
-		switch {
-		case op.Splice:
-			err = errors.Join(w.eng.DeleteEdge(op.U, int(op.H)), w.eng.DeleteEdge(int(op.H), op.V),
-				w.eng.InsertEdge(op.U, op.V, op.W))
-		case op.Del:
-			err = w.eng.DeleteEdge(op.U, op.V)
-		default:
-			err = w.eng.InsertEdge(op.U, op.V, op.W)
-		}
+	for _, err := range w.eng.ApplyBatch(ops) {
 		if err != nil {
-			panic(fmt.Sprintf("ternary: gadget op %+v failed: %v", op, err))
+			panic(fmt.Sprintf("ternary: gadget batch failed: %v", err))
 		}
 	}
 }

@@ -8,10 +8,6 @@ import (
 	"parmsf/internal/xrand"
 )
 
-func newKruskalWrapper(n, maxE int) *Wrapper {
-	return New(n, maxE, func(gn int) Engine { return baseline.NewKruskal(gn) })
-}
-
 func newCoreWrapper(n, maxE int) *Wrapper {
 	return New(n, maxE, func(gn int) Engine {
 		return core.NewMSF(gn, core.Config{}, core.SeqCharger{})
@@ -57,7 +53,7 @@ func TestHighDegreeStar(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	w := newKruskalWrapper(4, 8)
+	w := newCoreWrapper(4, 8)
 	if err := w.InsertEdge(0, 0, 1); err != ErrSelfLoop {
 		t.Fatalf("self loop: %v", err)
 	}
@@ -79,7 +75,7 @@ func TestErrors(t *testing.T) {
 }
 
 func TestCapacityExhaustion(t *testing.T) {
-	w := newKruskalWrapper(10, 3)
+	w := newCoreWrapper(10, 3)
 	inserted := 0
 	for i := 0; i < 9; i++ {
 		if err := w.InsertEdge(i, i+1, int64(i+1)); err == nil {
@@ -177,7 +173,7 @@ func TestAgainstReference(t *testing.T) {
 // TestEventsTranslation checks that forwarded events are in original-vertex
 // space and never mention ring edges.
 func TestEventsTranslation(t *testing.T) {
-	w := newKruskalWrapper(6, 24)
+	w := newCoreWrapper(6, 24)
 	var adds, dels int
 	w.SetEvents(func(u, v int, wt int64, added bool) {
 		if u < 0 || u >= 6 || v < 0 || v >= 6 {

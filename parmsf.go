@@ -633,7 +633,8 @@ func (f *Forest) reload(edges []Edge) (err error) {
 func (f *Forest) Snapshot() *Snapshot { return f.pub.Acquire() }
 
 // Connected reports whether u and v are in the same tree, per the current
-// snapshot. Lock-free; never blocks on an in-flight update.
+// snapshot, and false when either vertex is outside [0, n). Lock-free;
+// never blocks on an in-flight update.
 func (f *Forest) Connected(u, v int) bool {
 	s := f.pub.Acquire()
 	ok := s.Connected(u, v)
@@ -819,37 +820,3 @@ func (f *Forest) queue() *ingest.Queue {
 // PRAM returns the simulated EREW machine when Options.Parallel was set
 // (depth = Time, work = Work), or nil.
 func (f *Forest) PRAM() *pram.Machine { return f.mach }
-
-// NewConnectivity returns a Forest specialized for dynamic connectivity
-// (the weaker sister problem discussed in Section 1 of the paper): all
-// edges carry equal weight, so the structure maintains some spanning
-// forest and Connected/Components answer connectivity queries with the
-// same worst-case update bounds. Use InsertUnweighted/Delete. Errors as
-// with New.
-func NewConnectivity(n int, opt Options) (*Connectivity, error) {
-	f, err := New(n, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &Connectivity{f: f}, nil
-}
-
-// Connectivity is a dynamic-connectivity view over the MSF structure.
-type Connectivity struct {
-	f *Forest
-}
-
-// InsertUnweighted adds edge (u, v).
-func (c *Connectivity) InsertUnweighted(u, v int) error { return c.f.Insert(u, v, 0) }
-
-// Delete removes edge (u, v).
-func (c *Connectivity) Delete(u, v int) error { return c.f.Delete(u, v) }
-
-// Connected reports whether u and v are in one component.
-func (c *Connectivity) Connected(u, v int) bool { return c.f.Connected(u, v) }
-
-// Components returns the number of connected components.
-func (c *Connectivity) Components() int { return c.f.Components() }
-
-// Forest exposes the underlying MSF structure.
-func (c *Connectivity) Forest() *Forest { return c.f }

@@ -270,3 +270,37 @@ func TestSnapshotComponentLabels(t *testing.T) {
 		}
 	}
 }
+
+// TestOutOfRangeVertexQueries pins the read plane's answers for a vertex
+// outside [0, n): Connected is false, as Cluster.Connected answers, and a
+// snapshot's ComponentOf is -1, on a default and a sparsified forest.
+func TestOutOfRangeVertexQueries(t *testing.T) {
+	const n = 4
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{{"default", Options{}}, {"sparsify", Options{Sparsify: true}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := MustNew(n, tc.opt)
+			defer f.Close()
+			if err := f.Insert(0, n-1, 5); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range [][2]int{{0, n}, {-1, 0}, {n, n}} {
+				if f.Connected(q[0], q[1]) {
+					t.Errorf("Connected(%d, %d) = true, want false", q[0], q[1])
+				}
+			}
+			if !f.Connected(0, n-1) {
+				t.Errorf("Connected(0, %d) = false, want true", n-1)
+			}
+			s := f.Snapshot()
+			defer s.Release()
+			for _, v := range []int{n, -1} {
+				if c := s.ComponentOf(v); c != -1 {
+					t.Errorf("ComponentOf(%d) = %d, want -1", v, c)
+				}
+			}
+		})
+	}
+}

@@ -179,12 +179,11 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestConnectivityWrapper(t *testing.T) {
-	c, err := NewConnectivity(10, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference connectivity by BFS over a live adjacency map.
+// TestEqualWeightConnectivity drives a forest whose edges all weigh 0,
+// where it maintains some spanning forest rather than a unique minimum
+// one, against connectivity by BFS over a live adjacency map.
+func TestEqualWeightConnectivity(t *testing.T) {
+	f := MustNew(10, Options{})
 	adj := map[int]map[int]bool{}
 	link := func(u, v int) {
 		if adj[u] == nil {
@@ -226,14 +225,14 @@ func TestConnectivityWrapper(t *testing.T) {
 			if u == v {
 				continue
 			}
-			if err := c.InsertUnweighted(u, v); err == nil {
+			if err := f.Insert(u, v, 0); err == nil {
 				link(u, v)
 				live = append(live, pair{u, v})
 			}
 		} else {
 			i := rng.Intn(len(live))
 			p := live[i]
-			if err := c.Delete(p.u, p.v); err != nil {
+			if err := f.Delete(p.u, p.v); err != nil {
 				t.Fatal(err)
 			}
 			unlink(p.u, p.v)
@@ -241,7 +240,7 @@ func TestConnectivityWrapper(t *testing.T) {
 			live = live[:len(live)-1]
 		}
 		u, v := rng.Intn(10), rng.Intn(10)
-		if c.Connected(u, v) != conn(u, v) {
+		if f.Connected(u, v) != conn(u, v) {
 			t.Fatalf("step %d: Connected(%d,%d) wrong", step, u, v)
 		}
 	}
