@@ -202,9 +202,6 @@ func (c *Cluster) N() int { return c.n }
 // K returns the shard count.
 func (c *Cluster) K() int { return c.k }
 
-// Owner returns the shard owning global vertex v.
-func (c *Cluster) Owner(v int) int { return int(c.owner[v]) }
-
 // Shard returns shard s's underlying forest — for stats, fault injection
 // and recovery (Poisoned/Recover/ArmFault). Updates and queries should go
 // through the cluster, which owns the vertex-id translation.

@@ -1,6 +1,6 @@
-// Command msfbench regenerates the experiment tables of EXPERIMENTS.md:
-// one table per theorem/lemma/comparison of the paper (see DESIGN.md for
-// the experiment index).
+// Command msfbench prints the experiment tables: one table per
+// theorem/lemma/comparison of the paper (experiments.Registry in
+// internal/experiments is the experiment index, E1..E20).
 //
 // Usage:
 //

@@ -82,13 +82,32 @@ func (f *Forest) InsertEdges(edges []Edge) []error { return f.commit(edges, nil)
 // (ErrNotFound for absent or malformed keys) for failures.
 func (f *Forest) DeleteEdges(keys []EdgeKey) []error { return f.commit(nil, keys) }
 
+// validPair reports whether (u, v) can name an edge of a forest over n
+// vertices: distinct endpoints in [0, n).
+func validPair(n, u, v int) bool {
+	return u >= 0 && u < n && v >= 0 && v < n && u != v
+}
+
 // validEdge reports whether e can be an edge of a forest over n vertices:
-// distinct endpoints in [0, n) and MinWeight <= W < math.MaxInt64 (the core
-// engine's infinity sentinel). The commit kernel and Build share it, so no
-// engine layer ever sees an edge it would refuse mid-batch.
+// a valid pair and MinWeight <= W < math.MaxInt64 (the core engine's
+// infinity sentinel). The commit kernel and Build share it, so no engine
+// layer ever sees an edge it would refuse mid-batch.
 func validEdge(n int, e Edge) bool {
-	return e.U >= 0 && e.U < n && e.V >= 0 && e.V < n && e.U != e.V &&
-		e.W >= MinWeight && e.W < math.MaxInt64
+	return validPair(n, e.U, e.V) && e.W >= MinWeight && e.W < math.MaxInt64
+}
+
+// updateErr returns the error commit reports for a malformed update —
+// ErrBadEdge for an insert, ErrNotFound for a delete — or nil for a
+// well-formed one. Submit and SubmitBatch reject with it, so the ingest
+// queue and its cancelling coalescer only ever hold well-formed updates.
+func updateErr(n int, up Update) error {
+	switch {
+	case up.Delete && !validPair(n, up.U, up.V):
+		return ErrNotFound
+	case !up.Delete && !validEdge(n, Edge{U: up.U, V: up.V, W: up.W}):
+		return ErrBadEdge
+	}
+	return nil
 }
 
 // commitScratch is commit's working set, pooled on the Forest under its
@@ -202,11 +221,10 @@ func (f *Forest) deleteBatch(del []EdgeKey, errs []error) {
 	// writing only its own cells. A key no edge can carry fails as absent
 	// without consulting the engine.
 	f.ch.ParDo(len(del), func(i int) {
-		k := jkey(del[i].U, del[i].V)
-		if k[0] < 0 || k[1] >= f.n || k[0] == k[1] {
+		if !validPair(f.n, del[i].U, del[i].V) {
 			errs[i] = ErrNotFound
 		}
-		keys[i] = k
+		keys[i] = jkey(del[i].U, del[i].V)
 	})
 	live, idx := keys[:0], f.sc.idx[:0]
 	for i, k := range keys {

@@ -63,7 +63,7 @@ func ExampleForest_Edges() {
 // ExampleForest_PRAM runs the Section 3 parallel algorithm and reads the
 // EREW machine's counters.
 func ExampleForest_PRAM() {
-	f := parmsf.MustNew(64, parmsf.Options{Parallel: true})
+	f := parmsf.MustNew(64, parmsf.Options{Workers: 1})
 	f.Insert(0, 1, 1)
 	m := f.PRAM()
 	fmt.Println("depth grew:", m.Time > 0)

@@ -14,7 +14,7 @@ import (
 
 func main() {
 	for _, n := range []int{256, 1024, 4096} {
-		f, err := parmsf.New(n, parmsf.Options{Parallel: true, MaxEdges: 8 * n})
+		f, err := parmsf.New(n, parmsf.Options{Workers: 1, MaxEdges: 8 * n})
 		if err != nil {
 			panic(err)
 		}

@@ -144,6 +144,3 @@ func log2ceil(x int) int {
 	}
 	return r
 }
-
-// NewPRAMForTest returns a fresh EREW machine (test convenience re-export).
-func NewPRAMForTest(check bool) *pram.Machine { return pram.New(check) }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"parmsf/internal/pram"
 	"parmsf/internal/xrand"
 )
 
@@ -75,7 +76,7 @@ func TestStressParallel(t *testing.T) {
 		t.Skip("stress test")
 	}
 	const n = 256
-	mach := NewPRAMForTest(true)
+	mach := pram.New(true)
 	m := NewMSF(n, Config{}, PRAMCharger{M: mach})
 	rng := xrand.New(2025)
 	type pair struct{ u, v int }

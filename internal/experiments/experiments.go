@@ -1,7 +1,7 @@
-// Package experiments implements the per-experiment harness of
-// EXPERIMENTS.md: every theorem, lemma and comparison of the paper becomes
-// a runnable experiment printing a table. The cmd/msfbench binary and the
-// root benchmark suite both drive this package.
+// Package experiments implements the per-experiment harness: every
+// theorem, lemma and comparison of the paper becomes a runnable experiment
+// printing a table, listed in Registry. The cmd/msfbench binary drives
+// this package.
 //
 // The paper proves worst-case bounds and reports no measurements, so each
 // experiment verifies a *shape*: measured cost against the proved growth

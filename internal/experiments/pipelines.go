@@ -58,8 +58,9 @@ func newParSparsifyEngine(n int) *sparsify.Forest {
 // simulators, with node applications fanned out over mach's workers —
 // through the dependency pipeline when pipelined, else the level-barrier
 // sweep. Mirrors the parmsf.Options{Sparsify, Workers} wiring minus the
-// cost-counter plumbing, which both modes would pay identically. The
-// returned closer releases the pipeline's task workers.
+// cost-counter plumbing, which both modes would pay identically: a
+// one-worker machine gets no task pool, so its pipeline runs node tasks
+// inline. The returned closer releases the pipeline's task workers.
 func newBatchSparsifyTree(n int, mach *pram.Machine, pipelined bool) (*sparsify.Forest, func()) {
 	f := sparsify.New(n, func(localN, maxEdges int) sparsify.Engine {
 		nm := pram.New(false)
@@ -69,6 +70,9 @@ func newBatchSparsifyTree(n int, mach *pram.Machine, pipelined bool) (*sparsify.
 	})
 	if pipelined {
 		f.Pipeline = true
+		if mach.Workers() == 1 {
+			return f, func() {}
+		}
 		tp := sparsify.NewTaskPool(mach.Workers())
 		f.Spawn = tp.Spawn
 		return f, tp.Close

@@ -131,19 +131,6 @@ func (in *Injector) ArmSpec(spec string) error {
 	return nil
 }
 
-// Disarm removes a pending point (no-op when not armed).
-func (in *Injector) Disarm(point string) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	if _, ok := in.rem[point]; ok {
-		delete(in.rem, point)
-		in.armed.Add(-1)
-	}
-	in.mu.Unlock()
-}
-
 // Armed reports whether any point is currently armed.
 func (in *Injector) Armed() bool { return in != nil && in.armed.Load() > 0 }
 

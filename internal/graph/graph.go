@@ -67,9 +67,6 @@ func (g *G) N() int { return g.n }
 // M returns the number of live edges.
 func (g *G) M() int { return g.m }
 
-// MaxDeg returns the degree bound (0 = unbounded).
-func (g *G) MaxDeg() int { return g.maxDeg }
-
 // IDBound returns an exclusive upper bound on live edge IDs, for sizing
 // side tables.
 func (g *G) IDBound() int { return len(g.byID) }

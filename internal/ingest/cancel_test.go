@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -210,5 +211,56 @@ func TestCancelPairsAcrossSubmitForms(t *testing.T) {
 	// gate + surviving insert(5,6) only.
 	if len(applied) != 2 || applied[1].U != 5 {
 		t.Fatalf("applied %v, want gate then insert(5,6)", applied)
+	}
+}
+
+func TestCancelPairsFlushBarrier(t *testing.T) {
+	// An insert submitted before a Flush and its delete submitted while the
+	// Flush waits land in one scooped window, with the flush marker between
+	// them. The marker is a barrier: the insert applies before Flush
+	// returns, and the pair does not cancel.
+	block := make(chan struct{})
+	gated := make(chan struct{})
+	rec := &recorder{}
+	first := true
+	rec.failOn = func(op Op) error {
+		if first && op.U == 99 {
+			first = false
+			close(gated)
+			<-block
+		}
+		return nil
+	}
+	q := NewWithConfig(rec, Config{Depth: 64, MaxBatch: 32, CancelPairs: true})
+	defer q.Close()
+	gate := q.Submit(Op{U: 99, V: 100, W: 1})
+	<-gated // the drainer holds the gate op, so the channel is empty
+	ins := q.Submit(Op{U: 1, V: 2, W: 10})
+	flushed := make(chan error)
+	go func() { flushed <- q.Flush() }()
+	for len(q.ch) != 2 {
+		runtime.Gosched() // wait for the flush marker behind the insert
+	}
+	del := q.Submit(Op{Delete: true, U: 1, V: 2})
+	close(block)
+	if err := <-flushed; err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	rec.mu.Lock()
+	applied := flatten(rec)
+	rec.mu.Unlock()
+	if len(applied) < 2 || applied[1] != (Op{U: 1, V: 2, W: 10}) {
+		t.Fatalf("applied %v by Flush's return, want gate then insert(1,2)", applied)
+	}
+	for i, f := range []*Future{gate, ins, del} {
+		if err := f.Wait(); err != nil {
+			t.Fatalf("future %d: %v", i, err)
+		}
+	}
+	if err := q.Flush(); err != nil {
+		t.Fatalf("second Flush: %v", err)
+	}
+	if st := q.Stats(); st.Ops != 3 || st.Cancelled != 0 {
+		t.Fatalf("stats %+v, want ops=3 cancelled=0", st)
 	}
 }

@@ -1,12 +1,17 @@
 // Package ingest implements the write-coalescing submission queue of the
-// concurrent MSF plane: many goroutines enqueue single edge updates
-// (multi-producer), one drainer goroutine dequeues them (single-consumer)
-// and coalesces maximal same-kind runs into the engine's existing batch
-// entry points, amortizing per-batch engine work — one classify round, one
-// aggregate flush, one snapshot publication — across every client whose op
-// landed in the run. Each submission returns a Future resolving to the
-// op's individual error once its batch applies, so callers get per-op
-// results with batch-level cost.
+// concurrent MSF plane: many goroutines enqueue edge updates, singly or as
+// batches (multi-producer), one drainer goroutine dequeues them
+// (single-consumer) and coalesces maximal same-kind runs into the engine's
+// existing batch entry points, amortizing per-batch engine work — one
+// classify round, one aggregate flush, one snapshot publication — across
+// every client whose op landed in the run. Each submission returns a
+// Future per op resolving to the op's individual error once its batch
+// applies, so callers get per-op results with batch-level cost.
+//
+// A queue entry is a submission (its ops and their futures; Submit is a
+// one-op submission) or a flush marker. The drainer starts with the first
+// accepted submission, flattens each scooped window in FIFO order, and
+// applies every stretch between flush markers as same-kind runs.
 //
 // Ordering: the queue is FIFO. Ops apply in submission order (two ops from
 // one goroutine apply in their Submit order; ops racing from different
@@ -55,7 +60,7 @@ const (
 	SubmitWait
 )
 
-// Config parameterizes New. The zero value selects every default.
+// Config parameterizes NewWithConfig. The zero value selects every default.
 type Config struct {
 	// Depth is the submission channel's buffer: the backpressure bound at
 	// which the admission policy engages. < 1 selects 1024.
@@ -80,19 +85,21 @@ type Config struct {
 	// in that edge's own op order — by a delete of the same edge is
 	// annihilated: neither op reaches the engine and both futures resolve
 	// nil. Per-edge order is preserved (only adjacent insert+delete pairs
-	// of one edge cancel; everything else applies in FIFO position), and a
-	// pair separated by any other op on the same edge never cancels.
+	// of one edge cancel; everything else applies in FIFO position), a
+	// pair separated by any other op on the same edge never cancels, and
+	// a flush marker is a barrier: no pair spans a Flush.
 	//
-	// Semantics: cancellation assumes the insert would have succeeded. If
-	// the edge was already live when the window drained (the uncoalesced
-	// stream would report ErrExists for the insert and then delete the
-	// pre-existing edge), the coalesced stream instead reports success for
-	// both ops and leaves the pre-existing edge in place. Producers that
-	// keep their per-edge streams consistent — never blindly re-inserting
-	// a live edge — observe identical state and results either way. A
-	// cancelled pair is also never visible in any snapshot epoch, where
-	// the uncoalesced stream might have published a transient epoch
-	// containing the edge.
+	// Semantics: cancellation assumes the insert would have succeeded, so
+	// the embedder should enqueue only well-formed ops (parmsf rejects a
+	// malformed update at Submit). If the edge was already live when the
+	// window drained (the uncoalesced stream would report ErrExists for
+	// the insert and then delete the pre-existing edge), the coalesced
+	// stream instead reports success for both ops and leaves the
+	// pre-existing edge in place. Producers that keep their per-edge
+	// streams consistent — never blindly re-inserting a live edge —
+	// observe identical state and results either way. A cancelled pair is
+	// also never visible in any snapshot epoch, where the uncoalesced
+	// stream might have published a transient epoch containing the edge.
 	CancelPairs bool
 }
 
@@ -151,18 +158,24 @@ type Stats struct {
 	Cancelled uint64 // ops annihilated by pair cancellation (never applied)
 }
 
-// item is one queue entry: an op with its future, a batch of ops with
-// their futures (futs non-nil), or a flush marker.
+// item is one queue entry: a submission (ops with one future each) or, when
+// flush is non-nil, a flush marker.
 type item struct {
-	op    Op
-	fut   *Future
+	ops   []Op // queue-owned until every future resolves
+	futs  []*Future
 	flush chan struct{}
-
-	ops  []Op // batch submission (SubmitBatch); queue-owned until applied
-	futs []*Future
 }
 
-// Queue is the MPSC submission queue. Create with New, release with Close.
+// unit is everything one Submit allocates besides its done channel: the
+// future, the op, and the one-element slices its queue entry carries.
+type unit struct {
+	fut  Future
+	op   [1]Op
+	futs [1]*Future
+}
+
+// Queue is the MPSC submission queue. Create with NewWithConfig, release
+// with Close.
 type Queue struct {
 	ch       chan item
 	maxBatch int
@@ -178,31 +191,27 @@ type Queue struct {
 	mu     sync.RWMutex // closed flag vs in-flight Submit/Flush sends
 	closed bool
 
-	drained chan struct{} // closed when the drainer has exited
+	start   sync.Once     // starts the drainer with the first accepted submission
+	started atomic.Bool   // the drainer has started (Flush of an idle queue is a no-op)
+	drained chan struct{} // closed when the drainer has exited (or never started)
 
 	ops       atomic.Uint64
 	batches   atomic.Uint64
 	cancelled atomic.Uint64
 
-	scratch    []Op // drainer-local batch assembly buffers
-	futScratch []*Future
-	pending    []item
+	// Drainer-local buffers, reused across windows: the scooped entries and
+	// their ops and futures flattened in FIFO order.
+	window   []item
+	flatOps  []Op
+	flatFuts []*Future
 
 	cancel bool           // Config.CancelPairs
-	skip   []bool         // per-flat-op cancellation marks for one window
-	keyst  map[[2]int]int // per-edge coalescer state within one window
+	skip   []bool         // per-op cancellation marks for one stretch
+	keyst  map[[2]int]int // per-edge coalescer state within one stretch
 }
 
-// New starts a queue feeding applier with default admission behavior.
-// depth is the submission channel's buffer (backpressure bound: producers
-// block once depth ops are waiting); maxBatch caps how many ops one drained
-// batch may coalesce. Values < 1 fall back to defaults (depth 1024,
-// maxBatch 512).
-func New(applier Applier, depth, maxBatch int) *Queue {
-	return NewWithConfig(applier, Config{Depth: depth, MaxBatch: maxBatch})
-}
-
-// NewWithConfig starts a queue feeding applier, parameterized by cfg.
+// NewWithConfig returns a queue feeding applier, parameterized by cfg. Its
+// drainer goroutine starts with the first accepted submission.
 func NewWithConfig(applier Applier, cfg Config) *Queue {
 	if cfg.Depth < 1 {
 		cfg.Depth = 1024
@@ -222,7 +231,7 @@ func NewWithConfig(applier Applier, cfg Config) *Queue {
 	if cfg.Policy == SubmitWait && cfg.SubmitTimeout <= 0 {
 		cfg.Policy = SubmitBlock
 	}
-	q := &Queue{
+	return &Queue{
 		ch:            make(chan item, cfg.Depth),
 		maxBatch:      cfg.MaxBatch,
 		applier:       applier,
@@ -233,37 +242,70 @@ func NewWithConfig(applier Applier, cfg Config) *Queue {
 		fullErr:       cfg.FullErr,
 		timeoutErr:    cfg.TimeoutErr,
 		drained:       make(chan struct{}),
-		scratch:       make([]Op, 0, cfg.MaxBatch),
-		futScratch:    make([]*Future, 0, cfg.MaxBatch),
-		pending:       make([]item, 0, cfg.MaxBatch),
 		cancel:        cfg.CancelPairs,
 	}
-	go q.drain()
-	return q
 }
 
-// Submit enqueues one op and returns its Future. Safe for concurrent use.
-// A full queue engages the admission policy: block for space (default),
-// reject immediately, or wait up to the configured timeout — rejections
-// return an already-resolved Future with the queue's full error. After
-// Close, returns an already-resolved Future with the queue's closed error.
+// Submit enqueues one op and returns its Future: a one-op SubmitBatch whose
+// future, op and entry slices share one allocation. Safe for concurrent
+// use. A full queue engages the admission policy: block for space
+// (default), reject immediately, or wait up to the configured timeout —
+// rejections return an already-resolved Future with the queue's full
+// error. After Close, returns an already-resolved Future with the queue's
+// closed error.
 func (q *Queue) Submit(op Op) *Future {
-	fut := &Future{done: make(chan struct{})}
-	q.mu.RLock()
-	if q.closed {
-		q.mu.RUnlock()
-		fut.err = q.closedErr
-		close(fut.done)
-		return fut
+	u := &unit{fut: Future{done: make(chan struct{})}, op: [1]Op{op}}
+	u.futs[0] = &u.fut
+	q.enqueue(item{ops: u.op[:], futs: u.futs[:]})
+	return &u.fut
+}
+
+// SubmitBatch enqueues ops as one unit and returns one Future per op. The
+// batch occupies a single queue slot regardless of length, so backpressure
+// is per-submission, not per-op — a producer with a ready-made batch pays
+// one channel send where len(ops) Submits would pay len(ops). The ops
+// apply in slice order at the batch's FIFO queue position and coalesce
+// with neighboring submissions exactly as the equivalent Submit sequence
+// would (same-kind runs, capped at MaxBatch per engine batch). The queue
+// takes ownership of ops until every future resolves; the caller must not
+// modify the slice after SubmitBatch returns. Empty input returns nil.
+// After Close, every returned Future is already resolved with ErrClosed.
+func (q *Queue) SubmitBatch(ops []Op) []*Future {
+	if len(ops) == 0 {
+		return nil
 	}
-	if !q.send(item{op: op, fut: fut}) {
-		q.mu.RUnlock()
-		fut.err = q.fullErr
-		close(fut.done)
-		return fut
+	futs := make([]*Future, len(ops))
+	for i := range futs {
+		futs[i] = &Future{done: make(chan struct{})}
+	}
+	q.enqueue(item{ops: ops, futs: futs})
+	return futs
+}
+
+// enqueue hands a submission to the drainer under the admission policy,
+// starting the drainer with the first accepted one. A submission the queue
+// does not accept resolves every future with the closed or full error.
+func (q *Queue) enqueue(it item) {
+	var err error
+	q.mu.RLock()
+	switch {
+	case q.closed:
+		err = q.closedErr
+	case !q.send(it):
+		err = q.fullErr
+	default:
+		q.start.Do(func() {
+			q.started.Store(true)
+			go q.drain()
+		})
 	}
 	q.mu.RUnlock()
-	return fut
+	if err != nil {
+		for _, f := range it.futs {
+			f.err = err
+			close(f.done)
+		}
+	}
 }
 
 // send enqueues it under the caller's read lock, applying the admission
@@ -297,50 +339,13 @@ func (q *Queue) send(it item) bool {
 	}
 }
 
-// SubmitBatch enqueues ops as one unit and returns one Future per op. The
-// batch occupies a single queue slot regardless of length, so backpressure
-// is per-submission, not per-op — a producer with a ready-made batch pays
-// one channel send where len(ops) Submits would pay len(ops). The ops
-// apply in slice order at the batch's FIFO queue position and coalesce
-// with neighboring submissions exactly as the equivalent Submit sequence
-// would (same-kind runs, capped at MaxBatch per engine batch). The queue
-// takes ownership of ops until every future resolves; the caller must not
-// modify the slice after SubmitBatch returns. Empty input returns nil.
-// After Close, every returned Future is already resolved with ErrClosed.
-func (q *Queue) SubmitBatch(ops []Op) []*Future {
-	if len(ops) == 0 {
-		return nil
-	}
-	futs := make([]*Future, len(ops))
-	for i := range futs {
-		futs[i] = &Future{done: make(chan struct{})}
-	}
-	q.mu.RLock()
-	if q.closed {
-		q.mu.RUnlock()
-		for _, f := range futs {
-			f.err = q.closedErr
-			close(f.done)
-		}
-		return futs
-	}
-	if !q.send(item{ops: ops, futs: futs}) {
-		q.mu.RUnlock()
-		for _, f := range futs {
-			f.err = q.fullErr
-			close(f.done)
-		}
-		return futs
-	}
-	q.mu.RUnlock()
-	return futs
-}
-
 // Flush blocks until every op submitted before the call has applied, or —
 // with Config.FlushTimeout set — until the deadline, returning the queue's
 // timeout error (the flushed ops remain queued and still apply). Returns
-// the queue's closed error if the queue is closed (a closed queue has
-// already drained everything it accepted).
+// nil at once on a queue that never accepted a submission, and the
+// queue's closed error if the queue is closed (a closed queue has already
+// drained everything it accepted). The marker is also a cancellation
+// barrier: no CancelPairs pair spans it.
 func (q *Queue) Flush() error {
 	var deadline <-chan time.Time
 	if q.flushTimeout > 0 {
@@ -350,9 +355,13 @@ func (q *Queue) Flush() error {
 	}
 	marker := make(chan struct{})
 	q.mu.RLock()
-	if q.closed {
+	switch {
+	case q.closed:
 		q.mu.RUnlock()
 		return q.closedErr
+	case !q.started.Load():
+		q.mu.RUnlock()
+		return nil
 	}
 	select {
 	case q.ch <- item{flush: marker}:
@@ -370,15 +379,16 @@ func (q *Queue) Flush() error {
 }
 
 // Close stops accepting submissions, waits for every accepted op to apply,
-// and releases the drainer goroutine. Idempotent.
+// and releases the drainer goroutine. Idempotent; returns at once on a
+// queue that never accepted a submission.
 func (q *Queue) Close() {
 	q.mu.Lock()
-	already := q.closed
-	q.closed = true
-	if !already {
+	if !q.closed {
+		q.closed = true
 		close(q.ch)
 	}
 	q.mu.Unlock()
+	q.start.Do(func() { close(q.drained) })
 	<-q.drained
 }
 
@@ -388,8 +398,9 @@ func (q *Queue) Stats() Stats {
 	return Stats{Ops: q.ops.Load(), Batches: q.batches.Load(), Cancelled: q.cancelled.Load()}
 }
 
-// drain is the single consumer: block for the first waiting item, scoop up
-// whatever else has arrived (bounded by maxBatch), apply, repeat.
+// drain is the single consumer: block for the first waiting entry, scoop
+// up whatever else has arrived (bounded by maxBatch entries), apply,
+// repeat.
 func (q *Queue) drain() {
 	defer close(q.drained)
 	for {
@@ -397,192 +408,129 @@ func (q *Queue) drain() {
 		if !ok {
 			return
 		}
-		pending := append(q.pending[:0], it)
+		window := append(q.window[:0], it)
 	collect:
-		for len(pending) < q.maxBatch {
+		for len(window) < q.maxBatch {
 			select {
 			case it, ok := <-q.ch:
 				if !ok {
 					break collect
 				}
-				pending = append(pending, it)
+				window = append(window, it)
 			default:
 				break collect
 			}
 		}
-		q.apply(pending)
-		clear(pending) // drop future pointers from the pooled buffer
-		q.pending = pending[:0]
+		q.apply(window)
+		clear(window) // drop slice and future pointers from the pooled buffer
+		q.window = window[:0]
 	}
 }
 
-// apply coalesces the drained items into maximal same-kind runs, applies
-// each run as one engine batch in FIFO order, and resolves the futures.
-// The (i, j) cursor flattens batch items in place — j walks inside the
-// current batch item's ops — so unit and batch submissions coalesce
-// uniformly and a long batch splits across engine batches at the maxBatch
-// cap (or where its kind flips mid-slice). Flush markers release at their
-// queue position, i.e. after everything submitted before them has applied.
-//
-// With CancelPairs on, markCancels first flags annihilating insert+delete
-// pairs; flat mirrors its op numbering, and flagged ops resolve nil in
-// place of applying — without splitting the surrounding run at their kind
-// flip, so a cancelled pair buried in an insert run still yields a single
-// engine batch.
-func (q *Queue) apply(items []item) {
-	if q.cancel {
-		q.markCancels(items)
+// apply makes one pass over a drained window: it copies the entries' ops
+// and futures into the flat buffers in FIFO order and applies each stretch
+// between flush markers, releasing a marker once everything before it has
+// applied.
+func (q *Queue) apply(window []item) {
+	ops, futs := q.flatOps[:0], q.flatFuts[:0]
+	from := 0
+	for _, it := range window {
+		if it.flush == nil {
+			ops = append(ops, it.ops...)
+			futs = append(futs, it.futs...)
+			continue
+		}
+		q.applyStretch(ops[from:], futs[from:])
+		from = len(ops)
+		close(it.flush)
 	}
-	i, j, flat := 0, 0, 0
-	for i < len(items) {
-		if it := &items[i]; it.flush != nil {
-			close(it.flush)
-			i++
-			continue
-		} else if it.futs != nil && j >= len(it.ops) {
-			i, j = i+1, 0
-			continue
-		}
-		var del bool
-		if it := &items[i]; it.futs != nil {
-			del = it.ops[j].Delete
-		} else {
-			del = it.op.Delete
-		}
-		ops := q.scratch[:0]
-		futs := q.futScratch[:0]
-	gather:
-		for i < len(items) && len(ops) < q.maxBatch {
-			cur := &items[i]
-			switch {
-			case cur.flush != nil:
-				break gather
-			case cur.futs != nil:
-				for j < len(cur.ops) && len(ops) < q.maxBatch {
-					if q.cancel && q.skip[flat] {
-						q.cancelled.Add(1)
-						close(cur.futs[j].done)
-						j, flat = j+1, flat+1
-						continue
-					}
-					if cur.ops[j].Delete != del {
-						break gather
-					}
-					ops = append(ops, cur.ops[j])
-					futs = append(futs, cur.futs[j])
-					j, flat = j+1, flat+1
-				}
-				if j < len(cur.ops) {
-					break gather // maxBatch hit mid-batch; resume here next run
-				}
-				i, j = i+1, 0
-			default:
-				if q.cancel && q.skip[flat] {
-					q.cancelled.Add(1)
-					close(cur.fut.done)
-					i, flat = i+1, flat+1
-					continue
-				}
-				if cur.op.Delete != del {
-					break gather
-				}
-				ops = append(ops, cur.op)
-				futs = append(futs, cur.fut)
-				i, flat = i+1, flat+1
+	q.applyStretch(ops[from:], futs[from:])
+	clear(futs) // drop future pointers from the pooled buffer
+	q.flatOps, q.flatFuts = ops[:0], futs[:0]
+}
+
+// applyStretch applies one stretch of a window as maximal same-kind runs of
+// at most maxBatch ops, in FIFO order. With CancelPairs on, markCancels
+// first flags annihilating insert+delete pairs; a flagged op resolves nil
+// in place of applying, without splitting the run around it, so a
+// cancelled pair buried in an insert run still yields a single engine
+// batch. Each run is compacted in place (survivors move left over the
+// cancelled ops) and handed to the applier as a subslice.
+func (q *Queue) applyStretch(ops []Op, futs []*Future) {
+	if q.cancel {
+		q.markCancels(ops)
+	}
+	for i := 0; i < len(ops); {
+		from, to := i, i
+		for ; i < len(ops) && to-from < q.maxBatch; i++ {
+			if q.cancel && q.skip[i] {
+				q.cancelled.Add(1)
+				close(futs[i].done)
+				continue
 			}
+			if to > from && ops[i].Delete != ops[from].Delete {
+				break
+			}
+			ops[to], futs[to] = ops[i], futs[i]
+			to++
 		}
-		if len(ops) == 0 {
+		if to == from {
 			continue // the whole run cancelled away; no engine batch
 		}
-		errs := q.applyRun(del, ops)
-		q.scratch = ops[:0]
+		errs := q.applyRun(ops[from:to])
 		// Count before resolving: anyone observing a future resolve (and
 		// therefore anyone a Flush released) sees Stats covering that op.
-		q.ops.Add(uint64(len(ops)))
+		q.ops.Add(uint64(to - from))
 		q.batches.Add(1)
-		for k, f := range futs {
+		for k, f := range futs[from:to] {
 			if errs != nil {
 				f.err = errs[k]
 			}
 			close(f.done)
 		}
-		clear(futs) // drop future pointers from the pooled buffer
-		q.futScratch = futs[:0]
 	}
 }
 
-// markCancels walks the drained window once in flat op order and flags
-// annihilating pairs in q.skip: an insert of an edge with no earlier
-// unresolved op on that edge, whose next same-edge op is a delete, cancels
-// against it. A second insert of a pending edge blocks that edge for the
-// rest of the window (its delete must apply — the first insert made the
-// edge live, so only engine application yields the true stream's state),
-// until an applied delete resets it. Deletes of edges with no pending
-// insert apply normally and reset the edge. Flush markers occupy no flat
-// slot.
-func (q *Queue) markCancels(items []item) {
-	total := 0
-	for i := range items {
-		switch {
-		case items[i].flush != nil:
-		case items[i].futs != nil:
-			total += len(items[i].ops)
-		default:
-			total++
-		}
-	}
-	if cap(q.skip) < total {
-		q.skip = make([]bool, total)
+// markCancels walks one stretch in FIFO order and flags annihilating pairs
+// in q.skip: an insert of an edge with no earlier unresolved op on that
+// edge, whose next same-edge op is a delete, cancels against it. A second
+// insert of a pending edge blocks that edge for the rest of the stretch
+// (its delete must apply — the first insert made the edge live, so only
+// engine application yields the true stream's state), until an applied
+// delete resets it. Deletes of edges with no pending insert apply normally
+// and reset the edge. Map values: >= 0 is the index of that edge's pending
+// (cancellable) insert; -1 is the blocked state.
+func (q *Queue) markCancels(ops []Op) {
+	if cap(q.skip) < len(ops) {
+		q.skip = make([]bool, len(ops))
 	} else {
-		q.skip = q.skip[:total]
-		for i := range q.skip {
-			q.skip[i] = false
-		}
+		q.skip = q.skip[:len(ops)]
+		clear(q.skip)
 	}
 	if q.keyst == nil {
 		q.keyst = make(map[[2]int]int, 64)
 	} else {
 		clear(q.keyst)
 	}
-	flat := 0
-	for n := range items {
-		it := &items[n]
+	for i, op := range ops {
+		k := [2]int{op.U, op.V}
+		if k[0] > k[1] {
+			k[0], k[1] = k[1], k[0]
+		}
+		at, ok := q.keyst[k]
 		switch {
-		case it.flush != nil:
-		case it.futs != nil:
-			for k := range it.ops {
-				q.markOne(it.ops[k], flat)
-				flat++
+		case op.Delete:
+			if ok {
+				if at >= 0 {
+					q.skip[at], q.skip[i] = true, true
+				}
+				delete(q.keyst, k)
 			}
-		default:
-			q.markOne(it.op, flat)
-			flat++
+		case !ok:
+			q.keyst[k] = i
+		case at >= 0:
+			q.keyst[k] = -1
 		}
-	}
-}
-
-// markOne advances one edge's coalescer state for the op at flat index
-// flat. Map values: >= 0 is the flat index of that edge's pending
-// (cancellable) insert; -1 is the blocked state (double insert seen).
-func (q *Queue) markOne(op Op, flat int) {
-	k := [2]int{op.U, op.V}
-	if k[0] > k[1] {
-		k[0], k[1] = k[1], k[0]
-	}
-	if op.Delete {
-		if at, ok := q.keyst[k]; ok {
-			if at >= 0 {
-				q.skip[at] = true
-				q.skip[flat] = true
-			}
-			delete(q.keyst, k)
-		}
-		return
-	}
-	if at, ok := q.keyst[k]; !ok {
-		q.keyst[k] = flat
-	} else if at >= 0 {
-		q.keyst[k] = -1
 	}
 }
 
@@ -593,7 +541,7 @@ func (q *Queue) markOne(op Op, flat int) {
 // (parmsf) recovers engine panics itself and returns typed per-op errors;
 // this recover is the queue's own last line, covering applier bugs outside
 // that containment.
-func (q *Queue) applyRun(del bool, ops []Op) (errs []error) {
+func (q *Queue) applyRun(ops []Op) (errs []error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err := fmt.Errorf("ingest: applier panicked: %v", r)
@@ -603,7 +551,7 @@ func (q *Queue) applyRun(del bool, ops []Op) (errs []error) {
 			}
 		}
 	}()
-	if del {
+	if ops[0].Delete {
 		return q.applier.ApplyDeletes(ops)
 	}
 	return q.applier.ApplyInserts(ops)

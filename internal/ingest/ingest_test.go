@@ -37,7 +37,7 @@ func (r *recorder) ApplyDeletes(ops []Op) []error { return r.apply(ops) }
 
 func TestFIFOAndCoalescing(t *testing.T) {
 	rec := &recorder{}
-	q := New(rec, 64, 16)
+	q := NewWithConfig(rec, Config{Depth: 64, MaxBatch: 16})
 	var futs []*Future
 	for i := 0; i < 10; i++ {
 		futs = append(futs, q.Submit(Op{U: i, V: i + 1, W: int64(i)}))
@@ -94,7 +94,7 @@ func TestPerOpErrors(t *testing.T) {
 		}
 		return nil
 	}}
-	q := New(rec, 8, 8)
+	q := NewWithConfig(rec, Config{Depth: 8, MaxBatch: 8})
 	defer q.Close()
 	var futs []*Future
 	for i := 0; i < 6; i++ {
@@ -113,7 +113,7 @@ func TestPerOpErrors(t *testing.T) {
 
 func TestMaxBatchBound(t *testing.T) {
 	rec := &recorder{}
-	q := New(rec, 256, 4)
+	q := NewWithConfig(rec, Config{Depth: 256, MaxBatch: 4})
 	for i := 0; i < 64; i++ {
 		q.Submit(Op{U: i, V: i + 1})
 	}
@@ -132,7 +132,7 @@ func TestMaxBatchBound(t *testing.T) {
 
 func TestCloseDrainsAndRejects(t *testing.T) {
 	rec := &recorder{}
-	q := New(rec, 128, 32)
+	q := NewWithConfig(rec, Config{Depth: 128, MaxBatch: 32})
 	var futs []*Future
 	for i := 0; i < 40; i++ {
 		futs = append(futs, q.Submit(Op{U: i, V: i + 1}))
@@ -154,7 +154,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 
 func TestConcurrentProducers(t *testing.T) {
 	rec := &recorder{}
-	q := New(rec, 32, 8)
+	q := NewWithConfig(rec, Config{Depth: 32, MaxBatch: 8})
 	const producers = 8
 	const perProducer = 200
 	var wg sync.WaitGroup
@@ -205,7 +205,7 @@ func TestConcurrentProducers(t *testing.T) {
 // coalesces with neighboring unit submissions.
 func TestSubmitBatchOrderAndSplitting(t *testing.T) {
 	rec := &recorder{}
-	q := New(rec, 64, 16)
+	q := NewWithConfig(rec, Config{Depth: 64, MaxBatch: 16})
 	a := q.Submit(Op{U: 100, V: 101, W: 1})
 	futs := q.SubmitBatch([]Op{
 		{U: 0, V: 1, W: 10},
@@ -255,7 +255,7 @@ func TestSubmitBatchOrderAndSplitting(t *testing.T) {
 // batches at the maxBatch cap and resumes mid-slice.
 func TestSubmitBatchMaxBatchCap(t *testing.T) {
 	rec := &recorder{}
-	q := New(rec, 64, 4)
+	q := NewWithConfig(rec, Config{Depth: 64, MaxBatch: 4})
 	ops := make([]Op, 10)
 	for i := range ops {
 		ops[i] = Op{U: i, V: i + 1, W: int64(i)}
@@ -299,7 +299,7 @@ func TestSubmitBatchErrorsAndClose(t *testing.T) {
 		}
 		return nil
 	}}
-	q := New(rec, 8, 8)
+	q := NewWithConfig(rec, Config{Depth: 8, MaxBatch: 8})
 	futs := q.SubmitBatch([]Op{{U: 0, V: 5, W: 1}, {U: 1, V: 5, W: 2}, {U: 2, V: 5, W: 3}})
 	if err := q.Flush(); err != nil {
 		t.Fatal(err)
@@ -321,6 +321,108 @@ func TestSubmitBatchErrorsAndClose(t *testing.T) {
 	for _, f := range closed {
 		if f.Wait() != ErrClosed {
 			t.Fatalf("closed queue future: %v", f.Wait())
+		}
+	}
+}
+
+// nopApplier accepts every op without recording it, so allocation counts
+// measure the queue alone.
+type nopApplier struct{}
+
+func (nopApplier) ApplyInserts([]Op) []error { return nil }
+func (nopApplier) ApplyDeletes([]Op) []error { return nil }
+
+// TestSubmitWaitAllocs gates the unit submission path on a warm queue: a
+// Submit allocates its future (sharing one allocation with its op and
+// queue-entry slices) and the future's done channel, and the drainer's
+// pooled buffers add nothing.
+func TestSubmitWaitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs without -race")
+	}
+	q := NewWithConfig(nopApplier{}, Config{})
+	defer q.Close()
+	op := Op{U: 1, V: 2, W: 3}
+	submit := func() {
+		if err := q.Submit(op).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		submit() // start the drainer and grow its buffers
+	}
+	if avg := testing.AllocsPerRun(500, submit); avg > 2 {
+		t.Fatalf("Submit+Wait allocates %.2f/op, want <= 2", avg)
+	}
+}
+
+// TestLazyStartUnderConcurrency races the first submissions of fresh
+// queues against Flush and Close: whichever wins, every future resolves
+// to nil or the closed error, Flush returns nil or the closed error,
+// Close returns, and the applied count matches the futures that resolved
+// nil.
+func TestLazyStartUnderConcurrency(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		q := NewWithConfig(nopApplier{}, Config{Depth: 4, MaxBatch: 4})
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		futs := make([][]*Future, 4)
+		for p := range futs {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 8; i++ {
+					if (p+i)%2 == 0 {
+						futs[p] = append(futs[p], q.Submit(Op{U: p, V: i}))
+					} else {
+						futs[p] = append(futs[p], q.SubmitBatch([]Op{{U: p, V: i}, {Delete: true, U: p, V: i}})...)
+					}
+				}
+			}(p)
+		}
+		flushErrs := make(chan error, 2)
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				flushErrs <- q.Flush()
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			q.Close()
+		}()
+		close(start)
+		wg.Wait() // Close has returned, so every accepted op has applied
+		close(flushErrs)
+		for err := range flushErrs {
+			if err != nil && err != ErrClosed {
+				t.Fatalf("round %d: Flush = %v, want nil or ErrClosed", round, err)
+			}
+		}
+		applied := uint64(0)
+		for _, fs := range futs {
+			for _, f := range fs {
+				select {
+				case <-f.Done():
+				default:
+					t.Fatalf("round %d: future unresolved after Close", round)
+				}
+				switch f.Err() {
+				case nil:
+					applied++
+				case ErrClosed:
+				default:
+					t.Fatalf("round %d: future resolved %v", round, f.Err())
+				}
+			}
+		}
+		if st := q.Stats(); st.Ops != applied {
+			t.Fatalf("round %d: stats %+v, want %d applied ops", round, st, applied)
 		}
 	}
 }

@@ -180,15 +180,3 @@ func (s *Space) Touch(p, i int) {
 	s.lastStep[i] = m.stepID
 	s.lastProc[i] = int32(p)
 }
-
-// Grow extends the space to hold at least n cells.
-func (s *Space) Grow(n int) {
-	if s.lastStep == nil || n <= len(s.lastStep) {
-		return
-	}
-	ls := make([]int64, n)
-	lp := make([]int32, n)
-	copy(ls, s.lastStep)
-	copy(lp, s.lastProc)
-	s.lastStep, s.lastProc = ls, lp
-}

@@ -118,16 +118,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestGrow(t *testing.T) {
-	m := New(true)
-	s := m.NewSpace("A", 2)
-	s.Grow(100)
-	m.Step(2, func(p int) { s.Touch(p, 99) })
-	if len(m.Violations()) != 1 {
-		t.Fatal("violation on grown cell not detected")
-	}
-}
-
 func BenchmarkStepOverheadUnchecked(b *testing.B) {
 	m := New(false)
 	for i := 0; i < b.N; i++ {

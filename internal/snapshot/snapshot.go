@@ -380,16 +380,6 @@ func (p *Publisher) swapIn(s *Snapshot) {
 	}
 }
 
-// Abort discards a builder without publishing, returning its shell and era
-// for reuse. Publisher side only.
-func (p *Publisher) Abort(b Builder) {
-	b.s.Release()
-	p.retire(b.s)
-	if len(p.pool) < maxRetired {
-		p.pool = append(p.pool, b.e)
-	}
-}
-
 // retire records a swapped-out snapshot for reuse, abandoning the oldest
 // still-pinned entries to the GC when the list outgrows maxRetired (a
 // reader that never releases keeps its snapshot valid; it just cannot be

@@ -82,19 +82,6 @@ func TestHeldSnapshotSurvivesRecycling(t *testing.T) {
 	held.Release()
 }
 
-// TestAbortReturnsBuffers exercises the discard path.
-func TestAbortReturnsBuffers(t *testing.T) {
-	p := NewPublisher(4)
-	b := p.Begin(4)
-	b.AppendEdge(0, 1, 7)
-	p.Abort(b)
-	s := p.Acquire()
-	defer s.Release()
-	if s.Epoch() != 0 || s.Size() != 0 {
-		t.Fatal("aborted builder leaked into the published snapshot")
-	}
-}
-
 // TestConcurrentAcquireRelease hammers the acquire/validate/release
 // protocol against a publishing writer under -race: every observed snapshot
 // must be internally consistent (weight matches its edge list, component

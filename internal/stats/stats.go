@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the benchmark
 // harness uses: summary statistics, log-log power-law fits for verifying
-// complexity shapes, and a plain-text table renderer for regenerating the
-// experiment tables in EXPERIMENTS.md.
+// complexity shapes, and a plain-text table renderer for the experiment
+// tables cmd/msfbench prints.
 package stats
 
 import (
@@ -169,13 +169,4 @@ func (t *Table) Fprint(w io.Writer) {
 		fmt.Fprintln(tw, strings.Join(r, "\t"))
 	}
 	tw.Flush()
-}
-
-// FprintCSV renders the table as CSV (one header row, no title), for
-// feeding plots.
-func (t *Table) FprintCSV(w io.Writer) {
-	fmt.Fprintln(w, strings.Join(t.Headers, ","))
-	for _, r := range t.rows {
-		fmt.Fprintln(w, strings.Join(r, ","))
-	}
 }

@@ -95,13 +95,3 @@ func TestTableRendering(t *testing.T) {
 		}
 	}
 }
-
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("x", "a", "b")
-	tb.Row(1, 2.5)
-	var sb strings.Builder
-	tb.FprintCSV(&sb)
-	if sb.String() != "a,b\n1,2.500\n" {
-		t.Fatalf("csv = %q", sb.String())
-	}
-}

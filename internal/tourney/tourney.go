@@ -30,7 +30,6 @@ type Entry struct {
 // Forest is a reusable set of tournament trees on a PRAM machine.
 type Forest struct {
 	m      *Machine
-	trees  int
 	size   int // leaves per tree, power of two
 	levels int
 	// Per-node state, indexed tree*2*size + heapIndex (heap indices
@@ -62,7 +61,6 @@ func NewForest(m *Machine, trees, leaves int) *Forest {
 	n := trees * 2 * size
 	f := &Forest{
 		m:       m,
-		trees:   trees,
 		size:    size,
 		levels:  levels,
 		val:     make([]int64, n),
@@ -72,9 +70,6 @@ func NewForest(m *Machine, trees, leaves int) *Forest {
 	}
 	return f
 }
-
-// Trees returns the number of trees.
-func (f *Forest) Trees() int { return f.trees }
 
 // Leaves returns the per-tree leaf capacity.
 func (f *Forest) Leaves() int { return f.size }

@@ -1,8 +1,8 @@
 // Package workload generates the graphs and update streams used by the
-// experiments in EXPERIMENTS.md: sparse random graphs (the paper's m = O(n)
-// regime), degree-3-respecting generators for driving the core engine
-// directly, denser graphs for the sparsification experiments, and churn /
-// teardown update streams. All generators are deterministic in their seed.
+// experiments (internal/experiments): sparse random graphs (the paper's
+// m = O(n) regime), degree-3-respecting generators for driving the core
+// engine directly, denser graphs for the sparsification experiments, and
+// churn update streams. All generators are deterministic in their seed.
 package workload
 
 import "parmsf/internal/xrand"
@@ -85,50 +85,6 @@ func DegreeBounded(n, m, maxDeg int, seed uint64) []Edge {
 		deg[u]++
 		deg[v]++
 		out = append(out, Edge{u, v, int64(perm[len(out)]) + 1})
-	}
-	return out
-}
-
-// Ladder returns the 2xL ladder graph (degree <= 3), a structured
-// degree-bounded workload: rungs plus two rails. Vertex i pairs with i+L.
-func Ladder(l int, seed uint64) []Edge {
-	rng := xrand.New(seed)
-	perm := rng.Perm(3 * l)
-	var out []Edge
-	k := 0
-	add := func(u, v int) {
-		out = append(out, Edge{u, v, int64(perm[k]) + 1})
-		k++
-	}
-	for i := 0; i < l; i++ {
-		add(i, i+l) // rung
-		if i+1 < l {
-			add(i, i+1)     // top rail
-			add(i+l, i+l+1) // bottom rail
-		}
-	}
-	return out
-}
-
-// Grid returns the rows x cols grid graph (degree <= 4; use with the
-// degree-reduction wrapper).
-func Grid(rows, cols int, seed uint64) []Edge {
-	rng := xrand.New(seed)
-	perm := rng.Perm(2 * rows * cols)
-	var out []Edge
-	k := 0
-	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				out = append(out, Edge{id(r, c), id(r, c+1), int64(perm[k]) + 1})
-				k++
-			}
-			if r+1 < rows {
-				out = append(out, Edge{id(r, c), id(r+1, c), int64(perm[k]) + 1})
-				k++
-			}
-		}
 	}
 	return out
 }
@@ -232,22 +188,6 @@ func Churn(n int, base []Edge, steps int, respectDeg3 bool, seed uint64) Stream 
 	return Stream{N: n, Ops: ops}
 }
 
-// BuildTeardown builds a stream that inserts all base edges then deletes
-// them in a seeded random order (every deletion of a forest edge forces a
-// replacement search — the expensive path).
-func BuildTeardown(n int, base []Edge, seed uint64) Stream {
-	rng := xrand.New(seed)
-	var ops []Op
-	for _, e := range base {
-		ops = append(ops, Op{OpInsert, e.U, e.V, e.W})
-	}
-	order := rng.Perm(len(base))
-	for _, i := range order {
-		ops = append(ops, Op{OpDelete, base[i].U, base[i].V, 0})
-	}
-	return Stream{N: n, Ops: ops}
-}
-
 // WriterStreams builds the update side of the mixed reader/writer serving
 // scenario (E16): q deterministic churn streams over disjoint vertex
 // intervals of [0, n), one per concurrent writer. Disjointness makes the
@@ -275,46 +215,4 @@ func WriterStreams(n, q, steps int, seed uint64) []Stream {
 		out[i] = st
 	}
 	return out
-}
-
-// SlidingWindow builds the classic temporal-graph stream: edges arrive one
-// per step and expire after `window` steps, so the live graph is always the
-// most recent `window` arrivals. Every step beyond the warm-up is one
-// insertion plus one deletion.
-func SlidingWindow(n, window, steps int, seed uint64) Stream {
-	rng := xrand.New(seed)
-	type pk = [2]int
-	var ops []Op
-	var fifo []pk
-	live := map[pk]bool{}
-	w := int64(1)
-	for s := 0; s < steps; s++ {
-		// Arrive.
-		for tries := 0; tries < 30; tries++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v {
-				continue
-			}
-			if u > v {
-				u, v = v, u
-			}
-			k := pk{u, v}
-			if live[k] {
-				continue
-			}
-			live[k] = true
-			fifo = append(fifo, k)
-			ops = append(ops, Op{OpInsert, u, v, w})
-			w++
-			break
-		}
-		// Expire.
-		if len(fifo) > window {
-			k := fifo[0]
-			fifo = fifo[1:]
-			delete(live, k)
-			ops = append(ops, Op{OpDelete, k[0], k[1], 0})
-		}
-	}
-	return Stream{N: n, Ops: ops}
 }

@@ -61,31 +61,6 @@ func TestDegreeBounded(t *testing.T) {
 	}
 }
 
-func TestLadder(t *testing.T) {
-	es := Ladder(10, 3)
-	if len(es) != 10+2*9 {
-		t.Fatalf("ladder edges = %d, want 28", len(es))
-	}
-	deg := make([]int, 20)
-	for _, e := range es {
-		deg[e.U]++
-		deg[e.V]++
-	}
-	for v, d := range deg {
-		if d > 3 {
-			t.Fatalf("ladder vertex %d degree %d", v, d)
-		}
-	}
-}
-
-func TestGrid(t *testing.T) {
-	es := Grid(4, 5, 1)
-	want := 4*4 + 3*5 // horizontal + vertical
-	if len(es) != want {
-		t.Fatalf("grid edges = %d, want %d", len(es), want)
-	}
-}
-
 func TestPrefAttachSkew(t *testing.T) {
 	es := PrefAttach(200, 2, 5)
 	deg := make([]int, 200)
@@ -136,53 +111,5 @@ func TestChurnConsistency(t *testing.T) {
 			deg[op.U]--
 			deg[op.V]--
 		}
-	}
-}
-
-func TestBuildTeardown(t *testing.T) {
-	base := RandomSparse(30, 40, 11)
-	s := BuildTeardown(30, base, 12)
-	if len(s.Ops) != 80 {
-		t.Fatalf("ops = %d, want 80", len(s.Ops))
-	}
-	ins, del := 0, 0
-	for _, op := range s.Ops {
-		if op.Kind == OpInsert {
-			if del > 0 {
-				t.Fatal("insert after deletes began")
-			}
-			ins++
-		} else {
-			del++
-		}
-	}
-	if ins != 40 || del != 40 {
-		t.Fatalf("ins=%d del=%d", ins, del)
-	}
-}
-
-func TestSlidingWindow(t *testing.T) {
-	s := SlidingWindow(50, 30, 300, 77)
-	live := map[[2]int]bool{}
-	maxLive := 0
-	for i, op := range s.Ops {
-		k := [2]int{op.U, op.V}
-		if op.Kind == OpInsert {
-			if live[k] {
-				t.Fatalf("op %d: duplicate arrival %v", i, k)
-			}
-			live[k] = true
-		} else {
-			if !live[k] {
-				t.Fatalf("op %d: expiry of dead edge %v", i, k)
-			}
-			delete(live, k)
-		}
-		if len(live) > maxLive {
-			maxLive = len(live)
-		}
-	}
-	if maxLive != 31 {
-		t.Fatalf("window overshoot: max live %d, want 31", maxLive)
 	}
 }

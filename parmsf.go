@@ -7,11 +7,12 @@
 // degree reduction (Section 1.1) around the chunked Euler-tour / LSDS core
 // structure (Sections 2-3, Theorem 1.2), and optionally the sparsification
 // tree (Section 5, Theorem 1.1) for graphs with m >> n. With
-// Options.Parallel the core runs its EREW PRAM driver (Section 3, Theorem
-// 3.1) on a simulated machine whose depth and work counters are available
-// through PRAM(); with Options.Workers the machine additionally executes
-// its kernels for real across a goroutine worker pool, and the batch
-// updates InsertEdges/DeleteEdges preprocess whole batches in parallel.
+// Options.Workers set the core runs its EREW PRAM driver (Section 3,
+// Theorem 3.1) on a machine whose depth and work counters are available
+// through PRAM(): one worker simulates the machine sequentially, and more
+// workers additionally execute its kernels for real across a goroutine
+// worker pool, where the batch updates InsertEdges/DeleteEdges preprocess
+// whole batches in parallel.
 //
 // Typical use:
 //
@@ -49,7 +50,9 @@
 // batches whatever has accumulated into the engine's batch entry points —
 // amortizing engine work and publication across clients and bounding write
 // latency by batch cadence — and each submission resolves its own Pending
-// result once applied. Flush waits for everything previously submitted.
+// result once applied. Submit rejects a malformed update at once with the
+// error the synchronous call would report. Flush waits for everything
+// previously submitted.
 package parmsf
 
 import (
@@ -101,25 +104,23 @@ type Options struct {
 	// Sparsify routes updates through the sparsification tree of Section
 	// 5, making update cost depend on n rather than m. Worthwhile when the
 	// graph is dense. A batch enters the tree at its leaf nodes and
-	// propagates toward the root: level-by-level on a sequential forest,
-	// and with Parallel or Workers through the dependency pipeline, where a
-	// node applies as soon as its children have drained into it (node
-	// tasks run concurrently on the worker pool when Workers is set).
+	// propagates toward the root: level-by-level on a forest without a PRAM
+	// machine, and with Workers (or CheckEREW) through the dependency
+	// pipeline, where a node applies as soon as its children have drained
+	// into it (node tasks run concurrently on a task pool when Workers
+	// exceeds 1).
 	Sparsify bool
-	// Parallel runs the core structure's EREW PRAM driver (Section 3).
-	// Depth and work counters are exposed via PRAM().
-	Parallel bool
-	// Workers selects the real-concurrency backend: the PRAM driver's
-	// kernels and the batch-update preprocessing execute across a pool of
-	// this many goroutines with a barrier per round (0 = simulate rounds
-	// sequentially; negative = GOMAXPROCS). Implies Parallel. The cost
-	// counters reported by PRAM() are identical for every worker count;
-	// only wall-clock time changes. Forests with workers should be
-	// released with Close.
+	// Workers runs the core structure's EREW PRAM driver (Section 3) on a
+	// machine with this many workers, whose depth and work counters are
+	// exposed via PRAM(). 0 runs without a machine; 1 simulates the rounds
+	// sequentially; k > 1 executes the driver's kernels and the
+	// batch-update preprocessing across a pool of k goroutines with a
+	// barrier per round; negative selects GOMAXPROCS. The cost counters
+	// are identical for every worker count; only wall-clock time changes.
+	// Forests with workers should be released with Close.
 	Workers int
-	// CheckEREW enables exclusive-access verification on the simulated
-	// machine (testing; implies Parallel and forces sequential kernel
-	// execution, overriding Workers).
+	// CheckEREW runs the PRAM driver on a sequential simulator with
+	// exclusive-access verification (testing; overrides Workers).
 	CheckEREW bool
 	// QueueDepth is the submission buffer of the write-coalescing ingest
 	// queue behind Submit: producers block (backpressure) once this many
@@ -134,14 +135,16 @@ type Options struct {
 	// followed (in that edge's own op order) by its delete annihilates —
 	// neither reaches the engine, both Pending results resolve nil, and the
 	// pair is never visible in any snapshot epoch. Raises effective
-	// ops/batch under churn. Off by default because it is visible in two
-	// ways: IngestStats' ops counter excludes cancelled updates (see
-	// IngestCancelled), and a cancelled insert is assumed successful — if
-	// the edge was already live, the uncoalesced stream would have reported
-	// ErrExists for the insert and deleted the pre-existing edge, while the
-	// coalesced stream reports success for both and keeps the pre-existing
-	// edge. Producers that never blindly re-insert a live edge observe
-	// identical state and results either way.
+	// ops/batch under churn. A Flush is a barrier: no pair cancels across
+	// it. Off by default because it is visible in two ways: IngestStats'
+	// ops counter excludes cancelled updates (see IngestCancelled), and a
+	// cancelled insert is assumed successful — if the edge was already
+	// live, the uncoalesced stream would have reported ErrExists for the
+	// insert and deleted the pre-existing edge, while the coalesced stream
+	// reports success for both and keeps the pre-existing edge. (Malformed
+	// updates never reach the coalescer: Submit rejects them.) Producers
+	// that never blindly re-insert a live edge observe identical state and
+	// results either way.
 	CoalesceCancel bool
 	// SnapshotRebaseEvery forces a full-sweep snapshot rebase every k
 	// published epochs instead of the default capacity-driven schedule
@@ -228,11 +231,9 @@ type Forest struct {
 	// can check admission without the mutator lock.
 	poison atomic.Pointer[PoisonError]
 
-	qmu     sync.Mutex // guards lazy queue creation vs Close
-	q       *ingest.Queue
-	qa      queueApplier
-	qfinal  ingest.Stats
-	qclosed bool
+	// q is the ingest queue behind Submit, created by New and closed by
+	// Close; its drainer starts with the first accepted submission.
+	q *ingest.Queue
 }
 
 // engine is what the commit path and publication call on the composed
@@ -255,23 +256,19 @@ func New(n int, opt Options) (*Forest, error) {
 	if opt.MaxEdges == 0 {
 		opt.MaxEdges = 4 * n
 	}
-	if opt.CheckEREW || opt.Workers != 0 {
-		opt.Parallel = true
-	}
 	f := &Forest{n: n, opt: opt, fault: faultinject.New(), jour: make(map[[2]int]int64)}
-	if opt.Parallel {
-		if opt.Workers != 0 && !opt.CheckEREW {
-			f.mach = pram.NewParallel(opt.Workers)
-		} else {
-			f.mach = pram.New(opt.CheckEREW)
-		}
+	switch {
+	case opt.CheckEREW:
+		f.mach = pram.New(true)
+	case opt.Workers != 0:
+		f.mach = pram.NewParallel(opt.Workers)
 	}
 	if f.mach != nil {
 		f.ch = core.PRAMCharger{M: f.mach}
 	} else {
 		f.ch = core.SeqCharger{}
 	}
-	if opt.Sparsify && f.mach != nil && opt.Workers != 0 && !opt.CheckEREW {
+	if opt.Sparsify && f.mach != nil && f.mach.Workers() > 1 {
 		f.tasks = sparsify.NewTaskPool(f.mach.Workers())
 	}
 	f.buildEngine()
@@ -281,7 +278,19 @@ func New(n int, opt Options) (*Forest, error) {
 	f.pub = snapshot.NewPublisher(n)
 	f.pub.SetFault(f.fault)
 	f.pub.SetRebaseEvery(opt.SnapshotRebaseEvery)
-	f.qa.f = f
+	// The queue carries the package's own sentinels and the configured
+	// admission policy, so futures and Flush results need no translation.
+	f.q = ingest.NewWithConfig(&queueApplier{f: f}, ingest.Config{
+		Depth:         opt.QueueDepth,
+		MaxBatch:      opt.MaxBatch,
+		Policy:        ingest.SubmitPolicy(opt.SubmitPolicy),
+		SubmitTimeout: opt.SubmitTimeout,
+		FlushTimeout:  opt.FlushTimeout,
+		ClosedErr:     ErrClosed,
+		FullErr:       ErrQueueFull,
+		TimeoutErr:    ErrTimeout,
+		CancelPairs:   opt.CoalesceCancel,
+	})
 	return f, nil
 }
 
@@ -521,21 +530,12 @@ func (f *Forest) ArmFault(spec string) error { return f.fault.ArmSpec(spec) }
 // Options.Workers — the PRAM kernel pool and, with Sparsify, the
 // pipeline's node-task workers. The forest stays usable for synchronous
 // calls afterwards (kernels run sequentially; batch node tasks run
-// inline); Submit and Flush return ErrClosed. Safe on any forest and safe
-// to call twice.
+// inline); Flush and every well-formed Submit return ErrClosed. Safe on
+// any forest and safe to call twice.
 func (f *Forest) Close() {
-	f.qmu.Lock()
-	if q := f.q; q != nil {
-		// Drain under qmu (the drainer never touches qmu, so this cannot
-		// deadlock) and keep the final counters for IngestStats. This must
-		// happen before taking the mutator lock: the drainer's batch
-		// applications acquire f.mu.
-		q.Close()
-		f.qfinal = q.Stats()
-		f.q = nil
-	}
-	f.qclosed = true
-	f.qmu.Unlock()
+	// Drain before taking the mutator lock: the drainer's batch
+	// applications acquire f.mu.
+	f.q.Close()
 	// Release the executors under the mutator lock, so a concurrent
 	// synchronous mutator finishes its batch before its worker pools
 	// disappear out from under it.
@@ -677,28 +677,25 @@ func (f *Forest) Components() int {
 
 // Update is one asynchronous edge update for Submit: an insertion of
 // (U, V) with weight W, or — when Delete is set — a deletion of (U, V).
-type Update struct {
-	Delete bool
-	U, V   int
-	W      Weight
-}
+type Update = ingest.Op
 
 // Submit enqueues one update on the write-coalescing ingest queue and
 // returns its Pending result. Safe for any number of concurrent producers;
 // ops apply in submission order, coalesced into engine batches by a single
 // drainer (sized by Options.QueueDepth / Options.MaxBatch), each batch
 // publishing one snapshot epoch. Submit blocks only when QueueDepth
-// updates are already waiting (backpressure). After Close the returned
-// Pending resolves immediately with ErrClosed.
+// updates are already waiting (backpressure). A malformed update resolves
+// at once, without entering the queue, with the error commit reports for
+// it: ErrBadEdge for an insert (see Insert), ErrNotFound for a delete.
+// After Close a well-formed update resolves immediately with ErrClosed.
 func (f *Forest) Submit(up Update) *Pending {
 	if pe := f.poison.Load(); pe != nil {
 		return ingest.NewFailed(pe)
 	}
-	q := f.queue()
-	if q == nil {
-		return ingest.NewFailed(ErrClosed)
+	if err := updateErr(f.n, up); err != nil {
+		return ingest.NewFailed(err)
 	}
-	return q.Submit(ingest.Op{Delete: up.Delete, U: up.U, V: up.V, W: int64(up.W)})
+	return f.q.Submit(up)
 }
 
 // SubmitBatch enqueues ups as one unit on the ingest queue and returns one
@@ -707,9 +704,10 @@ func (f *Forest) Submit(up Update) *Pending {
 // check) instead of len(ups); the updates apply in slice order at the
 // batch's FIFO position and coalesce with neighboring submissions exactly
 // as the equivalent Submit sequence would, raising the drainer's
-// ops-per-engine-batch coalescing factor (see IngestStats). Empty input
-// returns nil; after Close every returned Pending resolves immediately
-// with ErrClosed.
+// ops-per-engine-batch coalescing factor (see IngestStats). Malformed
+// updates resolve at once, as with Submit, and the rest enqueue. Empty
+// input returns nil; after Close every well-formed update's Pending
+// resolves immediately with ErrClosed.
 func (f *Forest) SubmitBatch(ups []Update) []*Pending {
 	if len(ups) == 0 {
 		return nil
@@ -721,50 +719,41 @@ func (f *Forest) SubmitBatch(ups []Update) []*Pending {
 		}
 		return ps
 	}
-	ops := make([]ingest.Op, len(ups))
-	for i, up := range ups {
-		ops[i] = ingest.Op{Delete: up.Delete, U: up.U, V: up.V, W: int64(up.W)}
-	}
-	q := f.queue()
-	if q == nil {
-		ps := make([]*Pending, len(ups))
-		for i := range ps {
-			ps[i] = ingest.NewFailed(ErrClosed)
+	// The queue owns what it is handed, so copy the well-formed updates.
+	ops := make([]Update, 0, len(ups))
+	for _, up := range ups {
+		if updateErr(f.n, up) == nil {
+			ops = append(ops, up)
 		}
-		return ps
 	}
-	return q.SubmitBatch(ops)
+	futs := f.q.SubmitBatch(ops)
+	if len(ops) == len(ups) {
+		return futs
+	}
+	ps := make([]*Pending, len(ups))
+	for i, up := range ups {
+		if err := updateErr(f.n, up); err != nil {
+			ps[i] = ingest.NewFailed(err)
+		} else {
+			ps[i], futs = futs[0], futs[1:]
+		}
+	}
+	return ps
 }
 
 // Flush blocks until every update submitted before the call has applied
 // (and its epoch published). Returns ErrClosed after Close; a forest that
-// never submitted anything flushes trivially (without starting the
-// drainer).
-func (f *Forest) Flush() error {
-	f.qmu.Lock()
-	q, closed := f.q, f.qclosed
-	f.qmu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	if q == nil {
-		return nil
-	}
-	return q.Flush()
-}
+// never submitted anything flushes trivially (its drainer never started).
+func (f *Forest) Flush() error { return f.q.Flush() }
 
 // IngestStats reports the coalescing drainer's counters: updates applied
 // through the queue and the engine batches they collapsed into (their
 // ratio is the coalescing factor). Zeros when Submit was never used; after
 // Close it keeps reporting the totals the queue drained to. With
 // Options.CoalesceCancel, updates annihilated by pair cancellation are not
-// counted here — see IngestCancelled.
+// counted here — see IngestCancelled. Malformed submissions, which never
+// enter the queue, are not counted at all.
 func (f *Forest) IngestStats() (ops, batches uint64) {
-	f.qmu.Lock()
-	defer f.qmu.Unlock()
-	if f.q == nil {
-		return f.qfinal.Ops, f.qfinal.Batches
-	}
 	st := f.q.Stats()
 	return st.Ops, st.Batches
 }
@@ -773,15 +762,8 @@ func (f *Forest) IngestStats() (ops, batches uint64) {
 // cancelling coalescer annihilated (each cancelled insert+delete pair
 // contributes 2; see Options.CoalesceCancel). Always 0 without
 // CoalesceCancel. The sum of IngestCancelled and IngestStats' ops counter
-// is the number of submitted updates that have resolved.
-func (f *Forest) IngestCancelled() uint64 {
-	f.qmu.Lock()
-	defer f.qmu.Unlock()
-	if f.q == nil {
-		return f.qfinal.Cancelled
-	}
-	return f.q.Stats().Cancelled
-}
+// is the number of well-formed submitted updates that have resolved.
+func (f *Forest) IngestCancelled() uint64 { return f.q.Stats().Cancelled }
 
 // Epoch returns the current snapshot epoch: strictly monotone, advancing
 // once per applied batch that changed the forest. Safe from any
@@ -794,29 +776,6 @@ func (f *Forest) Epoch() uint64 {
 	return e
 }
 
-// queue lazily starts the ingest drainer; nil after Close. The queue
-// carries the package's own sentinels (ErrClosed, ErrQueueFull, ErrTimeout)
-// and the configured admission policy, so futures and Flush results need no
-// translation layer.
-func (f *Forest) queue() *ingest.Queue {
-	f.qmu.Lock()
-	defer f.qmu.Unlock()
-	if f.q == nil && !f.qclosed {
-		f.q = ingest.NewWithConfig(&f.qa, ingest.Config{
-			Depth:         f.opt.QueueDepth,
-			MaxBatch:      f.opt.MaxBatch,
-			Policy:        ingest.SubmitPolicy(f.opt.SubmitPolicy),
-			SubmitTimeout: f.opt.SubmitTimeout,
-			FlushTimeout:  f.opt.FlushTimeout,
-			ClosedErr:     ErrClosed,
-			FullErr:       ErrQueueFull,
-			TimeoutErr:    ErrTimeout,
-			CancelPairs:   f.opt.CoalesceCancel,
-		})
-	}
-	return f.q
-}
-
-// PRAM returns the simulated EREW machine when Options.Parallel was set
-// (depth = Time, work = Work), or nil.
+// PRAM returns the EREW machine when Options.Workers or Options.CheckEREW
+// was set (depth = Time, work = Work), or nil.
 func (f *Forest) PRAM() *pram.Machine { return f.mach }

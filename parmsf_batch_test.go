@@ -58,8 +58,8 @@ func TestInsertEdgesMatchesSingles(t *testing.T) {
 	// Insert/Delete and through InsertEdges([e])/DeleteEdges([k]) must
 	// leave identical forests, per-op errors and PRAM counters after every
 	// op.
-	single := MustNew(n, Options{Parallel: true})
-	twin := MustNew(n, Options{Parallel: true})
+	single := MustNew(n, Options{Workers: 1})
+	twin := MustNew(n, Options{Workers: 1})
 	first := func(errs []error) error {
 		if errs == nil {
 			return nil
@@ -182,7 +182,7 @@ func TestDeleteEdges(t *testing.T) {
 func TestBatchParityAcrossBackends(t *testing.T) {
 	const n = 2048
 	plain := MustNew(n, Options{})
-	sim := MustNew(n, Options{Parallel: true})
+	sim := MustNew(n, Options{Workers: 1})
 	machined := []*Forest{sim}
 	for _, w := range []int{1, 2, 4} {
 		pf := MustNew(n, Options{Workers: w})

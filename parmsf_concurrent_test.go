@@ -2,6 +2,7 @@ package parmsf
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -343,7 +344,7 @@ func TestSubmitFlushIngest(t *testing.T) {
 }
 
 // TestFlushWithoutSubmit pins that Flush on a never-submitted forest is a
-// true no-op: no drainer goroutine is started and no queue is built.
+// true no-op: its queue's drainer goroutine is never started.
 func TestFlushWithoutSubmit(t *testing.T) {
 	f := MustNew(4, Options{})
 	defer f.Close()
@@ -352,6 +353,42 @@ func TestFlushWithoutSubmit(t *testing.T) {
 	}
 	if ops, batches := f.IngestStats(); ops != 0 || batches != 0 {
 		t.Fatalf("idle stats = (%d, %d)", ops, batches)
+	}
+}
+
+// TestSubmitMalformed pins that a malformed insert submitted with its
+// delete reports the synchronous API's errors — ErrBadEdge, then
+// ErrNotFound — whether or not the cancelling coalescer could pair them,
+// and that only the well-formed deletes enter the queue.
+func TestSubmitMalformed(t *testing.T) {
+	const n = 8
+	bad := []Update{
+		{U: 3, V: 3, W: 5},             // self loop
+		{U: 3, V: n, W: 5},             // out-of-range vertex
+		{U: 3, V: 4, W: MinWeight - 1}, // weight below MinWeight
+		{U: 3, V: 4, W: math.MaxInt64}, // the core's infinity sentinel
+	}
+	for _, cancel := range []bool{false, true} {
+		f := MustNew(n, Options{CoalesceCancel: cancel})
+		for _, up := range bad {
+			ps := f.SubmitBatch([]Update{up, {Delete: true, U: up.U, V: up.V}})
+			if err := ps[0].Wait(); err != ErrBadEdge {
+				t.Fatalf("cancel=%v %+v: insert resolved %v, want ErrBadEdge", cancel, up, err)
+			}
+			if err := ps[1].Wait(); err != ErrNotFound {
+				t.Fatalf("cancel=%v %+v: delete resolved %v, want ErrNotFound", cancel, up, err)
+			}
+		}
+		if err := f.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if ops, _ := f.IngestStats(); ops != 2 || f.IngestCancelled() != 0 {
+			t.Fatalf("cancel=%v: ingest ops %d, cancelled %d; want 2 and 0", cancel, ops, f.IngestCancelled())
+		}
+		if f.Size() != 0 || f.Poisoned() != nil {
+			t.Fatalf("cancel=%v: size %d, poisoned %v", cancel, f.Size(), f.Poisoned())
+		}
+		f.Close()
 	}
 }
 

@@ -23,7 +23,7 @@ func TestSparsifyBatchParity(t *testing.T) {
 	const n = 48
 	perEdge := MustNew(n, Options{Sparsify: true})
 	flat := MustNew(n, Options{MaxEdges: 16 * n})
-	sim := MustNew(n, Options{Sparsify: true, Parallel: true})
+	sim := MustNew(n, Options{Sparsify: true, Workers: 1})
 	machined := []*Forest{sim}
 	for _, w := range []int{1, 2, 4} {
 		pf := MustNew(n, Options{Sparsify: true, Workers: w})

@@ -117,7 +117,7 @@ func TestEdgesIteration(t *testing.T) {
 }
 
 func TestPRAMCountersAdvance(t *testing.T) {
-	f := MustNew(64, Options{Parallel: true})
+	f := MustNew(64, Options{Workers: 1})
 	rng := xrand.New(3)
 	for i := 0; i < 200; i++ {
 		u, v := rng.Intn(64), rng.Intn(64)
