@@ -21,7 +21,7 @@
 //
 // Global reads compose the shard snapshots at a pinned epoch vector: one
 // immutable snapshot per shard plus the coordinator's, acquired lock-free,
-// then a Kruskal pass over their union (at most n-1 shard forest edges
+// then one batch.MSF pass over their union (at most n-1 shard forest edges
 // plus the coordinator forest). The composed view is cached and reused
 // until any shard publishes a new epoch; a reader that finds the composer
 // busy serves the previous cached view — stale by at most the in-flight
@@ -35,11 +35,12 @@ package cluster
 
 import (
 	"errors"
-	"sort"
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"parmsf"
+	"parmsf/internal/batch"
 	"parmsf/internal/ingest"
 )
 
@@ -97,10 +98,10 @@ type Cluster struct {
 	// Composed-view cache. cmu serializes composition; readers that lose
 	// the TryLock race serve the cached view (stale by at most one
 	// in-flight composition, never torn).
-	cmu    sync.Mutex
-	view   atomic.Pointer[view]
-	cedges []cedge // composer scratch, guarded by cmu
-	cpar   []int32
+	cmu  sync.Mutex
+	view atomic.Pointer[view]
+	cand []batch.Item // composer scratch, guarded by cmu
+	msf  batch.MSF
 }
 
 // view is one composed global answer set, pinned to the epoch vector it
@@ -112,12 +113,6 @@ type view struct {
 	comps  int
 	comp   []int32       // dense global component ids
 	edges  []parmsf.Edge // the composed global MSF, ascending (W, U, V)
-}
-
-// cedge is one candidate edge during composition, in global vertex ids.
-type cedge struct {
-	u, v int32
-	w    int64
 }
 
 // New creates an empty k-shard cluster over n global vertices (n >= 2,
@@ -247,30 +242,33 @@ func (c *Cluster) boundaryPair(u, v int, create bool) (bu, bv int32, ok bool) {
 	return bu, bv, true
 }
 
-// route resolves where an update of edge (u, v) applies: the index into
-// c.all of its target forest — the owning shard, or the coordinator for a
-// cross-shard edge — and the edge's endpoints in that forest's vertex
-// space. An update no forest can take fails instead: a malformed pair with
-// parmsf.ErrBadEdge (parmsf.ErrNotFound for a deletion), a cross-shard
-// insertion whose new boundary endpoints would exceed Options.MaxBoundary
-// with parmsf.ErrCapacity, and a cross-shard deletion whose endpoints were
-// never boundary-registered — so no edge can exist — with
-// parmsf.ErrNotFound.
-func (c *Cluster) route(u, v int, del bool) (t, lu, lv int, err error) {
-	if u < 0 || u >= c.n || v < 0 || v >= c.n || u == v {
-		if del {
-			return 0, 0, 0, parmsf.ErrNotFound
-		}
+// route resolves where update up applies: the index into c.all of its
+// target forest — the owning shard, or the coordinator for a cross-shard
+// edge — and the edge's endpoints in that forest's vertex space. An update
+// no forest can take fails instead: a malformed insertion (bad pair or
+// weight) with parmsf.ErrBadEdge and a deletion of a malformed pair with
+// parmsf.ErrNotFound — both before any boundary id is registered — a
+// cross-shard insertion whose new boundary endpoints would exceed
+// Options.MaxBoundary with parmsf.ErrCapacity, and a cross-shard deletion
+// whose endpoints were never boundary-registered — so no edge can exist —
+// with parmsf.ErrNotFound.
+func (c *Cluster) route(up parmsf.Update) (t, lu, lv int, err error) {
+	u, v := up.U, up.V
+	badPair := u < 0 || u >= c.n || v < 0 || v >= c.n || u == v
+	switch {
+	case up.Delete && badPair:
+		return 0, 0, 0, parmsf.ErrNotFound
+	case !up.Delete && (badPair || up.W < parmsf.MinWeight || up.W == math.MaxInt64):
 		return 0, 0, 0, parmsf.ErrBadEdge
 	}
 	if su, sv := c.owner[u], c.owner[v]; su == sv {
 		return int(su), int(c.local[u]), int(c.local[v]), nil
 	}
-	bu, bv, ok := c.boundaryPair(u, v, !del)
+	bu, bv, ok := c.boundaryPair(u, v, !up.Delete)
 	switch {
 	case ok:
 		return c.k, int(bu), int(bv), nil
-	case del:
+	case up.Delete:
 		return 0, 0, 0, parmsf.ErrNotFound
 	}
 	return 0, 0, 0, parmsf.ErrCapacity
@@ -281,7 +279,7 @@ func (c *Cluster) route(u, v int, del bool) (t, lu, lv int, err error) {
 // parmsf.Forest.Insert, plus parmsf.ErrCapacity when registering a new
 // boundary endpoint would exceed Options.MaxBoundary.
 func (c *Cluster) Insert(u, v int, w parmsf.Weight) error {
-	t, lu, lv, err := c.route(u, v, false)
+	t, lu, lv, err := c.route(parmsf.Update{U: u, V: v, W: w})
 	if err != nil {
 		return err
 	}
@@ -293,7 +291,7 @@ func (c *Cluster) Insert(u, v int, w parmsf.Weight) error {
 // boundary-registered cannot hold an edge and reports parmsf.ErrNotFound
 // without consulting the coordinator.
 func (c *Cluster) Delete(u, v int) error {
-	t, lu, lv, err := c.route(u, v, true)
+	t, lu, lv, err := c.route(parmsf.Update{U: u, V: v, Delete: true})
 	if err != nil {
 		return err
 	}
@@ -305,7 +303,7 @@ func (c *Cluster) Delete(u, v int) error {
 // shards admit and drain fully independently; updates to one shard keep
 // their submission order. Backpressure is per shard queue.
 func (c *Cluster) Submit(up parmsf.Update) *parmsf.Pending {
-	t, lu, lv, err := c.route(up.U, up.V, up.Delete)
+	t, lu, lv, err := c.route(up)
 	if err != nil {
 		return ingest.NewFailed(err)
 	}
@@ -329,7 +327,7 @@ func (c *Cluster) SubmitBatch(ups []parmsf.Update) []*parmsf.Pending {
 	}
 	groups := make([]group, len(c.all))
 	for i, up := range ups {
-		t, lu, lv, err := c.route(up.U, up.V, up.Delete)
+		t, lu, lv, err := c.route(up)
 		if err != nil {
 			res[i] = ingest.NewFailed(err)
 			continue
@@ -474,9 +472,10 @@ func (c *Cluster) fresh(v *view) bool {
 // composeLocked builds the composed global view under cmu: acquire one
 // immutable snapshot per forest (pinning the epoch vector), translate the
 // shard MSF edges to global ids and the coordinator's to their registered
-// global endpoints, and run one Kruskal pass over the union — sound by
-// the composition lemma (see the package comment), and at most n-1 shard
-// edges plus the coordinator forest, independent of the live edge count.
+// global endpoints, and classify the union with the static MSF kernel —
+// sound by the composition lemma (see the package comment), and at most
+// n-1 shard edges plus the coordinator forest, independent of the live
+// edge count.
 func (c *Cluster) composeLocked() *view {
 	snaps := make([]*parmsf.Snapshot, len(c.all))
 	epochs := make([]uint64, len(c.all))
@@ -485,82 +484,50 @@ func (c *Cluster) composeLocked() *view {
 		snaps[i] = s
 		epochs[i] = s.Epoch()
 	}
-	cand := c.cedges[:0]
+	cand := c.cand[:0]
+	add := func(gu, gv int32, w int64) {
+		if gu > gv {
+			gu, gv = gv, gu
+		}
+		cand = append(cand, batch.Item{Key: w, A: int(gu), B: int(gv), Idx: len(cand)})
+	}
 	for s := 0; s < c.k; s++ {
 		vs := c.verts[s]
 		snaps[s].Edges(func(u, v int, w int64) bool {
-			gu, gv := vs[u], vs[v]
-			if gu > gv {
-				gu, gv = gv, gu
-			}
-			cand = append(cand, cedge{u: gu, v: gv, w: w})
+			add(vs[u], vs[v], w)
 			return true
 		})
 	}
 	snaps[c.k].Edges(func(u, v int, w int64) bool {
-		gu, gv := c.bvert[u], c.bvert[v]
-		if gu > gv {
-			gu, gv = gv, gu
-		}
-		cand = append(cand, cedge{u: gu, v: gv, w: w})
+		add(c.bvert[u], c.bvert[v], w)
 		return true
 	})
 	for _, s := range snaps {
 		s.Release()
 	}
-	sort.Slice(cand, func(i, j int) bool {
-		a, b := cand[i], cand[j]
-		if a.w != b.w {
-			return a.w < b.w
-		}
-		if a.u != b.u {
-			return a.u < b.u
-		}
-		return a.v < b.v
-	})
-	c.cedges = cand
+	c.cand = cand
 
-	if cap(c.cpar) < c.n {
-		c.cpar = make([]int32, c.n)
-	}
-	par := c.cpar[:c.n]
-	for i := range par {
-		par[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for par[x] != x {
-			par[x] = par[par[x]]
-			x = par[x]
-		}
-		return x
-	}
+	tree := c.msf.Classify(nil, c.n, cand, nil)
 	nv := &view{
 		epochs: epochs,
+		size:   len(tree),
 		comp:   make([]int32, c.n),
+		edges:  make([]parmsf.Edge, len(tree)),
 	}
-	for _, e := range cand {
-		ru, rv := find(e.u), find(e.v)
-		if ru == rv {
-			continue
-		}
-		par[rv] = ru
-		nv.weight += e.w
-		nv.size++
-		nv.edges = append(nv.edges, parmsf.Edge{U: int(e.u), V: int(e.v), W: e.w})
+	for i, it := range tree {
+		nv.weight += it.Key
+		nv.edges[i] = parmsf.Edge{U: it.A, V: it.B, W: it.Key}
 	}
-	next := int32(0)
 	for v := range nv.comp {
 		nv.comp[v] = -1
 	}
 	for v := 0; v < c.n; v++ {
-		r := find(int32(v))
+		r := c.msf.Find(v)
 		if nv.comp[r] < 0 {
-			nv.comp[r] = next
-			next++
+			nv.comp[r] = int32(nv.comps)
+			nv.comps++
 		}
 		nv.comp[v] = nv.comp[r]
 	}
-	nv.comps = int(next)
 	return nv
 }

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -295,6 +296,16 @@ func TestClusterValidation(t *testing.T) {
 	}
 	// Ranges(8,2): shard 0 owns 0..3, shard 1 owns 4..7. Two boundary slots
 	// admit one cross pair; a third distinct endpoint exceeds MaxBoundary.
+	// A cross insert rejected for its weight registers no boundary id, so
+	// these leave both slots free.
+	for _, w := range []parmsf.Weight{parmsf.MinWeight - 1, math.MaxInt64} {
+		if err := c.Insert(1, 5, w); !errors.Is(err, parmsf.ErrBadEdge) {
+			t.Fatalf("cross insert of weight %d: %v", w, err)
+		}
+		if err := c.Submit(parmsf.Update{U: 2, V: 6, W: w}).Wait(); !errors.Is(err, parmsf.ErrBadEdge) {
+			t.Fatalf("cross submit of weight %d: %v", w, err)
+		}
+	}
 	if err := c.Insert(0, 4, parmsf.MinWeight+2); err != nil {
 		t.Fatalf("first cross insert: %v", err)
 	}

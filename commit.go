@@ -255,6 +255,15 @@ func mapBatchInsertErr(err error) error {
 	return ErrBadEdge
 }
 
+// grow returns pooled scratch s resized to length n, growing capacity only
+// when needed (the parmsf-level sibling of core's growScratch).
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
 // jkey returns the canonical journal key of an edge.
 func jkey(u, v int) [2]int {
 	if u > v {

@@ -1,6 +1,8 @@
 // Package batch implements the data-parallel kernels behind the public
-// batch-update API (parmsf.InsertEdges / DeleteEdges): deterministic
-// parallel sorting of update batches on a pram.Machine's executor.
+// batch-update API (parmsf.InsertEdges / DeleteEdges) and the bulk
+// constructor: deterministic parallel sorting of update batches on a
+// pram.Machine's executor, and the module's one static minimum spanning
+// forest kernel, MSF, with its union-find UF (msf.go).
 //
 // The split between execution and accounting mirrors the rest of the
 // repository: the model cost charged on the machine is the textbook EREW

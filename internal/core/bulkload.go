@@ -1,6 +1,9 @@
 package core
 
-import "parmsf/internal/graph"
+import (
+	"parmsf/internal/batch"
+	"parmsf/internal/graph"
+)
 
 // This file implements the static bulk-load path of the engine: direct
 // construction of the whole structure state from a classified edge set,
@@ -21,9 +24,8 @@ import "parmsf/internal/graph"
 // even when every intermediate state is about to be torn up by the next
 // link. Direct construction does that vector work only for the final state:
 // O(#chunks) rows and O(#chunks) internal LSDS nodes, with #chunks =
-// O(n/K), so the whole load is O(m + n log n + (n/K) J log) — dominated by
-// the caller's O(m log m) classification sort rather than by per-edge
-// structure surgery.
+// O(n/K), so the whole load is O(m + n log n + (n/K) J log), with no
+// per-edge structure surgery.
 
 // BulkLoad loads a classified static edge set into an edge-empty engine by
 // building the final structure state directly. Every op must be an
@@ -80,25 +82,14 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 	m.growTables()
 	// Acyclicity of the tree flags is checked by a host union-find rather
 	// than per-link dynamic-tree queries (same guarantee, no extra splays).
-	uf := make([]int32, st.n)
-	for v := range uf {
-		uf[v] = int32(v)
-	}
-	ufFind := func(x int32) int32 {
-		for uf[x] != x {
-			uf[x] = uf[uf[x]]
-			x = uf[x]
-		}
-		return x
-	}
+	var uf batch.UF
+	uf.Reset(st.n)
 	for _, e := range treeEdges {
 		u, v := int(e.U), int(e.V)
 		st.ch.Seq(1 + log2ceil(st.n+1)) // acyclicity check + dynamic-tree link
-		ru, rv := ufFind(e.U), ufFind(e.V)
-		if ru == rv {
+		if !uf.Union(u, v) {
 			panic("core: BulkLoad tree flags do not form a forest")
 		}
-		uf[ru] = rv
 		m.lctE[e.ID] = m.lf.Link(u, v, e.W)
 		e.Tree = true
 		m.w += e.W

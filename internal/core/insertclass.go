@@ -1,5 +1,7 @@
 package core
 
+import "parmsf/internal/batch"
+
 // This file implements the batched insert-side classification of the
 // pipeline's insert stage. Per-edge insertion answers "are u and v already
 // connected?" with a dynamic-tree query per edge — a sequential pointer
@@ -13,11 +15,11 @@ package core
 // Only the path-max queries of the already-connected cases (and the
 // dynamic-tree links themselves) remain sequential.
 
-// insertConn resolves connectivity for the planned insertions: roots[i]
-// holds the union-find token pair of insertion idx[i]'s endpoints.
+// insertConn resolves connectivity for the planned insertions: ru[i] and
+// rv[i] are the union-find tokens of planned insertion i's endpoint roots.
 type insertConn struct {
-	ru, rv []int32 // per planned insertion: dense ids of the endpoint roots
-	parent []int32 // union-find over root ids (path-halving, union by index)
+	ru, rv []int32  // per planned insertion: dense ids of the endpoint roots
+	uf     batch.UF // over root ids
 }
 
 // planInsertConnectivity computes the endpoint tour roots of every planned
@@ -41,7 +43,6 @@ func (m *MSF) planInsertConnectivity() *insertConn {
 	ic := &st.ic
 	ic.ru = growScratch(ic.ru, k)
 	ic.rv = growScratch(ic.rv, k)
-	ic.parent = ic.parent[:0]
 	if st.icIDs == nil {
 		st.icIDs = make(map[*Tour]int32, 2*k)
 	}
@@ -49,9 +50,8 @@ func (m *MSF) planInsertConnectivity() *insertConn {
 	tok := func(t *Tour) int32 {
 		id, ok := ids[t]
 		if !ok {
-			id = int32(len(ic.parent))
+			id = int32(len(ids))
 			ids[t] = id
-			ic.parent = append(ic.parent, id)
 		}
 		return id
 	}
@@ -59,6 +59,7 @@ func (m *MSF) planInsertConnectivity() *insertConn {
 		ic.ru[i] = tok(roots[2*i])
 		ic.rv[i] = tok(roots[2*i+1])
 	}
+	ic.uf.Reset(len(ids))
 	// Drop the tour pointers so the pooled scratch does not pin tours that
 	// later surgery retires. The densifier is emptied key by key: clear
 	// costs the map's capacity, which the largest batch so far has set, and
@@ -81,26 +82,12 @@ func (st *Store) rootWalk(p int) {
 	st.rootScratch[p] = st.tourOf(st.pcs[v].chunk)
 }
 
-// find resolves a root token with path halving.
-func (ic *insertConn) find(x int32) int32 {
-	for ic.parent[x] != x {
-		ic.parent[x] = ic.parent[ic.parent[x]]
-		x = ic.parent[x]
-	}
-	return x
-}
-
 // connected reports whether planned insertion i joins two vertices already
 // in one component — per the pre-stage roots plus the unions recorded for
 // the batch's earlier successful links.
 func (ic *insertConn) connected(i int) bool {
-	return ic.find(ic.ru[i]) == ic.find(ic.rv[i])
+	return ic.uf.Find(int(ic.ru[i])) == ic.uf.Find(int(ic.rv[i]))
 }
 
 // union records that insertion i linked its two components.
-func (ic *insertConn) union(i int) {
-	a, b := ic.find(ic.ru[i]), ic.find(ic.rv[i])
-	if a != b {
-		ic.parent[b] = a
-	}
-}
+func (ic *insertConn) union(i int) { ic.uf.Union(int(ic.ru[i]), int(ic.rv[i])) }

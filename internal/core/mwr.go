@@ -106,92 +106,25 @@ func (st *Store) mwrGamma(t1, t2 *Tour) *graph.Edge {
 	return e
 }
 
-// mwrCand is one candidate of the MWR chunk scan: a charged edge and the
-// chunk-side endpoint it was charged through.
-type mwrCand struct {
-	e *graph.Edge
-	v int32
-}
-
-// mwrScanFanMin is the candidate count below which the MWR scan runs inline
-// (fanning a handful of O(1) membership tests out to the pool costs more
-// than the scan).
-const mwrScanFanMin = 1 << 11
-
 // scanChunkForMWR scans hat's charged edges for the lightest one whose far
 // endpoint lies in the other tour (the verified-candidate scan of Lemmas
-// 2.4 / 3.3). The candidate set is collected on the host (the getEdge
-// assignment), then the membership tests and the minimum fan across the
-// worker pool in contiguous strips with a MinReduce-style combine: each
-// strip keeps its earliest strictly-minimal candidate and the host combine
-// prefers earlier strips, so the result is the sequential scan's answer for
-// every strip count.
+// 2.4 / 3.3), filtering inline during the charged-edge walk: the earliest
+// strictly-minimal candidate wins.
 func (st *Store) scanChunkForMWR(hat *Chunk, other *Tour) *graph.Edge {
 	ec := hat.edgeCount()
 	st.ch.Par(btHeight(hat)+3, ec) // getEdge assignment
 	st.ch.Par(log2ceil(st.K+1), ec)
 	st.ch.Climb(ec + 1)
-	m := st.ch.Machine()
-	if m == nil || ec < mwrScanFanMin {
-		// Common case: filter inline during the charged-edge walk, with no
-		// candidate materialization.
-		var found *graph.Edge
-		st.forEachChargedEdge(hat, func(cp *Copy, e *graph.Edge) {
-			oc := st.otherChunk(e, cp.v)
-			if !st.chunkInTour(oc, other) {
-				return
-			}
-			if found == nil || e.W < found.W {
-				found = e
-			}
-		})
-		return found
-	}
-
-	cands := st.mwrCands[:0]
-	st.forEachChargedEdge(hat, func(cp *Copy, e *graph.Edge) {
-		cands = append(cands, mwrCand{e: e, v: cp.v})
-	})
-	n := len(cands)
-	strips := 4 * m.Workers()
-	if strips > n {
-		strips = n
-	}
-	size := (n + strips - 1) / strips
-	st.mwrBest = growScratch(st.mwrBest, strips)
-	bestIdx := st.mwrBest
-	st.ch.Apply(strips, func(p int) {
-		lo, hi := p*size, (p+1)*size
-		if hi > n {
-			hi = n
-		}
-		bi := -1
-		var bw Weight
-		for i := lo; i < hi; i++ {
-			c := cands[i]
-			oc := st.otherChunk(c.e, c.v)
-			if !st.chunkInTour(oc, other) {
-				continue
-			}
-			if bi < 0 || c.e.W < bw {
-				bi, bw = i, c.e.W
-			}
-		}
-		bestIdx[p] = bi
-	})
 	var found *graph.Edge
-	for p := 0; p < strips; p++ {
-		if bestIdx[p] < 0 {
-			continue
+	st.forEachChargedEdge(hat, func(cp *Copy, e *graph.Edge) {
+		oc := st.otherChunk(e, cp.v)
+		if !st.chunkInTour(oc, other) {
+			return
 		}
-		if e := cands[bestIdx[p]].e; found == nil || e.W < found.W {
+		if found == nil || e.W < found.W {
 			found = e
 		}
-	}
-	// Keep the scratch capacity but drop its edge pointers, so the last
-	// scan never pins deleted edges for the Store's lifetime.
-	clear(cands)
-	st.mwrCands = cands[:0]
+	})
 	return found
 }
 

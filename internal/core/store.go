@@ -88,9 +88,6 @@ type Store struct {
 	pendDirty []*Chunk
 	pendMark  map[*Chunk]bool
 
-	mwrCands []mwrCand // scratch for the sharded MWR chunk scan
-	mwrBest  []int     // scratch for the per-strip minima of that scan
-
 	// Pooled batch scratch: reused across batches so the hot classify /
 	// shard / flush stages allocate nothing in steady state. Each user
 	// resets its slice to [:0] (or empties its map) on entry, never retains

@@ -145,15 +145,8 @@ func resetEra(e *era, n int) *era {
 }
 
 // appendBaseEdge records one rebase forest edge. The capacity exceeds any
-// forest (edgeCap > n-1); growth below is a defensive path for synthetic
-// builders and is safe because an era under construction has no readers.
+// forest (edgeCap > n-1), so the edge list never grows.
 func (e *era) appendBaseEdge(u, v int, w int64) {
-	if e.edgeLen >= len(e.edges) {
-		e.edges = append(e.edges, Edge{})
-		e.dead = append(e.dead, 0)
-		e.edges = e.edges[:cap(e.edges)]
-		e.dead = e.dead[:len(e.edges)]
-	}
 	e.edges[e.edgeLen] = Edge{U: u, V: v, W: w}
 	e.edgeLen++
 }

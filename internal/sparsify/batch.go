@@ -311,7 +311,7 @@ type BulkEngine interface {
 // An insert-only delta into an empty node (every node of a fresh tree
 // during a bulk build, and any node recreated after its local graph
 // emptied) routes through the engine's static bulk loader when it has one:
-// the node classifies its local MSF with a Kruskal pass and the engine
+// the node classifies its local MSF with the static kernel and the engine
 // skips the per-edge update machinery entirely.
 func (f *Forest) applyNodeDelta(nd *node, dels [][2]int, inss []batch.Edge) {
 	f.Fault.Hit(fpNodeTask)
@@ -348,10 +348,11 @@ func (f *Forest) applyNodeDelta(nd *node, dels [][2]int, inss []batch.Edge) {
 }
 
 // bulkLoadNode seeds an empty node's engine with its whole delta in one
-// static bulk load: localize the ids, classify the local MSF with a
-// Kruskal pass ordered by (weight, local endpoints), and hand the flagged
-// set to the engine's bulk loader. The tie-break matches the incremental
-// path exactly: local() is increasing on each of the node's intervals and
+// static bulk load: localize the ids, classify the local MSF with the
+// static kernel (batch.MSF, uncharged: the node's cost is its engine's)
+// over the (weight, local endpoints) order, and hand the flagged set to
+// the engine's bulk loader. The tie-break matches the incremental path
+// exactly: local() is increasing on each of the node's intervals and
 // interval a precedes interval b, so the (w, lu, lv) order equals the
 // (w, u, v) order of the global canonical keys under which sorted per-edge
 // replay resolves equal-weight conflicts (first arrival wins, and sorted
@@ -359,46 +360,19 @@ func (f *Forest) applyNodeDelta(nd *node, dels [][2]int, inss []batch.Edge) {
 // state plus the tree's atomic bulk counter.
 func (f *Forest) bulkLoadNode(nd *node, be BulkEngine, inss []batch.Edge) {
 	lins := make([]batch.Edge, len(inss))
+	items := make([]batch.Item, len(inss))
 	for i, e := range inss {
-		lins[i] = batch.Edge{U: nd.local(e.U), V: nd.local(e.V), W: e.W}
+		lu, lv := nd.local(e.U), nd.local(e.V)
+		lins[i] = batch.Edge{U: lu, V: lv, W: e.W}
+		items[i] = batch.Item{Key: e.W, A: lu, B: lv, Idx: i}
 	}
-	order := make([]int, len(lins))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		x, y := lins[order[a]], lins[order[b]]
-		if x.W != y.W {
-			return x.W < y.W
-		}
-		if x.U != y.U {
-			return x.U < y.U
-		}
-		return x.V < y.V
-	})
 	localN := nd.span
 	if nd.key.a != nd.key.b {
 		localN = 2 * nd.span
 	}
-	parent := make([]int32, localN)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
 	tree := make([]bool, len(lins))
-	for _, i := range order {
-		ru, rv := find(int32(lins[i].U)), find(int32(lins[i].V))
-		if ru != rv {
-			parent[rv] = ru
-			tree[i] = true
-		}
-	}
+	var k batch.MSF
+	k.Classify(nil, localN, items, tree)
 	for i, err := range be.BulkLoad(lins, tree) {
 		if err != nil {
 			panic(fmt.Sprintf("sparsify: local bulk load (%d,%d): %v", inss[i].U, inss[i].V, err))

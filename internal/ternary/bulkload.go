@@ -8,9 +8,9 @@ import (
 
 // BulkLoad seeds an empty wrapper with its whole initial edge set in one
 // engine batch. tree[i] must report whether items[i] belongs to the minimum
-// spanning forest of the item set (computed statically by the caller —
-// Build's filter-Kruskal at the top level, the per-node Kruskal of the
-// sparsification tree's bulk routing below it). The wrapper's slot rings
+// spanning forest of the item set, as the caller's static MSF kernel
+// (batch.MSF) classified it — in Build and Recover's flat load, and in
+// each node of a fresh sparsification tree. The wrapper's slot rings
 // are staged in item order without intermediate surgeries and flagged tree
 // unconditionally — ring paths are cycle-free and lighter than every real
 // edge, so every ring belongs to the gadget MSF and the flags over the

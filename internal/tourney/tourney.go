@@ -71,9 +71,6 @@ func NewForest(m *Machine, trees, leaves int) *Forest {
 	return f
 }
 
-// Leaves returns the per-tree leaf capacity.
-func (f *Forest) Leaves() int { return f.size }
-
 // tourneyFanMin is the round width at which tournament phases fan out to
 // the machine's worker pool; smaller rounds run inline on the host (the
 // dispatch barrier costs more than a few hundred O(1) comparisons).
@@ -90,8 +87,9 @@ type contestant struct {
 
 // Run executes the four-phase tournament for the given participants;
 // entries[k] occupies leaf k of its destination tree (so len(entries) must
-// be <= Leaves(), and inactive slots use Tree < 0). emit is called once per
-// touched tree with that tree's minimum value and its payload.
+// not exceed the per-tree leaf capacity, and inactive slots use Tree < 0).
+// emit is called once per touched tree with that tree's minimum value and
+// its payload.
 //
 // Cost charged on the machine: one round to place leaves, then 4 rounds per
 // level with the surviving processor count as width — O(log L) depth, O(P)

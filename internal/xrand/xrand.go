@@ -48,17 +48,11 @@ func (r *RNG) Perm(n int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
-// Shuffle permutes n elements using the provided swap function
-// (Fisher-Yates).
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
+	for i := n - 1; i > 0; i-- { // Fisher-Yates
 		j := r.Intn(i + 1)
-		swap(i, j)
+		p[i], p[j] = p[j], p[i]
 	}
+	return p
 }
 
 // Bool returns a pseudo-random boolean.

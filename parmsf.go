@@ -614,11 +614,10 @@ func (f *Forest) reload(edges []Edge) (err error) {
 	defer func() { f.suppress = false }()
 	defer f.absorbSpars()()
 	errs := make([]error, len(edges))
-	if failed := f.loadAccepted(edges, errs); failed != 0 {
-		for _, e := range errs {
-			if e != nil {
-				return fmt.Errorf("parmsf: recovery rebuild rejected a journaled edge: %w", e)
-			}
+	f.loadAccepted(edges, errs)
+	for _, e := range errs {
+		if e != nil {
+			return fmt.Errorf("parmsf: recovery rebuild rejected a journaled edge: %w", e)
 		}
 	}
 	return nil

@@ -2,26 +2,22 @@ package parmsf
 
 import (
 	"parmsf/internal/batch"
-	"parmsf/internal/core"
-	"parmsf/internal/pram"
 	"parmsf/internal/ternary"
 )
 
 // This file implements the parallel bulk constructor: Build computes the
-// minimum spanning forest of the initial edge set statically with a
-// filter-Kruskal seed (sort only the ~2n lightest edges around a
-// kth-smallest pivot, union-find the heavy remainder away; SNIPPETS
-// snippet 1, after the deterministic-reservations technique of Blelloch et
-// al.) and loads the classified set directly into the engine stack — core
-// Store/LSDS/CAdj via core.BulkLoad, ternary slot rings staged in rank
-// order without intermediate surgeries, and with Options.Sparsify the
-// Section 5 tree assembled bottom-up through the per-node bulk routing —
-// instead of streaming every edge through the incremental update path.
-// Cold-start is then roughly O(m log n) work rather than O(m sqrt(n) log n)
-// sequential updates, and the same path doubles as the shard
-// rebuild/recovery primitive of the sharding roadmap item. The engine-level
-// loader is core.MSF.BulkLoad (direct Euler-tour/chunk/CAdj/LSDS state
-// construction).
+// minimum spanning forest of the initial edge set statically with the
+// module's filter-Kruskal kernel (batch.MSF: sort only the ~2n lightest
+// edges around a kth-smallest pivot, union-find the heavy remainder away;
+// SNIPPETS snippet 1) and loads the classified set directly into the
+// engine stack — core Store/LSDS/CAdj via core.BulkLoad and ternary slot
+// rings staged in rank order without intermediate surgeries — instead of
+// streaming every edge through the incremental update path. With
+// Options.Sparsify the accepted set takes the commit path's insert stage
+// instead: the tree is fresh, so every node it touches bulk-loads (see
+// sparsify.Forest.bulkLoadNode). Cold-start is then roughly O(m log n)
+// work rather than O(m sqrt(n) log n) sequential updates, and the same
+// path doubles as Recover's rebuild primitive.
 
 // Build creates a forest over n vertices (n >= 2) preloaded with edges, in
 // bulk. The edge set is validated and deduplicated exactly as a per-edge
@@ -49,19 +45,16 @@ func Build(n int, edges []Edge, opt Options) (*Forest, []error, error) {
 		return nil, nil, ErrTooFewVertices
 	}
 	errs := make([]error, len(edges))
-	failed := 0
 	seen := make(map[[2]int]bool, len(edges))
 	accepted := 0
 	for i, e := range edges {
 		if !validEdge(n, e) {
 			errs[i] = ErrBadEdge
-			failed++
 			continue
 		}
 		k := jkey(e.U, e.V)
 		if seen[k] {
 			errs[i] = ErrExists
-			failed++
 			continue
 		}
 		seen[k] = true
@@ -77,18 +70,14 @@ func Build(n int, edges []Edge, opt Options) (*Forest, []error, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if accepted == 0 {
-		if failed == 0 {
-			return f, nil, nil
-		}
-		return f, errs, nil
-	}
 	defer f.absorbSpars()()
-	failed += f.loadAccepted(edges, errs)
-	if failed == 0 {
-		return f, nil, nil
+	f.loadAccepted(edges, errs)
+	for _, err := range errs {
+		if err != nil {
+			return f, errs, nil
+		}
 	}
-	return f, errs, nil
+	return f, nil, nil
 }
 
 // MustBuild is Build for static inputs known to construct: it panics on a
@@ -106,64 +95,44 @@ func MustBuild(n int, edges []Edge, opt Options) (*Forest, []error) {
 // the static bulk-load path, recording engine rejections in errs and
 // journaling every loaded edge. It is the loader shared by Build and
 // Recover's reload; the caller holds the engine exclusively and has
-// arranged absorbSpars.
-func (f *Forest) loadAccepted(edges []Edge, errs []error) (failed int) {
+// arranged absorbSpars. A sparsification tree takes the commit path's
+// insert stage, which bulk-loads every node of the fresh tree; otherwise
+// the kernel classifies the set and the ternary wrapper bulk-loads it.
+func (f *Forest) loadAccepted(edges []Edge, errs []error) {
+	if f.spars != nil {
+		f.insertBatch(edges, errs)
+		return
+	}
 	items := make([]batch.Item, 0, len(edges))
 	for i, e := range edges {
 		if errs[i] == nil {
 			items = append(items, batch.Item{Key: e.W, A: e.U, B: e.V, Idx: i})
 		}
 	}
-	if len(items) == 0 {
-		return 0
+	var k batch.MSF
+	isTree := make([]bool, len(edges))
+	tree := k.Classify(f.mach, f.n, items, isTree)
+	// Load order: tree edges ascending, then the non-tree rest in input
+	// order — the non-tree fast path is order-independent, so no sort is
+	// spent on the heavy majority.
+	bes := make([]ternary.BatchEdge, 0, len(items))
+	flags := make([]bool, 0, len(items))
+	bidx := make([]int, 0, len(items))
+	for _, it := range tree {
+		bes = append(bes, ternary.BatchEdge{U: it.A, V: it.B, W: it.Key})
+		flags = append(flags, true)
+		bidx = append(bidx, it.Idx)
 	}
-	if f.spars != nil {
-		// Sparsification path: the batch enters the Section 5 tree sorted —
-		// so every node sees ascending weights and tie-breaks match per-edge
-		// replay — and, the tree being fresh, every touched node routes
-		// through the static bulk loader with a local Kruskal classification
-		// (sparsify.Forest.bulkLoadNode), assembling the tree bottom-up in
-		// one pipelined pass.
-		batch.Sort(f.mach, items)
-		bes := make([]ternary.BatchEdge, len(items))
-		for i, it := range items {
-			bes[i] = ternary.BatchEdge{U: it.A, V: it.B, W: it.Key}
-		}
-		for i, err := range f.spars.InsertEdges(bes) {
-			if err != nil {
-				errs[items[i].Idx] = mapBatchInsertErr(err)
-				failed++
-			}
-		}
-	} else {
-		var sc buildScratch
-		isTree := make([]bool, len(edges))
-		treeOrdered := sc.classify(f.n, items, isTree, f.mach, f.ch)
-		// Load order: tree edges ascending (concatenated Kruskal rounds are
-		// globally sorted), then the non-tree remainder in input order — the
-		// non-tree fast path is order-independent, so no sort is spent on
-		// the heavy majority.
-		bes := make([]ternary.BatchEdge, 0, len(items))
-		flags := make([]bool, 0, len(items))
-		bidx := make([]int, 0, len(items))
-		for _, it := range treeOrdered {
-			bes = append(bes, ternary.BatchEdge{U: it.A, V: it.B, W: it.Key})
-			flags = append(flags, true)
-			bidx = append(bidx, it.Idx)
-		}
-		for i, e := range edges {
-			if errs[i] != nil || isTree[i] {
-				continue
-			}
+	for i, e := range edges {
+		if errs[i] == nil && !isTree[i] {
 			bes = append(bes, ternary.BatchEdge{U: e.U, V: e.V, W: e.W})
 			flags = append(flags, false)
 			bidx = append(bidx, i)
 		}
-		for i, err := range f.eng.(*ternary.Wrapper).BulkLoad(bes, flags) {
-			if err != nil {
-				errs[bidx[i]] = mapBatchInsertErr(err)
-				failed++
-			}
+	}
+	for i, err := range f.eng.(*ternary.Wrapper).BulkLoad(bes, flags) {
+		if err != nil {
+			errs[bidx[i]] = mapBatchInsertErr(err)
 		}
 	}
 	// Commit point: journal what loaded (idempotent under reload, where the
@@ -173,147 +142,4 @@ func (f *Forest) loadAccepted(edges []Edge, errs []error) (failed int) {
 			f.jour[jkey(e.U, e.V)] = e.W
 		}
 	}
-	return failed
-}
-
-// buildScratch pools the filter-Kruskal classification state across rounds
-// (and across Build calls when reused): the union-find over original
-// vertices, the partition/filter flags, the quickselect buffer and the
-// light/work/tree item slices. A warm classify allocates only what the
-// sort kernels allocate internally (pinned by the build alloc gate).
-type buildScratch struct {
-	uf    []int32      // union-find parents over original vertices
-	conn  []bool       // partition ("light") / filter ("connected") flags
-	sel   []batch.Item // quickselect scratch copy
-	light []batch.Item // light part of one round, sorted and Kruskal'd
-	work  []batch.Item // surviving heavy edges between rounds
-	tree  []batch.Item // accepted MSF edges, globally ascending
-}
-
-// kruskalCutoff is the smallest batch worth a pivot round: below it (and
-// below 2n) the whole remainder is sorted and swept directly.
-const kruskalCutoff = 4096
-
-// classify partitions items into the MSF of the accepted set and its
-// complement: filter-Kruskal rounds — kth-smallest pivot (batch.Select), a
-// one-round partition kernel, parallel merge sort of the light prefix, a
-// host Kruskal sweep, then a read-only union-find filter kernel dropping
-// heavy edges whose endpoints are already connected — until the remainder
-// fits one direct sort or the forest is complete. isTree (indexed by
-// item Idx) is set for every accepted MSF edge; the returned slice holds
-// the same edges in ascending (Key, A, B, Idx) order, backed by pooled
-// scratch valid until the next classify.
-//
-// Determinism: the pivot is a pure function of the item multiset, the
-// kernels write only their own cells, and every union-find mutation
-// happens in host passes over sorted prefixes — so the classification (and
-// the charges on ch) are bit-identical for every worker count.
-func (b *buildScratch) classify(n int, items []batch.Item, isTree []bool, mach *pram.Machine, ch core.Charger) []batch.Item {
-	b.uf = grow(b.uf, n)
-	uf := b.uf
-	for v := range uf {
-		uf[v] = int32(v)
-	}
-	find := func(x int32) int32 {
-		for uf[x] != x {
-			uf[x] = uf[uf[x]]
-			x = uf[x]
-		}
-		return x
-	}
-	// findRO resolves a root without path compression: safe for concurrent
-	// read-only kernel lookups between host rounds.
-	findRO := func(x int32) int32 {
-		for uf[x] != x {
-			x = uf[x]
-		}
-		return x
-	}
-	tree := b.tree[:0]
-	work := append(b.work[:0], items...)
-	limit := 2 * n
-	if limit < kruskalCutoff {
-		limit = kruskalCutoff
-	}
-	kruskal := func(sorted []batch.Item) {
-		ch.Seq(len(sorted))
-		for _, it := range sorted {
-			ru, rv := find(int32(it.A)), find(int32(it.B))
-			if ru != rv {
-				uf[rv] = ru
-				isTree[it.Idx] = true
-				tree = append(tree, it)
-			}
-		}
-	}
-	for len(work) > 0 && len(tree) < n-1 {
-		if len(work) <= limit {
-			batch.Sort(mach, work)
-			kruskal(work)
-			break
-		}
-		// Partition around the kth-smallest tuple. Tuples are pairwise
-		// distinct (distinct edges), so the light side has exactly `limit`
-		// items; the kernel broadcasts the pivot and writes one flag cell
-		// per processor.
-		pivot, sel := batch.Select(work, limit-1, b.sel)
-		b.sel = sel
-		b.conn = grow(b.conn, len(work))
-		conn := b.conn
-		ch.ParDo(len(work), func(i int) {
-			conn[i] = !batch.Less(pivot, work[i])
-		})
-		light := b.light[:0]
-		heavy := work[:0]
-		for i, it := range work {
-			if conn[i] {
-				light = append(light, it)
-			} else {
-				heavy = append(heavy, it)
-			}
-		}
-		b.light = light
-		batch.Sort(mach, light)
-		kruskal(light)
-		if len(tree) >= n-1 {
-			break // forest complete: every heavy edge is non-tree
-		}
-		// Filter: drop heavy edges already connected — they can never enter
-		// the MSF (cycle property against the lighter accepted prefix). The
-		// root walks share reads of the union-find array, so the kernel is
-		// charged as a parallel round and executed unchecked, as with the
-		// insert-classification kernel.
-		ch.Par(log2ceilHost(n+1), len(heavy))
-		ch.Apply(len(heavy), func(i int) {
-			conn[i] = findRO(int32(heavy[i].A)) == findRO(int32(heavy[i].B))
-		})
-		out := heavy[:0]
-		for i, it := range heavy {
-			if !conn[i] {
-				out = append(out, it)
-			}
-		}
-		work = out
-	}
-	b.work = work[:0]
-	b.tree = tree
-	return tree
-}
-
-// grow returns pooled scratch s resized to length n, growing capacity only
-// when needed (the parmsf-level sibling of core's growScratch).
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]T, n-cap(s))...)
-	}
-	return s[:n]
-}
-
-// log2ceilHost returns ceil(log2(x)) for x >= 1.
-func log2ceilHost(x int) int {
-	r := 0
-	for w := 1; w < x; w *= 2 {
-		r++
-	}
-	return r
 }

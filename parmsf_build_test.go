@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"parmsf/internal/baseline"
-	"parmsf/internal/batch"
 	"parmsf/internal/workload"
 )
 
@@ -274,36 +273,5 @@ func TestBuildSparsifyBulkRouting(t *testing.T) {
 	}
 	if k := f.spars.BulkNodeLoads.Load(); k == 0 {
 		t.Fatal("sparsify build routed no node through the bulk loader")
-	}
-}
-
-// TestBuildClassifyWarmAllocs pins the warm allocation count of the
-// filter-Kruskal classification scratch: after a cold round, classify on
-// pooled scratch must not allocate per edge.
-func TestBuildClassifyWarmAllocs(t *testing.T) {
-	const n = 256
-	es := workload.RandomSparse(n, 6*n, 17)
-	f := MustNew(n, Options{})
-	defer f.Close()
-	var sc buildScratch
-	isTree := make([]bool, len(es))
-	mk := func() []batch.Item {
-		out := make([]batch.Item, 0, len(es))
-		for i, e := range es {
-			out = append(out, batch.Item{Key: e.W, A: e.U, B: e.V, Idx: i})
-		}
-		return out
-	}
-	warm := mk()
-	sc.classify(n, warm, isTree, f.mach, f.ch) // cold round grows the pools
-	avg := testing.AllocsPerRun(10, func() {
-		clear(isTree)
-		sc.classify(n, mk(), isTree, f.mach, f.ch)
-	})
-	// The classification itself is allocation-free on warm scratch; the
-	// per-run slack covers the freshly built input slice and the sort
-	// kernel's internal buffers.
-	if avg > 40 {
-		t.Fatalf("warm classify allocations = %.1f, want <= 40", avg)
 	}
 }
