@@ -8,10 +8,12 @@ import (
 )
 
 // TestModesQuick runs every mode at -quick size, -build and -cluster on the
-// builtin edge list. The churn stream at seed 1 ends with 28 live edges
-// and a 15-edge forest; a change to how the stream draws its ops moves
-// those counts. Its EREW-checked forest's PRAM depth and work totals are
-// pinned too, so a change that moves any charge fails here.
+// builtin edge list, plus the churn mode at its default size, the one CI
+// runs. The churn stream at seed 1 ends with 28 live edges and a 15-edge
+// forest at -quick size, and 282 and 47 at the default; a change to how
+// the stream draws its ops moves those counts. Its EREW-checked forest's
+// PRAM depth and work totals are pinned at both sizes too, so a change
+// that moves any charge fails here.
 func TestModesQuick(t *testing.T) {
 	n, edges, err := loadEdges("-", 3)
 	if err != nil {
@@ -24,6 +26,8 @@ func TestModesQuick(t *testing.T) {
 	}{
 		{"churn", func() (string, error) { return checkChurn(16, 500, 97, 1) },
 			"final m=28, forest=15, PRAM depth=93328 work=1923670"},
+		{"churn-default", func() (string, error) { return checkChurn(48, 3000, 97, 1) },
+			"final m=282, forest=47, PRAM depth=539508 work=19990764"},
 		{"snapshot", func() (string, error) { return checkSnapshot(16, 500, 1) }, "500 ops on n=16"},
 		{"crash", func() (string, error) { return checkCrash(16, 500, 1) }, "on n=16"},
 		{"build", func() (string, error) { return checkBuild(n, edges) }, "384 edges (0 rejected) on n=96"},

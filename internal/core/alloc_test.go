@@ -84,3 +84,55 @@ func TestBatchApplyWarmAllocs(t *testing.T) {
 		t.Fatalf("warm batch apply allocates %.2f objects per update, want <= 0.75 (only the reinsertions' edge records)", perOp)
 	}
 }
+
+// TestTreeEdgeCycleAllocs pins the allocation ceiling of the tree-edge
+// path, which the non-tree gates above never reach: deleting a tree edge
+// that has a replacement, then reinserting it, cuts and relinks tours,
+// splits and merges chunks, rebuilds rows, runs the replacement search and
+// swaps the replacement back out. The core is a 512-vertex path plus chords
+// (v, v+2) for every v divisible by 4, so each vertex is in at most one
+// chord; the cycle deletes the path edge (256, 257), which the chord
+// (256, 258) replaces. Under the PRAM charger every row rebuild runs the
+// tournament forest, whose warm rounds allocate nothing. Each ceiling is
+// the measured count plus a small margin.
+func TestTreeEdgeCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs without -race")
+	}
+	for _, tc := range []struct {
+		name  string
+		ch    Charger
+		limit float64
+	}{
+		{"seq", SeqCharger{}, 88},                     // measured 82
+		{"pram", PRAMCharger{M: pram.New(false)}, 92}, // measured 86
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n, u = 512, 256
+			m := NewMSF(n, Config{}, tc.ch)
+			for v := 0; v+1 < n; v++ {
+				mustIns(t, m, v, v+1, Weight(v+1))
+			}
+			for v := 0; v+2 < n; v += 4 {
+				mustIns(t, m, v, v+2, Weight(1000+v))
+			}
+			cycle := func() {
+				if err := m.DeleteEdge(u, u+1); err != nil {
+					panic(err)
+				}
+				if err := m.InsertEdge(u, u+1, u+1); err != nil {
+					panic(err)
+				}
+			}
+			for i := 0; i < 10; i++ {
+				cycle() // warm the pooled scratch, vectors and kernels
+			}
+			avg := testing.AllocsPerRun(100, cycle)
+			t.Logf("%.1f objects per delete+reinsert cycle", avg)
+			if avg > tc.limit {
+				t.Fatalf("warm tree-edge delete+reinsert allocates %.1f objects, want <= %v", avg, tc.limit)
+			}
+			checkAll(t, m)
+		})
+	}
+}

@@ -275,8 +275,8 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 	st.ch.Seq(len(edges))
 	for _, e := range edges {
 		a, b := st.pcs[e.U].chunk, st.pcs[e.V].chunk
-		if a.id < 0 || b.id < 0 {
-			continue
+		if a.id < 0 || b.id < 0 || a == b {
+			continue // unrecorded, or on the unmaintained diagonal
 		}
 		x := &st.C[int(a.id)*st.J+int(b.id)]
 		if e.W < *x {

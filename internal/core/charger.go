@@ -11,6 +11,10 @@ import (
 // installs a PRAMCharger wrapping an EREW machine: every primitive charges
 // the depth and width the corresponding lemma prescribes, and the
 // reduction-shaped primitives run real tournament kernels on the machine.
+// Entrywise vector loops over chunk ids (row clears, column pushes, gamma
+// builds) run inline on the host: they touch only the ids below the
+// high-water mark, too few to repay a round on the worker pool, while their
+// Par charges stay at J processors.
 type Charger interface {
 	// Seq charges cost rounds of single-processor host work ("processor p1
 	// does X", as in Lemmas 3.1-3.3).
@@ -34,12 +38,6 @@ type Charger interface {
 	// write disjoint cells and their combined result must not depend on
 	// execution order.
 	Apply(width int, f func(p int))
-	// Shard executes f over contiguous subranges covering [0, n), also
-	// uncharged: the range-shaped variant of Apply for entrywise vector
-	// loops (row clears, column pushes, gamma builds). The partition
-	// follows the worker count, so results must be partition-independent
-	// (disjoint writes per index).
-	Shard(n int, f func(lo, hi int))
 	// Machine returns the underlying PRAM, or nil for sequential execution.
 	Machine() *pram.Machine
 }
@@ -70,13 +68,6 @@ func (SeqCharger) Apply(width int, f func(p int)) {
 	}
 }
 
-// Shard implements Charger.
-func (SeqCharger) Shard(n int, f func(lo, hi int)) {
-	if n > 0 {
-		f(0, n)
-	}
-}
-
 // Machine implements Charger.
 func (SeqCharger) Machine() *pram.Machine { return nil }
 
@@ -104,9 +95,6 @@ func (c PRAMCharger) ParDo(width int, f func(p int)) { c.M.Step(width, f) }
 
 // Apply implements Charger.
 func (c PRAMCharger) Apply(width int, f func(p int)) { c.M.Run(width, f) }
-
-// Shard implements Charger.
-func (c PRAMCharger) Shard(n int, f func(lo, hi int)) { c.M.RunRanges(n, f) }
 
 // Machine implements Charger.
 func (c PRAMCharger) Machine() *pram.Machine { return c.M }

@@ -9,9 +9,10 @@ import (
 
 // CheckInvariants exhaustively verifies the structure against its paper
 // invariants: principal-copy rings, Euler-tour validity, Invariant 1, CAdj
-// ground truth, LSDS aggregation, and registry consistency. It is O(n + J^2)
-// and meant for tests. expectForest is the set of tree edge IDs (from the
-// engine); pass nil to skip Euler-tour/forest cross-checks.
+// ground truth (Inf on the unmaintained diagonal), LSDS aggregation, and
+// registry consistency. It sweeps all J ids of every row and vector, so it
+// also verifies that every cell at or above the high-water mark reads Inf.
+// It is O(n + J^2) and meant for tests.
 func (st *Store) CheckInvariants() error {
 	// --- Vertices: rings and principal copies. ---
 	for v := 0; v < st.n; v++ {
@@ -234,7 +235,7 @@ func (st *Store) CheckInvariants() error {
 	st.g.Edges(func(e *graph.Edge) bool {
 		a := st.pcs[e.U].chunk
 		b := st.pcs[e.V].chunk
-		if a.id < 0 || b.id < 0 {
+		if a.id < 0 || b.id < 0 || a == b {
 			return true
 		}
 		k1 := [2]int32{a.id, b.id}

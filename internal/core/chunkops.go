@@ -5,8 +5,8 @@ import "parmsf/internal/seqtree"
 // lsOp runs an LSDS structural operation, counting internal-vector
 // recomputations triggered through the Update hook and charging them per
 // Lemma 3.2 (one round of J processors per touched node). The sequential
-// charger ignores the charge; the O(J) per-node vector work is real either
-// way.
+// charger ignores the charge; the per-node vector work over the live chunk
+// ids is real either way.
 func (st *Store) lsOp(f func()) {
 	mark := st.lsTouches
 	f()
@@ -119,45 +119,32 @@ func (st *Store) mergeInto(left, right *Chunk) {
 	switch {
 	case left.id >= 0 && right.id >= 0:
 		li, ri := int(left.id), int(right.id)
-		lrow, rrow := st.row(left.id), st.row(right.id)
+		lrow, rrow := st.row(left.id)[:st.hi], st.row(right.id)[:st.hi]
 		st.ch.Par(1, st.J)
-		st.ch.Shard(st.J, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				if rrow[j] < lrow[j] {
-					lrow[j] = rrow[j]
-				}
+		for j, w := range rrow {
+			if w < lrow[j] {
+				lrow[j] = w
 			}
-		})
-		// Edges between the two pieces (and inside right) are now intra-
-		// chunk: fold their entries into the diagonal, then retire right's
-		// slots.
-		diag := lrow[li]
-		if lrow[ri] < diag {
-			diag = lrow[ri]
 		}
-		lrow[li] = diag
+		// Edges between the two pieces are now intra-chunk, and the
+		// diagonal is not maintained: clear both cells they folded into,
+		// then retire right's row.
+		lrow[li] = Inf
 		lrow[ri] = Inf
-		st.ch.Shard(st.J, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				rrow[i] = Inf
-			}
-		})
+		fillInf(rrow)
 		// Columns: other chunks now see the union under left's id.
 		st.ch.Par(1, st.J)
-		st.ch.Shard(st.J, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				oc := st.chunks[j]
-				if oc == nil || oc == left || oc == right {
-					continue
-				}
-				lcell := &st.C[j*st.J+li]
-				rcell := &st.C[j*st.J+ri]
-				if *rcell < *lcell {
-					*lcell = *rcell
-				}
-				*rcell = Inf
+		for j, oc := range st.chunks[:st.hi] {
+			if oc == nil || oc == left || oc == right {
+				continue
 			}
-		})
+			lcell := &st.C[j*st.J+li]
+			rcell := &st.C[j*st.J+ri]
+			if *rcell < *lcell {
+				*lcell = *rcell
+			}
+			*rcell = Inf
+		}
 		rid := right.id
 		st.freeID(right)
 		st.sweepColumn(left.id)

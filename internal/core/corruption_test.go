@@ -129,6 +129,17 @@ func TestCheckerDetectsCorruption(t *testing.T) {
 			}
 			return false
 		}, ""},
+		{"cadj-beyond-high-water", func(st *Store) bool {
+			// No loop writes an aggregate cell at or above hi, so only the
+			// checker's sweep over all J ids can see one.
+			for _, t := range st.normal {
+				if !t.root.IsLeaf() && st.hi < st.J {
+					t.root.Agg.cadj[st.hi] = 1
+					return true
+				}
+			}
+			return false
+		}, "LSDS"},
 		{"chunk-id-table", func(st *Store) bool {
 			c := firstRegistered(st)
 			if c == nil {

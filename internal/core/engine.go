@@ -163,7 +163,7 @@ func (m *MSF) deleteTreeEdge(u, v int) {
 	if pv != pu {
 		st.bumpCharge(pv, -1)
 	}
-	st.recomputeEntryPair(pu.chunk, pv.chunk)
+	st.recomputeEntryPair(pu.chunk, pv.chunk, e.W)
 
 	st.ch.Seq(log2ceil(st.n + 1)) // dynamic-tree cut
 	m.lf.Cut(m.lctE[eid])
@@ -240,17 +240,18 @@ func (m *MSF) splice(op BatchOp) {
 	st.occU[e3.ID], st.occV[e3.ID] = x, y
 	// CAdj: (a, h) and (h, b) leave, (a, b) arrives, all of weight w. An
 	// entry that loses a weight-w edge and gains one keeps its minimum, so
-	// only entries left with no replacement are rescanned.
+	// only entries left with no replacement are recomputed. A diagonal
+	// entry is not maintained: its recompute is charged but scans nothing.
 	switch {
-	case pa == ph && ph == pb: // the diagonal keeps its minimum
+	case pa == ph && ph == pb: // all three edges are intra-chunk
 	case pa == ph: // (a, b) takes (h, b)'s place in entry (pa, pb)
-		st.recomputeEntryPair(pa, pa)
+		st.recomputeEntryPair(pa, pa, w)
 	case pb == ph: // (a, b) takes (a, h)'s place in entry (pa, pb)
-		st.recomputeEntryPair(pb, pb)
+		st.recomputeEntryPair(pb, pb, w)
 	default:
-		st.recomputeEntryPair(pa, ph)
+		st.recomputeEntryPair(pa, ph, w)
 		if pb != pa {
-			st.recomputeEntryPair(pb, ph)
+			st.recomputeEntryPair(pb, ph, w)
 		}
 		st.lowerEntryPair(pa, pb, w)
 	}

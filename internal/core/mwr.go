@@ -62,25 +62,22 @@ func (st *Store) mwrGamma(t1, t2 *Tour) *graph.Edge {
 		memb2 := t2.root.Agg.memb
 		if m := st.ch.Machine(); m != nil {
 			// Processor j computes gamma[j] in O(1), then a tournament tree
-			// finds the minimum (Lemma 3.3). The gamma build writes disjoint
-			// cells per index, so it shards across the worker pool.
+			// finds the minimum (Lemma 3.3). Cells at or above hi stay Inf.
 			st.ch.Par(1, st.J)
 			gamma := st.gammaScratch()
-			st.ch.Shard(st.J, func(lo, hi int) {
-				for j := lo; j < hi; j++ {
-					if hasBit(memb2, j) {
-						gamma[j] = cadj1[j]
-					} else {
-						gamma[j] = Inf
-					}
+			for j := range gamma[:st.hi] {
+				if hasBit(memb2, j) {
+					gamma[j] = cadj1[j]
+				} else {
+					gamma[j] = Inf
 				}
-			})
+			}
 			bestID, best = tourney.MinReduce(m, gamma, Inf)
 			if best == Inf {
 				bestID = -1
 			}
 		} else {
-			for w := 0; w < len(memb2); w++ {
+			for w := 0; w < (st.hi+63)/64; w++ {
 				word := memb2[w]
 				for word != 0 {
 					j := w*64 + bits.TrailingZeros64(word)
@@ -149,10 +146,11 @@ func (st *Store) mwrScanShort(short, other *Tour) *graph.Edge {
 	return st.scanChunkForMWR(hat, other)
 }
 
-// gammaScratch returns a reusable J-sized scratch slice.
+// gammaScratch returns a reusable J-sized scratch slice, created at Inf.
 func (st *Store) gammaScratch() []Weight {
 	if st.gamma == nil {
 		st.gamma = make([]Weight, st.J)
+		fillInf(st.gamma)
 	}
 	return st.gamma
 }

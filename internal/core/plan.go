@@ -226,9 +226,13 @@ func LoadNontreeScenario(m *MSF, n int) (del, ins []BatchOp) {
 
 // entryPair is one independent group of the shard stage: the symmetric CAdj
 // entry pair (a, b) whose minimum must be recomputed after the group's
-// deletions. Distinct pairs write disjoint matrix cells, so all groups
-// apply concurrently.
-type entryPair struct{ a, b *Chunk }
+// deletions, and whether any of them can have changed it (entryMayChange).
+// Distinct pairs write disjoint matrix cells, so all groups apply
+// concurrently.
+type entryPair struct {
+	a, b *Chunk
+	scan bool
+}
 
 // entryKey is the unordered id pair of the CAdj entry pair (a, b).
 func entryKey(a, b *Chunk) [2]int32 {
@@ -243,9 +247,10 @@ func entryKey(a, b *Chunk) [2]int32 {
 // plan order. Phase 2 (shard/apply): deduplicate the touched chunk pairs
 // and recompute each pair's CAdj entry by a charged-edge scan — one task
 // per pair, fanned across the worker pool, each writing only its own
-// symmetric entry pair. Phase 3 (host): restore Invariant 1 for the touched
-// chunks; the aggregate refreshes above them are deferred to the batch
-// flush.
+// symmetric entry pair. Every pair is charged its scan; a pair runs the
+// kernel only if some deletion of its group can have changed the entry.
+// Phase 3 (host): restore Invariant 1 for the touched chunks; the
+// aggregate refreshes above them are deferred to the batch flush.
 func (m *MSF) applyNonTreeDeletes(idx []int, ops []BatchOp) {
 	if len(idx) == 0 {
 		return
@@ -254,12 +259,13 @@ func (m *MSF) applyNonTreeDeletes(idx []int, ops []BatchOp) {
 	pairs := st.pairScratch[:0]
 	touched := st.touchScratch[:0]
 	if st.pairSeen == nil {
-		st.pairSeen = make(map[[2]int32]bool, len(idx))
+		st.pairSeen = make(map[[2]int32]int, len(idx))
 	}
 	seen := st.pairSeen // empty between batches
 	for _, i := range idx {
 		op := ops[i]
-		if _, err := st.g.Delete(op.U, op.V); err != nil {
+		e, err := st.g.Delete(op.U, op.V)
+		if err != nil {
 			panic("core: planned non-tree deletion vanished: " + err.Error())
 		}
 		pu, pv := st.pcs[op.U], st.pcs[op.V]
@@ -272,9 +278,13 @@ func (m *MSF) applyNonTreeDeletes(idx []int, ops []BatchOp) {
 		if c1.id < 0 || c2.id < 0 {
 			continue // entries of unregistered chunks are not recorded
 		}
-		if k := entryKey(c1, c2); !seen[k] {
-			seen[k] = true
-			pairs = append(pairs, entryPair{c1, c2})
+		scan := st.entryMayChange(c1, c2, e.W)
+		k := entryKey(c1, c2)
+		if at, ok := seen[k]; ok {
+			pairs[at].scan = pairs[at].scan || scan
+		} else {
+			seen[k] = len(pairs)
+			pairs = append(pairs, entryPair{c1, c2, scan})
 		}
 	}
 	// Empty the filter key by key, before normalize can renumber chunks:
@@ -289,6 +299,9 @@ func (m *MSF) applyNonTreeDeletes(idx []int, ops []BatchOp) {
 	// recomputeEntryPair uses for the other stages' entry pairs.
 	for _, p := range pairs {
 		st.chargeEntryPairScan(p.a)
+		if p.scan {
+			st.sts.EntryScans++
+		}
 	}
 	st.pairScratch = pairs
 	st.ch.Apply(len(pairs), st.scanKernel)

@@ -36,7 +36,8 @@ func (st *Store) otherChunk(e *graph.Edge, v int32) *Chunk {
 // rebuildRow recomputes registered chunk c's CAdj row from its charged
 // edges, pushes the symmetric column, sweeps the column through all LSDS
 // trees and refreshes c's own path (Lemma 2.2 sequentially; Lemma 3.1 with
-// the tournament forest in the parallel driver).
+// the tournament forest in the parallel driver). The diagonal cell is left
+// at Inf.
 func (st *Store) rebuildRow(c *Chunk) {
 	if c.id < 0 {
 		panic("core: rebuildRow on unregistered chunk")
@@ -45,11 +46,7 @@ func (st *Store) rebuildRow(c *Chunk) {
 	c.rowStale = false
 	row := st.row(c.id)
 	st.ch.Par(1, st.J) // parallel row clear: one round, J processors
-	st.ch.Shard(st.J, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row[i] = Inf
-		}
-	})
+	fillInf(row[:st.hi])
 
 	if k := st.kernels(); k != nil {
 		// Section 3.1: assign a processor per charged edge via getEdge
@@ -77,6 +74,9 @@ func (st *Store) rebuildRow(c *Chunk) {
 			}
 		})
 	}
+	// Intra-chunk edges reached the diagonal above; the tournament keeps
+	// their entries so its charges follow every charged edge.
+	row[c.id] = Inf
 
 	st.pushColumn(c)
 	st.sweepColumn(c.id)
@@ -89,25 +89,21 @@ func (st *Store) rebuildRow(c *Chunk) {
 func (st *Store) pushColumn(c *Chunk) {
 	row := st.row(c.id)
 	st.ch.Par(1, st.J)
-	st.ch.Shard(st.J, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			if st.chunks[j] != nil {
-				st.C[j*st.J+int(c.id)] = row[j]
-			}
+	for j, oc := range st.chunks[:st.hi] {
+		if oc != nil {
+			st.C[j*st.J+int(c.id)] = row[j]
 		}
-	})
+	}
 }
 
 // clearColumn sets column id to Inf in every registered row.
 func (st *Store) clearColumn(id int32) {
 	st.ch.Par(1, st.J)
-	st.ch.Shard(st.J, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			if st.chunks[j] != nil {
-				st.C[j*st.J+int(id)] = Inf
-			}
+	for j, oc := range st.chunks[:st.hi] {
+		if oc != nil {
+			st.C[j*st.J+int(id)] = Inf
 		}
-	})
+	}
 }
 
 // sweepColumn recomputes entry id of every internal LSDS node in every
@@ -190,10 +186,7 @@ func (st *Store) unregisterChunk(c *Chunk) {
 		return
 	}
 	st.sts.Unregisters++
-	row := st.row(c.id)
-	for i := range row {
-		row[i] = Inf
-	}
+	fillInf(st.row(c.id)[:st.hi])
 	st.ch.Par(1, st.J)
 	st.clearColumn(c.id)
 	id := c.id
@@ -211,13 +204,20 @@ func (st *Store) noteEdgeEntryInserted(e *graph.Edge) {
 }
 
 // lowerEntryPair min-updates the symmetric entry pair (c1, c2) with an edge
-// of weight w newly charged between them (the diagonal once when c1 == c2)
-// and marks both chunks for the deferred aggregate flush. Entries of
-// unregistered chunks are not recorded.
+// of weight w newly charged between them and marks both chunks for the
+// deferred aggregate flush. An intra-chunk edge (c1 == c2) writes nothing,
+// since the diagonal is not maintained, but still marks the chunk, so the
+// flush charges follow every charged edge. Entries of unregistered chunks
+// are not recorded.
 func (st *Store) lowerEntryPair(c1, c2 *Chunk, w Weight) {
 	if c1.id < 0 || c2.id < 0 {
 		return
 	}
+	st.markCAdjDirty(c1)
+	if c2 == c1 {
+		return
+	}
+	st.markCAdjDirty(c2)
 	i, j := int(c1.id), int(c2.id)
 	if w < st.C[i*st.J+j] {
 		st.C[i*st.J+j] = w
@@ -225,26 +225,39 @@ func (st *Store) lowerEntryPair(c1, c2 *Chunk, w Weight) {
 	if w < st.C[j*st.J+i] {
 		st.C[j*st.J+i] = w
 	}
+}
+
+// recomputeEntryPair recomputes the symmetric entry pair (c1, c2) after an
+// edge of weight w charged between them was deleted, by scanning c1's
+// charged edges (Section 2.6, deletion: O(K) sequentially, a tournament in
+// parallel). The scan is charged either way, but it runs only if the
+// deletion can have changed the entry (entryMayChange). The aggregate
+// refreshes above the pair are deferred to the batch flush.
+func (st *Store) recomputeEntryPair(c1, c2 *Chunk, w Weight) {
+	if c1.id < 0 || c2.id < 0 {
+		return
+	}
+	st.chargeEntryPairScan(c1)
+	if st.entryMayChange(c1, c2, w) {
+		st.sts.EntryScans++
+		st.scanEntryPair(c1, c2)
+	}
 	st.markCAdjDirty(c1)
 	if c2 != c1 {
 		st.markCAdjDirty(c2)
 	}
 }
 
-// recomputeEntryPair recomputes the symmetric entry pair (c1, c2) by
-// scanning c1's charged edges (Section 2.6, deletion: O(K) sequentially,
-// a tournament in parallel). The aggregate refreshes above the pair are
-// deferred to the batch flush.
-func (st *Store) recomputeEntryPair(c1, c2 *Chunk) {
-	if c1.id < 0 || c2.id < 0 {
-		return
+// entryMayChange reports whether deleting an edge of weight w between
+// registered chunks c1 and c2 can change their entry: not on the diagonal,
+// which is not maintained, and not when a strictly lighter edge still sets
+// the entry. A tie may be the deleted edge itself, and a row awaiting its
+// rebuild may not hold its minimum, so both rescan.
+func (st *Store) entryMayChange(c1, c2 *Chunk, w Weight) bool {
+	if c1 == c2 {
+		return false
 	}
-	st.chargeEntryPairScan(c1)
-	st.scanEntryPair(c1, c2)
-	st.markCAdjDirty(c1)
-	if c2 != c1 {
-		st.markCAdjDirty(c2)
-	}
+	return c1.rowStale || c2.rowStale || w <= st.C[int(c1.id)*st.J+int(c2.id)]
 }
 
 // chargeEntryPairScan charges the model cost of one entry-pair scan (the
@@ -257,10 +270,9 @@ func (st *Store) chargeEntryPairScan(c1 *Chunk) {
 }
 
 // scanEntryPair is the uncharged kernel of recomputeEntryPair: scan c1's
-// charged edges for the minimum to c2 and write the symmetric entry pair
-// (the diagonal once when c1 == c2 — an intra-chunk pair's edges are all
-// charged to c1, so one scan sees them). It writes only the pair's cells,
-// so scans of distinct pairs run concurrently (the batch group stage).
+// charged edges for the minimum to c2 (a distinct chunk) and write the
+// symmetric entry pair. It writes only the pair's cells, so scans of
+// distinct pairs run concurrently (the batch group stage).
 func (st *Store) scanEntryPair(c1, c2 *Chunk) {
 	w := Inf
 	st.forEachChargedEdge(c1, func(cp *Copy, e *graph.Edge) {
@@ -269,9 +281,7 @@ func (st *Store) scanEntryPair(c1, c2 *Chunk) {
 		}
 	})
 	st.C[int(c1.id)*st.J+int(c2.id)] = w
-	if c2 != c1 {
-		st.C[int(c2.id)*st.J+int(c1.id)] = w
-	}
+	st.C[int(c2.id)*st.J+int(c1.id)] = w
 }
 
 // btHeight returns the height of c's BTc.

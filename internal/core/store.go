@@ -48,6 +48,9 @@ type Stats struct {
 	MWRQueries    int64
 	TourLinks     int64
 	TourCuts      int64
+	// EntryScans counts the entry-pair scan kernels actually run; a
+	// deletion that cannot change its entry is charged but not scanned.
+	EntryScans int64
 }
 
 // Store is the shared state of the Section 2 / Section 3 structure.
@@ -62,11 +65,18 @@ type Store struct {
 
 	// C is the J x J CAdj matrix (Section 3's two-dimensional matrix C;
 	// the sequential algorithm reads the same storage). Row i is
-	// C[i*J:(i+1)*J].
+	// C[i*J:(i+1)*J]. The diagonal is not maintained (MWR never reads it)
+	// and stays Inf, as does every cell in a row or column at or above hi.
 	C []Weight
 
 	chunks  []*Chunk // registered chunks by id; nil = free
-	freeIDs []int32
+	freeIDs []int32  // freed ids below hi, reused last-freed first
+	// hi is 1 + the largest id allocID has handed out, so it never falls.
+	// Freed ids are reused before hi grows, so hi is the peak number of
+	// registered chunks. Vector loops run over [0, hi): LSDS vectors, rows
+	// and gamma start at Inf, and nothing writes a cell at or above hi.
+	// Charges stay at J, the paper's model.
+	hi int
 
 	btT *seqtree.Tree[btAgg, any]
 	lsT *seqtree.Tree[*lsVec, any]
@@ -92,17 +102,17 @@ type Store struct {
 	// shard / flush stages allocate nothing in steady state. Each user
 	// resets its slice to [:0] (or empties its map) on entry, never retains
 	// the contents across calls, and grows capacity monotonically.
-	clsScratch   []opClass         // planBatch: per-op classes
-	delSeen      map[[2]int]bool   // planBatch: duplicate-deletion filter
-	pairScratch  []entryPair       // applyNonTreeDeletes: deduped chunk pairs
-	pairSeen     map[[2]int32]bool // applyNonTreeDeletes: pair filter
-	touchScratch []*Chunk          // applyNonTreeDeletes: touched chunks
-	flushDepth   map[*lsNode]int   // flushCAdj: node -> depth from root
-	flushNodes   []*lsNode         // flushCAdj: union of dirty ancestor paths
-	flushBuckets [][]*lsNode       // flushCAdj: nodes grouped by depth
-	flushPath    []*lsNode         // flushCAdj: one leaf's walk upward
-	flushCur     []*lsNode         // flushCAdj: bucket the kernel reads
-	rootScratch  []*Tour           // planInsertConnectivity: endpoint roots
+	clsScratch   []opClass        // planBatch: per-op classes
+	delSeen      map[[2]int]bool  // planBatch: duplicate-deletion filter
+	pairScratch  []entryPair      // applyNonTreeDeletes: deduped chunk pairs
+	pairSeen     map[[2]int32]int // applyNonTreeDeletes: pair -> index
+	touchScratch []*Chunk         // applyNonTreeDeletes: touched chunks
+	flushDepth   map[*lsNode]int  // flushCAdj: node -> depth from root
+	flushNodes   []*lsNode        // flushCAdj: union of dirty ancestor paths
+	flushBuckets [][]*lsNode      // flushCAdj: nodes grouped by depth
+	flushPath    []*lsNode        // flushCAdj: one leaf's walk upward
+	flushCur     []*lsNode        // flushCAdj: bucket the kernel reads
+	rootScratch  []*Tour          // planInsertConnectivity: endpoint roots
 
 	// Persistent kernels, built once in NewStore. Each reads its inputs
 	// through the Store (the batch in flight, the plan and the scratch
@@ -110,7 +120,7 @@ type Store struct {
 	// literal handed to the charger would escape to the heap on every call.
 	batchOps       []BatchOp   // ApplyBatch: the batch in flight, else nil
 	classifyKernel func(i int) // planBatch: class of batchOps[i]
-	scanKernel     func(t int) // applyNonTreeDeletes: scan of pairScratch[t]
+	scanKernel     func(t int) // applyNonTreeDeletes: scan of pairScratch[t], if due
 	rootKernel     func(p int) // planInsertConnectivity: rootWalk
 	flushKernel    func(i int) // flushCAdj: recompute of flushCur[i]
 
@@ -158,12 +168,7 @@ func NewStore(g *graph.G, cfg Config, ch Charger) *Store {
 		tourByRoot: make(map[*lsNode]*Tour, n),
 		pcs:        make([]*Copy, n),
 	}
-	for i := range st.C {
-		st.C[i] = Inf
-	}
-	for id := J - 1; id >= 0; id-- {
-		st.freeIDs = append(st.freeIDs, int32(id))
-	}
+	fillInf(st.C)
 	st.btT = &seqtree.Tree[btAgg, any]{
 		Update: func(nd *btNode) {
 			st.btTouches++
@@ -180,7 +185,11 @@ func NewStore(g *graph.G, cfg Config, ch Charger) *Store {
 		OnFree:   func(nd *lsNode) { st.putVec(nd.Agg); nd.Agg = nil },
 	}
 	st.classifyKernel = func(i int) { st.clsScratch[i] = st.classifyOp(st.batchOps[i]) }
-	st.scanKernel = func(t int) { st.scanEntryPair(st.pairScratch[t].a, st.pairScratch[t].b) }
+	st.scanKernel = func(t int) {
+		if p := st.pairScratch[t]; p.scan {
+			st.scanEntryPair(p.a, p.b)
+		}
+	}
 	st.rootKernel = st.rootWalk
 	st.flushKernel = func(i int) { st.recomputeVec(st.flushCur[i]) }
 	// Every vertex starts as an isolated singleton tour (Section 6 short
@@ -221,29 +230,32 @@ func (st *Store) lsUpdate(nd *lsNode) {
 }
 
 // recomputeVec recomputes an internal LSDS node's vectors as the entrywise
-// min / OR of its children (Section 2.2). Cost O(J). It is the uncounted
-// kernel shared by the structural Update hook (host) and the batch flush
-// (worker pool), so it touches no Store counters and only writes nd's own
-// aggregate.
+// min / OR of its children (Section 2.2) over the live ids [0, hi): host
+// cost O(hi), charged by callers as O(J). It is the uncounted kernel shared
+// by the structural Update hook (host) and the batch flush (worker pool),
+// so it touches no Store counters and only writes nd's own aggregate.
 func (st *Store) recomputeVec(nd *lsNode) {
 	v := nd.Agg
 	l, r := nd.Left(), nd.Right()
 	lc, lm := st.childVecs(l)
 	rc, rm := st.childVecs(r)
+	cadj := v.cadj[:st.hi]
 	if lc == nil {
-		copyOrClear(v.cadj, rc)
+		copyOrClear(cadj, rc)
 	} else if rc == nil {
-		copyOrClear(v.cadj, lc)
+		copyOrClear(cadj, lc)
 	} else {
-		for i := range v.cadj {
+		lc, rc = lc[:len(cadj)], rc[:len(cadj)]
+		for i := range cadj {
 			a, b := lc[i], rc[i]
 			if b < a {
 				a = b
 			}
-			v.cadj[i] = a
+			cadj[i] = a
 		}
 	}
-	for i := range v.memb {
+	memb := v.memb[:(st.hi+63)/64]
+	for i := range memb {
 		var w uint64
 		if lm != nil {
 			w = lm[i]
@@ -251,7 +263,7 @@ func (st *Store) recomputeVec(nd *lsNode) {
 		if rm != nil {
 			w |= rm[i]
 		}
-		v.memb[i] = w
+		memb[i] = w
 	}
 	if lm == nil {
 		if c := leafChunk(l); c != nil {
@@ -290,14 +302,20 @@ func leafChunk(nd *lsNode) *Chunk {
 	return nil
 }
 
+// copyOrClear copies src into dst, or fills dst with Inf when src is nil.
 func copyOrClear(dst, src []Weight) {
 	if src == nil {
-		for i := range dst {
-			dst[i] = Inf
-		}
+		fillInf(dst)
 		return
 	}
 	copy(dst, src)
+}
+
+// fillInf sets every cell of w to Inf.
+func fillInf(w []Weight) {
+	for i := range w {
+		w[i] = Inf
+	}
 }
 
 func setBit(w []uint64, i int) { w[i/64] |= 1 << (uint(i) % 64) }
@@ -322,7 +340,9 @@ func (st *Store) getVec() *lsVec {
 		st.vecPool = st.vecPool[:k-1]
 		return v
 	}
-	return &lsVec{cadj: make([]Weight, st.J), memb: make([]uint64, st.jw)}
+	v := &lsVec{cadj: make([]Weight, st.J), memb: make([]uint64, st.jw)}
+	fillInf(v.cadj)
+	return v
 }
 
 func (st *Store) putVec(v *lsVec) {
@@ -331,14 +351,20 @@ func (st *Store) putVec(v *lsVec) {
 	}
 }
 
-// allocID registers chunk c in the matrix, with a cleared row and column.
+// allocID registers chunk c in the matrix, with a cleared row and column:
+// the last-freed id if any, else hi, which then grows by one.
 func (st *Store) allocID(c *Chunk) {
-	k := len(st.freeIDs)
-	if k == 0 {
-		panic(fmt.Sprintf("core: chunk id space exhausted (J=%d); Invariant 1 violated", st.J))
+	var id int32
+	if k := len(st.freeIDs); k > 0 {
+		id = st.freeIDs[k-1]
+		st.freeIDs = st.freeIDs[:k-1]
+	} else {
+		if st.hi == st.J {
+			panic(fmt.Sprintf("core: chunk id space exhausted (J=%d); Invariant 1 violated", st.J))
+		}
+		id = int32(st.hi)
+		st.hi++
 	}
-	id := st.freeIDs[k-1]
-	st.freeIDs = st.freeIDs[:k-1]
 	c.id = id
 	st.chunks[id] = c
 }

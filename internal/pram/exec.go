@@ -74,37 +74,13 @@ func (m *Machine) Run(active int, f func(p int)) {
 		return
 	}
 	if m.pool != nil && !m.Check && active > 1 {
-		m.pool.run(active, f, nil)
+		m.pool.run(active, f)
 		return
 	}
 	for p := 0; p < active; p++ {
 		f(p)
 	}
 }
-
-// RunRanges executes f over contiguous subranges [lo, hi) covering [0, n)
-// on the executor without charging Time or Work. It is the range-shaped
-// sibling of Run for vector kernels: a tight loop over a subrange amortizes
-// the per-index call cost that a per-index Run would pay n times, and the
-// pool executes each chunk as one f(lo, hi) call (no per-task closures).
-// The partition follows the worker count, so — like Run — it must only be
-// used for kernels whose model cost is charged separately and whose result
-// is independent of the partition (disjoint writes per index).
-func (m *Machine) RunRanges(n int, f func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if m.pool == nil || m.Check || n < rangeFanMin {
-		f(0, n)
-		return
-	}
-	m.pool.run(n, nil, f)
-}
-
-// rangeFanMin is the width below which RunRanges runs inline: even with the
-// allocation-free dispatch, publishing a round and waking the pool costs on
-// the order of a microsecond, so tiny vector loops are cheaper on the host.
-const rangeFanMin = 1 << 11
 
 // chunksPerWorker over-decomposes each round for load balance: a worker
 // that finishes a cheap chunk claims the next from the shared cursor
@@ -128,10 +104,8 @@ type pool struct {
 	workers int // total parallelism: (workers-1) loops + the dispatcher
 
 	// Round descriptor, written by the dispatcher strictly before the
-	// cursor is stored (the cursor store publishes it): exactly one of
-	// f / fr is non-nil per round.
+	// cursor is stored (the cursor store publishes it).
 	f      func(p int)
-	fr     func(lo, hi int)
 	active int // processors [0, active)
 	size   int // indices per chunk
 
@@ -187,16 +161,10 @@ func newPool(workers int) *pool {
 // run fans processors [0, active) out over the pool and waits for the
 // barrier. Chunks are contiguous ranges so each claimant touches memory in
 // increasing-p order; the dispatcher claims chunks alongside the workers.
-// Exactly one of f / fr is non-nil: f is called per index, fr once per
-// chunk with the chunk's [lo, hi) bounds.
-func (pl *pool) run(active int, f func(p int), fr func(lo, hi int)) {
+func (pl *pool) run(active int, f func(p int)) {
 	if !pl.inRound.CompareAndSwap(false, true) {
 		// Nested dispatch from inside a kernel: execute inline. Kernels on
 		// this machine are EREW-clean, so inline execution is always valid.
-		if fr != nil {
-			fr(0, active)
-			return
-		}
 		for p := 0; p < active; p++ {
 			f(p)
 		}
@@ -209,7 +177,7 @@ func (pl *pool) run(active int, f func(p int), fr func(lo, hi int)) {
 	size := (active + nchunks - 1) / nchunks
 	nchunks = (active + size - 1) / size
 
-	pl.f, pl.fr, pl.active, pl.size = f, fr, active, size
+	pl.f, pl.active, pl.size = f, active, size
 	pl.pending.Store(int64(nchunks))
 	pl.cursor.Store(uint64(nchunks) << 32) // publish: geometry up, idx 0
 	pl.seq.Add(1)
@@ -229,7 +197,7 @@ func (pl *pool) run(active int, f func(p int), fr func(lo, hi int)) {
 	}
 	pl.claim()
 	pl.wait()
-	pl.f, pl.fr = nil, nil // drop kernel references between rounds
+	pl.f = nil // drop the kernel reference between rounds
 	pl.inRound.Store(false)
 	if t := pl.trap.Swap(nil); t != nil {
 		// Re-throw the round's first kernel panic on the dispatcher, after
@@ -280,10 +248,6 @@ func (pl *pool) execChunk(lo, hi int) {
 			pl.trap.CompareAndSwap(nil, &trappedPanic{val: r})
 		}
 	}()
-	if fr := pl.fr; fr != nil {
-		fr(lo, hi)
-		return
-	}
 	f := pl.f
 	for p := lo; p < hi; p++ {
 		f(p)

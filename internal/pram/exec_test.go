@@ -130,26 +130,6 @@ func TestPoolStressWidths(t *testing.T) {
 	}
 }
 
-// TestRunRangesCoversAll verifies the pool's native range mode partitions
-// [0, n) exactly (no index missed or doubled) for a width above the inline
-// threshold and an awkward remainder.
-func TestRunRangesCoversAll(t *testing.T) {
-	m := NewParallel(3)
-	defer m.Close()
-	n := 1<<12 + 37
-	marks := make([]int32, n)
-	m.RunRanges(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			marks[i]++
-		}
-	})
-	for i, c := range marks {
-		if c != 1 {
-			t.Fatalf("index %d covered %d times, want 1", i, c)
-		}
-	}
-}
-
 // TestNestedRunInline verifies the re-entrancy guard: a kernel dispatching
 // on its own machine executes the nested kernel inline instead of
 // corrupting the live round descriptor.
@@ -166,9 +146,9 @@ func TestNestedRunInline(t *testing.T) {
 }
 
 // TestRunDispatchAllocFree pins the executor's steady-state dispatch cost:
-// a warm pool round — Run or RunRanges — performs zero allocations. This is
-// the regression gate for the atomic round-descriptor design (the previous
-// dispatcher allocated a WaitGroup and channel sends per round).
+// a warm pool round performs zero allocations. This is the regression gate
+// for the atomic round-descriptor design (the previous dispatcher allocated
+// a WaitGroup and channel sends per round).
 func TestRunDispatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs without -race")
@@ -180,14 +160,5 @@ func TestRunDispatchAllocFree(t *testing.T) {
 	m.Run(len(sink), f) // warm the pool
 	if avg := testing.AllocsPerRun(50, func() { m.Run(len(sink), f) }); avg != 0 {
 		t.Fatalf("warm Run dispatch allocates %v/round, want 0", avg)
-	}
-	fr := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sink[i]++
-		}
-	}
-	m.RunRanges(len(sink), fr)
-	if avg := testing.AllocsPerRun(50, func() { m.RunRanges(len(sink), fr) }); avg != 0 {
-		t.Fatalf("warm RunRanges dispatch allocates %v/round, want 0", avg)
 	}
 }

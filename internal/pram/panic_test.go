@@ -34,22 +34,3 @@ func TestKernelPanicSurfacesOnDispatcher(t *testing.T) {
 		}
 	}
 }
-
-// RunRanges chunks must trap panics identically.
-func TestRangeKernelPanicSurfaces(t *testing.T) {
-	m := NewParallel(4)
-	defer m.Close()
-	got := func() (r any) {
-		defer func() { r = recover() }()
-		m.RunRanges(1<<13, func(lo, hi int) {
-			if lo <= 4096 && 4096 < hi {
-				panic("range boom")
-			}
-		})
-		return nil
-	}()
-	if got != "range boom" {
-		t.Fatalf("recovered %v, want range boom", got)
-	}
-	m.RunRanges(1<<13, func(lo, hi int) {})
-}

@@ -40,6 +40,13 @@ type Forest struct {
 	stamp   []uint32
 	epoch   uint32
 	space   *pram.Space
+
+	// cs holds the contestants of the Run in flight; its capacity is
+	// reused across runs. phases are the four per-level phase kernels,
+	// bound once in NewForest: a method value handed to the machine's
+	// executor escapes, so binding it per level would allocate every Run.
+	cs     []contestant
+	phases [4]func(i int)
 }
 
 // Machine is an alias so callers don't import pram just for the type.
@@ -68,6 +75,7 @@ func NewForest(m *Machine, trees, leaves int) *Forest {
 		stamp:   make([]uint32, n),
 		space:   m.NewSpace("tourney", n),
 	}
+	f.phases = [4]func(i int){f.writeLeft, f.compareRight, f.rereadLeft, f.ascend}
 	return f
 }
 
@@ -99,7 +107,7 @@ func (f *Forest) Run(entries []Entry, emit func(tree int32, val int64, payload i
 		panic("tourney: more participants than leaf capacity")
 	}
 	f.epoch++
-	cs := make([]contestant, 0, len(entries))
+	cs := f.cs[:0]
 	m := f.m
 
 	// Placement round: each processor writes its leaf.
@@ -113,6 +121,7 @@ func (f *Forest) Run(entries []Entry, emit func(tree int32, val int64, payload i
 		f.set(base+idx, e.Val, e.Payload)
 		cs = append(cs, contestant{idx: idx, base: base, val: e.Val, payload: e.Payload, tree: e.Tree, active: true})
 	}
+	f.cs = cs
 
 	// Each phase is one synchronous round: the cost is charged by Steps
 	// with the surviving processor count, and the effect application runs
@@ -121,67 +130,21 @@ func (f *Forest) Run(entries []Entry, emit func(tree int32, val int64, payload i
 	// only its own state and its own parent cell, with left and right
 	// children separated by the phase barrier — so pool execution is
 	// race-free and the outcome is identical for every worker count.
-	phase := func(n int, body func(i int)) {
-		if n >= tourneyFanMin {
-			m.Run(n, body)
-			return
-		}
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-	}
 	for level := 0; level < f.levels; level++ {
 		active := activeCount(cs)
 		if active == 0 {
 			break
 		}
-		// Phase 1: left children write their value into the parent.
-		m.Steps(1, active)
-		phase(len(cs), func(i int) {
-			c := &cs[i]
-			if c.active && c.idx%2 == 0 {
-				p := c.base + c.idx/2
-				f.space.Touch(i, p)
-				f.set(p, c.val, c.payload)
+		for _, phase := range f.phases {
+			m.Steps(1, active)
+			if len(cs) >= tourneyFanMin {
+				m.Run(len(cs), phase)
+				continue
 			}
-		})
-		// Phase 2: right children compare; they overwrite a heavier parent
-		// or deactivate.
-		m.Steps(1, active)
-		phase(len(cs), func(i int) {
-			c := &cs[i]
-			if !c.active || c.idx%2 == 0 {
-				return
+			for i := range cs {
+				phase(i)
 			}
-			p := c.base + c.idx/2
-			f.space.Touch(i, p)
-			pv, ok := f.get(p)
-			if !ok || pv > c.val {
-				f.set(p, c.val, c.payload)
-			} else {
-				c.active = false
-			}
-		})
-		// Phase 3: left children re-read; a lighter right sibling won.
-		m.Steps(1, active)
-		phase(len(cs), func(i int) {
-			c := &cs[i]
-			if !c.active || c.idx%2 != 0 {
-				return
-			}
-			p := c.base + c.idx/2
-			f.space.Touch(i, p)
-			if pv, ok := f.get(p); ok && pv < c.val {
-				c.active = false
-			}
-		})
-		// Phase 4: survivors ascend.
-		m.Steps(1, active)
-		phase(len(cs), func(i int) {
-			if cs[i].active {
-				cs[i].idx /= 2
-			}
-		})
+		}
 	}
 	for i := range cs {
 		if cs[i].active {
@@ -190,6 +153,54 @@ func (f *Forest) Run(entries []Entry, emit func(tree int32, val int64, payload i
 			}
 			emit(cs[i].tree, cs[i].val, cs[i].payload)
 		}
+	}
+}
+
+// writeLeft is phase 1: left children write their value into the parent.
+func (f *Forest) writeLeft(i int) {
+	c := &f.cs[i]
+	if c.active && c.idx%2 == 0 {
+		p := c.base + c.idx/2
+		f.space.Touch(i, p)
+		f.set(p, c.val, c.payload)
+	}
+}
+
+// compareRight is phase 2: right children compare; they overwrite a
+// heavier parent or deactivate.
+func (f *Forest) compareRight(i int) {
+	c := &f.cs[i]
+	if !c.active || c.idx%2 == 0 {
+		return
+	}
+	p := c.base + c.idx/2
+	f.space.Touch(i, p)
+	pv, ok := f.get(p)
+	if !ok || pv > c.val {
+		f.set(p, c.val, c.payload)
+	} else {
+		c.active = false
+	}
+}
+
+// rereadLeft is phase 3: left children re-read; a lighter right sibling
+// won.
+func (f *Forest) rereadLeft(i int) {
+	c := &f.cs[i]
+	if !c.active || c.idx%2 != 0 {
+		return
+	}
+	p := c.base + c.idx/2
+	f.space.Touch(i, p)
+	if pv, ok := f.get(p); ok && pv < c.val {
+		c.active = false
+	}
+}
+
+// ascend is phase 4: survivors ascend.
+func (f *Forest) ascend(i int) {
+	if c := &f.cs[i]; c.active {
+		c.idx /= 2
 	}
 }
 

@@ -214,3 +214,49 @@ func BenchmarkForestRun(b *testing.B) {
 		f.Run(entries, func(int32, int64, int32) {})
 	}
 }
+
+// TestRunWarmAllocs pins a warm Run at zero allocations: the contestants
+// live in the Forest and the phase kernels are bound once, so a round wide
+// enough to fan out to the worker pool allocates nothing either. Every
+// tree's winner is checked too, so the pooled state cannot leak between
+// runs. Under -race only the allocation count is skipped (the race
+// instrumentation allocates); the pool rounds still run and are checked.
+func TestRunWarmAllocs(t *testing.T) {
+	const trees, leaves = 16, 2 * tourneyFanMin
+	entries := make([]Entry, leaves)
+	want := make([]int64, trees)
+	for tr := range want {
+		want[tr] = math.MaxInt64
+	}
+	rng := xrand.New(5)
+	for k := range entries {
+		tr := int32(rng.Intn(trees))
+		v := rng.Int63() % 100000
+		entries[k] = Entry{Tree: tr, Val: v, Payload: int32(k)}
+		want[tr] = min(want[tr], v)
+	}
+	for _, tc := range []struct {
+		name string
+		m    *pram.Machine
+	}{
+		{"sequential", pram.New(false)},
+		{"pool", pram.NewParallel(2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer tc.m.Close()
+			f := NewForest(tc.m, trees, leaves)
+			got := make([]int64, trees)
+			emit := func(tree int32, val int64, _ int32) { got[tree] = val }
+			run := func() { f.Run(entries, emit) }
+			run() // size the contestant pool
+			if avg := testing.AllocsPerRun(20, run); avg != 0 && !raceEnabled {
+				t.Fatalf("warm Run allocates %v objects, want 0", avg)
+			}
+			for tr, w := range want {
+				if got[tr] != w {
+					t.Fatalf("tree %d min = %d, want %d", tr, got[tr], w)
+				}
+			}
+		})
+	}
+}
