@@ -10,7 +10,9 @@
 // selects a builtin deterministic random-sparse list): Build across every
 // configuration against an incremental Insert replay and the Kruskal
 // baseline, edge for edge, plus cut-property spot checks (deleting a forest
-// edge never finds a lighter replacement).
+// edge never finds a lighter replacement). The EREW-checked Build must
+// report no exclusivity violation, and its PRAM depth and work totals are
+// printed.
 //
 // With -snapshot the tool instead cross-validates the O(delta) snapshot
 // publication path: a forest on the default capacity-driven delta schedule
@@ -244,6 +246,8 @@ func checkSnapshot(n, steps int, seed uint64) (string, error) {
 // across every pipeline configuration against an incremental replay
 // (per-edge Insert, which also yields the reference per-edge errors) and
 // the Kruskal baseline, then cut-property spot checks on a built forest.
+// The EREW-checked Build's charges are read before anything else runs on
+// it, so the reported totals are Build's alone.
 func checkBuild(n int, edges []parmsf.Edge) (string, error) {
 	maxEdges := max(4*n, len(edges)+8)
 	replay := parmsf.MustNew(n, parmsf.Options{MaxEdges: maxEdges})
@@ -276,9 +280,17 @@ func checkBuild(n int, edges []parmsf.Edge) (string, error) {
 	}
 	var built []named
 	defer func() { closeAll(built) }()
+	var depth, work int64
 	for _, cfg := range configs {
 		f, errs := parmsf.MustBuild(n, edges, cfg.opt)
 		built = append(built, named{cfg.name, f})
+		if cfg.opt.CheckEREW {
+			m := f.PRAM()
+			if v := m.Violations(); len(v) != 0 {
+				return "", fmt.Errorf("%s: EREW violations: %v", cfg.name, v)
+			}
+			depth, work = m.Time, m.Work
+		}
 		if errs == nil {
 			errs = make([]error, len(edges))
 		}
@@ -332,6 +344,6 @@ func checkBuild(n int, edges []parmsf.Edge) (string, error) {
 		}
 		checks++
 	}
-	return fmt.Sprintf("bulk build of %d edges (%d rejected) on n=%d matches replay+kruskal across %d configs, %d cut checks",
-		len(edges), rejected, n, len(configs), checks), nil
+	return fmt.Sprintf("bulk build of %d edges (%d rejected) on n=%d matches replay+kruskal across %d configs (PRAM depth=%d work=%d), %d cut checks",
+		len(edges), rejected, n, len(configs), depth, work, checks), nil
 }

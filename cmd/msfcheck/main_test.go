@@ -12,8 +12,9 @@ import (
 // runs. The churn stream at seed 1 ends with 28 live edges and a 15-edge
 // forest at -quick size, and 282 and 47 at the default; a change to how
 // the stream draws its ops moves those counts. Its EREW-checked forest's
-// PRAM depth and work totals are pinned at both sizes too, so a change
-// that moves any charge fails here.
+// PRAM depth and work totals are pinned at both sizes too, as are those of
+// the EREW-checked Build, so a change that moves any charge of the update
+// path or of the static load fails here.
 func TestModesQuick(t *testing.T) {
 	n, edges, err := loadEdges("-", 3)
 	if err != nil {
@@ -30,7 +31,7 @@ func TestModesQuick(t *testing.T) {
 			"final m=282, forest=47, PRAM depth=539508 work=19990764"},
 		{"snapshot", func() (string, error) { return checkSnapshot(16, 500, 1) }, "500 ops on n=16"},
 		{"crash", func() (string, error) { return checkCrash(16, 500, 1) }, "on n=16"},
-		{"build", func() (string, error) { return checkBuild(n, edges) }, "384 edges (0 rejected) on n=96"},
+		{"build", func() (string, error) { return checkBuild(n, edges) }, "384 edges (0 rejected) on n=96 matches replay+kruskal across 4 configs (PRAM depth=21231 work=39090)"},
 		{"cluster", func() (string, error) { return checkCluster(n, edges, 3) }, "384 inserts + 384 deletes"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -121,10 +121,13 @@ func (k *MSF) Classify(m *pram.Machine, n int, items []Item, isTree []bool) []It
 			break // forest complete: every heavy item is in the complement
 		}
 		// Filter: the root walks share reads of the union-find, so the
-		// kernel is charged one round per level of a balanced tree.
+		// kernel is charged one round per level of a balanced tree. The
+		// processors walk a copy of its header, so k itself never escapes
+		// and a caller's kernel can live on the stack.
 		flag = flag[:len(heavy)]
+		uf := k.UF
 		kernel(m, log2ceil(n+1), len(heavy), func(i int) {
-			flag[i] = k.root(heavy[i].A) == k.root(heavy[i].B)
+			flag[i] = uf.root(heavy[i].A) == uf.root(heavy[i].B)
 		})
 		e = t
 		for i, it := range heavy {

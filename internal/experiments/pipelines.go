@@ -36,20 +36,7 @@ func newParSparsifyEngine(n int) *sparsify.Forest {
 			return core.NewMSF(gn, core.Config{}, core.PRAMCharger{M: mach})
 		})
 	})
-	f.DepthFn = func(e sparsify.Engine) int64 {
-		w, ok := e.(*ternary.Wrapper)
-		if !ok {
-			return 0
-		}
-		m, ok := w.Gadget().(*core.MSF)
-		if !ok {
-			return 0
-		}
-		if mach := m.Machine(); mach != nil {
-			return mach.Time
-		}
-		return 0
-	}
+	f.DepthFn = func(e sparsify.Engine) int64 { return e.Machine().Time }
 	return f
 }
 

@@ -174,11 +174,13 @@ func TestCancelPairsAcrossSubmitForms(t *testing.T) {
 	// across submission forms. Holding the drainer busy on a first op makes
 	// the rest accumulate into a single window.
 	block := make(chan struct{})
+	gated := make(chan struct{})
 	rec := &recorder{}
 	first := true
 	rec.failOn = func(op Op) error {
 		if first && op.U == 99 {
 			first = false
+			close(gated)
 			<-block
 		}
 		return nil
@@ -186,6 +188,7 @@ func TestCancelPairsAcrossSubmitForms(t *testing.T) {
 	q := NewWithConfig(rec, Config{Depth: 64, MaxBatch: 32, CancelPairs: true})
 	defer q.Close()
 	gate := q.Submit(Op{U: 99, V: 100, W: 1})
+	<-gated // the drainer holds the gate op, so the rest share the next window
 	f1 := q.Submit(Op{U: 1, V: 2, W: 10})
 	bf := q.SubmitBatch([]Op{{Delete: true, U: 1, V: 2}, {U: 5, V: 6, W: 11}})
 	close(block)

@@ -37,7 +37,7 @@ func TestParallelAccountingMatchesSequential(t *testing.T) {
 		m.Step(64, func(p int) {})
 		m.Steps(3, 17)
 		m.Seq(9)
-		m.Broadcast(33)
+		m.Steps(6, 17)
 		m.Step(2, func(p int) {})
 	}
 	seq := New(false)

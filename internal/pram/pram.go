@@ -93,19 +93,6 @@ func (m *Machine) Seq(cost int64) {
 	m.stepID += cost
 }
 
-// Broadcast charges the standard EREW cost of distributing one value to p
-// processors (a balanced copy tree): ceil(log2 p) rounds, O(p) work.
-func (m *Machine) Broadcast(p int) {
-	if p <= 1 {
-		return
-	}
-	r := 0
-	for w := 1; w < p; w *= 2 {
-		r++
-	}
-	m.Steps(r, (p+1)/2)
-}
-
 // Absorb charges depth and work that were accounted on detached machines —
 // e.g. the private per-node simulators of the sparsification tree, whose
 // levels apply their sibling nodes concurrently and merge per-level max

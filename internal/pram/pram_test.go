@@ -40,23 +40,6 @@ func TestStepZeroActiveFree(t *testing.T) {
 	}
 }
 
-func TestBroadcastCost(t *testing.T) {
-	m := New(false)
-	m.Broadcast(1)
-	if m.Time != 0 {
-		t.Fatal("broadcast to one processor should be free")
-	}
-	m.Broadcast(8)
-	if m.Time != 3 {
-		t.Fatalf("Broadcast(8) depth = %d, want 3", m.Time)
-	}
-	m2 := New(false)
-	m2.Broadcast(9)
-	if m2.Time != 4 {
-		t.Fatalf("Broadcast(9) depth = %d, want 4", m2.Time)
-	}
-}
-
 func TestEREWViolationDetected(t *testing.T) {
 	m := New(true)
 	s := m.NewSpace("A", 4)

@@ -411,19 +411,6 @@ func Leaves[A, I any](n *Node[A, I], f func(*Node[A, I]) bool) bool {
 	return Leaves(n.left, f) && Leaves(n.right, f)
 }
 
-// PostOrder calls f on every node of the subtree rooted at n, children
-// before parents. n may be nil.
-func PostOrder[A, I any](n *Node[A, I], f func(*Node[A, I])) {
-	if n == nil {
-		return
-	}
-	if !n.leaf {
-		PostOrder(n.left, f)
-		PostOrder(n.right, f)
-	}
-	f(n)
-}
-
 // LeafCount returns the number of leaves below n (0 for nil).
 func LeafCount[A, I any](n *Node[A, I]) int {
 	if n == nil {

@@ -335,22 +335,11 @@ func TestHeightLogarithmic(t *testing.T) {
 	}
 }
 
-func TestLeafCountAndPostOrder(t *testing.T) {
+func TestLeafCount(t *testing.T) {
 	tr := sumTree()
 	root := buildSeq(tr, seqInts(0, 37))
 	if got := LeafCount(root); got != 37 {
 		t.Fatalf("LeafCount = %d, want 37", got)
-	}
-	internal, leaves := 0, 0
-	PostOrder(root, func(n *Node[int, int]) {
-		if n.IsLeaf() {
-			leaves++
-		} else {
-			internal++
-		}
-	})
-	if leaves != 37 || internal != 36 {
-		t.Fatalf("PostOrder saw %d leaves, %d internal; want 37, 36", leaves, internal)
 	}
 }
 

@@ -16,53 +16,18 @@ var (
 
 // This file implements the batch path of the sparsification tree: a whole
 // batch of updates enters at its leaf nodes and propagates strictly
-// level-by-level. At each level the pending updates and the accumulated
-// forest deltas of the level below (the paper's REdges bookkeeping) are
-// grouped by node and coalesced per edge, then every touched sibling node
-// of the level applies its delta concurrently — the siblings own disjoint
-// local engines, so the only synchronization is the level barrier — and
-// each node's emitted events are collected into its parent's pending group
-// before the sweep advances. Nodes whose local graph empties are destroyed
-// only after their events have been drained into the parent (teardown
-// ordering), and per-batch cost is accounted as per-level max depth over
-// the concurrent siblings plus the O(log n) coordination of Section 5.3.
-
-// BatchEngine is the batch view of a node engine: whole-delta insertion and
-// deletion entry points with one error slot per edge. The ternary wrapper
-// (whose BatchEdge is an alias of batch.Edge) implements it natively over
-// the core pipeline; any other Engine is adapted per edge.
-type BatchEngine interface {
-	InsertEdges(items []batch.Edge) []error
-	DeleteEdges(keys [][2]int) []error
-}
-
-// asBatch resolves an engine's batch view; the boolean reports whether the
-// engine implements BatchEngine itself (false: per-edge adapter).
-func asBatch(e Engine) (BatchEngine, bool) {
-	if be, ok := e.(BatchEngine); ok {
-		return be, true
-	}
-	return perEdge{e}, false
-}
-
-// perEdge adapts a plain Engine to BatchEngine one edge at a time.
-type perEdge struct{ e Engine }
-
-func (p perEdge) InsertEdges(items []batch.Edge) []error {
-	errs := make([]error, len(items))
-	for i, it := range items {
-		errs[i] = p.e.InsertEdge(it.U, it.V, it.W)
-	}
-	return errs
-}
-
-func (p perEdge) DeleteEdges(keys [][2]int) []error {
-	errs := make([]error, len(keys))
-	for i, k := range keys {
-		errs[i] = p.e.DeleteEdge(k[0], k[1])
-	}
-	return errs
-}
+// level-by-level, the reference scheduler the pipeline (pipeline.go) is
+// tested and measured against. At each level the pending updates and the
+// accumulated forest deltas of the level below (the paper's REdges
+// bookkeeping) are grouped by node and coalesced per edge, then every
+// touched sibling node of the level applies its delta concurrently — the
+// siblings own disjoint local engines, so the only synchronization is the
+// level barrier — and each node's emitted events are collected into its
+// parent's pending group before the sweep advances. Nodes whose local graph
+// empties are destroyed only after their events have been drained into the
+// parent (teardown ordering), and per-batch cost is accounted as per-level
+// max depth over the concurrent siblings plus the O(log n) coordination of
+// Section 5.3.
 
 // keyState tracks one edge's event history inside a node's pending group:
 // the first event type pins the edge's membership before the batch, the
@@ -257,11 +222,7 @@ func (f *Forest) runLevel(level int, fr frontier) (next frontier, depth, work in
 		if f.WorkFn != nil {
 			beforeW[t] = f.WorkFn(tasks[t].nd.eng)
 		}
-		if tasks[t].nd.native {
-			f.BatchNodeOps++
-		} else {
-			f.PerEdgeNodeOps++
-		}
+		f.BatchNodeOps++
 	}
 
 	exec := f.Exec
@@ -297,36 +258,27 @@ func (f *Forest) runLevel(level int, fr frontier) (next frontier, depth, work in
 	return next, depth, work
 }
 
-// BulkEngine is the optional static bulk-load view of a node engine (the
-// ternary wrapper over core.MSF): a whole initial edge set with per-edge
-// MSF-membership flags, loaded in one engine batch with no incremental
-// connectivity or path-max work.
-type BulkEngine interface {
-	BulkLoad(items []batch.Edge, tree []bool) []error
-}
-
 // applyNodeDelta applies one node's net delta — deletions first, then
-// insertions, both in first-touch order — through the node's batch engine.
-// It runs concurrently with its level siblings and touches only nd's state.
-// An insert-only delta into an empty node (every node of a fresh tree
-// during a bulk build, and any node recreated after its local graph
-// emptied) routes through the engine's static bulk loader when it has one:
-// the node classifies its local MSF with the static kernel and the engine
-// skips the per-edge update machinery entirely.
+// insertions, both in first-touch order — through the node's engine. It
+// runs concurrently with its siblings and touches only nd's state plus the
+// tree's atomic load counter. An insert-only delta into an empty node
+// (every node of a fresh tree during a bulk build, and any node recreated
+// after its local graph emptied) takes the engine's static Load with no
+// machine: the classification goes uncharged, as the node's cost is its
+// engine's. Load's tie-break matches the incremental path exactly: local()
+// is increasing on each of the node's intervals and interval a precedes
+// interval b, so the (w, lu, lv) order equals the (w, u, v) order of the
+// global canonical keys under which sorted per-edge replay resolves
+// equal-weight conflicts (first arrival wins, and sorted arrival never
+// swaps).
 func (f *Forest) applyNodeDelta(nd *node, dels [][2]int, inss []batch.Edge) {
 	f.Fault.Hit(fpNodeTask)
-	if len(dels) == 0 && nd.m == 0 && len(inss) > 0 {
-		if ble, ok := nd.eng.(BulkEngine); ok {
-			f.bulkLoadNode(nd, ble, inss)
-			return
-		}
-	}
 	if len(dels) > 0 {
 		ldels := make([][2]int, len(dels))
 		for i, k := range dels {
 			ldels[i] = [2]int{nd.local(k[0]), nd.local(k[1])}
 		}
-		for i, err := range nd.be.DeleteEdges(ldels) {
+		for i, err := range nd.eng.DeleteEdges(ldels) {
 			if err != nil {
 				panic(fmt.Sprintf("sparsify: local batch delete (%d,%d): %v", dels[i][0], dels[i][1], err))
 			}
@@ -338,46 +290,18 @@ func (f *Forest) applyNodeDelta(nd *node, dels [][2]int, inss []batch.Edge) {
 		for i, e := range inss {
 			lins[i] = batch.Edge{U: nd.local(e.U), V: nd.local(e.V), W: e.W}
 		}
-		for i, err := range nd.be.InsertEdges(lins) {
+		var errs []error
+		if len(dels) == 0 && nd.m == 0 {
+			errs = nd.eng.Load(lins, nil)
+			f.BulkNodeLoads.Add(1)
+		} else {
+			errs = nd.eng.InsertEdges(lins)
+		}
+		for i, err := range errs {
 			if err != nil {
 				panic(fmt.Sprintf("sparsify: local batch insert (%d,%d): %v", inss[i].U, inss[i].V, err))
 			}
 		}
 		nd.m += len(inss)
 	}
-}
-
-// bulkLoadNode seeds an empty node's engine with its whole delta in one
-// static bulk load: localize the ids, classify the local MSF with the
-// static kernel (batch.MSF, uncharged: the node's cost is its engine's)
-// over the (weight, local endpoints) order, and hand the flagged set to
-// the engine's bulk loader. The tie-break matches the incremental path
-// exactly: local() is increasing on each of the node's intervals and
-// interval a precedes interval b, so the (w, lu, lv) order equals the
-// (w, u, v) order of the global canonical keys under which sorted per-edge
-// replay resolves equal-weight conflicts (first arrival wins, and sorted
-// arrival never swaps). Runs on a worker goroutine; touches only nd's
-// state plus the tree's atomic bulk counter.
-func (f *Forest) bulkLoadNode(nd *node, be BulkEngine, inss []batch.Edge) {
-	lins := make([]batch.Edge, len(inss))
-	items := make([]batch.Item, len(inss))
-	for i, e := range inss {
-		lu, lv := nd.local(e.U), nd.local(e.V)
-		lins[i] = batch.Edge{U: lu, V: lv, W: e.W}
-		items[i] = batch.Item{Key: e.W, A: lu, B: lv, Idx: i}
-	}
-	localN := nd.span
-	if nd.key.a != nd.key.b {
-		localN = 2 * nd.span
-	}
-	tree := make([]bool, len(lins))
-	var k batch.MSF
-	k.Classify(nil, localN, items, tree)
-	for i, err := range be.BulkLoad(lins, tree) {
-		if err != nil {
-			panic(fmt.Sprintf("sparsify: local bulk load (%d,%d): %v", inss[i].U, inss[i].V, err))
-		}
-	}
-	nd.m += len(inss)
-	f.BulkNodeLoads.Add(1)
 }

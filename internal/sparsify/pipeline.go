@@ -234,13 +234,8 @@ func (f *Forest) runBatchPipelined(fr frontier) {
 			continue
 		}
 
-		nd := f.getOrCreateKey(p.key)
-		p.nd = nd
-		if nd.native {
-			f.BatchNodeOps++
-		} else {
-			f.PerEdgeNodeOps++
-		}
+		p.nd = f.getOrCreateKey(p.key)
+		f.BatchNodeOps++
 		if f.Spawn != nil && len(ready) > 0 {
 			// More runnable nodes exist: overlap them. The scheduler only
 			// spawns when there is something to run alongside, so a pure

@@ -21,29 +21,8 @@ func pramFactory(localN, maxEdges int) Engine {
 }
 
 func withCounters(f *Forest) *Forest {
-	mach := func(e Engine) *pram.Machine {
-		w, ok := e.(*ternary.Wrapper)
-		if !ok {
-			return nil
-		}
-		m, ok := w.Gadget().(*core.MSF)
-		if !ok {
-			return nil
-		}
-		return m.Machine()
-	}
-	f.DepthFn = func(e Engine) int64 {
-		if m := mach(e); m != nil {
-			return m.Time
-		}
-		return 0
-	}
-	f.WorkFn = func(e Engine) int64 {
-		if m := mach(e); m != nil {
-			return m.Work
-		}
-		return 0
-	}
+	f.DepthFn = func(e Engine) int64 { return e.Machine().Time }
+	f.WorkFn = func(e Engine) int64 { return e.Machine().Work }
 	return f
 }
 
@@ -87,9 +66,9 @@ func TestPipelineMatchesBarrier(t *testing.T) {
 				t.Fatalf("%s: counters diverge on scheduler %d: {D=%d W=%d} vs barrier {D=%d W=%d}",
 					stage, i+1, f.ParDepth, f.ParWork, barrier.ParDepth, barrier.ParWork)
 			}
-			if f.BatchNodeOps != barrier.BatchNodeOps || f.PerEdgeNodeOps != barrier.PerEdgeNodeOps {
-				t.Fatalf("%s: node-op counters diverge on scheduler %d: {%d %d} vs {%d %d}",
-					stage, i+1, f.BatchNodeOps, f.PerEdgeNodeOps, barrier.BatchNodeOps, barrier.PerEdgeNodeOps)
+			if f.BatchNodeOps != barrier.BatchNodeOps {
+				t.Fatalf("%s: node-op counters diverge on scheduler %d: %d vs %d",
+					stage, i+1, f.BatchNodeOps, barrier.BatchNodeOps)
 			}
 			if f.NodeCount() != barrier.NodeCount() {
 				t.Fatalf("%s: node counts diverge: %d vs %d", stage, f.NodeCount(), barrier.NodeCount())

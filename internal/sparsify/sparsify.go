@@ -4,14 +4,14 @@
 // m edges to O(log n) updates on sparse instances of geometrically
 // decreasing size. The root instance's forest is the graph's MSF.
 //
-// Every stored node E_{alpha,beta} owns a dynamic MSF engine on the local
-// graph whose edge set is the union of its children's forests (at leaves:
-// the actual graph edges between the two singleton vertex sets). Updates
-// enter at a leaf and propagate upward: each level applies the forest delta
-// of the level below, reported through the engine's event callback — the
-// concrete realization of the paper's REdges bookkeeping. Nodes are created
-// lazily and destroyed when their local graph empties, giving the paper's
-// O(m log n) space.
+// Every stored node E_{alpha,beta} owns a dynamic MSF engine, behind the one
+// node contract Engine, on the local graph whose edge set is the union of
+// its children's forests (at leaves: the actual graph edges between the two
+// singleton vertex sets). Updates enter at a leaf and propagate upward: each
+// level applies the forest delta of the level below, reported through the
+// engine's event callback — the concrete realization of the paper's REdges
+// bookkeeping. Nodes are created lazily and destroyed when their local
+// graph empties, giving the paper's O(m log n) space.
 package sparsify
 
 import (
@@ -21,20 +21,29 @@ import (
 
 	"parmsf/internal/batch"
 	"parmsf/internal/faultinject"
+	"parmsf/internal/pram"
 )
 
-// Engine is the per-node dynamic MSF interface. Every node engine a parmsf
-// forest builds is a ternary wrapper, which also implements BatchEngine;
-// only test fakes reach the per-edge methods, through the batch path's
-// per-edge adapter (batch.go).
+// Engine is the node contract: a dynamic MSF over a node's local vertex
+// ids, with the batch entry points the tree applies deltas through, the
+// static Load an empty node takes its first delta through, the queries the
+// tree answers from the root, and the callbacks that report forest
+// changes. Every node engine a parmsf forest builds is a ternary wrapper
+// over the core structure (ternary.Wrapper meets the contract as it is).
+// Machine is the node's private PRAM simulator (nil without one), which
+// DepthFn and WorkFn read.
 type Engine interface {
-	InsertEdge(u, v int, w int64) error
-	DeleteEdge(u, v int) error
+	InsertEdges(items []batch.Edge) []error
+	DeleteEdges(keys [][2]int) []error
+	Load(items []batch.Edge, m *pram.Machine) []error
 	Connected(u, v int) bool
 	Weight() int64
 	ForestSize() int
 	ForestEdges(f func(u, v int, w int64) bool)
+	ExportComponents(comp []int32, upto int) bool
 	SetEvents(f func(u, v int, w int64, added bool))
+	SetCutSides(f func(side []int32))
+	Machine() *pram.Machine
 }
 
 // Factory builds a node engine over localN vertices holding at most
@@ -62,12 +71,10 @@ type event struct {
 type node struct {
 	key     nodeKey
 	eng     Engine
-	be      BatchEngine // eng's batch view (a per-edge adapter when needed)
-	native  bool        // eng implements BatchEngine itself
-	aStart  int         // original id of the first vertex of interval a
-	bStart  int         // of interval b (== aStart when a == b)
-	span    int         // interval size
-	m       int         // live local edges
+	aStart  int // original id of the first vertex of interval a
+	bStart  int // of interval b (== aStart when a == b)
+	span    int // interval size
+	m       int // live local edges
 	pending []event
 }
 
@@ -110,31 +117,31 @@ type Forest struct {
 	ParWork int64
 	// Exec, when set, executes tasks independent node applications of the
 	// batch path — the touched siblings of one level — possibly
-	// concurrently (the composer injects the shared worker pool here). Nil
-	// runs them inline. Tasks touch disjoint node state, so any executor
-	// that completes all tasks before returning preserves determinism.
-	// Exec is only consulted by the level-barrier sweep (Pipeline false).
+	// concurrently. Nil runs them inline. Tasks touch disjoint node state,
+	// so any executor that completes all tasks before returning preserves
+	// determinism. Exec is only consulted by the level-barrier sweep
+	// (Pipeline false), the reference the pipeline is tested and measured
+	// against.
 	Exec func(tasks int, run func(t int))
 	// Pipeline routes batches through the dependency-driven scheduler
-	// (pipeline.go) instead of the strict level-barrier sweep: a node
-	// applies as soon as its own children have drained into it, so levels
-	// overlap. Forests, error slots and ParDepth/ParWork are identical
-	// either way.
+	// (pipeline.go), the one parmsf runs, instead of the strict
+	// level-barrier sweep: a node applies as soon as its own children have
+	// drained into it, so levels overlap. Forests, error slots and
+	// ParDepth/ParWork are identical either way.
 	Pipeline bool
 	// Spawn, when set with Pipeline, runs one node application
 	// asynchronously (the composer injects a bounded-goroutine spawner
 	// here). finish-side bookkeeping stays on the scheduler goroutine. Nil
 	// executes the identical schedule inline.
 	Spawn func(run func())
-	// BatchNodeOps and PerEdgeNodeOps count node applications of the batch
-	// path that went through a native BatchEngine versus the per-edge
-	// adapter (instrumentation: the acceptance criterion "no per-edge
-	// fallback" is PerEdgeNodeOps == 0).
+	// BatchNodeOps counts node applications. PerEdgeNodeOps counted those
+	// of a per-edge adapter the tree no longer has: every node engine
+	// applies whole deltas, so it always reads 0.
 	BatchNodeOps   int64
 	PerEdgeNodeOps int64
 	// BulkNodeLoads counts node applications that went through the static
-	// bulk-load routing (insert-only delta into an empty node, engine with a
-	// bulk loader). Atomic: node applications run on worker goroutines.
+	// Load (an insert-only delta into an empty node). Atomic: node
+	// applications run on worker goroutines.
 	BulkNodeLoads atomic.Int64
 	// Fault, when set, arms the tree's crash points (fault-injection
 	// testing): sparsify/run-batch fires on the batch goroutine after the
@@ -143,16 +150,14 @@ type Forest struct {
 	// pipeline scheduler, where the trap/complete containment must carry
 	// the panic back to the caller without deadlocking the schedule.
 	Fault *faultinject.Injector
-	// Applied counts the updates the tree has fully applied — one per
-	// batch entry point call that staged at least one edge (a single-edge
-	// operation is a one-item batch). OnApplied, when set, fires at the
-	// same points, strictly past the batch's pipeline (or level-barrier)
+	// OnApplied, when set, fires once per batch entry point call that
+	// staged at least one edge (a single-edge operation is a one-item
+	// batch), strictly past the batch's pipeline (or level-barrier)
 	// completion: every touched node has applied, every REdges delta has
 	// drained and every task goroutine has joined — the epoch source of the
 	// concurrent read plane, which publishes one immutable snapshot per
 	// applied update batch and must never observe the tree
 	// mid-propagation.
-	Applied   uint64
 	OnApplied func()
 	// events is the externally installed forest-change callback (original
 	// vertex space). It rides the root node's engine — the root forest is
@@ -230,16 +235,13 @@ func (f *Forest) getOrCreateKey(k nodeKey) *node {
 	// Local graphs hold unions of up to four child forests plus transient
 	// slack during delta application.
 	nd.eng = f.factory(localN, 2*localN+8)
-	nd.be, nd.native = asBatch(nd.eng)
 	if k.level == 0 && f.events != nil {
 		// The root's forest deltas are the tree's own output — nothing
 		// above consumes its pending events (drain discards them) — so the
 		// external callback takes their place, in original-id space (root
 		// locals are original ids).
 		nd.eng.SetEvents(f.events)
-		if f.cutSides != nil {
-			installCutSides(nd.eng, f.cutSides)
-		}
+		nd.eng.SetCutSides(f.cutSides)
 	} else {
 		nd.eng.SetEvents(func(lu, lv int, w int64, added bool) {
 			nd.pending = append(nd.pending, event{nd.global(lu), nd.global(lv), w, added})
@@ -249,9 +251,8 @@ func (f *Forest) getOrCreateKey(k nodeKey) *node {
 	return nd
 }
 
-// applied records one fully applied update and fires the epoch hook.
+// applied fires the epoch hook for one fully applied update.
 func (f *Forest) applied() {
-	f.Applied++
 	if f.OnApplied != nil {
 		f.OnApplied()
 	}
@@ -334,29 +335,20 @@ func (f *Forest) SetEvents(fn func(u, v int, w int64, added bool)) {
 
 // SetCutSides installs the root engine's cut-side callback (the smaller
 // side of each real forest cut, original vertex space), with the same
-// persistence and goroutine contract as SetEvents. No-op when the node
-// engines do not emit cut sides.
+// persistence and goroutine contract as SetEvents.
 func (f *Forest) SetCutSides(fn func(side []int32)) {
 	f.cutSides = fn
 	if r := f.root(); r != nil {
-		installCutSides(r.eng, fn)
-	}
-}
-
-// installCutSides forwards a cut-side callback to engines that support it.
-func installCutSides(e Engine, fn func(side []int32)) {
-	if cs, ok := e.(interface{ SetCutSides(f func(side []int32)) }); ok {
-		cs.SetCutSides(fn)
+		r.eng.SetCutSides(fn)
 	}
 }
 
 // ExportComponents fills comp[v] with a dense component id for every
 // vertex v in [0, upto), per the current MSF: the root node's engine runs
-// its snapshot-export sweep (root-local ids are original ids). With no
-// root — the graph has never held an edge — every vertex is its own
-// component. Returns false when the root engine has no export hook, which
-// a parmsf forest never builds and panics on. Must not run concurrently
-// with updates.
+// its snapshot-export sweep (root-local ids are original ids) and its
+// result is returned. With no root — the graph has never held an edge —
+// every vertex is its own component. Must not run concurrently with
+// updates.
 func (f *Forest) ExportComponents(comp []int32, upto int) bool {
 	r := f.root()
 	if r == nil {
@@ -365,13 +357,7 @@ func (f *Forest) ExportComponents(comp []int32, upto int) bool {
 		}
 		return true
 	}
-	ex, ok := r.eng.(interface {
-		ExportComponents(comp []int32, upto int) bool
-	})
-	if !ok {
-		return false
-	}
-	return ex.ExportComponents(comp, upto)
+	return r.eng.ExportComponents(comp, upto)
 }
 
 // CheckInvariant verifies, for every stored node, that its local edge count

@@ -4,15 +4,46 @@ import (
 	"testing"
 
 	"parmsf/internal/baseline"
+	"parmsf/internal/batch"
 	"parmsf/internal/core"
+	"parmsf/internal/pram"
 	"parmsf/internal/ternary"
 	"parmsf/internal/xrand"
 )
 
-// kruskalFactory builds nodes on the naive engine (events by diffing).
+// kruskalEngine is a node engine over the recompute-from-scratch Kruskal
+// baseline (events by diffing): the tree's second engine in tests. It
+// applies batches and loads one edge at a time, exports no components and
+// emits no cut sides.
+type kruskalEngine struct{ *baseline.Kruskal }
+
 func kruskalFactory(localN, maxEdges int) Engine {
-	return baseline.NewKruskal(localN)
+	return kruskalEngine{baseline.NewKruskal(localN)}
 }
+
+func (k kruskalEngine) InsertEdges(items []batch.Edge) []error {
+	errs := make([]error, len(items))
+	for i, it := range items {
+		errs[i] = k.InsertEdge(it.U, it.V, it.W)
+	}
+	return errs
+}
+
+func (k kruskalEngine) DeleteEdges(keys [][2]int) []error {
+	errs := make([]error, len(keys))
+	for i, kk := range keys {
+		errs[i] = k.DeleteEdge(kk[0], kk[1])
+	}
+	return errs
+}
+
+func (k kruskalEngine) Load(items []batch.Edge, _ *pram.Machine) []error {
+	return k.InsertEdges(items)
+}
+
+func (kruskalEngine) ExportComponents([]int32, int) bool { return false }
+func (kruskalEngine) SetCutSides(func(side []int32))     {}
+func (kruskalEngine) Machine() *pram.Machine             { return nil }
 
 // coreFactory builds nodes on the real pipeline: ternary-wrapped core
 // engine, as the full Theorem 1.1 construction requires.

@@ -13,6 +13,10 @@
 // its slot when it ends the path and otherwise splices it out, turning the
 // two ring edges around it into one. No surviving edge ever moves, and each
 // update costs O(1) engine operations.
+//
+// The wrapper is also the sparsification tree's node engine (it meets
+// sparsify.Engine), and its Load is the module's one static-load routine:
+// Build and Recover's flat path and every fresh tree node take it.
 package ternary
 
 import (
@@ -22,6 +26,7 @@ import (
 	"parmsf/internal/batch"
 	"parmsf/internal/core"
 	"parmsf/internal/faultinject"
+	"parmsf/internal/pram"
 )
 
 // Crash points of the degree-reduction layer: both fire after the wrapper's
@@ -41,7 +46,8 @@ const RingWeight = int64(-1) << 60
 // contract of core.MSF. Every gadget update the wrapper stages — ring
 // edges, hosted real edges, slot retirements and splices — reaches the
 // engine through ApplyBatch, or through BulkLoad when an empty wrapper is
-// seeded.
+// seeded. Machine is the PRAM machine the engine charges (nil without
+// one).
 type Engine interface {
 	ApplyBatch(ops []core.BatchOp) []error
 	BulkLoad(ops []core.BatchOp, tree []bool) []error
@@ -52,6 +58,7 @@ type Engine interface {
 	ForestEdges(f func(u, v int, w int64) bool)
 	SetEvents(f func(u, v int, w int64, added bool))
 	SetCutSides(f func(side []int32))
+	Machine() *pram.Machine
 }
 
 // Common errors.
@@ -87,21 +94,19 @@ type Wrapper struct {
 	lastDelReal bool    // last engine delete event was a real (non-ring) edge
 	sideScratch []int32 // pooled original-vertex side buffer
 
-	// Applied counts the engine updates this wrapper has fully applied —
-	// one per batch entry point call that reached the engine (a single-edge
-	// operation is a one-item batch). OnApplied, when set, fires at the same
-	// points, strictly after the update (including its staged slot
-	// surgeries and deferred bookkeeping) has drained: the epoch source of
-	// the concurrent read plane, which publishes one immutable snapshot
-	// per applied update.
-	Applied   uint64
+	// OnApplied, when set, fires once per batch entry point call that
+	// reached the engine (a single-edge operation is a one-item batch),
+	// strictly after the update (including its staged slot surgeries and
+	// deferred bookkeeping) has drained: the epoch source of the concurrent
+	// read plane, which publishes one immutable snapshot per applied
+	// update.
 	OnApplied func()
 
-	// Pooled batch scratch: the staged-slot op buffer shared by the
-	// InsertEdges / DeleteEdges entry points, the touched vertices of a
+	// Pooled batch scratch: the staged-slot op buffer shared by every
+	// entry point and the tree flags of a load, the touched vertices of a
 	// delete batch, and the slots it frees, whose release waits for the
-	// engine batch. Reused across batches (contents never retained), so warm
-	// batch entry points allocate only their returned error slices.
+	// engine batch. Reused across batches (contents never retained), so
+	// warm batch entry points allocate only their returned error slices.
 	opsScratch  []core.BatchOp
 	flagScratch []bool
 	touchedVs   []int
@@ -140,16 +145,19 @@ func New(n, maxEdges int, mk func(gadgetN int) Engine) *Wrapper {
 // N returns the number of original vertices.
 func (w *Wrapper) N() int { return w.n }
 
-// applied records one fully applied update and fires the epoch hook.
+// applied fires the epoch hook for one fully applied update.
 func (w *Wrapper) applied() {
-	w.Applied++
 	if w.OnApplied != nil {
 		w.OnApplied()
 	}
 }
 
-// Gadget exposes the wrapped engine (tests).
+// Gadget exposes the wrapped engine to code that decorates the layers, such
+// as perfbench's timing stack.
 func (w *Wrapper) Gadget() Engine { return w.eng }
+
+// Machine returns the PRAM machine the wrapped engine charges, or nil.
+func (w *Wrapper) Machine() *pram.Machine { return w.eng.Machine() }
 
 // SetEvents installs a forest-change callback in original-vertex space.
 func (w *Wrapper) SetEvents(f func(u, v int, w int64, added bool)) { w.events = f }
@@ -211,20 +219,28 @@ func (w *Wrapper) InsertEdge(u, v int, wt int64) error {
 	return w.InsertEdges([]BatchEdge{{U: u, V: v, W: wt}})[0]
 }
 
+// check reports the error an insertion of (u, v, wt) fails with whatever
+// the wrapper's state: ErrVertex, ErrSelfLoop or ErrWeight.
+func (w *Wrapper) check(u, v int, wt int64) error {
+	switch {
+	case u < 0 || u >= w.n || v < 0 || v >= w.n:
+		return ErrVertex
+	case u == v:
+		return ErrSelfLoop
+	case wt <= RingWeight:
+		return ErrWeight
+	}
+	return nil
+}
+
 // stageInsert validates one insertion, claims its gadget slots and records
 // the wrapper bookkeeping. Any ring edge a new slot needs is staged into
 // *rings, so a whole batch of slot surgeries — independent isolated-vertex
 // links — goes through one gadget-level engine batch; the hosted real edge
 // (rec.su, rec.sv, wt) is left for the caller to stage after them.
 func (w *Wrapper) stageInsert(u, v int, wt int64, rings *[]core.BatchOp) (*edgeRec, error) {
-	if u < 0 || u >= w.n || v < 0 || v >= w.n {
-		return nil, ErrVertex
-	}
-	if u == v {
-		return nil, ErrSelfLoop
-	}
-	if wt <= RingWeight {
-		return nil, ErrWeight
+	if err := w.check(u, v, wt); err != nil {
+		return nil, err
 	}
 	k := key(u, v)
 	if _, dup := w.edges[k]; dup {
@@ -317,16 +333,16 @@ func (w *Wrapper) M() int { return len(w.edges) }
 // ring paths keep every extra slot in its vertex's component, so the
 // gadget partition restricted to the base slots is exactly the original
 // partition). It always reports true; the result is part of the export
-// signature the wrapper shares with the sparsification tree, whose root
-// engine may lack an export hook.
+// signature of the sparsification tree's node contract (sparsify.Engine),
+// whose test doubles need not export.
 func (w *Wrapper) ExportComponents(comp []int32, upto int) bool {
 	w.eng.ExportComponents(comp, upto)
 	return true
 }
 
 // BatchEdge is one item of a batch insertion through InsertEdges — an alias
-// of the shared batch.Edge type, so the wrapper's batch entry points double
-// as the sparsification tree's BatchEngine implementation.
+// of the shared batch.Edge type, so the wrapper meets the sparsification
+// tree's node contract (sparsify.Engine) as it is.
 type BatchEdge = batch.Edge
 
 // InsertEdges inserts a batch of edges in order, returning one error slot

@@ -104,11 +104,9 @@ type Options struct {
 	// Sparsify routes updates through the sparsification tree of Section
 	// 5, making update cost depend on n rather than m. Worthwhile when the
 	// graph is dense. A batch enters the tree at its leaf nodes and
-	// propagates toward the root: level-by-level on a forest without a PRAM
-	// machine, and with Workers (or CheckEREW) through the dependency
-	// pipeline, where a node applies as soon as its children have drained
-	// into it (node tasks run concurrently on a task pool when Workers
-	// exceeds 1).
+	// propagates toward the root through the dependency pipeline, where a
+	// node applies as soon as its children have drained into it (node
+	// tasks run concurrently on a task pool when Workers exceeds 1).
 	Sparsify bool
 	// Workers runs the core structure's EREW PRAM driver (Section 3) on a
 	// machine with this many workers, whose depth and work counters are
@@ -329,14 +327,14 @@ func (f *Forest) buildEngine() {
 		f.eng = tw
 		return
 	}
-	// Section 5.3 wiring: with a machine, every tree node runs the PRAM
-	// driver on a private sequential simulator, so independent nodes can
-	// apply concurrently with no shared counter state; the tree merges
-	// per-node depth (max) and work (sum) through DepthFn/WorkFn, and
-	// absorbSpars folds those totals back into the shared machine. Batches
-	// then run through the pipelined scheduler — a node applies as soon as
-	// its children have drained into it — with node tasks fanned out over
-	// at most Workers goroutines when a real pool is configured.
+	// Batches run through the pipelined scheduler: a node applies as soon
+	// as its children have drained into it, with node tasks fanned out over
+	// at most Workers goroutines when a real pool is configured. Section
+	// 5.3 wiring: with a machine, every tree node runs the PRAM driver on a
+	// private sequential simulator, so independent nodes can apply
+	// concurrently with no shared counter state; the tree merges per-node
+	// depth (max) and work (sum) through DepthFn/WorkFn, and absorbSpars
+	// folds those totals back into the shared machine.
 	sp := sparsify.New(f.n, func(localN, maxEdges int) sparsify.Engine {
 		ch := core.Charger(core.SeqCharger{})
 		if f.mach != nil {
@@ -344,13 +342,13 @@ func (f *Forest) buildEngine() {
 		}
 		return newTernary(localN, maxEdges, ch)
 	})
+	sp.Pipeline = true
 	if f.mach != nil {
-		sp.DepthFn = func(e sparsify.Engine) int64 { return nodeMachine(e).Time }
-		sp.WorkFn = func(e sparsify.Engine) int64 { return nodeMachine(e).Work }
-		sp.Pipeline = true
-		if f.tasks != nil {
-			sp.Spawn = f.tasks.Spawn
-		}
+		sp.DepthFn = func(e sparsify.Engine) int64 { return e.Machine().Time }
+		sp.WorkFn = func(e sparsify.Engine) int64 { return e.Machine().Work }
+	}
+	if f.tasks != nil {
+		sp.Spawn = f.tasks.Spawn
 	}
 	sp.Fault = f.fault
 	sp.SetEvents(f.noteDelta)
@@ -466,24 +464,17 @@ func (f *Forest) PublishStats() snapshot.Stats { return f.pub.Stats() }
 //
 // The component array comes from the engine's export sweep: one tour-root
 // sweep through the core structure (reusing the insert-classification
-// kernel), which every composition buildEngine builds provides.
+// kernel), which every composition buildEngine builds provides, so its
+// result is always true.
 func (f *Forest) publish() {
 	b := f.pub.Begin(f.n)
-	if !f.eng.ExportComponents(b.Comp(f.n), f.n) {
-		panic("parmsf: engine cannot export components")
-	}
+	f.eng.ExportComponents(b.Comp(f.n), f.n)
 	f.eng.ForestEdges(func(u, v int, w int64) bool {
 		b.AppendEdge(u, v, w)
 		return true
 	})
 	b.SetWeight(f.eng.Weight())
 	f.pub.Publish(b)
-}
-
-// nodeMachine returns the private PRAM simulator of a sparsification node
-// engine (a ternary wrapper over the core structure).
-func nodeMachine(e sparsify.Engine) *pram.Machine {
-	return e.(*ternary.Wrapper).Gadget().(*core.MSF).Machine()
 }
 
 // absorbSpars snapshots the sparsification tree's accumulated Section 5.3

@@ -1,9 +1,6 @@
 package parmsf
 
-import (
-	"parmsf/internal/batch"
-	"parmsf/internal/ternary"
-)
+import "parmsf/internal/ternary"
 
 // This file implements the parallel bulk constructor: Build computes the
 // minimum spanning forest of the initial edge set statically with the
@@ -11,11 +8,11 @@ import (
 // edges around a kth-smallest pivot, union-find the heavy remainder away;
 // SNIPPETS snippet 1) and loads the classified set directly into the
 // engine stack — core Store/LSDS/CAdj via core.BulkLoad and ternary slot
-// rings staged in rank order without intermediate surgeries — instead of
-// streaming every edge through the incremental update path. With
-// Options.Sparsify the accepted set takes the commit path's insert stage
-// instead: the tree is fresh, so every node it touches bulk-loads (see
-// sparsify.Forest.bulkLoadNode). Cold-start is then roughly O(m log n)
+// rings staged in rank order without intermediate surgeries, both behind
+// ternary.Wrapper.Load — instead of streaming every edge through the
+// incremental update path. With Options.Sparsify the accepted set takes
+// the commit path's insert stage instead: the tree is fresh, so every node
+// it touches takes the same Load. Cold-start is then roughly O(m log n)
 // work rather than O(m sqrt(n) log n) sequential updates, and the same
 // path doubles as Recover's rebuild primitive.
 
@@ -96,43 +93,24 @@ func MustBuild(n int, edges []Edge, opt Options) (*Forest, []error) {
 // journaling every loaded edge. It is the loader shared by Build and
 // Recover's reload; the caller holds the engine exclusively and has
 // arranged absorbSpars. A sparsification tree takes the commit path's
-// insert stage, which bulk-loads every node of the fresh tree; otherwise
-// the kernel classifies the set and the ternary wrapper bulk-loads it.
+// insert stage, which loads every node of the fresh tree; otherwise the
+// ternary wrapper loads the set, classified on the forest's machine.
 func (f *Forest) loadAccepted(edges []Edge, errs []error) {
 	if f.spars != nil {
 		f.insertBatch(edges, errs)
 		return
 	}
-	items := make([]batch.Item, 0, len(edges))
+	bes := make([]ternary.BatchEdge, 0, len(edges))
+	idx := make([]int, 0, len(edges))
 	for i, e := range edges {
 		if errs[i] == nil {
-			items = append(items, batch.Item{Key: e.W, A: e.U, B: e.V, Idx: i})
-		}
-	}
-	var k batch.MSF
-	isTree := make([]bool, len(edges))
-	tree := k.Classify(f.mach, f.n, items, isTree)
-	// Load order: tree edges ascending, then the non-tree rest in input
-	// order — the non-tree fast path is order-independent, so no sort is
-	// spent on the heavy majority.
-	bes := make([]ternary.BatchEdge, 0, len(items))
-	flags := make([]bool, 0, len(items))
-	bidx := make([]int, 0, len(items))
-	for _, it := range tree {
-		bes = append(bes, ternary.BatchEdge{U: it.A, V: it.B, W: it.Key})
-		flags = append(flags, true)
-		bidx = append(bidx, it.Idx)
-	}
-	for i, e := range edges {
-		if errs[i] == nil && !isTree[i] {
 			bes = append(bes, ternary.BatchEdge{U: e.U, V: e.V, W: e.W})
-			flags = append(flags, false)
-			bidx = append(bidx, i)
+			idx = append(idx, i)
 		}
 	}
-	for i, err := range f.eng.(*ternary.Wrapper).BulkLoad(bes, flags) {
+	for j, err := range f.eng.(*ternary.Wrapper).Load(bes, f.mach) {
 		if err != nil {
-			errs[bidx[i]] = mapBatchInsertErr(err)
+			errs[idx[j]] = mapBatchInsertErr(err)
 		}
 	}
 	// Commit point: journal what loaded (idempotent under reload, where the
