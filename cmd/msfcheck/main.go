@@ -1,6 +1,6 @@
 // Command msfcheck is a randomized cross-validation stress tool: it drives
-// every pipeline configuration (sequential core, EREW PRAM core with
-// exclusivity checking, degree reduction, sparsification) and the naive
+// every pipeline configuration (sequential core, EREW PRAM core on the
+// sequential simulator, degree reduction, sparsification) and the naive
 // Kruskal baseline through the same random update stream, verifying after
 // every operation that forests agree and the core structure's invariants
 // hold. Exit status 0 means no disagreement was found.
@@ -10,9 +10,8 @@
 // selects a builtin deterministic random-sparse list): Build across every
 // configuration against an incremental Insert replay and the Kruskal
 // baseline, edge for edge, plus cut-property spot checks (deleting a forest
-// edge never finds a lighter replacement). The EREW-checked Build must
-// report no exclusivity violation, and its PRAM depth and work totals are
-// printed.
+// edge never finds a lighter replacement). The PRAM depth and work totals
+// of the Build on the sequential simulator (Workers: 1) are printed.
 //
 // With -snapshot the tool instead cross-validates the O(delta) snapshot
 // publication path: a forest on the default capacity-driven delta schedule
@@ -109,12 +108,12 @@ func main() {
 	fmt.Printf("msfcheck: OK — %s, in %v\n", report, time.Since(start).Round(time.Millisecond))
 }
 
-// checkChurn runs the churn stream through the sequential, EREW-checked
+// checkChurn runs the churn stream through the sequential, PRAM-simulated
 // and sparsified pipelines, sampling Connected every 11th step. A raw core
 // engine mirrors the stream wherever degrees allow (it takes degree-3
 // graphs only) and gets the full invariant check every deep steps.
 func checkChurn(n, steps, deep int, seed uint64) (string, error) {
-	pram := parmsf.MustNew(n, parmsf.Options{MaxEdges: 16 * n, CheckEREW: true})
+	pram := parmsf.MustNew(n, parmsf.Options{MaxEdges: 16 * n, Workers: 1})
 	subs := []named{
 		{"seq", parmsf.MustNew(n, parmsf.Options{MaxEdges: 16 * n})},
 		{"pram", pram},
@@ -154,9 +153,6 @@ func checkChurn(n, steps, deep int, seed uint64) (string, error) {
 		return "", err
 	}
 	m := pram.PRAM()
-	if v := m.Violations(); len(v) != 0 {
-		return "", fmt.Errorf("EREW violations: %v", v)
-	}
 	return fmt.Sprintf("%d ops on n=%d (final m=%d, forest=%d, PRAM depth=%d work=%d)",
 		steps, n, len(c.live), ref.Size(), m.Time, m.Work), nil
 }
@@ -246,8 +242,8 @@ func checkSnapshot(n, steps int, seed uint64) (string, error) {
 // across every pipeline configuration against an incremental replay
 // (per-edge Insert, which also yields the reference per-edge errors) and
 // the Kruskal baseline, then cut-property spot checks on a built forest.
-// The EREW-checked Build's charges are read before anything else runs on
-// it, so the reported totals are Build's alone.
+// The simulated (Workers: 1) Build's charges are read before anything else
+// runs on it, so the reported totals are Build's alone.
 func checkBuild(n int, edges []parmsf.Edge) (string, error) {
 	maxEdges := max(4*n, len(edges)+8)
 	replay := parmsf.MustNew(n, parmsf.Options{MaxEdges: maxEdges})
@@ -275,7 +271,7 @@ func checkBuild(n int, edges []parmsf.Edge) (string, error) {
 	}{
 		{"seq", parmsf.Options{MaxEdges: maxEdges}},
 		{"workers2", parmsf.Options{MaxEdges: maxEdges, Workers: 2}},
-		{"pram", parmsf.Options{MaxEdges: maxEdges, CheckEREW: true}},
+		{"pram", parmsf.Options{MaxEdges: maxEdges, Workers: 1}},
 		{"sparsify", parmsf.Options{Sparsify: true}},
 	}
 	var built []named
@@ -284,11 +280,8 @@ func checkBuild(n int, edges []parmsf.Edge) (string, error) {
 	for _, cfg := range configs {
 		f, errs := parmsf.MustBuild(n, edges, cfg.opt)
 		built = append(built, named{cfg.name, f})
-		if cfg.opt.CheckEREW {
+		if cfg.opt.Workers == 1 {
 			m := f.PRAM()
-			if v := m.Violations(); len(v) != 0 {
-				return "", fmt.Errorf("%s: EREW violations: %v", cfg.name, v)
-			}
 			depth, work = m.Time, m.Work
 		}
 		if errs == nil {

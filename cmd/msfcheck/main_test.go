@@ -11,10 +11,10 @@ import (
 // builtin edge list, plus the churn mode at its default size, the one CI
 // runs. The churn stream at seed 1 ends with 28 live edges and a 15-edge
 // forest at -quick size, and 282 and 47 at the default; a change to how
-// the stream draws its ops moves those counts. Its EREW-checked forest's
-// PRAM depth and work totals are pinned at both sizes too, as are those of
-// the EREW-checked Build, so a change that moves any charge of the update
-// path or of the static load fails here.
+// the stream draws its ops moves those counts. Its simulated (Workers: 1)
+// forest's PRAM depth and work totals are pinned at both sizes too, as are
+// those of the simulated Build, so a change that moves any charge of the
+// update path or of the static load fails here.
 func TestModesQuick(t *testing.T) {
 	n, edges, err := loadEdges("-", 3)
 	if err != nil {

@@ -3,6 +3,8 @@ package parmsf
 import (
 	"errors"
 	"fmt"
+
+	"parmsf/internal/ingest"
 )
 
 // The package's error taxonomy. Every error returned by the public API is
@@ -30,7 +32,7 @@ var (
 	// ErrTooFewVertices reports a New or Build call with n < 2.
 	ErrTooFewVertices = errors.New("parmsf: need at least two vertices")
 	// ErrClosed reports a Submit or Flush after Close.
-	ErrClosed = errors.New("parmsf: forest closed")
+	ErrClosed = ingest.ErrClosed
 	// ErrPoisoned reports an operation on a forest whose engine caught a
 	// panic mid-update: mutators and submissions fail fast until Recover
 	// rebuilds the engine from the live-edge journal (reads keep serving
@@ -40,10 +42,10 @@ var (
 	// ErrQueueFull reports a Submit rejected by the SubmitFail admission
 	// policy (or a SubmitWait that timed out) because QueueDepth updates
 	// were already waiting. The update was not accepted.
-	ErrQueueFull = errors.New("parmsf: ingest queue full")
+	ErrQueueFull = ingest.ErrFull
 	// ErrTimeout reports a Flush that exceeded Options.FlushTimeout. The
 	// flushed updates remain queued and will still apply.
-	ErrTimeout = errors.New("parmsf: deadline exceeded")
+	ErrTimeout = ingest.ErrFlushTimeout
 )
 
 // PoisonError is the concrete error carried by every ErrPoisoned failure:

@@ -1,16 +1,15 @@
 package core
 
-import (
-	"parmsf/internal/pram"
-	"parmsf/internal/tourney"
-)
+import "parmsf/internal/pram"
 
 // Charger accounts the cost of structural primitives. The sequential
 // algorithm (Section 2) installs SeqCharger, whose costs are measured by the
 // wall clock and whose hooks are no-ops. The parallel algorithm (Section 3)
 // installs a PRAMCharger wrapping an EREW machine: every primitive charges
-// the depth and width the corresponding lemma prescribes, and the
-// reduction-shaped primitives run real tournament kernels on the machine.
+// the depth and width the corresponding lemma prescribes. The charger never
+// changes what a primitive computes: the tournament-shaped ones (Lemma 3.1's
+// row rebuild, Lemma 3.3's gamma minimum) scan on the host and charge the
+// rounds their tournaments take (chargeRowTournament, chargeMinReduce).
 // Entrywise vector loops over chunk ids (row clears, column pushes, gamma
 // builds) run inline on the host: they touch only the ids below the
 // high-water mark, too few to repay a round on the worker pool, while their
@@ -98,31 +97,6 @@ func (c PRAMCharger) Apply(width int, f func(p int)) { c.M.Run(width, f) }
 
 // Machine implements Charger.
 func (c PRAMCharger) Machine() *pram.Machine { return c.M }
-
-// parKernels holds the lazily-created tournament structures of Section 3.
-type parKernels struct {
-	m *pram.Machine
-	// rowForest is the J-tree tournament of Lemma 3.1, used to rebuild a
-	// chunk's CAdj row after a split: one tree per destination chunk id,
-	// one leaf per edge incident to the chunk.
-	rowForest *tourney.Forest
-	entries   []tourney.Entry
-}
-
-func (st *Store) kernels() *parKernels {
-	m := st.ch.Machine()
-	if m == nil {
-		return nil
-	}
-	if st.par == nil {
-		st.par = &parKernels{
-			m:         m,
-			rowForest: tourney.NewForest(m, st.J, 3*st.K+4),
-			entries:   make([]tourney.Entry, 0, 3*st.K+4),
-		}
-	}
-	return st.par
-}
 
 // log2ceil returns ceil(log2(x)) for x >= 1.
 func log2ceil(x int) int {

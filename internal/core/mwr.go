@@ -5,7 +5,6 @@ import (
 
 	"parmsf/internal/graph"
 	"parmsf/internal/seqtree"
-	"parmsf/internal/tourney"
 )
 
 // MWR finds the minimum-weight replacement edge between tours t1 and t2:
@@ -59,35 +58,13 @@ func (st *Store) mwrGamma(t1, t2 *Tour) *graph.Edge {
 			bestID, best = int(id), w
 		}
 	} else {
-		memb2 := t2.root.Agg.memb
-		if m := st.ch.Machine(); m != nil {
-			// Processor j computes gamma[j] in O(1), then a tournament tree
-			// finds the minimum (Lemma 3.3). Cells at or above hi stay Inf.
-			st.ch.Par(1, st.J)
-			gamma := st.gammaScratch()
-			for j := range gamma[:st.hi] {
-				if hasBit(memb2, j) {
-					gamma[j] = cadj1[j]
-				} else {
-					gamma[j] = Inf
-				}
-			}
-			bestID, best = tourney.MinReduce(m, gamma, Inf)
-			if best == Inf {
-				bestID = -1
-			}
-		} else {
-			for w := 0; w < (st.hi+63)/64; w++ {
-				word := memb2[w]
-				for word != 0 {
-					j := w*64 + bits.TrailingZeros64(word)
-					word &= word - 1
-					if v := cadj1[j]; v < best {
-						best, bestID = v, j
-					}
-				}
-			}
-		}
+		// Charged as Lemma 3.3 runs it (processor j computes gamma[j] in
+		// O(1), then a tournament finds the minimum); the host scans the
+		// Memb bits instead.
+		st.ch.Par(1, st.J)
+		var live int
+		bestID, best, live = gammaMin(cadj1, t2.root.Agg.memb, st.hi)
+		chargeMinReduce(st.ch, live)
 	}
 	if bestID < 0 {
 		return nil
@@ -146,13 +123,38 @@ func (st *Store) mwrScanShort(short, other *Tour) *graph.Edge {
 	return st.scanChunkForMWR(hat, other)
 }
 
-// gammaScratch returns a reusable J-sized scratch slice, created at Inf.
-func (st *Store) gammaScratch() []Weight {
-	if st.gamma == nil {
-		st.gamma = make([]Weight, st.J)
-		fillInf(st.gamma)
+// gammaMin scans gamma = cadj masked by memb over the ids below hi. It
+// returns the lowest id holding the minimum (-1 and Inf when gamma has no
+// finite entry) and the number of finite entries, which Lemma 3.3's
+// tournament takes as its contestants.
+func gammaMin(cadj []Weight, memb []uint64, hi int) (bestID int, best Weight, live int) {
+	bestID, best = -1, Inf
+	for w := 0; w < (hi+63)/64; w++ {
+		for word := memb[w]; word != 0; word &= word - 1 {
+			j := w*64 + bits.TrailingZeros64(word)
+			if v := cadj[j]; v < Inf {
+				live++
+				if v < best {
+					best, bestID = v, j
+				}
+			}
+		}
 	}
-	return st.gamma
+	return bestID, best, live
+}
+
+// chargeMinReduce charges what tourney.MinReduce charges for a minimum over
+// live contestants: one load round, then one round per halving. It returns
+// at once without a machine.
+func chargeMinReduce(ch Charger, live int) {
+	if ch.Machine() == nil {
+		return
+	}
+	ch.Par(1, live)
+	for live > 1 {
+		live = (live + 1) / 2
+		ch.Par(1, live)
+	}
 }
 
 // verifyTourMatchesCycle is a debug helper used by the checker: it walks

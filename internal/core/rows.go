@@ -1,9 +1,10 @@
 package core
 
 import (
+	"math/bits"
+
 	"parmsf/internal/graph"
 	"parmsf/internal/seqtree"
-	"parmsf/internal/tourney"
 )
 
 // forEachChargedEdge calls f for every edge charged to chunk c: edges
@@ -35,9 +36,9 @@ func (st *Store) otherChunk(e *graph.Edge, v int32) *Chunk {
 
 // rebuildRow recomputes registered chunk c's CAdj row from its charged
 // edges, pushes the symmetric column, sweeps the column through all LSDS
-// trees and refreshes c's own path (Lemma 2.2 sequentially; Lemma 3.1 with
-// the tournament forest in the parallel driver). The diagonal cell is left
-// at Inf.
+// trees and refreshes c's own path (Lemma 2.2; a PRAM charger charges the
+// row as Lemma 3.1's tournament, chargeRowTournament). The diagonal cell is
+// left at Inf.
 func (st *Store) rebuildRow(c *Chunk) {
 	if c.id < 0 {
 		panic("core: rebuildRow on unregistered chunk")
@@ -47,40 +48,77 @@ func (st *Store) rebuildRow(c *Chunk) {
 	row := st.row(c.id)
 	st.ch.Par(1, st.J) // parallel row clear: one round, J processors
 	fillInf(row[:st.hi])
-
-	if k := st.kernels(); k != nil {
-		// Section 3.1: assign a processor per charged edge via getEdge
-		// (O(log K) phases over BTc) and resolve same-destination writes
-		// with the four-phase tournament.
-		ec := c.edgeCount()
-		st.ch.Par(btHeight(c)+3, ec) // getEdge assignment phases
-		k.entries = k.entries[:0]
-		st.forEachChargedEdge(c, func(cp *Copy, e *graph.Edge) {
-			oc := st.otherChunk(e, cp.v)
-			if oc.id < 0 {
-				k.entries = append(k.entries, tourney.Entry{Tree: -1})
-				return
-			}
-			k.entries = append(k.entries, tourney.Entry{Tree: oc.id, Val: e.W, Payload: e.ID})
-		})
-		k.rowForest.Run(k.entries, func(tree int32, val int64, _ int32) {
-			row[tree] = val
-		})
-	} else {
-		st.forEachChargedEdge(c, func(cp *Copy, e *graph.Edge) {
-			oc := st.otherChunk(e, cp.v)
-			if oc.id >= 0 && e.W < row[oc.id] {
-				row[oc.id] = e.W
-			}
-		})
-	}
-	// Intra-chunk edges reached the diagonal above; the tournament keeps
-	// their entries so its charges follow every charged edge.
+	st.chargeRowTournament(c)
+	st.forEachChargedEdge(c, func(cp *Copy, e *graph.Edge) {
+		oc := st.otherChunk(e, cp.v)
+		if oc.id >= 0 && e.W < row[oc.id] {
+			row[oc.id] = e.W
+		}
+	})
+	// Intra-chunk edges reached the diagonal above; the tournament charge
+	// counts them too, so it follows every charged edge.
 	row[c.id] = Inf
 
 	st.pushColumn(c)
 	st.sweepColumn(c.id)
 	st.refreshPath(c)
+}
+
+// chargeRowTournament charges c's row rebuild as Section 3.1 runs it:
+// getEdge assigns a processor per charged edge (O(log K) phases over BTc),
+// and Lemma 3.1's four-phase tournament, one tree per destination chunk id,
+// resolves the writes to each cell. It returns at once without a machine.
+func (st *Store) chargeRowTournament(c *Chunk) {
+	if st.ch.Machine() == nil {
+		return
+	}
+	st.ch.Par(btHeight(c)+3, c.edgeCount())
+	dests := st.rowDests[:0]
+	st.forEachChargedEdge(c, func(cp *Copy, e *graph.Edge) {
+		dests = append(dests, st.otherChunk(e, cp.v).id)
+	})
+	st.rowDests = dests
+	if st.rowPrev == nil {
+		st.rowPrev = make([]int32, st.J)
+	}
+	chargeTournament(st.ch, dests, 3*st.K+4, st.rowPrev)
+}
+
+// chargeTournament charges what tourney.Forest.Run charges for one run on
+// trees of `leaves` leaves whose k-th entry is destined for tree dests[k]
+// (negative: an inactive slot): one placement round over the active
+// entries, then four rounds per level with one processor per surviving
+// (tree, block) pair. An entry opens no pair at level l once it shares the
+// level's block with the previous entry p of its tree, which holds for
+// l >= bitlen(k xor p). prev is a zeroed slice indexed by tree, and is left
+// zeroed.
+func chargeTournament(ch Charger, dests []int32, leaves int, prev []int32) {
+	levels := max(log2ceil(leaves), 1)
+	if len(dests) > 1<<levels {
+		panic("core: more charged edges than tournament leaves")
+	}
+	var merged [32]int // merged[b]: entries whose pair merges at level b
+	placed := 0
+	for k, d := range dests {
+		if d < 0 {
+			continue
+		}
+		placed++
+		if p := prev[d]; p > 0 {
+			merged[bits.Len(uint(k^int(p-1)))]++
+		}
+		prev[d] = int32(k + 1)
+	}
+	for _, d := range dests {
+		if d >= 0 {
+			prev[d] = 0
+		}
+	}
+	ch.Par(1, placed)
+	for l, active := 0, placed; l < levels && active > 0; l++ {
+		ch.Par(4, active)
+		active -= merged[l+1]
+	}
 }
 
 // pushColumn copies row c into column c across all registered rows

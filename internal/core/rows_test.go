@@ -22,7 +22,7 @@ func TestEntryScanSkips(t *testing.T) {
 		ch   Charger
 	}{
 		{"seq", SeqCharger{}},
-		{"pram", PRAMCharger{M: pram.New(true)}},
+		{"pram", PRAMCharger{M: pram.New(false)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 64

@@ -73,8 +73,8 @@ type Store struct {
 	freeIDs []int32  // freed ids below hi, reused last-freed first
 	// hi is 1 + the largest id allocID has handed out, so it never falls.
 	// Freed ids are reused before hi grows, so hi is the peak number of
-	// registered chunks. Vector loops run over [0, hi): LSDS vectors, rows
-	// and gamma start at Inf, and nothing writes a cell at or above hi.
+	// registered chunks. Vector loops run over [0, hi): LSDS vectors and
+	// rows start at Inf, and nothing writes a cell at or above hi.
 	// Charges stay at J, the paper's model.
 	hi int
 
@@ -87,11 +87,13 @@ type Store struct {
 	normal     []*Tour // tours owning registered chunks (column sweeps)
 
 	vecPool []*lsVec
-	par     *parKernels // lazily built PRAM kernels (nil for sequential)
 
 	lsTouches int // internal LSDS vector recomputations (for charging)
 	btTouches int // BTc nodes touched (for charging)
-	gamma     []Weight
+
+	// Row-tournament charge scratch, built on the first charged rebuild.
+	rowDests []int32 // chargeRowTournament: destination id per charged edge
+	rowPrev  []int32 // chargeTournament: 1 + previous entry per destination
 
 	// Deferred UpdateAdj state of the batch pipeline (flush.go): chunks
 	// whose CAdj entries changed since the last aggregate flush.

@@ -30,20 +30,20 @@ import (
 	"time"
 )
 
-// Default sentinels for the queue's lifecycle and admission errors. An
-// embedding layer (parmsf) substitutes its own public sentinels through
-// Config, so futures and Flush results carry the embedder's error values
-// directly, with no translation layer between the queue and its callers.
+// The queue's lifecycle and admission errors. parmsf exports these values
+// as its own sentinels, so futures and Flush results carry the public
+// errors directly, with no translation layer between the queue and its
+// callers; their messages are parmsf's.
 var (
 	// ErrClosed reports a Submit or Flush on a closed queue.
-	ErrClosed = errors.New("ingest: queue closed")
+	ErrClosed = errors.New("parmsf: forest closed")
 	// ErrFull reports a Submit rejected by the Fail admission policy (or a
 	// Wait policy that timed out): Depth ops were already queued and the
 	// submission was not accepted.
-	ErrFull = errors.New("ingest: queue full")
+	ErrFull = errors.New("parmsf: ingest queue full")
 	// ErrFlushTimeout reports a Flush that exceeded Config.FlushTimeout;
 	// the flushed ops remain queued and will still apply.
-	ErrFlushTimeout = errors.New("ingest: flush deadline exceeded")
+	ErrFlushTimeout = errors.New("parmsf: deadline exceeded")
 )
 
 // SubmitPolicy selects what Submit does when the queue buffer is full.
@@ -52,11 +52,10 @@ type SubmitPolicy int
 const (
 	// SubmitBlock waits for space (backpressure; the default).
 	SubmitBlock SubmitPolicy = iota
-	// SubmitFail rejects immediately with the queue's full error.
+	// SubmitFail rejects immediately with ErrFull.
 	SubmitFail
 	// SubmitWait waits up to Config.SubmitTimeout for space, then rejects
-	// with the queue's full error. A zero timeout degenerates to
-	// SubmitBlock.
+	// with ErrFull. A zero timeout degenerates to SubmitBlock.
 	SubmitWait
 )
 
@@ -74,12 +73,6 @@ type Config struct {
 	SubmitTimeout time.Duration
 	// FlushTimeout bounds every Flush call; 0 waits indefinitely.
 	FlushTimeout time.Duration
-	// ClosedErr / FullErr / TimeoutErr override the error values carried by
-	// closed-queue, rejected, and flush-timeout results (nil keeps the
-	// package defaults ErrClosed / ErrFull / ErrFlushTimeout).
-	ClosedErr  error
-	FullErr    error
-	TimeoutErr error
 	// CancelPairs enables the drainer's cancelling coalescer: within one
 	// scooped FIFO window, an insert of edge (U, V) immediately followed —
 	// in that edge's own op order — by a delete of the same edge is
@@ -184,9 +177,6 @@ type Queue struct {
 	policy        SubmitPolicy
 	submitTimeout time.Duration
 	flushTimeout  time.Duration
-	closedErr     error
-	fullErr       error
-	timeoutErr    error
 
 	mu     sync.RWMutex // closed flag vs in-flight Submit/Flush sends
 	closed bool
@@ -219,15 +209,6 @@ func NewWithConfig(applier Applier, cfg Config) *Queue {
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = 512
 	}
-	if cfg.ClosedErr == nil {
-		cfg.ClosedErr = ErrClosed
-	}
-	if cfg.FullErr == nil {
-		cfg.FullErr = ErrFull
-	}
-	if cfg.TimeoutErr == nil {
-		cfg.TimeoutErr = ErrFlushTimeout
-	}
 	if cfg.Policy == SubmitWait && cfg.SubmitTimeout <= 0 {
 		cfg.Policy = SubmitBlock
 	}
@@ -238,9 +219,6 @@ func NewWithConfig(applier Applier, cfg Config) *Queue {
 		policy:        cfg.Policy,
 		submitTimeout: cfg.SubmitTimeout,
 		flushTimeout:  cfg.FlushTimeout,
-		closedErr:     cfg.ClosedErr,
-		fullErr:       cfg.FullErr,
-		timeoutErr:    cfg.TimeoutErr,
 		drained:       make(chan struct{}),
 		cancel:        cfg.CancelPairs,
 	}
@@ -284,15 +262,15 @@ func (q *Queue) SubmitBatch(ops []Op) []*Future {
 
 // enqueue hands a submission to the drainer under the admission policy,
 // starting the drainer with the first accepted one. A submission the queue
-// does not accept resolves every future with the closed or full error.
+// does not accept resolves every future with ErrClosed or ErrFull.
 func (q *Queue) enqueue(it item) {
 	var err error
 	q.mu.RLock()
 	switch {
 	case q.closed:
-		err = q.closedErr
+		err = ErrClosed
 	case !q.send(it):
-		err = q.fullErr
+		err = ErrFull
 	default:
 		q.start.Do(func() {
 			q.started.Store(true)
@@ -340,11 +318,11 @@ func (q *Queue) send(it item) bool {
 }
 
 // Flush blocks until every op submitted before the call has applied, or —
-// with Config.FlushTimeout set — until the deadline, returning the queue's
-// timeout error (the flushed ops remain queued and still apply). Returns
-// nil at once on a queue that never accepted a submission, and the
-// queue's closed error if the queue is closed (a closed queue has already
-// drained everything it accepted). The marker is also a cancellation
+// with Config.FlushTimeout set — until the deadline, returning
+// ErrFlushTimeout (the flushed ops remain queued and still apply). Returns
+// nil at once on a queue that never accepted a submission, and ErrClosed if
+// the queue is closed (a closed queue has already drained everything it
+// accepted). The marker is also a cancellation
 // barrier: no CancelPairs pair spans it.
 func (q *Queue) Flush() error {
 	var deadline <-chan time.Time
@@ -358,7 +336,7 @@ func (q *Queue) Flush() error {
 	switch {
 	case q.closed:
 		q.mu.RUnlock()
-		return q.closedErr
+		return ErrClosed
 	case !q.started.Load():
 		q.mu.RUnlock()
 		return nil
@@ -368,13 +346,13 @@ func (q *Queue) Flush() error {
 		q.mu.RUnlock()
 	case <-deadline:
 		q.mu.RUnlock()
-		return q.timeoutErr
+		return ErrFlushTimeout
 	}
 	select {
 	case <-marker:
 		return nil
 	case <-deadline:
-		return q.timeoutErr
+		return ErrFlushTimeout
 	}
 }
 

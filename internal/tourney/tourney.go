@@ -1,5 +1,8 @@
 // Package tourney implements the tournament-tree kernels of Section 3 on the
-// EREW PRAM simulator.
+// EREW PRAM simulator. It is the reference implementation: the core engine
+// computes a rebuilt CAdj row and the MWR gamma minimum on the host and
+// charges the rounds these kernels take, and core's tests run the kernels
+// beside those charges and require the same counters.
 //
 // Forest is the structure of Lemma 3.1: J balanced binary tournament trees of
 // L leaves each, reused across operations via epoch timestamps (the paper's
@@ -8,8 +11,8 @@
 // hold (tree, value) pairs placed at distinct leaves, and after O(log L)
 // rounds the minimum value per tree sits at that tree's root, with exactly
 // one surviving processor per touched tree (ties favor the left, as in the
-// paper). MinReduce is the single-tree special case used to scan the gamma
-// array (Lemma 3.3) and to pick the lightest verified edge.
+// paper). MinReduce is the single-tree special case: Lemma 3.3's minimum
+// over the gamma array.
 package tourney
 
 import (

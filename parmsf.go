@@ -115,11 +115,10 @@ type Options struct {
 	// batch-update preprocessing across a pool of k goroutines with a
 	// barrier per round; negative selects GOMAXPROCS. The cost counters
 	// are identical for every worker count; only wall-clock time changes.
-	// Forests with workers should be released with Close.
+	// The machine counts rounds without checking EREW exclusivity; the
+	// tournament kernels whose rounds the driver charges are checked in
+	// their own tests. Forests with workers should be released with Close.
 	Workers int
-	// CheckEREW runs the PRAM driver on a sequential simulator with
-	// exclusive-access verification (testing; overrides Workers).
-	CheckEREW bool
 	// QueueDepth is the submission buffer of the write-coalescing ingest
 	// queue behind Submit: producers block (backpressure) once this many
 	// updates are waiting for the drainer. 0 selects the default (1024).
@@ -255,10 +254,7 @@ func New(n int, opt Options) (*Forest, error) {
 		opt.MaxEdges = 4 * n
 	}
 	f := &Forest{n: n, opt: opt, fault: faultinject.New(), jour: make(map[[2]int]int64)}
-	switch {
-	case opt.CheckEREW:
-		f.mach = pram.New(true)
-	case opt.Workers != 0:
+	if opt.Workers != 0 {
 		f.mach = pram.NewParallel(opt.Workers)
 	}
 	if f.mach != nil {
@@ -276,17 +272,14 @@ func New(n int, opt Options) (*Forest, error) {
 	f.pub = snapshot.NewPublisher(n)
 	f.pub.SetFault(f.fault)
 	f.pub.SetRebaseEvery(opt.SnapshotRebaseEvery)
-	// The queue carries the package's own sentinels and the configured
-	// admission policy, so futures and Flush results need no translation.
+	// The queue's errors are the package's own sentinels (errors.go), so
+	// futures and Flush results need no translation.
 	f.q = ingest.NewWithConfig(&queueApplier{f: f}, ingest.Config{
 		Depth:         opt.QueueDepth,
 		MaxBatch:      opt.MaxBatch,
 		Policy:        ingest.SubmitPolicy(opt.SubmitPolicy),
 		SubmitTimeout: opt.SubmitTimeout,
 		FlushTimeout:  opt.FlushTimeout,
-		ClosedErr:     ErrClosed,
-		FullErr:       ErrQueueFull,
-		TimeoutErr:    ErrTimeout,
 		CancelPairs:   opt.CoalesceCancel,
 	})
 	return f, nil
@@ -766,6 +759,6 @@ func (f *Forest) Epoch() uint64 {
 	return e
 }
 
-// PRAM returns the EREW machine when Options.Workers or Options.CheckEREW
-// was set (depth = Time, work = Work), or nil.
+// PRAM returns the EREW machine when Options.Workers was set (depth = Time,
+// work = Work), or nil.
 func (f *Forest) PRAM() *pram.Machine { return f.mach }

@@ -19,7 +19,6 @@ var buildConfigs = []struct {
 	{"workers1", Options{Workers: 1}},
 	{"workers2", Options{Workers: 2}},
 	{"workers4", Options{Workers: 4}},
-	{"erew", Options{CheckEREW: true}},
 	{"sparsify", Options{Sparsify: true}},
 	{"sparsify-workers2", Options{Sparsify: true, Workers: 2}},
 }
