@@ -2,12 +2,17 @@
 // theorem/lemma/comparison of the paper (experiments.Registry in
 // internal/experiments is the experiment index, E1..E20).
 //
+// Every experiment is measured once per invocation. With -batchjson the
+// batch experiments E12..E20 are all measured first, into the report the
+// flag writes, and the selected E12..E20 tables print from that report, so
+// every row they show is an entry of FILE.
+//
 // Usage:
 //
 //	msfbench                                # run every experiment at quick scale
 //	msfbench -exp E1,E4                     # selected experiments
 //	msfbench -full                          # paper-scale sizes (slower)
-//	msfbench -repeat 7                      # 7 runs per timed section (min + median)
+//	msfbench -repeat 7                      # 7 runs per timed section (best + median)
 //	msfbench -exp none -batchjson FILE      # machine-readable batch report only
 //	msfbench -exp E14,E15 -batchjson FILE   # sparsify batch tables + refreshed report
 //	msfbench -exp E16                       # concurrent serving plane (readers vs ingest writers)
@@ -30,7 +35,7 @@ func main() {
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids (E1..E20), 'all', or 'none'")
 	full := flag.Bool("full", false, "paper-scale sizes")
 	batchJSON := flag.String("batchjson", "", "write the E12-E20 batch measurements as JSON to this path (BENCH_batch.json)")
-	repeat := flag.Int("repeat", 3, "runs per timed section; tables and the batch report carry min + median")
+	repeat := flag.Int("repeat", 3, "runs per timed section; tables and the batch report carry best + median")
 	flag.Parse()
 
 	scale := experiments.Quick
@@ -63,13 +68,21 @@ func main() {
 	if len(ids) > 0 {
 		fmt.Printf("# parmsf experiment tables (%s scale)\n\n", map[bool]string{false: "quick", true: "full"}[*full])
 	}
+	var rep *experiments.BatchReport
+	if *batchJSON != "" {
+		start := time.Now()
+		rep = experiments.BuildBatchReport(scale)
+		fmt.Printf("[batch report E12-E20 measured in %v]\n\n", time.Since(start).Round(time.Millisecond))
+	}
 	for _, id := range ids {
 		start := time.Now()
-		experiments.Registry[id](os.Stdout, scale)
+		if rep == nil || !rep.Table(os.Stdout, id) {
+			experiments.Registry[id](os.Stdout, scale)
+		}
 		fmt.Printf("[%s finished in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
-	if *batchJSON != "" {
-		if err := experiments.WriteBatchJSON(*batchJSON, scale); err != nil {
+	if rep != nil {
+		if err := rep.WriteJSON(*batchJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "msfbench: writing %s: %v\n", *batchJSON, err)
 			os.Exit(1)
 		}

@@ -3,6 +3,7 @@ package parmsf
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"parmsf/internal/batch"
 	"parmsf/internal/ingest"
@@ -164,7 +165,7 @@ func (f *Forest) commitLocked(ins []Edge, del []EdgeKey) (errs []error) {
 		}
 	}()
 	defer f.absorbSpars()()
-	errs = grow(f.sc.errs, n)
+	errs = slices.Grow(f.sc.errs[:0], n)[:n]
 	f.sc.errs = errs
 	clear(errs)
 	if len(ins) > 0 {
@@ -215,7 +216,7 @@ func (f *Forest) insertBatch(ins []Edge, errs []error) {
 // one engine batch, and drops the edges the engine removed from the
 // journal.
 func (f *Forest) deleteBatch(del []EdgeKey, errs []error) {
-	keys := grow(f.sc.keys, len(del))
+	keys := slices.Grow(f.sc.keys[:0], len(del))[:len(del)]
 	f.sc.keys = keys
 	// Canonicalization kernel: one EREW round, one processor per key, each
 	// writing only its own cells. A key no edge can carry fails as absent
@@ -253,15 +254,6 @@ func mapBatchInsertErr(err error) error {
 		return ErrCapacity
 	}
 	return ErrBadEdge
-}
-
-// grow returns pooled scratch s resized to length n, growing capacity only
-// when needed (the parmsf-level sibling of core's growScratch).
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]T, n-cap(s))...)
-	}
-	return s[:n]
 }
 
 // jkey returns the canonical journal key of an edge.

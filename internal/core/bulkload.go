@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"parmsf/internal/batch"
 	"parmsf/internal/graph"
 )
@@ -50,7 +52,7 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 	if st.g.M() != 0 {
 		panic("core: BulkLoad requires an edge-empty engine")
 	}
-	st.errScratch = growScratch(st.errScratch, len(ops))
+	st.errScratch = slices.Grow(st.errScratch[:0], len(ops))[:len(ops)]
 	errs := st.errScratch
 	clear(errs)
 	if len(ops) == 0 {

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // This file implements the snapshot-export hook of the concurrent read
 // plane: one sweep producing a flat component-id array for the engine's
 // current forest, consumed by the epoch publisher after each applied batch.
@@ -24,7 +26,7 @@ package core
 // first-occurrence order. Must not run concurrently with updates.
 func (m *MSF) ExportComponents(comp []int32, upto int) {
 	st := m.st
-	st.snapRoots = growScratch(st.snapRoots, upto)
+	st.snapRoots = slices.Grow(st.snapRoots[:0], upto)[:upto]
 	roots := st.snapRoots
 	// The kernel round: one processor per vertex, each a read-only
 	// O(log n) tour-root walk writing only its own cell (the Lemma 3.1
@@ -32,24 +34,9 @@ func (m *MSF) ExportComponents(comp []int32, upto int) {
 	st.ch.Apply(upto, func(p int) {
 		roots[p] = st.tourOf(st.pcs[p].chunk)
 	})
-	// Host pass: densify the root pointers into component ids in
-	// first-occurrence order.
-	if st.snapIDs == nil {
-		st.snapIDs = make(map[*Tour]int32, 64)
-	}
-	ids := st.snapIDs
-	clear(ids)
-	for v := 0; v < upto; v++ {
-		r := roots[v]
-		id, ok := ids[r]
-		if !ok {
-			id = int32(len(ids))
-			ids[r] = id
-		}
-		comp[v] = id
-	}
+	// Host pass: densify the root pointers into component ids.
+	densify(roots, comp[:upto])
 	// Drop the tour pointers so the pooled scratch does not pin tours that
 	// later surgery retires.
 	clear(roots)
-	clear(ids)
 }

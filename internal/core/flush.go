@@ -19,16 +19,10 @@ package core
 // markCAdjDirty records that chunk c's CAdj row (or an entry of it) changed
 // and its LSDS ancestor path needs a refresh before the next aggregate read.
 func (st *Store) markCAdjDirty(c *Chunk) {
-	if c == nil {
+	if c == nil || c.dirty {
 		return
 	}
-	if st.pendMark == nil {
-		st.pendMark = make(map[*Chunk]bool)
-	}
-	if st.pendMark[c] {
-		return
-	}
-	st.pendMark[c] = true
+	c.dirty = true
 	st.pendDirty = append(st.pendDirty, c)
 }
 
@@ -42,10 +36,6 @@ func (st *Store) flushCAdj() {
 		return
 	}
 	dirty := st.pendDirty
-	st.pendDirty = st.pendDirty[:0]
-	for c := range st.pendMark {
-		delete(st.pendMark, c)
-	}
 
 	// Collect the union of ancestor paths with each node's depth from its
 	// root. Walks stop at the first already-collected node, so every node
@@ -60,6 +50,7 @@ func (st *Store) flushCAdj() {
 	nodes := st.flushNodes[:0]
 	maxDepth := 0
 	for _, c := range dirty {
+		c.dirty = false
 		if c.bt == nil || c.leaf == nil {
 			continue // chunk died; its staleness was cleaned by the merge
 		}
@@ -83,6 +74,8 @@ func (st *Store) flushCAdj() {
 		}
 		st.flushPath = path[:0]
 	}
+	clear(dirty) // drop the pointers so pooled capacity pins no chunks
+	st.pendDirty = dirty[:0]
 	if len(nodes) == 0 {
 		st.flushNodes = nodes
 		return

@@ -1,6 +1,10 @@
 package core
 
-import "parmsf/internal/batch"
+import (
+	"slices"
+
+	"parmsf/internal/batch"
+)
 
 // This file implements the batched insert-side classification of the
 // pipeline's insert stage. Per-edge insertion answers "are u and v already
@@ -15,11 +19,12 @@ import "parmsf/internal/batch"
 // Only the path-max queries of the already-connected cases (and the
 // dynamic-tree links themselves) remain sequential.
 
-// insertConn resolves connectivity for the planned insertions: ru[i] and
-// rv[i] are the union-find tokens of planned insertion i's endpoint roots.
+// insertConn resolves connectivity for the planned insertions: ids[2i] and
+// ids[2i+1] are the union-find tokens of planned insertion i's endpoint
+// roots.
 type insertConn struct {
-	ru, rv []int32  // per planned insertion: dense ids of the endpoint roots
-	uf     batch.UF // over root ids
+	ids []int32  // per endpoint: dense id of its tour root
+	uf  batch.UF // over root ids
 }
 
 // planInsertConnectivity computes the endpoint tour roots of every planned
@@ -32,43 +37,39 @@ type insertConn struct {
 func (m *MSF) planInsertConnectivity() *insertConn {
 	st := m.st
 	k := len(st.planIns)
-	st.rootScratch = growScratch(st.rootScratch, 2*k)
+	st.rootScratch = slices.Grow(st.rootScratch[:0], 2*k)[:2*k]
 	roots := st.rootScratch
 	st.ch.Par(log2ceil(st.n+1), 2*k) // Lemma 3.1 shape: parallel root walks
 	st.ch.Apply(2*k, st.rootKernel)
 
-	// Host pass: densify the root pointers into union-find ids in first-
-	// occurrence order (deterministic for every worker count).
+	// Host pass: densify the root pointers into union-find ids.
 	st.ch.Seq(k)
 	ic := &st.ic
-	ic.ru = growScratch(ic.ru, k)
-	ic.rv = growScratch(ic.rv, k)
-	if st.icIDs == nil {
-		st.icIDs = make(map[*Tour]int32, 2*k)
-	}
-	ids := st.icIDs // empty between batches
-	tok := func(t *Tour) int32 {
-		id, ok := ids[t]
-		if !ok {
-			id = int32(len(ids))
-			ids[t] = id
-		}
-		return id
-	}
-	for i := 0; i < k; i++ {
-		ic.ru[i] = tok(roots[2*i])
-		ic.rv[i] = tok(roots[2*i+1])
-	}
-	ic.uf.Reset(len(ids))
+	ic.ids = slices.Grow(ic.ids[:0], 2*k)[:2*k]
+	ic.uf.Reset(densify(roots, ic.ids))
 	// Drop the tour pointers so the pooled scratch does not pin tours that
-	// later surgery retires. The densifier is emptied key by key: clear
-	// costs the map's capacity, which the largest batch so far has set, and
-	// the few-op batches behind single updates would pay it every time.
-	for _, t := range roots {
-		delete(ids, t)
-	}
+	// later surgery retires.
 	clear(roots)
 	return ic
+}
+
+// densify writes to ids[i] a dense id of tour roots[i], handing ids out in
+// first-occurrence order (deterministic for every worker count), and
+// returns the number of distinct tours. A tour holds its id in tok during
+// the call only.
+func densify(roots []*Tour, ids []int32) int {
+	var n int32
+	for i, t := range roots {
+		if t.tok == 0 {
+			n++
+			t.tok = n
+		}
+		ids[i] = t.tok - 1
+	}
+	for _, t := range roots {
+		t.tok = 0
+	}
+	return int(n)
 }
 
 // rootWalk is the root kernel's processor p: the tour root of endpoint p%2
@@ -86,8 +87,8 @@ func (st *Store) rootWalk(p int) {
 // in one component — per the pre-stage roots plus the unions recorded for
 // the batch's earlier successful links.
 func (ic *insertConn) connected(i int) bool {
-	return ic.uf.Find(int(ic.ru[i])) == ic.uf.Find(int(ic.rv[i]))
+	return ic.uf.Find(int(ic.ids[2*i])) == ic.uf.Find(int(ic.ids[2*i+1]))
 }
 
 // union records that insertion i linked its two components.
-func (ic *insertConn) union(i int) { ic.uf.Union(int(ic.ru[i]), int(ic.rv[i])) }
+func (ic *insertConn) union(i int) { ic.uf.Union(int(ic.ids[2*i]), int(ic.ids[2*i+1])) }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"parmsf/internal/faultinject"
 	"parmsf/internal/graph"
 	"parmsf/internal/workload"
@@ -97,7 +99,7 @@ func (st *Store) classifyOp(op BatchOp) opClass {
 // of inapplicable items.
 func (m *MSF) planBatch(ops []BatchOp, errs []error) Plan {
 	st := m.st
-	st.clsScratch = growScratch(st.clsScratch, len(ops))
+	st.clsScratch = slices.Grow(st.clsScratch[:0], len(ops))[:len(ops)]
 	cls := st.clsScratch
 	dels := 0
 	st.ch.ParDo(len(ops), st.classifyKernel)
@@ -164,7 +166,7 @@ func (m *MSF) planBatch(ops []BatchOp, errs []error) Plan {
 // errors later must copy them out.
 func (m *MSF) ApplyBatch(ops []BatchOp) []error {
 	st := m.st
-	st.errScratch = growScratch(st.errScratch, len(ops))
+	st.errScratch = slices.Grow(st.errScratch[:0], len(ops))[:len(ops)]
 	errs := st.errScratch
 	clear(errs)
 	if len(ops) == 0 {

@@ -96,9 +96,9 @@ type Store struct {
 	rowPrev  []int32 // chargeTournament: 1 + previous entry per destination
 
 	// Deferred UpdateAdj state of the batch pipeline (flush.go): chunks
-	// whose CAdj entries changed since the last aggregate flush.
+	// whose CAdj entries changed since the last aggregate flush, in mark
+	// order (each has its dirty flag set).
 	pendDirty []*Chunk
-	pendMark  map[*Chunk]bool
 
 	// Pooled batch scratch: reused across batches so the hot classify /
 	// shard / flush stages allocate nothing in steady state. Each user
@@ -130,18 +130,16 @@ type Store struct {
 	// slices, the per-item error slots ApplyBatch returns (owned by the
 	// engine, valid until the next batch), and the insert-classification
 	// union-find of insertclass.go.
-	planNonTree []int           // planBatch: non-tree deletion indices
-	planTree    []int           // planBatch: tree deletion indices
-	planSplice  []int           // planBatch: splice indices
-	planIns     []int           // planBatch: insertion indices
-	errScratch  []error         // ApplyBatch: per-item error slots
-	single      [1]BatchOp      // InsertEdge/DeleteEdge: the one-op batch
-	ic          insertConn      // planInsertConnectivity: pooled result
-	icIDs       map[*Tour]int32 // planInsertConnectivity: root densifier
+	planNonTree []int      // planBatch: non-tree deletion indices
+	planTree    []int      // planBatch: tree deletion indices
+	planSplice  []int      // planBatch: splice indices
+	planIns     []int      // planBatch: insertion indices
+	errScratch  []error    // ApplyBatch: per-item error slots
+	single      [1]BatchOp // InsertEdge/DeleteEdge: the one-op batch
+	ic          insertConn // planInsertConnectivity: pooled result
 
 	// Pooled snapshot-export state (export.go).
-	snapRoots []*Tour         // ExportComponents: per-vertex tour roots
-	snapIDs   map[*Tour]int32 // ExportComponents: root densifier
+	snapRoots []*Tour // ExportComponents: per-vertex tour roots
 }
 
 // jSlack scales the chunk id space: J = jSlack*n/K + 8. The analysis needs
@@ -324,18 +322,6 @@ func setBit(w []uint64, i int) { w[i/64] |= 1 << (uint(i) % 64) }
 
 func hasBit(w []uint64, i int) bool { return w[i/64]&(1<<(uint(i)%64)) != 0 }
 
-// growScratch returns a pooled scratch slice resized to length n, growing
-// capacity only when needed (existing contents beyond the new length are
-// preserved in the backing array for reuse-clearing discipline; new cells
-// are zero). Callers assign the result back to the pooled field so capacity
-// accumulates across batches.
-func growScratch[T any](s []T, n int) []T {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]T, n-cap(s))...)
-	}
-	return s[:n]
-}
-
 func (st *Store) getVec() *lsVec {
 	if k := len(st.vecPool); k > 0 {
 		v := st.vecPool[k-1]
@@ -414,7 +400,7 @@ func (st *Store) setNormal(t *Tour, normal bool) {
 		return
 	}
 	if normal {
-		t.regIdx = len(st.normal)
+		t.regIdx = int32(len(st.normal))
 		st.normal = append(st.normal, t)
 		return
 	}

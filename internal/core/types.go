@@ -82,6 +82,7 @@ type Chunk struct {
 	bt       *btNode // root of this chunk's BTc; nil once the chunk is dead
 	leaf     *lsNode // this chunk's leaf in its tour's LSDS
 	rowStale bool    // charged-edge set changed; row rebuild pending
+	dirty    bool    // in Store.pendDirty: LSDS path refresh pending
 }
 
 // ID returns the chunk's matrix id, or -1 if unregistered.
@@ -102,7 +103,8 @@ func (c *Chunk) edgeCount() int { return int(c.bt.Agg.edges) }
 // concatenation of its chunks in LSDS leaf order, read cyclically.
 type Tour struct {
 	root   *lsNode
-	regIdx int // index in Store.normal, or -1 when the tour is short
+	regIdx int32 // index in Store.normal, or -1 when the tour is short
+	tok    int32 // densify: 1 + the tour's dense id during a call, else 0
 }
 
 // Short reports whether the tour is a short list (Section 6): a single

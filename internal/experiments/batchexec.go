@@ -18,36 +18,58 @@ import (
 	"parmsf/internal/xrand"
 )
 
-// The batch measurements are shared by three consumers — the E12-E15 tables
-// and the machine-readable BENCH_batch.json report — through the helpers
-// below, so the human-readable and committed records can never measure
-// different protocols.
+// Each batch experiment (E12-E20) is measured by its points builder alone,
+// which fills its sections of a BatchReport (BENCH_batch.json); its table
+// is a formatter of those points. A table printed from a report is thus
+// the run the report records.
 
 // Repeat is the number of times every timed section runs (msfbench
-// -repeat). Each measurement reports the minimum (the steady-state figure
+// -repeat). Each measurement reports the best run (the steady-state figure
 // speedups are computed from) and the median (the noise check: a median far
-// above the minimum flags an unquiet host).
+// from the best flags an unquiet host).
 var Repeat = 3
 
-// sample is one timed section's aggregate across Repeat runs, nanoseconds.
+// sample is one metric's aggregate across repeated runs.
 type sample struct {
-	Min float64
-	Med float64
+	best float64 // the minimum of a cost, the maximum of a rate
+	med  float64 // the mean of the two middle values
 }
 
-// measure runs one timed section Repeat times.
-func measure(run func() float64) sample {
-	r := Repeat
-	if r < 1 {
-		r = 1
+// runs holds the outcomes of one measurement, in run order.
+type runs[T any] []T
+
+// repeat runs a measurement r times (at least once), passing each run its
+// index.
+func repeat[T any](r int, run func(i int) T) runs[T] {
+	rs := make(runs[T], max(r, 1))
+	for i := range rs {
+		rs[i] = run(i)
 	}
-	vals := make([]float64, r)
-	for i := range vals {
-		vals[i] = run()
+	return rs
+}
+
+// Metric kinds of runs.best.
+const (
+	cost = false // lower is better
+	rate = true  // higher is better
+)
+
+// best aggregates one metric of the runs.
+func (rs runs[T]) best(metric func(T) float64, kind bool) sample {
+	vals := make([]float64, len(rs))
+	for i, s := range rs {
+		vals[i] = metric(s)
 	}
 	sort.Float64s(vals)
-	return sample{Min: vals[0], Med: (vals[(r-1)/2] + vals[r/2]) / 2}
+	b := vals[0]
+	if kind == rate {
+		b = vals[len(vals)-1]
+	}
+	return sample{best: b, med: (vals[(len(vals)-1)/2] + vals[len(vals)/2]) / 2}
 }
+
+// itself is the metric of runs that return their one figure.
+func itself(v float64) float64 { return v }
 
 // batchSizes are the per-scale problem sizes of the batch measurements.
 type batchSizes struct {
@@ -92,23 +114,23 @@ func mkInsertEdges(n int) []parmsf.Edge {
 	return edges
 }
 
-// timeSortKernel measures one parallel merge sort of src (min/median over
+// timeSortKernel measures one parallel merge sort of src (best/median over
 // Repeat, nanoseconds); work is a reusable scratch slice of the same length.
 func timeSortKernel(src, work []batch.Item, workers int) sample {
 	m := pram.NewParallel(workers)
 	defer m.Close()
-	return measure(func() float64 {
+	return repeat(Repeat, func(int) float64 {
 		copy(work, src)
 		t0 := time.Now()
 		batch.Sort(m, work)
 		return float64(time.Since(t0).Nanoseconds())
-	})
+	}).best(itself, cost)
 }
 
 // timeBatchInsert measures one end-to-end InsertEdges of the batch into a
-// fresh empty forest (min/median over Repeat, nanoseconds per edge).
+// fresh empty forest (best/median over Repeat, nanoseconds per edge).
 func timeBatchInsert(n int, edges []parmsf.Edge, workers int) sample {
-	return measure(func() float64 {
+	return repeat(Repeat, func(int) float64 {
 		f := parmsf.MustNew(n, parmsf.Options{MaxEdges: 4 * n, Workers: workers})
 		defer f.Close()
 		t0 := time.Now()
@@ -116,23 +138,23 @@ func timeBatchInsert(n int, edges []parmsf.Edge, workers int) sample {
 			panic(fmt.Sprintf("experiments: batch insert errors: %v", errs))
 		}
 		return float64(time.Since(t0).Nanoseconds()) / float64(len(edges))
-	})
+	}).best(itself, cost)
 }
 
 // timeNontree measures one delete-all/reinsert-all round of the independent
-// non-tree update scenario through the staged pipeline (min/median over
+// non-tree update scenario through the staged pipeline (best/median over
 // Repeat, nanoseconds per edge update).
 func timeNontree(n, workers int) sample {
 	mach := pram.NewParallel(workers)
 	defer mach.Close()
 	m := core.NewMSF(n, core.Config{}, core.PRAMCharger{M: mach})
 	del, ins := core.LoadNontreeScenario(m, n)
-	return measure(func() float64 {
+	return repeat(Repeat, func(int) float64 {
 		t0 := time.Now()
 		m.ApplyBatch(del)
 		m.ApplyBatch(ins)
 		return float64(time.Since(t0).Nanoseconds()) / float64(2*len(del))
-	})
+	}).best(itself, cost)
 }
 
 // mkSparsifyScenario builds the deterministic E14/E15 scenario: an m = 16n
@@ -206,7 +228,7 @@ func mkSparsifyScenario(n int) (edges []parmsf.Edge, del []parmsf.EdgeKey, ins [
 }
 
 // timeSparsify measures one delete-batch/reinsert-batch round of the E14
-// mixed update set on a sparsified forest (min/median over Repeat,
+// mixed update set on a sparsified forest (best/median over Repeat,
 // nanoseconds per edge update). With batched=false the same updates run one
 // edge at a time, each a one-element batch through the tree.
 func timeSparsify(n, workers int, edges []parmsf.Edge, del []parmsf.EdgeKey, ins []parmsf.Edge, batched bool) sample {
@@ -215,7 +237,7 @@ func timeSparsify(n, workers int, edges []parmsf.Edge, del []parmsf.EdgeKey, ins
 	if errs := f.InsertEdges(edges); errs != nil {
 		panic("experiments: E14 load failed")
 	}
-	return measure(func() float64 {
+	return repeat(Repeat, func(int) float64 {
 		t0 := time.Now()
 		if batched {
 			if errs := f.DeleteEdges(del); errs != nil {
@@ -237,13 +259,13 @@ func timeSparsify(n, workers int, edges []parmsf.Edge, del []parmsf.EdgeKey, ins
 			}
 		}
 		return float64(time.Since(t0).Nanoseconds()) / float64(len(del)+len(ins))
-	})
+	}).best(itself, cost)
 }
 
 // timeSparsifySched measures one delete-batch/reinsert-batch round of the
 // E14 mixed update set directly on a sparsification tree under the chosen
 // batch scheduler — the strict level-barrier sweep or the dependency-driven
-// pipeline — with node tasks on a worker pool of the given size (min/median
+// pipeline — with node tasks on a worker pool of the given size (best/median
 // over Repeat, nanoseconds per edge update). Bypassing the public wrapper
 // isolates the scheduler: both modes share identical node engines,
 // identical coalescing and identical batches, so the difference is purely
@@ -272,7 +294,7 @@ func timeSparsifySched(n, workers int, edges []parmsf.Edge, del []parmsf.EdgeKey
 			}
 		}
 	}
-	return measure(func() float64 {
+	return repeat(Repeat, func(int) float64 {
 		t0 := time.Now()
 		for _, err := range f.DeleteEdges(bdel) {
 			if err != nil {
@@ -285,7 +307,79 @@ func timeSparsifySched(n, workers int, edges []parmsf.Edge, del []parmsf.EdgeKey
 			}
 		}
 		return float64(time.Since(t0).Nanoseconds()) / float64(len(bdel)+len(bins))
-	})
+	}).best(itself, cost)
+}
+
+// batchWorkers are the worker counts of the E12-E15 sweeps.
+var batchWorkers = []int{1, 2, 4, 8}
+
+// buildSortInsertPoints runs the E12 sweep: the sort kernel (milliseconds)
+// and the end-to-end batch insert (nanoseconds per edge) at each worker
+// count, with speedups over one worker.
+func buildSortInsertPoints(sc Scale) (sorts, inserts []BatchPoint) {
+	sz := batchSizesFor(sc)
+	host := hostNow()
+	src := mkSortItems(sz.sortItems)
+	work := make([]batch.Item, sz.sortItems)
+	edges := mkInsertEdges(sz.insertN)
+	var s1, i1 float64
+	for _, workers := range batchWorkers {
+		st := timeSortKernel(src, work, workers)
+		it := timeBatchInsert(sz.insertN, edges, workers)
+		if workers == 1 {
+			s1, i1 = st.best, it.best
+		}
+		sorts = append(sorts, BatchPoint{workers, host, st.best / 1e6, st.med / 1e6, s1 / st.best})
+		inserts = append(inserts, BatchPoint{workers, host, it.best, it.med, i1 / it.best})
+	}
+	return sorts, inserts
+}
+
+// buildNontreePoints runs the E13 sweep: the staged pipeline on independent
+// non-tree updates at each worker count, with speedups over one worker.
+func buildNontreePoints(sc Scale) []BatchPoint {
+	n := batchSizesFor(sc).nontreeN
+	host := hostNow()
+	var out []BatchPoint
+	var n1 float64
+	for _, workers := range batchWorkers {
+		nt := timeNontree(n, workers)
+		if workers == 1 {
+			n1 = nt.best
+		}
+		out = append(out, BatchPoint{workers, host, nt.best, nt.med, n1 / nt.best})
+	}
+	return out
+}
+
+// buildSparsifyPoints runs the E14 sweep: the sparsified mixed-update
+// scenario one edge at a time and batched, at each worker count.
+func buildSparsifyPoints(sc Scale) []SparsifyPoint {
+	n := batchSizesFor(sc).sparsifyN
+	host := hostNow()
+	edges, del, ins := mkSparsifyScenario(n)
+	var out []SparsifyPoint
+	for _, workers := range batchWorkers {
+		pe := timeSparsify(n, workers, edges, del, ins, false)
+		ba := timeSparsify(n, workers, edges, del, ins, true)
+		out = append(out, SparsifyPoint{workers, host, pe.best, pe.med, ba.best, ba.med, pe.best / ba.best})
+	}
+	return out
+}
+
+// buildPipelinePoints runs the E15 sweep: the same scenario under the
+// level-barrier sweep and the dependency pipeline, at each worker count.
+func buildPipelinePoints(sc Scale) []PipelinePoint {
+	n := batchSizesFor(sc).sparsifyN
+	host := hostNow()
+	edges, del, ins := mkSparsifyScenario(n)
+	var out []PipelinePoint
+	for _, workers := range batchWorkers {
+		ba := timeSparsifySched(n, workers, edges, del, ins, false)
+		pi := timeSparsifySched(n, workers, edges, del, ins, true)
+		out = append(out, PipelinePoint{workers, host, ba.best, ba.med, pi.best, pi.med, ba.best / pi.best})
+	}
+	return out
 }
 
 // E14SparsifyBatch — batch-aware sparsification: wall time of mixed update
@@ -303,18 +397,14 @@ func timeSparsifySched(n, workers int, edges []parmsf.Edge, del []parmsf.EdgeKey
 // batched arm — so the batched column's win includes publication
 // amortization (deliberately: that amortization is part of what batching
 // buys the serving path). Attainable extra speedup is capped by GOMAXPROCS.
-func E14SparsifyBatch(w io.Writer, sc Scale) {
-	sz := batchSizesFor(sc)
-	n := sz.sparsifyN
+func E14SparsifyBatch(w io.Writer, rep *BatchReport) {
+	n := rep.SparsifyN
 	tb := stats.NewTable(
 		fmt.Sprintf("E14 — sparsify batch path: mixed %d-edge update batches, m=16n, n=%d (GOMAXPROCS=%d, repeat=%d)",
-			8*n, n, runtime.GOMAXPROCS(0), Repeat),
+			8*n, n, rep.GOMAXPROCS, rep.Repeat),
 		"workers", "per-edge ns/edge", "(med)", "batched ns/edge", "(med)", "batched speedup")
-	edges, del, ins := mkSparsifyScenario(n)
-	for _, workers := range []int{1, 2, 4, 8} {
-		pe := timeSparsify(n, workers, edges, del, ins, false)
-		ba := timeSparsify(n, workers, edges, del, ins, true)
-		tb.Row(workers, pe.Min, pe.Med, ba.Min, ba.Med, pe.Min/ba.Min)
+	for _, p := range rep.Sparsify {
+		tb.Row(p.Workers, p.PerEdge, p.PerEdgeMed, p.Batched, p.BatchedMed, p.Speedup)
 	}
 	tb.Fprint(w)
 	fmt.Fprintln(w, "theory: batched wins at every worker count (shared per-node flushes); the gap widens with workers (concurrent independent nodes)")
@@ -328,18 +418,14 @@ func E14SparsifyBatch(w io.Writer, sc Scale) {
 // pipeline lets a parent apply as soon as its own children drained into it,
 // overlapping a fast level's tail with the next level's head. Identical
 // node engines and batches — the measured difference is scheduler-only.
-func E15SparsifyPipeline(w io.Writer, sc Scale) {
-	sz := batchSizesFor(sc)
-	n := sz.sparsifyN
+func E15SparsifyPipeline(w io.Writer, rep *BatchReport) {
+	n := rep.SparsifyN
 	tb := stats.NewTable(
 		fmt.Sprintf("E15 — sparsify schedulers: mixed %d-edge update batches, m=16n, n=%d (GOMAXPROCS=%d, repeat=%d)",
-			8*n, n, runtime.GOMAXPROCS(0), Repeat),
+			8*n, n, rep.GOMAXPROCS, rep.Repeat),
 		"workers", "barrier ns/edge", "(med)", "pipelined ns/edge", "(med)", "pipeline speedup")
-	edges, del, ins := mkSparsifyScenario(n)
-	for _, workers := range []int{1, 2, 4, 8} {
-		ba := timeSparsifySched(n, workers, edges, del, ins, false)
-		pi := timeSparsifySched(n, workers, edges, del, ins, true)
-		tb.Row(workers, ba.Min, ba.Med, pi.Min, pi.Med, ba.Min/pi.Min)
+	for _, p := range rep.Pipeline {
+		tb.Row(p.Workers, p.Barrier, p.BarrierMed, p.Pipelined, p.PipelinedMed, p.Speedup)
 	}
 	tb.Fprint(w)
 	fmt.Fprintln(w, "theory: >= 1.0 with real cores (the pipeline removes barrier stalls; the gap widens with workers and sibling imbalance); ~1.0 within noise on single-core hosts, where there is nothing to overlap")
@@ -353,25 +439,14 @@ func E15SparsifyPipeline(w io.Writer, sc Scale) {
 // kernel scales with workers; the end-to-end column is capped by the
 // sequential slot/ring maintenance of the degree-reduction gadget (Amdahl).
 // Attainable speedup is capped by GOMAXPROCS.
-func E12BatchExecutor(w io.Writer, sc Scale) {
-	sz := batchSizesFor(sc)
+func E12BatchExecutor(w io.Writer, rep *BatchReport) {
 	tb := stats.NewTable(
 		fmt.Sprintf("E12 — goroutine executor: batch kernel wall time (%d-item sort, n=%d batch insert, GOMAXPROCS=%d, repeat=%d)",
-			sz.sortItems, sz.insertN, runtime.GOMAXPROCS(0), Repeat),
+			rep.SortItems, rep.InsertN, rep.GOMAXPROCS, rep.Repeat),
 		"workers", "sort ms", "(med)", "sort speedup", "insert ns/edge", "(med)", "insert speedup")
-
-	src := mkSortItems(sz.sortItems)
-	work := make([]batch.Item, sz.sortItems)
-	edges := mkInsertEdges(sz.insertN)
-
-	var sort1, ins1 float64
-	for _, workers := range []int{1, 2, 4, 8} {
-		st := timeSortKernel(src, work, workers)
-		it := timeBatchInsert(sz.insertN, edges, workers)
-		if workers == 1 {
-			sort1, ins1 = st.Min, it.Min
-		}
-		tb.Row(workers, st.Min/1e6, st.Med/1e6, sort1/st.Min, it.Min, it.Med, ins1/it.Min)
+	for i, st := range rep.Sort {
+		it := rep.Insert[i]
+		tb.Row(st.Workers, st.Value, st.Median, st.Speedup, it.Value, it.Median, it.Speedup)
 	}
 	tb.Fprint(w)
 	fmt.Fprintln(w, "theory: sort speedup ~ min(workers, cores); insert speedup capped by the sequential slot/ring stage (Amdahl)")
@@ -384,19 +459,13 @@ func E12BatchExecutor(w io.Writer, sc Scale) {
 // measures the application stages themselves: the sharded per-chunk-pair
 // entry scans and the level-parallel aggregate flush. Attainable speedup
 // is capped by GOMAXPROCS; the cost counters are worker-independent.
-func E13BatchPipeline(w io.Writer, sc Scale) {
-	sz := batchSizesFor(sc)
+func E13BatchPipeline(w io.Writer, rep *BatchReport) {
 	tb := stats.NewTable(
 		fmt.Sprintf("E13 — batch pipeline: independent non-tree updates (n=%d, GOMAXPROCS=%d, repeat=%d)",
-			sz.nontreeN, runtime.GOMAXPROCS(0), Repeat),
+			rep.NontreeN, rep.GOMAXPROCS, rep.Repeat),
 		"workers", "apply ns/edge", "(med)", "speedup")
-	var base float64
-	for _, workers := range []int{1, 2, 4, 8} {
-		ns := timeNontree(sz.nontreeN, workers)
-		if workers == 1 {
-			base = ns.Min
-		}
-		tb.Row(workers, ns.Min, ns.Med, base/ns.Min)
+	for _, p := range rep.Nontree {
+		tb.Row(p.Workers, p.Value, p.Median, p.Speedup)
 	}
 	tb.Fprint(w)
 	fmt.Fprintln(w, "theory: apply speedup ~ min(workers, cores) on the sharded scan + flush stages; ~1.0 on single-core hosts")
@@ -455,7 +524,7 @@ type PipelinePoint struct {
 	Speedup      float64 `json:"speedup"`
 }
 
-// BatchReport is the machine-readable record of the E12-E17 batch
+// BatchReport is the machine-readable record of the E12-E20 batch
 // measurements (BENCH_batch.json): per-worker wall times and speedups of
 // the sort kernel, the end-to-end public batch insert, the core pipeline
 // on independent non-tree updates, the sparsified mixed-update scenario
@@ -491,13 +560,40 @@ type BatchReport struct {
 	Cluster    []ClusterPoint   `json:"cluster"`
 }
 
-// BuildBatchReport runs the E12-E17 measurements and assembles the report.
-func BuildBatchReport(sc Scale) BatchReport {
+// batchExperiment is one of E12-E20: measure fills its sections of a
+// report, calling the experiment's points builder, and table prints the
+// experiment's table from those sections.
+type batchExperiment struct {
+	measure func(rep *BatchReport, sc Scale)
+	table   func(w io.Writer, rep *BatchReport)
+}
+
+var batchExperiments = map[string]batchExperiment{
+	"E12": {func(r *BatchReport, sc Scale) { r.Sort, r.Insert = buildSortInsertPoints(sc) }, E12BatchExecutor},
+	"E13": {func(r *BatchReport, sc Scale) { r.Nontree = buildNontreePoints(sc) }, E13BatchPipeline},
+	"E14": {func(r *BatchReport, sc Scale) { r.Sparsify = buildSparsifyPoints(sc) }, E14SparsifyBatch},
+	"E15": {func(r *BatchReport, sc Scale) { r.Pipeline = buildPipelinePoints(sc) }, E15SparsifyPipeline},
+	"E16": {func(r *BatchReport, sc Scale) { r.ReadWrite = buildReadWritePoints(sc) }, E16ReadWrite},
+	"E17": {func(r *BatchReport, sc Scale) { r.Bulk = buildBulkPoints(sc) }, E17BulkBuild},
+	"E18": {func(r *BatchReport, sc Scale) { r.Publish = buildPublishPoints(sc) }, E18PublishDelta},
+	"E19": {func(r *BatchReport, sc Scale) { r.Recovery = buildRecoveryPoints(sc) }, E19Recovery},
+	"E20": {func(r *BatchReport, sc Scale) { r.Cluster = buildClusterPoints(sc) }, E20Cluster},
+}
+
+// run measures the experiment alone and prints its table: its Registry
+// runner.
+func (e batchExperiment) run(w io.Writer, sc Scale) {
+	rep := newBatchReport(sc)
+	e.measure(rep, sc)
+	e.table(w, rep)
+}
+
+// newBatchReport returns a report of scale sc with no sections measured.
+func newBatchReport(sc Scale) *BatchReport {
 	sz := batchSizesFor(sc)
-	host := hostNow()
-	rep := BatchReport{
+	return &BatchReport{
 		Generated:  time.Now().UTC().Format(time.RFC3339),
-		Host:       host,
+		Host:       hostNow(),
 		Repeat:     Repeat,
 		Scale:      sz.name,
 		SortItems:  sz.sortItems,
@@ -507,40 +603,42 @@ func BuildBatchReport(sc Scale) BatchReport {
 		ReadWriteN: sz.readwriteN,
 		ClusterN:   sz.clusterN,
 	}
-	src := mkSortItems(sz.sortItems)
-	work := make([]batch.Item, sz.sortItems)
-	edges := mkInsertEdges(sz.insertN)
-	sedges, sdel, sins := mkSparsifyScenario(sz.sparsifyN)
+}
 
-	var s1, i1, n1 float64
-	for _, workers := range []int{1, 2, 4, 8} {
-		st := timeSortKernel(src, work, workers)
-		it := timeBatchInsert(sz.insertN, edges, workers)
-		nt := timeNontree(sz.nontreeN, workers)
-		pe := timeSparsify(sz.sparsifyN, workers, sedges, sdel, sins, false)
-		ba := timeSparsify(sz.sparsifyN, workers, sedges, sdel, sins, true)
-		sb := timeSparsifySched(sz.sparsifyN, workers, sedges, sdel, sins, false)
-		sp := timeSparsifySched(sz.sparsifyN, workers, sedges, sdel, sins, true)
-		if workers == 1 {
-			s1, i1, n1 = st.Min, it.Min, nt.Min
+// BuildBatchReport measures every batch experiment once, in Order, and
+// assembles the report.
+func BuildBatchReport(sc Scale) *BatchReport {
+	rep := newBatchReport(sc)
+	for _, id := range Order {
+		if e, ok := batchExperiments[id]; ok {
+			e.measure(rep, sc)
 		}
-		rep.Sort = append(rep.Sort, BatchPoint{workers, host, st.Min / 1e6, st.Med / 1e6, s1 / st.Min})
-		rep.Insert = append(rep.Insert, BatchPoint{workers, host, it.Min, it.Med, i1 / it.Min})
-		rep.Nontree = append(rep.Nontree, BatchPoint{workers, host, nt.Min, nt.Med, n1 / nt.Min})
-		rep.Sparsify = append(rep.Sparsify, SparsifyPoint{workers, host, pe.Min, pe.Med, ba.Min, ba.Med, pe.Min / ba.Min})
-		rep.Pipeline = append(rep.Pipeline, PipelinePoint{workers, host, sb.Min, sb.Med, sp.Min, sp.Med, sb.Min / sp.Min})
 	}
-	rep.ReadWrite = buildReadWritePoints(sc)
-	rep.Bulk = buildBulkPoints(sc)
-	rep.Publish = buildPublishPoints(sc)
-	rep.Recovery = buildRecoveryPoints(sc)
-	rep.Cluster = buildClusterPoints(sc)
 	return rep
 }
 
-// WriteBatchJSON writes BuildBatchReport's output as indented JSON to path.
-func WriteBatchJSON(path string, sc Scale) error {
-	rep := BuildBatchReport(sc)
+// Table prints the table of batch experiment id from the report and
+// reports whether id names one (E12-E20).
+func (rep *BatchReport) Table(w io.Writer, id string) bool {
+	e, ok := batchExperiments[id]
+	if ok {
+		e.table(w, rep)
+	}
+	return ok
+}
+
+// scale returns the Scale the report was measured at.
+func (rep *BatchReport) scale() Scale {
+	for _, sc := range []Scale{Tiny, Quick, Full} {
+		if batchSizesFor(sc).name == rep.Scale {
+			return sc
+		}
+	}
+	panic(fmt.Sprintf("experiments: report of unknown scale %q", rep.Scale))
+}
+
+// WriteJSON writes the report as indented JSON to path.
+func (rep *BatchReport) WriteJSON(path string) error {
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

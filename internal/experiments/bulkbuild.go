@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"parmsf"
@@ -25,8 +24,7 @@ import (
 // columns. Linear scaling understates the true incremental cost — per-edge
 // ns/edge grows like sqrt(n log n) and n grows with m — so every estimated
 // speedup is a lower bound; the cap-size row itself is a fully measured
-// head-to-head. The table and the BENCH_batch.json record share the sweep
-// below, so the two can never measure different protocols.
+// head-to-head. buildBulkPoints measures it; the table formats its points.
 
 // bulkSizes are the per-scale problem sizes of the E17 measurement: the
 // headline edge counts the bulk constructor runs at, and the cap the
@@ -71,18 +69,10 @@ func mkBulkEdges(m int) (int, []parmsf.Edge) {
 	return n, edges
 }
 
-// measureN is measure with an explicit repeat count.
-func measureN(r int, run func() float64) sample {
-	saved := Repeat
-	Repeat = r
-	defer func() { Repeat = saved }()
-	return measure(run)
-}
-
 // timeBulkBuild measures one parmsf.Build of the whole edge set
-// (nanoseconds, min/median across runs).
-func timeBulkBuild(n int, edges []parmsf.Edge, runs int) sample {
-	return measureN(runs, func() float64 {
+// (nanoseconds, best/median across runs).
+func timeBulkBuild(n int, edges []parmsf.Edge, r int) sample {
+	return repeat(r, func(int) float64 {
 		t0 := time.Now()
 		f, errs := parmsf.MustBuild(n, edges, parmsf.Options{MaxEdges: len(edges)})
 		if errs != nil {
@@ -91,13 +81,13 @@ func timeBulkBuild(n int, edges []parmsf.Edge, runs int) sample {
 		ns := float64(time.Since(t0).Nanoseconds())
 		f.Close()
 		return ns
-	})
+	}).best(itself, cost)
 }
 
 // timeGiantInsert measures one InsertEdges of the whole edge set into a
 // fresh forest (nanoseconds).
-func timeGiantInsert(n int, edges []parmsf.Edge, runs int) sample {
-	return measureN(runs, func() float64 {
+func timeGiantInsert(n int, edges []parmsf.Edge, r int) sample {
+	return repeat(r, func(int) float64 {
 		f := parmsf.MustNew(n, parmsf.Options{MaxEdges: len(edges)})
 		defer f.Close()
 		t0 := time.Now()
@@ -105,13 +95,13 @@ func timeGiantInsert(n int, edges []parmsf.Edge, runs int) sample {
 			panic(fmt.Sprintf("experiments: E17 giant insert errors: %v", errs))
 		}
 		return float64(time.Since(t0).Nanoseconds())
-	})
+	}).best(itself, cost)
 }
 
 // timePerEdgeInsert measures one per-edge Insert loop over the whole edge
 // set into a fresh forest (nanoseconds).
-func timePerEdgeInsert(n int, edges []parmsf.Edge, runs int) sample {
-	return measureN(runs, func() float64 {
+func timePerEdgeInsert(n int, edges []parmsf.Edge, r int) sample {
+	return repeat(r, func(int) float64 {
 		f := parmsf.MustNew(n, parmsf.Options{MaxEdges: len(edges)})
 		defer f.Close()
 		t0 := time.Now()
@@ -121,7 +111,7 @@ func timePerEdgeInsert(n int, edges []parmsf.Edge, runs int) sample {
 			}
 		}
 		return float64(time.Since(t0).Nanoseconds())
-	})
+	}).best(itself, cost)
 }
 
 // BulkPoint is one size measurement of the E17 bulk constructor comparison
@@ -165,18 +155,18 @@ func buildBulkPoints(sc Scale) []BulkPoint {
 	for _, m := range rows {
 		n, edges := mkBulkEdges(m)
 		bulk := timeBulkBuild(n, edges, bulkRepeat(m, false))
-		bms := bulk.Min / 1e6
+		bms := bulk.best / 1e6
 		p := BulkPoint{
 			M: m, N: n, Host: host,
-			BuildMs: bms, BuildMsMed: bulk.Med / 1e6,
+			BuildMs: bms, BuildMsMed: bulk.med / 1e6,
 		}
 		if m == capM {
-			p.GiantMs = capGiant.Min / 1e6
-			p.PerEdgeMs = capPerEdge.Min / 1e6
+			p.GiantMs = capGiant.best / 1e6
+			p.PerEdgeMs = capPerEdge.best / 1e6
 		} else {
 			scale := float64(m) / float64(capM)
-			p.GiantMs = capGiant.Min / 1e6 * scale
-			p.PerEdgeMs = capPerEdge.Min / 1e6 * scale
+			p.GiantMs = capGiant.best / 1e6 * scale
+			p.PerEdgeMs = capPerEdge.best / 1e6 * scale
 			p.GiantEstimated, p.PerEdgeEstimated = true, true
 		}
 		p.SpeedupVsGiant = p.GiantMs / bms
@@ -196,11 +186,10 @@ func buildBulkPoints(sc Scale) []BulkPoint {
 // m * sqrt(n log n). Rows above the incremental cap carry
 // linearly-scaled estimates (marked ~, lower bounds); the cap row is fully
 // measured head-to-head.
-func E17BulkBuild(w io.Writer, sc Scale) {
-	sz := bulkSizesFor(sc)
+func E17BulkBuild(w io.Writer, rep *BatchReport) {
 	tb := stats.NewTable(
 		fmt.Sprintf("E17 — bulk constructor: cold-start load, m=10n distinct weights (incremental arms capped at m=%d, GOMAXPROCS=%d, repeat=%d)",
-			sz.cap, runtime.GOMAXPROCS(0), Repeat),
+			bulkSizesFor(rep.scale()).cap, rep.GOMAXPROCS, rep.Repeat),
 		"m", "build ms", "(med)", "giant batch ms", "per-edge ms", "vs giant", "vs per-edge")
 	mark := func(ms float64, est bool) string {
 		if est {
@@ -208,7 +197,7 @@ func E17BulkBuild(w io.Writer, sc Scale) {
 		}
 		return fmt.Sprintf("%.1f", ms)
 	}
-	for _, p := range buildBulkPoints(sc) {
+	for _, p := range rep.Bulk {
 		tb.Row(p.M, p.BuildMs, p.BuildMsMed,
 			mark(p.GiantMs, p.GiantEstimated), mark(p.PerEdgeMs, p.PerEdgeEstimated),
 			p.SpeedupVsGiant, p.SpeedupVsPerEdge)

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,9 +25,8 @@ import (
 // size, the term sharding actually shrinks. The write phase is
 // writer-only so the aggregate ingest rate is measured clean;
 // composed-read throughput is measured in a separate phase with the
-// writers streaming. The table and the BENCH_batch.json cluster section
-// share buildClusterPoints, so the two can never measure different
-// protocols.
+// writers streaming. buildClusterPoints measures it; the table formats its
+// points.
 
 // clusterSubmitChunk is the writers' SubmitBatch group size (as E16's
 // batched arm).
@@ -58,7 +55,6 @@ func clusterShardOpts(n int, coalesce bool) cluster.Options {
 // clSample is one write-phase run's aggregate.
 type clSample struct {
 	opsPerSec   float64 // write ops submitted per second (applied + cancelled)
-	nsPerOp     float64 // wall nanoseconds per submitted op, end to end
 	opsPerBatch float64 // coalescing factor: applied ops per engine batch
 	cancelled   float64 // ops annihilated by pair cancellation
 }
@@ -150,7 +146,6 @@ func runClusterWrite(n, k int, coalesce bool, streams []workload.ShardedStream) 
 	}
 	out := clSample{
 		opsPerSec: float64(churnOps) / elapsed.Seconds(),
-		nsPerOp:   float64(elapsed.Nanoseconds()) / float64(churnOps),
 		cancelled: float64(cancelled),
 	}
 	if batches > 0 {
@@ -241,20 +236,15 @@ type ClusterPoint struct {
 // shard count, the same total churn volume (~4n ops) split across k
 // writers over warm per-shard bases, measured writer-only with
 // cancellation off (the throughput headline) and on (the coalescer gain),
-// then the read phase. Repeat runs; throughput best and median, as E16.
+// then the read phase; Repeat runs of all three. Throughput best and
+// median, as E16.
 func buildClusterPoints(sc Scale) []ClusterPoint {
-	sz := batchSizesFor(sc)
-	n := sz.clusterN
+	n := batchSizesFor(sc).clusterN
 	host := hostNow()
 	total := 4 * n
-	r := Repeat
-	if r < 1 {
-		r = 1
-	}
-	bestMed := func(vals []float64) (float64, float64) {
-		s := append([]float64(nil), vals...)
-		sort.Float64s(s)
-		return s[len(s)-1], (s[(len(s)-1)/2] + s[len(s)/2]) / 2
+	type clRun struct {
+		write, coalesce clSample
+		reads           float64
 	}
 	var out []ClusterPoint
 	for _, cross := range clusterCross {
@@ -262,34 +252,32 @@ func buildClusterPoints(sc Scale) []ClusterPoint {
 		for _, k := range clusterKs {
 			streams := workload.ShardedStreams(n, k, total/k, cross, uint64(n)+2011)
 			_, _, churnOps := clusterPhases(streams)
-			opsV := make([]float64, r)
-			obV := make([]float64, r)
-			coV := make([]float64, r)
-			ccV := make([]float64, r)
-			cbV := make([]float64, r)
-			rdV := make([]float64, r)
-			for i := 0; i < r; i++ {
-				s := runClusterWrite(n, k, false, streams)
-				opsV[i], obV[i] = s.opsPerSec, s.opsPerBatch
-				co := runClusterWrite(n, k, true, streams)
-				coV[i], ccV[i], cbV[i] = co.opsPerSec, co.cancelled, co.opsPerBatch
-				rdV[i] = runClusterReads(n, k, streams)
-			}
+			rs := repeat(Repeat, func(int) clRun {
+				return clRun{
+					write:    runClusterWrite(n, k, false, streams),
+					coalesce: runClusterWrite(n, k, true, streams),
+					reads:    runClusterReads(n, k, streams),
+				}
+			})
+			writes := rs.best(func(r clRun) float64 { return r.write.opsPerSec }, rate)
+			reads := rs.best(func(r clRun) float64 { return r.reads }, rate)
 			p := ClusterPoint{
-				K:             k,
-				CrossPermille: cross,
-				Writers:       k,
-				TotalOps:      churnOps,
-				SubmitChunk:   clusterSubmitChunk,
-				Host:          host,
+				K:                   k,
+				CrossPermille:       cross,
+				Writers:             k,
+				TotalOps:            churnOps,
+				SubmitChunk:         clusterSubmitChunk,
+				Host:                host,
+				WriteOpsPerSec:      writes.best,
+				WriteOpsMed:         writes.med,
+				WriteNsPerOp:        1e9 / writes.best,
+				OpsPerBatch:         rs.best(func(r clRun) float64 { return r.write.opsPerBatch }, rate).best,
+				CoalesceOpsPerSec:   rs.best(func(r clRun) float64 { return r.coalesce.opsPerSec }, rate).best,
+				CoalesceCancelled:   rs.best(func(r clRun) float64 { return r.coalesce.cancelled }, rate).best,
+				CoalesceOpsPerBatch: rs.best(func(r clRun) float64 { return r.coalesce.opsPerBatch }, rate).best,
+				ReadsPerSec:         reads.best,
+				ReadsPerSecMed:      reads.med,
 			}
-			p.WriteOpsPerSec, p.WriteOpsMed = bestMed(opsV)
-			p.WriteNsPerOp = 1e9 / p.WriteOpsPerSec
-			p.OpsPerBatch, _ = bestMed(obV)
-			p.CoalesceOpsPerSec, _ = bestMed(coV)
-			p.CoalesceCancelled, _ = bestMed(ccV)
-			p.CoalesceOpsPerBatch, _ = bestMed(cbV)
-			p.ReadsPerSec, p.ReadsPerSecMed = bestMed(rdV)
 			if k == 1 {
 				base = p.WriteOpsPerSec
 			}
@@ -316,15 +304,13 @@ func buildClusterPoints(sc Scale) []ClusterPoint {
 // most of the churn annihilate in the queue before touching an engine.
 // Reads compose one pinned snapshot per shard and are measured in a
 // separate phase so the write column stays writer-only.
-func E20Cluster(w io.Writer, sc Scale) {
-	sz := batchSizesFor(sc)
-	n := sz.clusterN
-	pts := buildClusterPoints(sc)
+func E20Cluster(w io.Writer, rep *BatchReport) {
+	n := rep.ClusterN
 	tb := stats.NewTable(
 		fmt.Sprintf("E20 — sharded cluster: ~%d churn ops on warm degree-3 bases across k shard-aligned writers, n=%d (chunk=%d, readers=%d, GOMAXPROCS=%d, repeat=%d)",
-			4*n, n, clusterSubmitChunk, clusterReaders, runtime.GOMAXPROCS(0), Repeat),
+			4*n, n, clusterSubmitChunk, clusterReaders, rep.GOMAXPROCS, rep.Repeat),
 		"k", "cross ‰", "write ops/s", "(med)", "vs k=1", "ops/batch", "coalesce ops/s", "cancelled", "reads/s", "(med)")
-	for _, p := range pts {
+	for _, p := range rep.Cluster {
 		tb.Row(p.K, p.CrossPermille, p.WriteOpsPerSec, p.WriteOpsMed, p.SpeedupVsK1,
 			p.OpsPerBatch, p.CoalesceOpsPerSec, p.CoalesceCancelled, p.ReadsPerSec, p.ReadsPerSecMed)
 	}

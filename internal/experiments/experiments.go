@@ -71,15 +71,15 @@ var Registry = map[string]func(w io.Writer, sc Scale){
 	"E9":  E9Structure,
 	"E10": E10ShortLists,
 	"E11": E11ParSparsify,
-	"E12": E12BatchExecutor,
-	"E13": E13BatchPipeline,
-	"E14": E14SparsifyBatch,
-	"E15": E15SparsifyPipeline,
-	"E16": E16ReadWrite,
-	"E17": E17BulkBuild,
-	"E18": E18PublishDelta,
-	"E19": E19Recovery,
-	"E20": E20Cluster,
+	"E12": batchExperiments["E12"].run,
+	"E13": batchExperiments["E13"].run,
+	"E14": batchExperiments["E14"].run,
+	"E15": batchExperiments["E15"].run,
+	"E16": batchExperiments["E16"].run,
+	"E17": batchExperiments["E17"].run,
+	"E18": batchExperiments["E18"].run,
+	"E19": batchExperiments["E19"].run,
+	"E20": batchExperiments["E20"].run,
 }
 
 // Order is the canonical execution order.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 
 	"parmsf"
 	"parmsf/internal/stats"
@@ -19,8 +18,8 @@ import (
 // PublishStats counters — the wall time spent strictly inside publication
 // — so the engine's O(sqrt n) update work cannot contaminate the shape:
 // delta publication should stay flat as n grows 100x while the sweep grows
-// linearly with it. The table and the BENCH_batch.json record share
-// runPublish, so the two can never measure different protocols.
+// linearly with it. buildPublishPoints measures it; the table formats its
+// points.
 
 // Cell-churn geometry: every batch is 1..pdMaxBatch forest mutations
 // confined to one pdCell-vertex cell, so cut sides (and hence per-epoch
@@ -139,30 +138,6 @@ func runPublish(bs workload.BatchStream, sweep bool) pdSample {
 	return out
 }
 
-// measurePublish runs the scenario Repeat times, reporting the minimum and
-// median publication ns/epoch and the counter aggregates of the fastest
-// run (counters are deterministic across runs; timing is not).
-func measurePublish(bs workload.BatchStream, sweep bool) (best pdSample, med float64) {
-	r := Repeat
-	if r < 1 {
-		r = 1
-	}
-	runs := make([]pdSample, r)
-	for i := range runs {
-		runs[i] = runPublish(bs, sweep)
-	}
-	best = runs[0]
-	vals := make([]float64, r)
-	for i, s := range runs {
-		vals[i] = s.nsPerEpoch
-		if s.nsPerEpoch < best.nsPerEpoch {
-			best = s
-		}
-	}
-	sort.Float64s(vals)
-	return best, (vals[(r-1)/2] + vals[r/2]) / 2
-}
-
 // E18PublishDelta — incremental snapshot publication: wall nanoseconds
 // spent inside publication per epoch, as n grows with the per-epoch forest
 // delta held fixed (small intra-cell batches), through the O(delta)
@@ -175,23 +150,20 @@ func measurePublish(bs workload.BatchStream, sweep bool) (best pdSample, med flo
 // allocations per epoch across the entire update (engine work included) —
 // publication itself is allocation-free on both paths (see the alloc
 // gates in internal/snapshot).
-func E18PublishDelta(w io.Writer, sc Scale) {
-	ns, batches, sweepBatches := pdSizesFor(sc)
+func E18PublishDelta(w io.Writer, rep *BatchReport) {
+	_, batches, _ := pdSizesFor(rep.scale())
 	tb := stats.NewTable(
 		fmt.Sprintf("E18 — incremental publication: publication ns/epoch, %d batches of <=%d ops in %d-vertex cells (GOMAXPROCS=%d, repeat=%d)",
-			batches, pdMaxBatch, pdCell, runtime.GOMAXPROCS(0), Repeat),
+			batches, pdMaxBatch, pdCell, rep.GOMAXPROCS, rep.Repeat),
 		"n", "epochs", "delta ns/ep", "(med)", "sweep ns/ep", "(med)", "sweep/delta", "delta eps", "rebases", "patches", "allocs/ep")
 	var xs, dns, sns []float64
-	for _, n := range ns {
-		bs := workload.SmallBatchChurn(n, pdCell, batches, pdMaxBatch, uint64(n)+1803)
-		sbs := workload.SmallBatchChurn(n, pdCell, sweepBatches, pdMaxBatch, uint64(n)+1803)
-		d, dmed := measurePublish(bs, false)
-		s, smed := measurePublish(sbs, true)
-		tb.Row(n, d.epochs, d.nsPerEpoch, dmed, s.nsPerEpoch, smed,
-			s.nsPerEpoch/d.nsPerEpoch, d.deltaEpochs, d.rebases, d.patches, d.allocsPerEp)
-		xs = append(xs, float64(n))
-		dns = append(dns, d.nsPerEpoch)
-		sns = append(sns, s.nsPerEpoch)
+	for i := 0; i+1 < len(rep.Publish); i += 2 {
+		d, s := rep.Publish[i], rep.Publish[i+1]
+		tb.Row(d.N, d.Epochs, d.NsPerEpoch, d.NsPerEpochMed, s.NsPerEpoch, s.NsPerEpochMed,
+			s.NsPerEpoch/d.NsPerEpoch, d.DeltaEpochs, d.Rebases, d.PatchEntries, d.AllocsPerEpoch)
+		xs = append(xs, float64(d.N))
+		dns = append(dns, d.NsPerEpoch)
+		sns = append(sns, s.NsPerEpoch)
 	}
 	tb.Fprint(w)
 	de, _ := stats.FitPower(xs, dns)
@@ -203,9 +175,9 @@ func E18PublishDelta(w io.Writer, sc Scale) {
 // PublishPoint is one (n, mode) measurement of the E18 publication
 // scenario for BENCH_batch.json: publication wall ns per epoch (minimum
 // and median across -repeat runs), allocations per epoch across the whole
-// update, and the publisher's counter deltas. Mode is "delta" (default
-// capacity-driven schedule) or "sweep" (SnapshotRebaseEvery: 1, delta path
-// disabled).
+// update (minimum across runs), and the publisher's counter deltas. Mode
+// is "delta" (default capacity-driven schedule) or "sweep"
+// (SnapshotRebaseEvery: 1, delta path disabled).
 type PublishPoint struct {
 	N    int    `json:"n"`
 	Mode string `json:"mode"`
@@ -219,34 +191,33 @@ type PublishPoint struct {
 	PatchEntries   float64 `json:"patch_entries"`
 }
 
-// buildPublishPoints runs the E18 sweep for the JSON report.
+// buildPublishPoints runs the E18 sweep: at each n, the delta arm and then
+// the sweep arm, Repeat runs each. The counters are deterministic across
+// runs, so they come from the first; timing and allocations are not.
 func buildPublishPoints(sc Scale) []PublishPoint {
 	ns, batches, sweepBatches := pdSizesFor(sc)
 	host := hostNow()
 	var out []PublishPoint
 	for _, n := range ns {
 		for _, sweep := range []bool{false, true} {
-			nb := batches
+			nb, mode := batches, "delta"
 			if sweep {
-				nb = sweepBatches
+				nb, mode = sweepBatches, "sweep"
 			}
 			bs := workload.SmallBatchChurn(n, pdCell, nb, pdMaxBatch, uint64(n)+1803)
-			best, med := measurePublish(bs, sweep)
-			mode := "delta"
-			if sweep {
-				mode = "sweep"
-			}
+			rs := repeat(Repeat, func(int) pdSample { return runPublish(bs, sweep) })
+			pub := rs.best(func(s pdSample) float64 { return s.nsPerEpoch }, cost)
 			out = append(out, PublishPoint{
 				N:              n,
 				Mode:           mode,
 				Host:           host,
-				NsPerEpoch:     best.nsPerEpoch,
-				NsPerEpochMed:  med,
-				AllocsPerEpoch: best.allocsPerEp,
-				Epochs:         best.epochs,
-				DeltaEpochs:    best.deltaEpochs,
-				Rebases:        best.rebases,
-				PatchEntries:   best.patches,
+				NsPerEpoch:     pub.best,
+				NsPerEpochMed:  pub.med,
+				AllocsPerEpoch: rs.best(func(s pdSample) float64 { return s.allocsPerEp }, cost).best,
+				Epochs:         rs[0].epochs,
+				DeltaEpochs:    rs[0].deltaEpochs,
+				Rebases:        rs[0].rebases,
+				PatchEntries:   rs[0].patches,
 			})
 		}
 	}

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,9 +16,8 @@ import (
 // This file implements the E16 mixed reader/writer serving scenario: p
 // reader goroutines hammer snapshot queries while q writer goroutines
 // stream conflict-free churn through the Submit ingest queue, whose single
-// drainer coalesces whatever accumulated into engine batches. The table
-// and the machine-readable BENCH_batch.json record share runReadWrite, so
-// the two can never measure different protocols.
+// drainer coalesces whatever accumulated into engine batches.
+// buildReadWritePoints measures it; the table formats its points.
 
 // rwSample is one run's aggregate of the serving scenario.
 type rwSample struct {
@@ -158,43 +155,6 @@ func runReadWrite(n, workers, readers, submitChunk int, streams []workload.Strea
 	return out
 }
 
-// measureReadWrite runs the scenario Repeat times and reports, per metric,
-// the best (throughput maxima / latency minimum) and the median — the
-// rate-shaped analogue of the min+median convention the timed sections
-// use.
-func measureReadWrite(n, workers, readers, submitChunk int, streams []workload.Stream) (best, med rwSample) {
-	r := Repeat
-	if r < 1 {
-		r = 1
-	}
-	runs := make([]rwSample, r)
-	for i := range runs {
-		runs[i] = runReadWrite(n, workers, readers, submitChunk, streams)
-	}
-	pick := func(get func(rwSample) float64, better func(a, b float64) bool) (float64, float64) {
-		vals := make([]float64, r)
-		for i, s := range runs {
-			vals[i] = get(s)
-		}
-		b := vals[0]
-		for _, v := range vals[1:] {
-			if better(v, b) {
-				b = v
-			}
-		}
-		sort.Float64s(vals)
-		return b, (vals[(r-1)/2] + vals[r/2]) / 2
-	}
-	max := func(a, b float64) bool { return a > b }
-	min := func(a, b float64) bool { return a < b }
-	best.readsPerSec, med.readsPerSec = pick(func(s rwSample) float64 { return s.readsPerSec }, max)
-	best.opsPerSec, med.opsPerSec = pick(func(s rwSample) float64 { return s.opsPerSec }, max)
-	best.opsPerBatch, med.opsPerBatch = pick(func(s rwSample) float64 { return s.opsPerBatch }, max)
-	best.epochs, med.epochs = pick(func(s rwSample) float64 { return s.epochs }, max)
-	best.nsPerOp, med.nsPerOp = pick(func(s rwSample) float64 { return s.nsPerOp }, min)
-	return best, med
-}
-
 // rwConfig is the E16 sweep: reader counts against a fixed writer pool,
 // each run once with per-op Submit and once with writers grouping ops into
 // SubmitBatch calls of rwSubmitChunk.
@@ -220,23 +180,18 @@ const rwSubmitChunk = 64
 // as write throughput rather than a larger coalescing factor. Attainable
 // parallel overlap is capped by GOMAXPROCS; on a single-core host readers
 // and the drainer time-slice.
-func E16ReadWrite(w io.Writer, sc Scale) {
-	sz := batchSizesFor(sc)
-	n := sz.readwriteN
-	streams := workload.WriterStreams(n, rwWriters, n, uint64(n)+1607)
+func E16ReadWrite(w io.Writer, rep *BatchReport) {
+	n := rep.ReadWriteN
 	tb := stats.NewTable(
 		fmt.Sprintf("E16 — serving plane: %d readers vs %d ingest writers, n=%d, %d ops/writer (engine workers=%d, GOMAXPROCS=%d, repeat=%d)",
-			rwReaders[len(rwReaders)-1], rwWriters, n, n, rwEngineWorkers, runtime.GOMAXPROCS(0), Repeat),
+			rwReaders[len(rwReaders)-1], rwWriters, n, n, rwEngineWorkers, rep.GOMAXPROCS, rep.Repeat),
 		"readers", "submit", "reads/s", "(med)", "write ops/s", "(med)", "ops/batch", "epochs")
-	for _, readers := range rwReaders {
-		for _, chunk := range []int{0, rwSubmitChunk} {
-			best, med := measureReadWrite(n, rwEngineWorkers, readers, chunk, streams)
-			mode := "per-op"
-			if chunk > 0 {
-				mode = fmt.Sprintf("batch%d", chunk)
-			}
-			tb.Row(readers, mode, best.readsPerSec, med.readsPerSec, best.opsPerSec, med.opsPerSec, best.opsPerBatch, best.epochs)
+	for _, p := range rep.ReadWrite {
+		mode := "per-op"
+		if p.SubmitChunk > 0 {
+			mode = fmt.Sprintf("batch%d", p.SubmitChunk)
 		}
+		tb.Row(p.Readers, mode, p.ReadsPerSec, p.ReadsPerSecMed, p.WriteOpsPerSec, p.WriteOpsMed, p.OpsPerBatch, p.Epochs)
 	}
 	tb.Fprint(w)
 	fmt.Fprintln(w, "theory: reads/s holds or grows with readers (lock-free snapshots; writers unaffected); ops/batch > 1 is the ingest queue's coalescing amortization — engine batches split at kind flips, so on mixed churn it tracks the stream's same-kind run lengths in both submit modes and batch submission shows up as cheaper submission, not bigger batches; epochs <= batches (no-op batches publish nothing)")
@@ -262,28 +217,32 @@ type ReadWritePoint struct {
 	Epochs         float64 `json:"epochs"`
 }
 
-// buildReadWritePoints runs the E16 sweep for the JSON report.
+// buildReadWritePoints runs the E16 sweep: each reader count with per-op
+// and with batched submission, Repeat runs each.
 func buildReadWritePoints(sc Scale) []ReadWritePoint {
-	sz := batchSizesFor(sc)
-	n := sz.readwriteN
+	n := batchSizesFor(sc).readwriteN
 	host := hostNow()
 	streams := workload.WriterStreams(n, rwWriters, n, uint64(n)+1607)
 	var out []ReadWritePoint
 	for _, readers := range rwReaders {
 		for _, chunk := range []int{0, rwSubmitChunk} {
-			best, med := measureReadWrite(n, rwEngineWorkers, readers, chunk, streams)
+			rs := repeat(Repeat, func(int) rwSample {
+				return runReadWrite(n, rwEngineWorkers, readers, chunk, streams)
+			})
+			reads := rs.best(func(s rwSample) float64 { return s.readsPerSec }, rate)
+			writes := rs.best(func(s rwSample) float64 { return s.opsPerSec }, rate)
 			out = append(out, ReadWritePoint{
 				Readers:        readers,
 				Writers:        rwWriters,
 				SubmitChunk:    chunk,
 				Host:           host,
-				ReadsPerSec:    best.readsPerSec,
-				ReadsPerSecMed: med.readsPerSec,
-				WriteOpsPerSec: best.opsPerSec,
-				WriteOpsMed:    med.opsPerSec,
-				WriteNsPerOp:   best.nsPerOp,
-				OpsPerBatch:    best.opsPerBatch,
-				Epochs:         best.epochs,
+				ReadsPerSec:    reads.best,
+				ReadsPerSecMed: reads.med,
+				WriteOpsPerSec: writes.best,
+				WriteOpsMed:    writes.med,
+				WriteNsPerOp:   rs.best(func(s rwSample) float64 { return s.nsPerOp }, cost).best,
+				OpsPerBatch:    rs.best(func(s rwSample) float64 { return s.opsPerBatch }, rate).best,
+				Epochs:         rs.best(func(s rwSample) float64 { return s.epochs }, rate).best,
 			})
 		}
 	}

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,9 +17,8 @@ import (
 // (the core/apply-batch crash point, armed one-shot), and the run records
 // how long Recover's journal-driven rebuild takes as the live-edge count
 // grows, plus whether the lock-free read plane actually keeps serving
-// across the poison -> recover window. The table and the `recovery`
-// section of BENCH_batch.json share runRecovery, so the two can never
-// measure different protocols.
+// across the poison -> recover window. buildRecoveryPoints measures it;
+// the table formats its points.
 
 // recSample is one run's aggregate of the crash-recovery scenario.
 type recSample struct {
@@ -152,41 +149,6 @@ func runRecovery(n, readers int, seed uint64) recSample {
 	return sample
 }
 
-// measureRecovery repeats the scenario and reports best and median per
-// metric (min for the latencies, max for the read rates).
-func measureRecovery(n, readers int, seed uint64) (best, med recSample) {
-	r := Repeat
-	if r < 1 {
-		r = 1
-	}
-	runs := make([]recSample, r)
-	for i := range runs {
-		runs[i] = runRecovery(n, readers, seed+uint64(i)*101)
-	}
-	best.liveEdges, med.liveEdges = runs[0].liveEdges, runs[0].liveEdges
-	pick := func(get func(recSample) float64, better func(a, b float64) bool) (float64, float64) {
-		vals := make([]float64, r)
-		for i, s := range runs {
-			vals[i] = get(s)
-		}
-		b := vals[0]
-		for _, v := range vals[1:] {
-			if better(v, b) {
-				b = v
-			}
-		}
-		sort.Float64s(vals)
-		return b, (vals[(r-1)/2] + vals[r/2]) / 2
-	}
-	max := func(a, b float64) bool { return a > b }
-	min := func(a, b float64) bool { return a < b }
-	best.recoverMS, med.recoverMS = pick(func(s recSample) float64 { return s.recoverMS }, min)
-	best.outageMS, med.outageMS = pick(func(s recSample) float64 { return s.outageMS }, min)
-	best.readsHealthy, med.readsHealthy = pick(func(s recSample) float64 { return s.readsHealthy }, max)
-	best.readsOutage, med.readsOutage = pick(func(s recSample) float64 { return s.readsOutage }, max)
-	return best, med
-}
-
 const recReaders = 2
 
 // E19Recovery — crash recovery: journal-driven rebuild time against the
@@ -196,14 +158,13 @@ const recReaders = 2
 // read plane is lock-free off the last published snapshot, so outage
 // reads/sec should stay the same order as healthy reads/sec (the window
 // is milliseconds, so the rate estimate is coarser there).
-func E19Recovery(w io.Writer, sc Scale) {
+func E19Recovery(w io.Writer, rep *BatchReport) {
 	tb := stats.NewTable(
 		fmt.Sprintf("E19 — crash recovery: injected engine panic, journal rebuild via the bulk path, %d snapshot readers attached (GOMAXPROCS=%d, repeat=%d)",
-			recReaders, runtime.GOMAXPROCS(0), Repeat),
+			recReaders, rep.GOMAXPROCS, rep.Repeat),
 		"n", "live edges", "recover ms", "(med)", "outage ms", "healthy reads/s", "outage reads/s")
-	for _, n := range sc.sizes() {
-		best, med := measureRecovery(n, recReaders, uint64(n)+977)
-		tb.Row(n, best.liveEdges, best.recoverMS, med.recoverMS, best.outageMS, best.readsHealthy, best.readsOutage)
+	for _, p := range rep.Recovery {
+		tb.Row(p.N, p.LiveEdges, p.RecoverMS, p.RecoverMSMed, p.OutageMS, p.ReadsHealthyPerSec, p.ReadsOutagePerSec)
 	}
 	tb.Fprint(w)
 	fmt.Fprintln(w, "theory: recover_ms grows ~linearly with the live-edge count (one bulk load), outage reads/s stays the same order as healthy reads/s (readers never block on recovery), and the recovered forest re-admits the rolled-back batch")
@@ -223,21 +184,26 @@ type RecoveryPoint struct {
 	ReadsOutagePerSec  float64 `json:"reads_outage_per_sec"`
 }
 
-// buildRecoveryPoints runs the E19 sweep for the JSON report.
+// buildRecoveryPoints runs the E19 sweep: Repeat runs at each n, run i
+// seeded apart from the others. The live-edge count at the crash does not
+// depend on the seed.
 func buildRecoveryPoints(sc Scale) []RecoveryPoint {
 	host := hostNow()
 	var out []RecoveryPoint
 	for _, n := range sc.sizes() {
-		best, med := measureRecovery(n, recReaders, uint64(n)+977)
+		rs := repeat(Repeat, func(i int) recSample {
+			return runRecovery(n, recReaders, uint64(n)+977+uint64(i)*101)
+		})
+		rec := rs.best(func(s recSample) float64 { return s.recoverMS }, cost)
 		out = append(out, RecoveryPoint{
 			N:                  n,
-			LiveEdges:          best.liveEdges,
+			LiveEdges:          rs[0].liveEdges,
 			Host:               host,
-			RecoverMS:          best.recoverMS,
-			RecoverMSMed:       med.recoverMS,
-			OutageMS:           best.outageMS,
-			ReadsHealthyPerSec: best.readsHealthy,
-			ReadsOutagePerSec:  best.readsOutage,
+			RecoverMS:          rec.best,
+			RecoverMSMed:       rec.med,
+			OutageMS:           rs.best(func(s recSample) float64 { return s.outageMS }, cost).best,
+			ReadsHealthyPerSec: rs.best(func(s recSample) float64 { return s.readsHealthy }, rate).best,
+			ReadsOutagePerSec:  rs.best(func(s recSample) float64 { return s.readsOutage }, rate).best,
 		})
 	}
 	return out

@@ -81,13 +81,13 @@ type edgeRec struct {
 type Wrapper struct {
 	n      int
 	eng    Engine
-	slots  [][]int32    // per original vertex: slot gadget ids; [0] is base
-	hosted [][]*edgeRec // parallel to slots: edge hosted at each slot
+	slots  [][]int32  // per original vertex: slot gadget ids; [0] is base
+	hosted []*edgeRec // per gadget slot: the edge it hosts, or nil
+	owner  []int32    // per gadget slot: its original vertex, once opened
 	edges  map[[2]int]*edgeRec
 	free   []int32
 	rings  int
-	nslots int           // total live slots across vertices (ring invariant)
-	byslot map[int32]int // gadget slot -> original vertex
+	nslots int // total live slots across vertices (ring invariant)
 
 	events      func(u, v int, w int64, added bool)
 	cutSides    func(side []int32)
@@ -103,14 +103,12 @@ type Wrapper struct {
 	OnApplied func()
 
 	// Pooled batch scratch: the staged-slot op buffer shared by every
-	// entry point and the tree flags of a load, the touched vertices of a
-	// delete batch, and the slots it frees, whose release waits for the
-	// engine batch. Reused across batches (contents never retained), so
-	// warm batch entry points allocate only their returned error slices.
+	// entry point and the tree flags of a load, and the touched vertices
+	// of a delete batch. Reused across batches (contents never retained),
+	// so warm batch entry points allocate only their returned error slices.
 	opsScratch  []core.BatchOp
 	flagScratch []bool
 	touchedVs   []int
-	retired     []int32
 
 	fault *faultinject.Injector // crash points (SetFault; nil no-op)
 }
@@ -123,15 +121,14 @@ func New(n, maxEdges int, mk func(gadgetN int) Engine) *Wrapper {
 		n:      n,
 		eng:    mk(cap),
 		slots:  make([][]int32, n),
-		hosted: make([][]*edgeRec, n),
+		hosted: make([]*edgeRec, cap),
+		owner:  make([]int32, cap),
 		edges:  make(map[[2]int]*edgeRec),
-		byslot: make(map[int32]int),
 	}
 	// Base slots are the original ids; extra slots come from the pool.
 	for v := 0; v < n; v++ {
 		w.slots[v] = []int32{int32(v)}
-		w.hosted[v] = []*edgeRec{nil}
-		w.byslot[int32(v)] = v
+		w.owner[v] = int32(v)
 	}
 	w.nslots = n
 	for id := cap - 1; id >= n; id-- {
@@ -185,7 +182,7 @@ func (w *Wrapper) forward(gu, gv int, wt int64, added bool) {
 	if w.events == nil || wt == RingWeight {
 		return
 	}
-	w.events(w.byslot[int32(gu)], w.byslot[int32(gv)], wt, added)
+	w.events(int(w.owner[gu]), int(w.owner[gv]), wt, added)
 }
 
 // forwardSides translates the engine's cut side to original-vertex space:
@@ -257,8 +254,7 @@ func (w *Wrapper) stageInsert(u, v int, wt int64, rings *[]core.BatchOp) (*edgeR
 	if k[0] == v {
 		rec.su, rec.sv = sv, su
 	}
-	w.hostAt(u, su, rec)
-	w.hostAt(v, sv, rec)
+	w.hosted[su], w.hosted[sv] = rec, rec
 	w.edges[k] = rec
 	return rec, nil
 }
@@ -268,8 +264,8 @@ func (w *Wrapper) stageInsert(u, v int, wt int64, rings *[]core.BatchOp) (*edgeR
 // *rings for a later engine batch. The caller (stageInsert) guarantees a
 // free pool slot.
 func (w *Wrapper) openSlot(x int, rings *[]core.BatchOp) int32 {
-	s, h := w.slots[x], w.hosted[x]
-	if h[0] == nil {
+	s := w.slots[x]
+	if w.hosted[s[0]] == nil {
 		return s[0]
 	}
 	if len(w.free) == 0 {
@@ -281,19 +277,8 @@ func (w *Wrapper) openSlot(x int, rings *[]core.BatchOp) int32 {
 	w.rings++
 	w.nslots++
 	w.slots[x] = append(s, g)
-	w.hosted[x] = append(h, nil)
-	w.byslot[g] = x
+	w.owner[g] = int32(x)
 	return g
-}
-
-func (w *Wrapper) hostAt(x int, slot int32, rec *edgeRec) {
-	for i, g := range w.slots[x] {
-		if g == slot {
-			w.hosted[x][i] = rec
-			return
-		}
-	}
-	panic("ternary: hostAt: slot not found")
 }
 
 // DeleteEdge removes edge (u, v): a one-key DeleteEdges.
@@ -320,7 +305,7 @@ func (w *Wrapper) ForestEdges(f func(u, v int, wt int64) bool) {
 		if wt == RingWeight {
 			return true
 		}
-		return f(w.byslot[int32(gu)], w.byslot[int32(gv)], wt)
+		return f(int(w.owner[gu]), int(w.owner[gv]), wt)
 	})
 }
 
@@ -426,8 +411,7 @@ func (w *Wrapper) DeleteEdges(keys [][2]int) []error {
 		}
 		delete(w.edges, k)
 		ops = append(ops, core.BatchOp{Del: true, U: int(rec.su), V: int(rec.sv)})
-		w.clearHost(rec.u, rec.su)
-		w.clearHost(rec.v, rec.sv)
+		w.hosted[rec.su], w.hosted[rec.sv] = nil, nil
 		vs = append(vs, rec.u, rec.v)
 	}
 	if len(ops) > 0 {
@@ -436,13 +420,6 @@ func (w *Wrapper) DeleteEdges(keys [][2]int) []error {
 		}
 		w.fault.Hit(fpBatchDelete)
 		w.apply(ops)
-		// Forest-change events of the batch named the freed slots, so their
-		// byslot entries and pool return wait until it is done.
-		for _, g := range w.retired {
-			delete(w.byslot, g)
-			w.free = append(w.free, g)
-		}
-		w.retired = w.retired[:0]
 		w.assertRings()
 		w.applied()
 	}
@@ -450,74 +427,67 @@ func (w *Wrapper) DeleteEdges(keys [][2]int) []error {
 	return errs
 }
 
-// clearHost unhosts the edge at the given slot of x.
-func (w *Wrapper) clearHost(x int, slot int32) {
-	for i, g := range w.slots[x] {
-		if g == slot {
-			w.hosted[x][i] = nil
-			return
-		}
-	}
-	panic("ternary: clearHost: slot not found")
-}
-
 // closeHoles stages the repair of x's slot path after unhostings: trailing
 // unhosted slots are retired by deleting their ring edge, and every other
 // unhosted slot but the base is spliced out of the path between its
 // surviving predecessor and its successor. A splice may name the ring edge
 // an earlier splice of the same path creates, which the engine's in-order
-// splice stage provides. Freed slots are queued in w.retired. A path with
+// splice stage provides. Freed slots go back to the pool; they keep their
+// owner, which the batch's forest-change events still read. A path with
 // nothing to repair — as on a vertex's second visit — stages nothing.
 func (w *Wrapper) closeHoles(x int, ops []core.BatchOp) []core.BatchOp {
-	s, h := w.slots[x], w.hosted[x]
+	s := w.slots[x]
 	last := len(s) - 1
-	for ; last > 0 && h[last] == nil; last-- {
+	for ; last > 0 && w.hosted[s[last]] == nil; last-- {
 		ops = append(ops, core.BatchOp{Del: true, U: int(s[last-1]), V: int(s[last])})
-		w.retired = append(w.retired, s[last])
+		w.free = append(w.free, s[last])
 	}
 	j := 1
 	for i := 1; i <= last; i++ {
-		if h[i] != nil {
-			s[j], h[j] = s[i], h[i]
+		if w.hosted[s[i]] != nil {
+			s[j] = s[i]
 			j++
 			continue
 		}
 		ops = append(ops, core.BatchOp{Splice: true, U: int(s[j-1]), V: int(s[i+1]), H: s[i], W: RingWeight})
-		w.retired = append(w.retired, s[i])
+		w.free = append(w.free, s[i])
 	}
-	clear(h[j:])
 	w.rings -= len(s) - j
 	w.nslots -= len(s) - j
-	w.slots[x], w.hosted[x] = s[:j], h[:j]
+	w.slots[x] = s[:j]
 	return ops
 }
 
 // CheckGadget verifies wrapper bookkeeping (tests): every slot but the base
 // hosts an edge, so a vertex holds one slot per hosted edge plus its base
-// when that is unhosted, and every edge's hosting is mutual.
+// when that is unhosted, every edge's hosting is mutual, and pool slots
+// host nothing.
 func (w *Wrapper) CheckGadget() error {
 	deg := make([]int, w.n)
 	for _, rec := range w.edges {
 		deg[rec.u]++
 		deg[rec.v]++
 	}
-	for v := 0; v < w.n; v++ {
-		s, h := w.slots[v], w.hosted[v]
-		if len(s) != len(h) {
-			return fmt.Errorf("vertex %d: slots/hosted length mismatch", v)
+	for _, g := range w.free {
+		if w.hosted[g] != nil {
+			return fmt.Errorf("pool slot %d hosts an edge", g)
 		}
+	}
+	for v := 0; v < w.n; v++ {
+		s := w.slots[v]
 		hosted := 0
-		for i, rec := range h {
-			if w.byslot[s[i]] != v {
-				return fmt.Errorf("vertex %d: byslot mismatch", v)
+		for i, g := range s {
+			if int(w.owner[g]) != v {
+				return fmt.Errorf("vertex %d: slot %d has owner %d", v, g, w.owner[g])
 			}
+			rec := w.hosted[g]
 			if rec == nil {
 				if i != 0 {
 					return fmt.Errorf("vertex %d: unhosted slot %d is not the base", v, i)
 				}
 				continue
 			}
-			mutual := (rec.u == v && rec.su == s[i]) || (rec.v == v && rec.sv == s[i])
+			mutual := (rec.u == v && rec.su == g) || (rec.v == v && rec.sv == g)
 			if !mutual || w.edges[key(rec.u, rec.v)] != rec {
 				return fmt.Errorf("vertex %d: slot %d hosts a record that does not name it", v, i)
 			}
@@ -526,7 +496,7 @@ func (w *Wrapper) CheckGadget() error {
 		if hosted != deg[v] {
 			return fmt.Errorf("vertex %d: hosts %d edges, want %d", v, hosted, deg[v])
 		}
-		if h[0] == nil && len(s) != deg[v]+1 {
+		if w.hosted[s[0]] == nil && len(s) != deg[v]+1 {
 			return fmt.Errorf("vertex %d: %d slots for %d edges and an unhosted base", v, len(s), deg[v])
 		}
 	}
