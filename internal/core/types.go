@@ -39,9 +39,6 @@ type Copy struct {
 	principal  bool
 }
 
-// V returns the graph vertex this copy represents.
-func (c *Copy) V() int { return int(c.v) }
-
 // btAgg is the BTc aggregate (Figure 2): subtree copy count and the edge
 // counters ("ecv") counting edges incident to principal copies below.
 type btAgg struct {
@@ -84,9 +81,6 @@ type Chunk struct {
 	rowStale bool    // charged-edge set changed; row rebuild pending
 	dirty    bool    // in Store.pendDirty: LSDS path refresh pending
 }
-
-// ID returns the chunk's matrix id, or -1 if unregistered.
-func (c *Chunk) ID() int { return int(c.id) }
 
 // nc returns n_c of Invariant 1: #copies + #edges charged to the chunk.
 // (Leaf aggregates hold the leaf's own contribution, so root Agg is always

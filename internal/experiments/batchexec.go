@@ -273,8 +273,7 @@ func timeSparsify(n, workers int, edges []parmsf.Edge, del []parmsf.EdgeKey, ins
 func timeSparsifySched(n, workers int, edges []parmsf.Edge, del []parmsf.EdgeKey, ins []parmsf.Edge, pipelined bool) sample {
 	mach := pram.NewParallel(workers)
 	defer mach.Close()
-	f, closeTasks := newBatchSparsifyTree(n, mach, pipelined)
-	defer closeTasks()
+	f := newBatchSparsifyTree(n, mach, pipelined)
 	bedges := make([]batch.Edge, len(edges))
 	for i, e := range edges {
 		bedges[i] = batch.Edge{U: e.U, V: e.V, W: e.W}

@@ -16,13 +16,16 @@ func newFlatEngine(n, maxEdges int) *ternary.Wrapper {
 }
 
 // newSparsifyEngine composes the full Theorem 1.1 pipeline: sparsification
-// tree over degree-reduced core instances.
+// tree over degree-reduced core instances, on the pipeline scheduler parmsf
+// runs.
 func newSparsifyEngine(n int) *sparsify.Forest {
-	return sparsify.New(n, func(localN, maxEdges int) sparsify.Engine {
+	f := sparsify.New(n, func(localN, maxEdges int) sparsify.Engine {
 		return ternary.New(localN, maxEdges, func(gn int) ternary.Engine {
 			return core.NewMSF(gn, core.Config{}, core.SeqCharger{})
 		})
 	})
+	f.Pipeline = true
+	return f
 }
 
 // newParSparsifyEngine builds the Section 5.3 parallel pipeline: every
@@ -37,18 +40,18 @@ func newParSparsifyEngine(n int) *sparsify.Forest {
 		})
 	})
 	f.DepthFn = func(e sparsify.Engine) int64 { return e.Machine().Time }
+	f.Pipeline = true
 	return f
 }
 
 // newBatchSparsifyTree builds the Section 5.3 batch pipeline the E15
 // scheduler comparison measures: core-backed ternary nodes on private
-// simulators, with node applications fanned out over mach's workers —
-// through the dependency pipeline when pipelined, else the level-barrier
-// sweep. Mirrors the parmsf.Options{Sparsify, Workers} wiring minus the
-// cost-counter plumbing, which both modes would pay identically: a
-// one-worker machine gets no task pool, so its pipeline runs node tasks
-// inline. The returned closer releases the pipeline's task workers.
-func newBatchSparsifyTree(n int, mach *pram.Machine, pipelined bool) (*sparsify.Forest, func()) {
+// simulators, with node applications on mach's goroutine pool — spawned by
+// the dependency pipeline when pipelined, else run as rounds of the
+// level-barrier sweep. Mirrors the parmsf.Options{Sparsify, Workers} wiring
+// minus the cost-counter plumbing, which both modes would pay identically:
+// a one-worker machine has no pool, so its pipeline runs node tasks inline.
+func newBatchSparsifyTree(n int, mach *pram.Machine, pipelined bool) *sparsify.Forest {
 	f := sparsify.New(n, func(localN, maxEdges int) sparsify.Engine {
 		nm := pram.New(false)
 		return ternary.New(localN, maxEdges, func(gn int) ternary.Engine {
@@ -57,13 +60,9 @@ func newBatchSparsifyTree(n int, mach *pram.Machine, pipelined bool) (*sparsify.
 	})
 	if pipelined {
 		f.Pipeline = true
-		if mach.Workers() == 1 {
-			return f, func() {}
-		}
-		tp := sparsify.NewTaskPool(mach.Workers())
-		f.Spawn = tp.Spawn
-		return f, tp.Close
+		f.Spawn = mach.Spawn
+	} else {
+		f.Exec = func(tasks int, run func(t int)) { mach.Run(tasks, run) }
 	}
-	f.Exec = func(tasks int, run func(t int)) { mach.Run(tasks, run) }
-	return f, func() {}
+	return f
 }

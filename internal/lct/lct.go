@@ -41,9 +41,6 @@ func New(n int) *Forest {
 	return f
 }
 
-// N returns the number of vertices.
-func (f *Forest) N() int { return len(f.vs) }
-
 func isRoot(x *node) bool {
 	return x.p == nil || (x.p.l != x && x.p.r != x)
 }

@@ -3,6 +3,7 @@ package pram
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestParallelStepRunsAllProcessors(t *testing.T) {
@@ -91,6 +92,11 @@ func TestCloseIdempotentAndUsable(t *testing.T) {
 			t.Fatalf("processor %d did not run after Close", p)
 		}
 	}
+	spawned := false
+	m.Spawn(func() { spawned = true }) // runs inline on a closed machine
+	if !spawned {
+		t.Fatal("Spawn on a closed machine did not run inline")
+	}
 }
 
 func TestParallelOneWorkerInline(t *testing.T) {
@@ -106,10 +112,10 @@ func TestParallelOneWorkerInline(t *testing.T) {
 	}
 }
 
-// TestPoolStressWidths hammers the atomic round-descriptor dispatch with
-// back-to-back rounds of varying widths: every index of every round must
-// execute exactly once, with no bleed between rounds (the claim-cursor
-// packing makes a stale claimant see an exhausted round).
+// TestPoolStressWidths hammers the fork-join round with back-to-back
+// rounds of varying widths: every index of every round must execute exactly
+// once, with no bleed between rounds (the dispatcher resets the chunk
+// counter only after every helper of the previous round has left).
 func TestPoolStressWidths(t *testing.T) {
 	m := NewParallel(4)
 	defer m.Close()
@@ -132,7 +138,7 @@ func TestPoolStressWidths(t *testing.T) {
 
 // TestNestedRunInline verifies the re-entrancy guard: a kernel dispatching
 // on its own machine executes the nested kernel inline instead of
-// corrupting the live round descriptor.
+// overwriting the round in flight.
 func TestNestedRunInline(t *testing.T) {
 	m := NewParallel(4)
 	defer m.Close()
@@ -146,9 +152,9 @@ func TestNestedRunInline(t *testing.T) {
 }
 
 // TestRunDispatchAllocFree pins the executor's steady-state dispatch cost:
-// a warm pool round performs zero allocations. This is the regression gate
-// for the atomic round-descriptor design (the previous dispatcher allocated
-// a WaitGroup and channel sends per round).
+// a warm fork-join round (helper spawns of one pre-bound function value,
+// chunk claims on one atomic counter, one WaitGroup wait) performs zero
+// allocations.
 func TestRunDispatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs without -race")
@@ -160,5 +166,30 @@ func TestRunDispatchAllocFree(t *testing.T) {
 	m.Run(len(sink), f) // warm the pool
 	if avg := testing.AllocsPerRun(50, func() { m.Run(len(sink), f) }); avg != 0 {
 		t.Fatalf("warm Run dispatch allocates %v/round, want 0", avg)
+	}
+}
+
+// TestRoundProgress requires the helpers to claim chunks: on a two-worker
+// machine, processor 0 of a two-chunk round blocks until processor 1 has
+// run, so a round that leaves every chunk to its dispatcher never finishes.
+func TestRoundProgress(t *testing.T) {
+	m := NewParallel(2)
+	last := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.Run(2, func(p int) {
+			if p == 0 {
+				<-last
+			} else {
+				close(last)
+			}
+		})
+	}()
+	select {
+	case <-done:
+		m.Close()
+	case <-time.After(10 * time.Second):
+		t.Fatal("a two-chunk round whose processor 0 waits for processor 1 did not finish")
 	}
 }

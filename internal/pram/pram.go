@@ -14,18 +14,19 @@
 // Work by the same amount — i.e. one processor working for f rounds.
 //
 // Two execution backends share the Machine type: New returns the classic
-// sequential simulator, and NewParallel returns a machine that executes
-// each round's kernel for real across a goroutine worker pool with a
-// synchronous barrier per round (exec.go). The accounting is identical
-// either way; only wall-clock time differs.
+// sequential simulator, and NewParallel returns a machine that runs each
+// round's kernel for real as a fork-join on a Pool of persistent goroutines
+// (exec.go). The accounting is identical either way; only wall-clock time
+// differs. The pool is the module's only goroutine pool: Spawn runs other
+// work on it, such as the sparsification tree's node tasks.
 package pram
 
 import "fmt"
 
 // Machine is a simulated EREW PRAM. The zero value is ready to use with
 // checking disabled. Machines from NewParallel additionally execute each
-// round's kernel across a goroutine worker pool (see exec.go); the cost
-// counters are backend-independent.
+// round's kernel on a goroutine pool (see exec.go); the cost counters are
+// backend-independent.
 type Machine struct {
 	Time      int64 // parallel rounds elapsed (depth)
 	Work      int64 // total processor-rounds
@@ -36,7 +37,7 @@ type Machine struct {
 	violations []string
 
 	workers int   // configured pool size; 0 or 1 = sequential
-	pool    *pool // nil for sequential machines
+	pool    *Pool // nil for sequential machines
 }
 
 // New returns a machine; check enables EREW exclusivity verification on

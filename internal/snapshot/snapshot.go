@@ -253,10 +253,6 @@ func (p *Publisher) Acquire() *Snapshot {
 	}
 }
 
-// Epoch returns the last published epoch. Publisher side only (not
-// synchronized with concurrent Publish calls).
-func (p *Publisher) Epoch() uint64 { return p.epoch }
-
 // Builder is a pooled snapshot being filled before publication — the
 // rebase path: publishing it starts a fresh era seeded with the dense
 // labels and edge list the caller sweeps in. It must be used by one

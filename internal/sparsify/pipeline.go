@@ -2,10 +2,10 @@ package sparsify
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"parmsf/internal/batch"
+	"parmsf/internal/pram"
 )
 
 // This file implements the pipelined batch scheduler of the sparsification
@@ -282,50 +282,13 @@ func (f *Forest) runNodeTask(p *pnode, dels [][2]int, inss []batch.Edge) {
 	}
 }
 
-// TaskPool is a persistent-worker spawner for Forest.Spawn: `workers` run
-// loops consume submitted node tasks from one channel, so a spawn costs a
-// channel send instead of a goroutine creation. The channel buffer lets the
-// scheduler stay ahead of the workers without blocking; a full buffer
-// backpressures the scheduler, which is safe (tasks never depend on
-// scheduler progress). Close releases the run loops; Spawn after Close
-// panics, matching the composed Forest's lifecycle.
-type TaskPool struct {
-	ch   chan func()
-	once sync.Once
-}
+// TaskPool is the pram pool, for composers that spawn node tasks on a pool
+// of their own instead of a machine's (Machine.Spawn).
+type TaskPool = pram.Pool
 
-// NewTaskPool starts workers persistent run loops.
-func NewTaskPool(workers int) *TaskPool {
-	if workers < 1 {
-		workers = 1
-	}
-	tp := &TaskPool{ch: make(chan func(), 4*workers)}
-	for i := 0; i < workers; i++ {
-		go tp.loop()
-	}
-	return tp
-}
-
-func (tp *TaskPool) loop() {
-	for run := range tp.ch {
-		tp.exec(run)
-	}
-}
-
-// exec runs one task, keeping the run loop alive if the task panics past
-// its own containment (tasks from the pipeline scheduler trap their panics
-// at the task boundary; this recover is the pool's own backstop — a dead
-// run loop would strand queued tasks and hang the batch that spawned them).
-func (tp *TaskPool) exec(run func()) {
-	defer func() { recover() }()
-	run()
-}
-
-// Spawn submits one task; install this as Forest.Spawn.
-func (tp *TaskPool) Spawn(run func()) { tp.ch <- run }
-
-// Close releases the run loops after queued tasks drain. Idempotent.
-func (tp *TaskPool) Close() { tp.once.Do(func() { close(tp.ch) }) }
+// NewTaskPool starts a pool of workers goroutines; install its Spawn as
+// Forest.Spawn and Close it when done.
+func NewTaskPool(workers int) *TaskPool { return pram.NewPool(workers) }
 
 // sortNodeKeysOf sorts pnodes by (a, b); used only within one level, where
 // that order matches the barrier sweep's sorted task order.

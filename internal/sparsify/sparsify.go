@@ -130,7 +130,7 @@ type Forest struct {
 	// ParDepth/ParWork are identical either way.
 	Pipeline bool
 	// Spawn, when set with Pipeline, runs one node application
-	// asynchronously (the composer injects a bounded-goroutine spawner
+	// asynchronously (parmsf installs its machine's pram.Machine.Spawn
 	// here). finish-side bookkeeping stays on the scheduler goroutine. Nil
 	// executes the identical schedule inline.
 	Spawn func(run func())
@@ -190,12 +190,6 @@ func New(n int, factory Factory) *Forest {
 		edges:   make(map[[2]int]int64),
 	}
 }
-
-// N returns the vertex count.
-func (f *Forest) N() int { return f.n }
-
-// M returns the live edge count.
-func (f *Forest) M() int { return len(f.edges) }
 
 // NodeCount returns the number of stored tree nodes (space check).
 func (f *Forest) NodeCount() int { return len(f.nodes) }

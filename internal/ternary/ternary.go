@@ -139,9 +139,6 @@ func New(n, maxEdges int, mk func(gadgetN int) Engine) *Wrapper {
 	return w
 }
 
-// N returns the number of original vertices.
-func (w *Wrapper) N() int { return w.n }
-
 // applied fires the epoch hook for one fully applied update.
 func (w *Wrapper) applied() {
 	if w.OnApplied != nil {

@@ -106,18 +106,20 @@ type Options struct {
 	// graph is dense. A batch enters the tree at its leaf nodes and
 	// propagates toward the root through the dependency pipeline, where a
 	// node applies as soon as its children have drained into it (node
-	// tasks run concurrently on a task pool when Workers exceeds 1).
+	// tasks run concurrently on the machine's goroutine pool when Workers
+	// exceeds 1).
 	Sparsify bool
 	// Workers runs the core structure's EREW PRAM driver (Section 3) on a
 	// machine with this many workers, whose depth and work counters are
 	// exposed via PRAM(). 0 runs without a machine; 1 simulates the rounds
-	// sequentially; k > 1 executes the driver's kernels and the
-	// batch-update preprocessing across a pool of k goroutines with a
-	// barrier per round; negative selects GOMAXPROCS. The cost counters
-	// are identical for every worker count; only wall-clock time changes.
-	// The machine counts rounds without checking EREW exclusivity; the
-	// tournament kernels whose rounds the driver charges are checked in
-	// their own tests. Forests with workers should be released with Close.
+	// sequentially; k > 1 runs each round of the driver's kernels and the
+	// batch-update preprocessing as a fork-join on a pool of k goroutines,
+	// the pool Sparsify's node tasks also run on; negative selects
+	// GOMAXPROCS. The cost counters are identical for every worker count;
+	// only wall-clock time changes. The machine counts rounds without
+	// checking EREW exclusivity; the tournament kernels whose rounds the
+	// driver charges are checked in their own tests. Forests with workers
+	// should be released with Close.
 	Workers int
 	// QueueDepth is the submission buffer of the write-coalescing ingest
 	// queue behind Submit: producers block (backpressure) once this many
@@ -201,9 +203,8 @@ type Forest struct {
 	opt   Options // normalized at New; Recover rebuilds engines from it
 	eng   engine
 	mach  *pram.Machine
-	ch    core.Charger       // batch kernels route through this
-	spars *sparsify.Forest   // non-nil when Options.Sparsify is set
-	tasks *sparsify.TaskPool // pipeline node-task workers (Sparsify+Workers)
+	ch    core.Charger     // batch kernels route through this
+	spars *sparsify.Forest // non-nil when Options.Sparsify is set
 	fault *faultinject.Injector
 
 	mu       sync.Mutex // serializes mutators (engine + publication state)
@@ -262,9 +263,6 @@ func New(n int, opt Options) (*Forest, error) {
 	} else {
 		f.ch = core.SeqCharger{}
 	}
-	if opt.Sparsify && f.mach != nil && f.mach.Workers() > 1 {
-		f.tasks = sparsify.NewTaskPool(f.mach.Workers())
-	}
 	f.buildEngine()
 	// Wire the read plane: one publisher for the forest's whole lifetime —
 	// it survives engine teardown in Recover, which is what keeps epochs
@@ -298,7 +296,7 @@ func MustNew(n int, opt Options) *Forest {
 // buildEngine constructs the engine stack from f.opt and wires the
 // snapshot hooks and the fault injector into every layer. Called once by
 // New and again by Recover, which drops the poisoned engines and rebuilds
-// on the same machine, task pool, publisher and injector.
+// on the same machine, publisher and injector.
 //
 // Whichever the composition, the top layer reports forest deltas (so no-op
 // updates skip republication) and fires the epoch hook once per fully
@@ -321,13 +319,14 @@ func (f *Forest) buildEngine() {
 		return
 	}
 	// Batches run through the pipelined scheduler: a node applies as soon
-	// as its children have drained into it, with node tasks fanned out over
-	// at most Workers goroutines when a real pool is configured. Section
+	// as its children have drained into it, with node tasks spawned on the
+	// machine's pool when it has one (inline once it is closed). Section
 	// 5.3 wiring: with a machine, every tree node runs the PRAM driver on a
 	// private sequential simulator, so independent nodes can apply
-	// concurrently with no shared counter state; the tree merges per-node
-	// depth (max) and work (sum) through DepthFn/WorkFn, and absorbSpars
-	// folds those totals back into the shared machine.
+	// concurrently with no shared counter state and no node task steps the
+	// machine whose pool it runs on; the tree merges per-node depth (max)
+	// and work (sum) through DepthFn/WorkFn, and absorbSpars folds those
+	// totals back into the shared machine.
 	sp := sparsify.New(f.n, func(localN, maxEdges int) sparsify.Engine {
 		ch := core.Charger(core.SeqCharger{})
 		if f.mach != nil {
@@ -339,9 +338,11 @@ func (f *Forest) buildEngine() {
 	if f.mach != nil {
 		sp.DepthFn = func(e sparsify.Engine) int64 { return e.Machine().Time }
 		sp.WorkFn = func(e sparsify.Engine) int64 { return e.Machine().Work }
-	}
-	if f.tasks != nil {
-		sp.Spawn = f.tasks.Spawn
+		if f.mach.Workers() > 1 {
+			// A one-worker machine would run each task inline too, after
+			// the scheduler allocated a closure for it.
+			sp.Spawn = f.mach.Spawn
+		}
 	}
 	sp.Fault = f.fault
 	sp.SetEvents(f.noteDelta)
@@ -510,28 +511,23 @@ func (f *Forest) Poisoned() *PoisonError { return f.poison.Load() }
 func (f *Forest) ArmFault(spec string) error { return f.fault.ArmSpec(spec) }
 
 // Close drains and stops the ingest queue (every accepted Submit applies
-// before Close returns) and releases the worker goroutines behind
-// Options.Workers — the PRAM kernel pool and, with Sparsify, the
-// pipeline's node-task workers. The forest stays usable for synchronous
-// calls afterwards (kernels run sequentially; batch node tasks run
-// inline); Flush and every well-formed Submit return ErrClosed. Safe on
-// any forest and safe to call twice.
+// before Close returns) and releases the goroutine pool behind
+// Options.Workers, which runs both the PRAM rounds and, with Sparsify, the
+// pipeline's node tasks. The forest stays usable for synchronous calls
+// afterwards (kernels run sequentially; batch node tasks run inline);
+// Flush and every well-formed Submit return ErrClosed. Safe on any forest
+// and safe to call twice.
 func (f *Forest) Close() {
 	// Drain before taking the mutator lock: the drainer's batch
 	// applications acquire f.mu.
 	f.q.Close()
-	// Release the executors under the mutator lock, so a concurrent
-	// synchronous mutator finishes its batch before its worker pools
-	// disappear out from under it.
+	// Release the pool under the mutator lock, so a concurrent synchronous
+	// mutator finishes its batch before the pool disappears out from under
+	// it.
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.mach != nil {
 		f.mach.Close()
-	}
-	if f.tasks != nil {
-		f.tasks.Close()
-		f.spars.Spawn = nil // batches keep working, inline
-		f.tasks = nil
 	}
 }
 

@@ -281,12 +281,20 @@ func TestBatchParityAcrossBackends(t *testing.T) {
 }
 
 func TestForestCloseIdempotent(t *testing.T) {
-	f := MustNew(8, Options{Workers: 2})
-	f.Close()
-	f.Close()
-	// Still usable after Close: kernels fall back to sequential.
-	if errs := f.InsertEdges([]Edge{{0, 1, 5}}); errs != nil {
-		t.Fatalf("insert after Close: %v", errs)
+	// Still usable after Close: kernels fall back to sequential. The batch
+	// spans six leaf nodes of the sparsification tree, so the pipeline
+	// spawns node tasks through the closed machine, which runs them inline.
+	edges := []Edge{{0, 1, 5}, {2, 3, 6}, {4, 5, 7}, {6, 7, 8}, {1, 2, 9}, {0, 7, 10}}
+	for _, opt := range []Options{{Workers: 2}, {Sparsify: true, Workers: 2}} {
+		f := MustNew(8, opt)
+		f.Close()
+		f.Close()
+		if errs := f.InsertEdges(edges); errs != nil {
+			t.Fatalf("%+v: insert after Close: %v", opt, errs)
+		}
+		if f.Weight() != 45 || f.Size() != 6 {
+			t.Fatalf("%+v: after Close weight=%d size=%d, want 45 and 6", opt, f.Weight(), f.Size())
+		}
 	}
 	MustNew(8, Options{}).Close() // Close on a sequential forest is a no-op
 }

@@ -662,11 +662,17 @@ func TestSubmitBackpressure(t *testing.T) {
 
 // TestIngestLifecycleNoLeaks cycles forests with live ingest queues —
 // including one poisoned and one closed mid-stream — and requires every
-// future to resolve and the drainer goroutines to exit.
+// future to resolve and the drainer goroutines to exit. The last four
+// cycles are sparsified on two workers, so the goroutine pool their PRAM
+// rounds and node tasks share must exit at Close too.
 func TestIngestLifecycleNoLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for cycle := 0; cycle < 8; cycle++ {
-		f := MustNew(16, Options{MaxEdges: 256})
+		opt := Options{MaxEdges: 256}
+		if cycle >= 4 {
+			opt.Sparsify, opt.Workers = true, 2
+		}
+		f := MustNew(16, opt)
 		var ps []*Pending
 		for i := 0; i+1 < 16; i++ {
 			ps = append(ps, f.Submit(Update{U: i, V: i + 1, W: Weight(10 + i)}))
