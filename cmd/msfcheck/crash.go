@@ -8,6 +8,10 @@ import (
 	"parmsf/internal/xrand"
 )
 
+// flatCrashPoints are the crash points a forest without sparsification
+// routes through.
+var flatCrashPoints = []string{"core/apply-batch", "ternary/batch-insert", "ternary/batch-delete", "snapshot/publish"}
+
 // checkCrash cross-validates the fault-containment and recovery plane: a
 // forest under randomized batch churn takes injected engine panics at
 // every registered crash point in rotation (armed one at a time), and
@@ -19,15 +23,14 @@ import (
 // pipeline and the sparsified pipeline so every point fires on a
 // configuration that actually routes through it.
 func checkCrash(n, steps int, seed uint64) (string, error) {
-	flat := []string{"core/apply-batch", "ternary/batch-insert", "ternary/batch-delete", "snapshot/publish"}
 	configs := []struct {
 		name   string
 		opt    parmsf.Options
 		points []string
 	}{
-		{"flat", parmsf.Options{MaxEdges: 16 * n}, flat},
+		{"flat", parmsf.Options{MaxEdges: 16 * n}, flatCrashPoints},
 		{"sparsify", parmsf.Options{Sparsify: true},
-			append(append([]string{}, flat...), "sparsify/run-batch", "sparsify/node-task")},
+			append(append([]string{}, flatCrashPoints...), "sparsify/run-batch", "sparsify/node-task")},
 	}
 	recoveries := 0
 	for _, cfg := range configs {
@@ -44,7 +47,8 @@ func checkCrash(n, steps int, seed uint64) (string, error) {
 // crashRounds runs one configuration's rotation and returns the number of
 // recoveries. Each round inserts up to 10 fresh edges and deletes 6 live
 // ones, one batch each, after arming the next point whenever the last
-// armed one has fired.
+// armed one has fired. A flat forest's live edges stay within its
+// MaxEdges capacity (a sparsified forest has none).
 func crashRounds(n, steps int, seed uint64, name string, opt parmsf.Options, points []string) (int, error) {
 	f := parmsf.MustNew(n, opt)
 	defer f.Close()
@@ -55,10 +59,14 @@ func crashRounds(n, steps int, seed uint64, name string, opt parmsf.Options, poi
 	nextW := parmsf.Weight(1)
 
 	// fresh draws inserts of pairs not live, stopping short of count once
-	// every pair is.
+	// every pair is, or once the live edges fill the capacity.
+	limit := n * (n - 1) / 2
+	if !opt.Sparsify && opt.MaxEdges > 0 {
+		limit = min(limit, opt.MaxEdges)
+	}
 	fresh := func(count int) []op {
 		var ops []op
-		for len(ops) < count && len(seen) < n*(n-1)/2 {
+		for len(ops) < count && len(seen) < limit {
 			u, v := rng.Intn(n), rng.Intn(n)
 			k := [2]int{min(u, v), max(u, v)}
 			if u == v || seen[k] {

@@ -26,9 +26,9 @@ func TestModesQuick(t *testing.T) {
 		want string
 	}{
 		{"churn", func() (string, error) { return checkChurn(16, 500, 97, 1) },
-			"final m=28, forest=15, PRAM depth=93328 work=1923670"},
+			"final m=28, forest=15, PRAM depth=92542 work=1899979"},
 		{"churn-default", func() (string, error) { return checkChurn(48, 3000, 97, 1) },
-			"final m=282, forest=47, PRAM depth=539508 work=19990764"},
+			"final m=282, forest=47, PRAM depth=536149 work=19783838"},
 		{"snapshot", func() (string, error) { return checkSnapshot(16, 500, 1) }, "500 ops on n=16"},
 		{"crash", func() (string, error) { return checkCrash(16, 500, 1) }, "on n=16"},
 		{"build", func() (string, error) { return checkBuild(n, edges) }, "384 edges (0 rejected) on n=96 matches replay+kruskal across 4 configs (PRAM depth=21231 work=39090)"},
@@ -43,6 +43,18 @@ func TestModesQuick(t *testing.T) {
 				t.Fatalf("report %q lacks %q", report, tc.want)
 			}
 		})
+	}
+}
+
+// TestCrashStopsAtCapacity runs the flat crash rotation on a forest whose
+// capacity the churn outgrows within a few rounds (each round inserts 10
+// edges and deletes 6): fresh inserts must stop at the capacity rather
+// than fail with ErrCapacity. The default -crash run (n=48, 187 rounds)
+// passes its 16n capacity the same way.
+func TestCrashStopsAtCapacity(t *testing.T) {
+	const n = 16
+	if _, err := crashRounds(n, 500, 1, "flat", parmsf.Options{MaxEdges: 3 * n}, flatCrashPoints); err != nil {
+		t.Fatal(err)
 	}
 }
 

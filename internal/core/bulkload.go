@@ -274,17 +274,20 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 			st.ch.Seq(1)
 		}
 	}
+	for v, cp := range st.pcs {
+		st.pcid[v] = cp.chunk.id
+	}
 	st.ch.Seq(len(edges))
 	for _, e := range edges {
-		a, b := st.pcs[e.U].chunk, st.pcs[e.V].chunk
-		if a.id < 0 || b.id < 0 || a == b {
+		a, b := int(st.pcid[e.U]), int(st.pcid[e.V])
+		if a < 0 || b < 0 || a == b {
 			continue // unrecorded, or on the unmaintained diagonal
 		}
-		x := &st.C[int(a.id)*st.J+int(b.id)]
+		x := &st.C[a*st.J+b]
 		if e.W < *x {
 			*x = e.W
 		}
-		y := &st.C[int(b.id)*st.J+int(a.id)]
+		y := &st.C[b*st.J+a]
 		if e.W < *y {
 			*y = e.W
 		}

@@ -44,6 +44,9 @@ func (st *Store) CheckInvariants() error {
 		if principals != 1 {
 			return fmt.Errorf("vertex %d: %d principal copies", v, principals)
 		}
+		if pc.chunk != nil && st.pcid[v] != pc.chunk.id {
+			return fmt.Errorf("vertex %d: pcid %d, principal copy's chunk has id %d", v, st.pcid[v], pc.chunk.id)
+		}
 		wantCopies := st.treeDegree(v)
 		if wantCopies == 0 {
 			wantCopies = 1

@@ -140,6 +140,15 @@ func TestCheckerDetectsCorruption(t *testing.T) {
 			}
 			return false
 		}, "LSDS"},
+		{"pcid", func(st *Store) bool {
+			for v, pc := range st.pcs {
+				if pc.chunk.id >= 0 {
+					st.pcid[v] = -1 // scans would skip v's edges
+					return true
+				}
+			}
+			return false
+		}, "pcid"},
 		{"chunk-id-table", func(st *Store) bool {
 			c := firstRegistered(st)
 			if c == nil {

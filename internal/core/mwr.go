@@ -89,27 +89,36 @@ func (st *Store) scanChunkForMWR(hat *Chunk, other *Tour) *graph.Edge {
 	st.ch.Par(btHeight(hat)+3, ec) // getEdge assignment
 	st.ch.Par(log2ceil(st.K+1), ec)
 	st.ch.Climb(ec + 1)
-	var found *graph.Edge
-	st.forEachChargedEdge(hat, func(cp *Copy, e *graph.Edge) {
-		oc := st.otherChunk(e, cp.v)
-		if !st.chunkInTour(oc, other) {
-			return
+	g := st.g
+	found, best := int32(-1), Inf
+	last := btItem(seqtree.Last(hat.bt))
+	for cp := btItem(seqtree.First(hat.bt)); ; cp = cp.next {
+		if cp.principal {
+			for _, h := range g.Adj(cp.v) {
+				w := g.Weight(h.ID)
+				if (found < 0 || w < best) && st.principalInTour(h.To, other) {
+					found, best = h.ID, w
+				}
+			}
 		}
-		if found == nil || e.W < found.W {
-			found = e
+		if cp == last {
+			break
 		}
-	})
-	return found
+	}
+	if found < 0 {
+		return nil
+	}
+	return g.ByID(found)
 }
 
-// chunkInTour reports whether chunk oc belongs to tour t. Registered chunks
-// use the O(1) root Memb test; unregistered chunks can only be the single
-// chunk of a short tour.
-func (st *Store) chunkInTour(oc *Chunk, t *Tour) bool {
-	if oc.id >= 0 {
-		return tourHasChunkID(t, oc.id)
+// principalInTour reports whether vertex v's principal copy lies in tour t.
+// A registered chunk uses the O(1) root Memb test; an unregistered chunk
+// can only be the single chunk of a short tour.
+func (st *Store) principalInTour(v int32, t *Tour) bool {
+	if o := st.pcid[v]; o >= 0 {
+		return tourHasChunkID(t, o)
 	}
-	return t.root.IsLeaf() && lsItem(t.root) == oc
+	return t.root.IsLeaf() && lsItem(t.root) == st.pcs[v].chunk
 }
 
 // mwrScanShort handles the Section 6 case: scan every principal copy of the

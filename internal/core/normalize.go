@@ -41,8 +41,8 @@ func (st *Store) normalize(dirty []*Chunk) {
 
 		// Size repair.
 		if nc > 3*st.K {
-			right := st.splitBySize(c)
-			queue = append(queue, c, right)
+			left, right := st.splitBySize(c)
+			queue = append(queue, left, right)
 			continue
 		}
 		if nc < st.K && !single {
@@ -53,8 +53,7 @@ func (st *Store) normalize(dirty []*Chunk) {
 			} else {
 				left, right = lsItem(seqtree.Prev(c.leaf)), c
 			}
-			st.mergeInto(left, right)
-			queue = append(queue, left)
+			queue = append(queue, st.mergeInto(left, right))
 			continue
 		}
 	}

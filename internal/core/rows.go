@@ -7,38 +7,19 @@ import (
 	"parmsf/internal/seqtree"
 )
 
-// forEachChargedEdge calls f for every edge charged to chunk c: edges
-// incident to graph vertices whose principal copy lies in c (at most 3 per
-// principal copy, so O(K) total under Invariant 1). The chunk's copies are
-// contiguous in the tour chain, so the scan follows next pointers from the
-// first to the last BTc leaf — cheaper than recursing through the tree.
-func (st *Store) forEachChargedEdge(c *Chunk, f func(cp *Copy, e *graph.Edge)) {
-	last := btItem(seqtree.Last(c.bt))
-	for cp := btItem(seqtree.First(c.bt)); ; cp = cp.next {
-		if cp.principal {
-			st.g.Incident(int(cp.v), func(e *graph.Edge) bool {
-				f(cp, e)
-				return true
-			})
-		}
-		if cp == last {
-			return
-		}
-	}
-}
-
-// otherChunk returns the chunk charged with the far endpoint of e relative
-// to vertex v (i.e. the chunk holding the principal copy of the other
-// endpoint).
-func (st *Store) otherChunk(e *graph.Edge, v int32) *Chunk {
-	return st.pcs[e.Other(v)].chunk
-}
-
 // rebuildRow recomputes registered chunk c's CAdj row from its charged
 // edges, pushes the symmetric column, sweeps the column through all LSDS
 // trees and refreshes c's own path (Lemma 2.2; a PRAM charger charges the
 // row as Lemma 3.1's tournament, chargeRowTournament). The diagonal cell is
 // left at Inf.
+//
+// The charged edges are those incident to graph vertices whose principal
+// copy lies in c (at most 3 per principal copy, so O(K) total under
+// Invariant 1). The chunk's copies are contiguous in the tour chain, so the
+// scan follows next pointers from the first to the last BTc leaf, and each
+// edge costs index loads: its far endpoint's principal-chunk id and its
+// weight. Under a PRAM charger the scan also records each edge's
+// destination id for the tournament charge.
 func (st *Store) rebuildRow(c *Chunk) {
 	if c.id < 0 {
 		panic("core: rebuildRow on unregistered chunk")
@@ -48,13 +29,32 @@ func (st *Store) rebuildRow(c *Chunk) {
 	row := st.row(c.id)
 	st.ch.Par(1, st.J) // parallel row clear: one round, J processors
 	fillInf(row[:st.hi])
-	st.chargeRowTournament(c)
-	st.forEachChargedEdge(c, func(cp *Copy, e *graph.Edge) {
-		oc := st.otherChunk(e, cp.v)
-		if oc.id >= 0 && e.W < row[oc.id] {
-			row[oc.id] = e.W
+	charge := st.ch.Machine() != nil
+	dests := st.rowDests[:0]
+	g, pcid := st.g, st.pcid
+	last := btItem(seqtree.Last(c.bt))
+	for cp := btItem(seqtree.First(c.bt)); ; cp = cp.next {
+		if cp.principal {
+			for _, h := range g.Adj(cp.v) {
+				o := pcid[h.To]
+				if charge {
+					dests = append(dests, o)
+				}
+				if o >= 0 {
+					if w := g.Weight(h.ID); w < row[o] {
+						row[o] = w
+					}
+				}
+			}
 		}
-	})
+		if cp == last {
+			break
+		}
+	}
+	if charge {
+		st.rowDests = dests
+		st.chargeRowTournament(c, dests)
+	}
 	// Intra-chunk edges reached the diagonal above; the tournament charge
 	// counts them too, so it follows every charged edge.
 	row[c.id] = Inf
@@ -66,18 +66,10 @@ func (st *Store) rebuildRow(c *Chunk) {
 
 // chargeRowTournament charges c's row rebuild as Section 3.1 runs it:
 // getEdge assigns a processor per charged edge (O(log K) phases over BTc),
-// and Lemma 3.1's four-phase tournament, one tree per destination chunk id,
-// resolves the writes to each cell. It returns at once without a machine.
-func (st *Store) chargeRowTournament(c *Chunk) {
-	if st.ch.Machine() == nil {
-		return
-	}
+// and Lemma 3.1's four-phase tournament, one tree per destination chunk id
+// (dests, in scan order), resolves the writes to each cell.
+func (st *Store) chargeRowTournament(c *Chunk, dests []int32) {
 	st.ch.Par(btHeight(c)+3, c.edgeCount())
-	dests := st.rowDests[:0]
-	st.forEachChargedEdge(c, func(cp *Copy, e *graph.Edge) {
-		dests = append(dests, st.otherChunk(e, cp.v).id)
-	})
-	st.rowDests = dests
 	if st.rowPrev == nil {
 		st.rowPrev = make([]int32, st.J)
 	}
@@ -212,6 +204,7 @@ func (st *Store) registerChunk(c *Chunk) {
 	}
 	st.sts.Registers++
 	st.allocID(c)
+	st.stampPCID(c)
 	t := st.tourOf(c)
 	st.setNormal(t, true)
 	st.rebuildRow(c)
@@ -229,6 +222,7 @@ func (st *Store) unregisterChunk(c *Chunk) {
 	st.clearColumn(c.id)
 	id := c.id
 	st.freeID(c)
+	st.stampPCID(c)
 	st.sweepColumn(id)
 	st.refreshPath(c)
 }
@@ -313,11 +307,20 @@ func (st *Store) chargeEntryPairScan(c1 *Chunk) {
 // distinct pairs run concurrently (the batch group stage).
 func (st *Store) scanEntryPair(c1, c2 *Chunk) {
 	w := Inf
-	st.forEachChargedEdge(c1, func(cp *Copy, e *graph.Edge) {
-		if st.otherChunk(e, cp.v) == c2 && e.W < w {
-			w = e.W
+	g, pcid, id2 := st.g, st.pcid, c2.id
+	last := btItem(seqtree.Last(c1.bt))
+	for cp := btItem(seqtree.First(c1.bt)); ; cp = cp.next {
+		if cp.principal {
+			for _, h := range g.Adj(cp.v) {
+				if pcid[h.To] == id2 {
+					w = min(w, g.Weight(h.ID))
+				}
+			}
 		}
-	})
+		if cp == last {
+			break
+		}
+	}
 	st.C[int(c1.id)*st.J+int(c2.id)] = w
 	st.C[int(c2.id)*st.J+int(c1.id)] = w
 }

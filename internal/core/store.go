@@ -51,6 +51,9 @@ type Stats struct {
 	// EntryScans counts the entry-pair scan kernels actually run; a
 	// deletion that cannot change its entry is charged but not scanned.
 	EntryScans int64
+	// Relabels counts the copies chunk splits and merges moved to another
+	// chunk (adoptCopies): the smaller piece of each.
+	Relabels int64
 }
 
 // Store is the shared state of the Section 2 / Section 3 structure.
@@ -82,6 +85,7 @@ type Store struct {
 	lsT *seqtree.Tree[*lsVec, any]
 
 	pcs        []*Copy // principal copy of each vertex (always non-nil)
+	pcid       []int32 // id of the chunk holding pcs[v], -1 if unregistered
 	occU, occV []*Copy // tree-edge occurrence anchors, indexed by edge ID
 	tourByRoot map[*lsNode]*Tour
 	normal     []*Tour // tours owning registered chunks (column sweeps)
@@ -167,6 +171,7 @@ func NewStore(g *graph.G, cfg Config, ch Charger) *Store {
 		chunks:     make([]*Chunk, J),
 		tourByRoot: make(map[*lsNode]*Tour, n),
 		pcs:        make([]*Copy, n),
+		pcid:       make([]int32, n),
 	}
 	fillInf(st.C)
 	st.btT = &seqtree.Tree[btAgg, any]{
@@ -204,6 +209,7 @@ func NewStore(g *graph.G, cfg Config, ch Charger) *Store {
 		cp.chunk = c
 		c.leaf = st.lsT.NewLeaf(c)
 		st.pcs[v] = cp
+		st.pcid[v] = -1
 		t := &Tour{root: c.leaf, regIdx: -1}
 		st.tourByRoot[c.leaf] = t
 	}
@@ -340,7 +346,9 @@ func (st *Store) putVec(v *lsVec) {
 }
 
 // allocID registers chunk c in the matrix, with a cleared row and column:
-// the last-freed id if any, else hi, which then grows by one.
+// the last-freed id if any, else hi, which then grows by one. The caller
+// writes the id into pcid for c's principal copies (stampPCID, or
+// adoptCopies when c is a fresh split piece).
 func (st *Store) allocID(c *Chunk) {
 	var id int32
 	if k := len(st.freeIDs); k > 0 {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+
 	"parmsf/internal/graph"
 	"parmsf/internal/seqtree"
 )
@@ -55,12 +57,10 @@ func (st *Store) linkTours(e *graph.Edge) []*Chunk {
 	case cv.next == cv:
 		return st.linkIsolated(e, cv, tv, cu)
 	}
-	dirty := []*Chunk{cu.chunk, cv.chunk}
 
 	// --- Rearrange the v-side list (tv) to start at cv. ---
 	var tvRoot *lsNode
-	cvChunk := st.ensureBoundaryBefore(cv)
-	dirty = append(dirty, cvChunk)
+	cvLeft, cvChunk := st.ensureBoundaryBefore(cv)
 	if first := seqtree.First(tv.root); first != cvChunk.leaf {
 		st.lsOp(func() {
 			p, q := st.lsT.SplitBefore(cvChunk.leaf)
@@ -83,7 +83,7 @@ func (st *Store) linkTours(e *graph.Edge) []*Chunk {
 	v2 := st.newCopy(v)
 	v2.chunk = bq.chunk
 	st.btOp(func() { bq.chunk.bt = st.btT.InsertAfter(bq.leaf, v2.leaf) })
-	dirty = append(dirty, cv.chunk, bq.chunk)
+	bqChunk := bq.chunk
 
 	// --- Splice the cyclic copy order: [.. ap, u2, cv, .., bq, v2, cu ..].
 	st.ch.Seq(1)
@@ -101,8 +101,7 @@ func (st *Store) linkTours(e *graph.Edge) []*Chunk {
 	st.occV[e.ID] = v2
 
 	// --- Splice the linear chunk sequences: X + tv' + Y. ---
-	cuChunk := st.ensureBoundaryBefore(cu)
-	dirty = append(dirty, cuChunk, cu.chunk)
+	cuLeft, cuChunk := st.ensureBoundaryBefore(cu)
 	tvWasNormal := tv.regIdx >= 0
 	st.dropTour(tv)
 	st.lsOp(func() {
@@ -112,7 +111,10 @@ func (st *Store) linkTours(e *graph.Edge) []*Chunk {
 	if tvWasNormal {
 		st.setNormal(tu, true)
 	}
-	return dirty
+	// The chunks whose contents changed, for normalize: the piece before
+	// each endpoint's copy (its whole chunk when no split happened), the
+	// v-side head chunk, the chunk v2 joined and the u-side head chunk.
+	return []*Chunk{cmp.Or(cuLeft, cuChunk), cmp.Or(cvLeft, cvChunk), cvChunk, bqChunk, cuChunk}
 }
 
 // linkIsolated is linkTours' leaf-local path for an endpoint x that is
@@ -140,6 +142,7 @@ func (st *Store) linkIsolated(e *graph.Edge, cx *Copy, tx *Tour, cy *Copy) []*Ch
 	xc := cx.chunk
 	xc.bt, xc.leaf = nil, nil
 	cx.chunk = c
+	st.pcid[cx.v] = c.id
 	st.btOp(func() { c.bt = st.btT.InsertBefore(cy.leaf, cx.leaf) })
 
 	// Splice the cyclic copy order; the pair into cy now enters y2.
@@ -163,11 +166,10 @@ func (st *Store) linkIsolated(e *graph.Edge, cx *Copy, tx *Tour, cy *Copy) []*Ch
 	}
 
 	if c.id >= 0 {
-		st.g.Incident(int(cx.v), func(f *graph.Edge) bool {
+		for _, h := range st.g.Adj(cx.v) {
 			st.ch.Seq(1)
-			st.lowerEntryPair(c, st.otherChunk(f, cx.v), f.W)
-			return true
-		})
+			st.lowerEntryPair(c, st.pcs[h.To].chunk, st.g.Weight(h.ID))
+		}
 	}
 	return []*Chunk{c}
 }
@@ -200,9 +202,12 @@ func (st *Store) cutTours(e *graph.Edge, occA, occB *Copy) (tU, tV *Tour, dirty 
 		return tU, t, dirty
 	}
 
-	// Chunk boundaries before the segment heads.
-	cb := st.ensureBoundaryBefore(b)
-	cd := st.ensureBoundaryBefore(d)
+	// Chunk boundaries before the segment heads. Both may fall in one
+	// chunk, and d's split may then move b into the piece it relabels, so
+	// both heads' chunks are read after the second split.
+	st.ensureBoundaryBefore(b)
+	st.ensureBoundaryBefore(d)
+	cb, cd := b.chunk, d.chunk
 	dirty = append(dirty, cb, cd, a.chunk, c.chunk)
 
 	// Split the linear chunk sequence into the two cyclic segments
@@ -298,6 +303,7 @@ func (st *Store) detachCopy(x *Copy) (*Tour, *Chunk) {
 	c := &Chunk{id: -1, bt: x.leaf}
 	c.leaf = st.lsT.NewLeaf(c)
 	x.chunk = c
+	st.pcid[x.v] = -1
 	t := &Tour{regIdx: -1}
 	st.setRoot(t, c.leaf)
 
@@ -336,6 +342,7 @@ func (st *Store) deleteCopy(cp *Copy) []*Chunk {
 		np := cp.ringNext
 		np.principal = true
 		st.pcs[cp.v] = np
+		st.pcid[cp.v] = np.chunk.id
 		// Charges move from cp's chunk to np's chunk.
 		deg := int32(st.g.Degree(int(cp.v)))
 		np.leaf.Agg = btAgg{copies: 1, edges: deg}

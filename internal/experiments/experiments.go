@@ -229,7 +229,8 @@ func E3Work(w io.Writer, sc Scale) {
 }
 
 // E4Sparsify — Section 5: with sparsification, update cost depends on n,
-// not m.
+// not m. Each engine replays each density's stream Repeat times, each time
+// on a fresh engine, and the table prints the median mean time per op.
 func E4Sparsify(w io.Writer, sc Scale) {
 	n := 512
 	densities := []int{2, 4, 8, 16}
@@ -244,7 +245,7 @@ func E4Sparsify(w io.Writer, sc Scale) {
 		densities = []int{2, 4}
 		steps = 40
 	}
-	tb := stats.NewTable(fmt.Sprintf("E4 — Section 5 sparsification: update time vs density (n=%d)", n),
+	tb := stats.NewTable(fmt.Sprintf("E4 — Section 5 sparsification: update time vs density (n=%d, median of %d runs)", n, max(Repeat, 1)),
 		"m/n", "m", "sparsify ns/op", "flat core+ternary ns/op", "LCT-scan ns/op")
 	var spars, flat []float64
 	for _, d := range densities {
@@ -254,9 +255,12 @@ func E4Sparsify(w io.Writer, sc Scale) {
 		}
 		base := workload.RandomSparse(n, m, uint64(d))
 		stream := workload.Churn(n, base, steps, false, uint64(d)+1)
-		sp := timeEngine(newSparsifyEngine(n), stream, steps)
-		fl := timeEngine(newFlatEngine(n, 2*m+4*n), stream, steps)
-		lc := timeEngine(baseline.NewLCTScan(n), stream, steps)
+		median := func(mk func() genEngine) float64 {
+			return repeat(Repeat, func(int) float64 { return timeEngine(mk(), stream, steps) }).best(itself, cost).med
+		}
+		sp := median(func() genEngine { return newSparsifyEngine(n) })
+		fl := median(func() genEngine { return newFlatEngine(n, 2*m+4*n) })
+		lc := median(func() genEngine { return baseline.NewLCTScan(n) })
 		tb.Row(d, m, sp, fl, lc)
 		spars = append(spars, sp)
 		flat = append(flat, fl)

@@ -7,6 +7,11 @@
 // provides O(1) edge lookup and O(degree) incidence iteration, which the
 // chunk machinery relies on (every vertex contributes at most 3 edges to the
 // count n_c of Invariant 1).
+//
+// Incidence is stored flat: vertex v's edges are the first Degree(v) of
+// maxDeg fixed slots of one array, each a (far endpoint, edge ID) pair, and
+// weights sit in an array indexed by edge ID, so a scan over a vertex's
+// edges is index loads with no pointer chasing.
 package graph
 
 import (
@@ -36,6 +41,9 @@ func (e *Edge) String() string {
 	return fmt.Sprintf("(%d,%d;w=%d,id=%d)", e.U, e.V, e.W, e.ID)
 }
 
+// Half is one incidence of a vertex: the far endpoint and the edge's ID.
+type Half struct{ To, ID int32 }
+
 // Common errors.
 var (
 	ErrExists    = errors.New("graph: edge already present")
@@ -49,16 +57,21 @@ var (
 type G struct {
 	n      int
 	maxDeg int
-	adj    [][]*Edge
+	half   []Half  // v's incidences: half[v*maxDeg : v*maxDeg+deg[v]]
+	deg    []uint8 // degree by vertex
+	wt     []int64 // weight by edge ID (stale in free slots)
 	byID   []*Edge
 	freeID []int32
 	m      int
 }
 
 // New returns an empty graph on n vertices with the given degree bound
-// (pass 3 for the paper's setting; 0 means unbounded).
+// (3 in the paper's setting; at most 255).
 func New(n, maxDeg int) *G {
-	return &G{n: n, maxDeg: maxDeg, adj: make([][]*Edge, n)}
+	if maxDeg < 1 || maxDeg > 255 {
+		panic(fmt.Sprintf("graph: degree bound %d outside [1, 255]", maxDeg))
+	}
+	return &G{n: n, maxDeg: maxDeg, half: make([]Half, n*maxDeg), deg: make([]uint8, n)}
 }
 
 // N returns the number of vertices.
@@ -72,20 +85,29 @@ func (g *G) M() int { return g.m }
 func (g *G) IDBound() int { return len(g.byID) }
 
 // Degree returns the degree of v.
-func (g *G) Degree(v int) int { return len(g.adj[v]) }
+func (g *G) Degree(v int) int { return int(g.deg[v]) }
+
+// Adj returns v's incidences. The slice aliases the graph's storage: it is
+// valid until the next Insert or Delete at v and must not be written.
+func (g *G) Adj(v int32) []Half {
+	at := int(v) * g.maxDeg
+	return g.half[at : at+int(g.deg[v])]
+}
+
+// Weight returns the weight of the live edge with the given ID.
+func (g *G) Weight(id int32) int64 { return g.wt[id] }
 
 // Find returns the edge between u and v, or nil.
 func (g *G) Find(u, v int) *Edge {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return nil
 	}
-	a := g.adj[u]
-	if len(g.adj[v]) < len(a) {
-		a = g.adj[v]
+	if g.deg[v] < g.deg[u] {
+		u, v = v, u
 	}
-	for _, e := range a {
-		if (int(e.U) == u && int(e.V) == v) || (int(e.U) == v && int(e.V) == u) {
-			return e
+	for _, h := range g.Adj(int32(u)) {
+		if int(h.To) == v {
+			return g.byID[h.ID]
 		}
 	}
 	return nil
@@ -102,7 +124,7 @@ func (g *G) Insert(u, v int, w int64) (*Edge, error) {
 	if g.Find(u, v) != nil {
 		return nil, ErrExists
 	}
-	if g.maxDeg > 0 && (len(g.adj[u]) >= g.maxDeg || len(g.adj[v]) >= g.maxDeg) {
+	if int(g.deg[u]) >= g.maxDeg || int(g.deg[v]) >= g.maxDeg {
 		return nil, ErrDegree
 	}
 	e := &Edge{U: int32(u), V: int32(v), W: w}
@@ -110,14 +132,21 @@ func (g *G) Insert(u, v int, w int64) (*Edge, error) {
 		e.ID = g.freeID[k-1]
 		g.freeID = g.freeID[:k-1]
 		g.byID[e.ID] = e
+		g.wt[e.ID] = w
 	} else {
 		e.ID = int32(len(g.byID))
 		g.byID = append(g.byID, e)
+		g.wt = append(g.wt, w)
 	}
-	g.adj[u] = append(g.adj[u], e)
-	g.adj[v] = append(g.adj[v], e)
+	g.addHalf(u, Half{int32(v), e.ID})
+	g.addHalf(v, Half{int32(u), e.ID})
 	g.m++
 	return e, nil
+}
+
+func (g *G) addHalf(v int, h Half) {
+	g.half[v*g.maxDeg+int(g.deg[v])] = h
+	g.deg[v]++
 }
 
 // Delete removes the edge between u and v and returns it (with its final
@@ -127,20 +156,22 @@ func (g *G) Delete(u, v int) (*Edge, error) {
 	if e == nil {
 		return nil, ErrMissing
 	}
-	g.removeFrom(int(e.U), e)
-	g.removeFrom(int(e.V), e)
+	g.removeFrom(e.U, e.ID)
+	g.removeFrom(e.V, e.ID)
 	g.byID[e.ID] = nil
 	g.freeID = append(g.freeID, e.ID)
 	g.m--
 	return e, nil
 }
 
-func (g *G) removeFrom(v int, e *Edge) {
-	a := g.adj[v]
-	for i, x := range a {
-		if x == e {
+// removeFrom drops edge id from v's incidences, moving v's last incidence
+// into its slot.
+func (g *G) removeFrom(v, id int32) {
+	a := g.Adj(v)
+	for i, h := range a {
+		if h.ID == id {
 			a[i] = a[len(a)-1]
-			g.adj[v] = a[:len(a)-1]
+			g.deg[v]--
 			return
 		}
 	}
@@ -155,11 +186,11 @@ func (g *G) ByID(id int32) *Edge {
 	return g.byID[id]
 }
 
-// Incident calls f for each edge incident to v, stopping early if f
-// returns false.
+// Incident calls f for each edge incident to v, in Adj order, stopping
+// early if f returns false.
 func (g *G) Incident(v int, f func(*Edge) bool) {
-	for _, e := range g.adj[v] {
-		if !f(e) {
+	for _, h := range g.Adj(int32(v)) {
+		if !f(g.byID[h.ID]) {
 			return
 		}
 	}
