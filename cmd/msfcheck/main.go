@@ -68,7 +68,7 @@ func main() {
 	steps := flag.Int("steps", 3000, "operations to run")
 	seed := flag.Uint64("seed", 1, "random seed")
 	quick := flag.Bool("quick", false, "small smoke run (n=16, steps=500)")
-	deep := flag.Int("deep", 97, "run the full O(n^2) core invariant check every `deep` ops on the raw core engine")
+	deep := flag.Int("deep", 97, "run the full O(n^2) core invariant and forest-membership checks every `deep` ops on the raw core engine")
 	build := flag.String("build", "", "cross-validate parmsf.Build on this edge-list file ('-' for a builtin deterministic list) instead of running the churn stress")
 	clusterF := flag.String("cluster", "", "cross-validate the sharded cluster package on this edge-list file ('-' for a builtin deterministic list) instead of running the churn stress")
 	snapshotF := flag.Bool("snapshot", false, "cross-validate the O(delta) snapshot publication path against from-scratch sweeps instead of running the churn stress")
@@ -111,7 +111,8 @@ func main() {
 // checkChurn runs the churn stream through the sequential, PRAM-simulated
 // and sparsified pipelines, sampling Connected every 11th step. A raw core
 // engine mirrors the stream wherever degrees allow (it takes degree-3
-// graphs only) and gets the full invariant check every deep steps.
+// graphs only) and gets the full invariant and forest-membership checks
+// (CheckInvariants, VerifyTours) every deep steps.
 func checkChurn(n, steps, deep int, seed uint64) (string, error) {
 	pram := parmsf.MustNew(n, parmsf.Options{MaxEdges: 16 * n, Workers: 1})
 	subs := []named{
@@ -145,6 +146,9 @@ func checkChurn(n, steps, deep int, seed uint64) (string, error) {
 		if deep > 0 && step%deep == 0 {
 			if err := raw.Store().CheckInvariants(); err != nil {
 				return fmt.Errorf("core invariants: %w", err)
+			}
+			if err := raw.VerifyTours(); err != nil {
+				return fmt.Errorf("core tours: %w", err)
 			}
 		}
 		return nil

@@ -206,7 +206,7 @@ func NewLCTScan(n int) *LCTScan {
 func (s *LCTScan) SetEvents(f func(u, v int, w int64, added bool)) { s.events = f }
 
 func (s *LCTScan) link(u, v int, w int64) {
-	s.tree[key(u, v)] = s.f.Link(u, v, w)
+	s.tree[key(u, v)] = s.f.Link(u, v, w, -1) // handles are keyed by endpoints here
 	s.weight += w
 	if s.events != nil {
 		s.events(u, v, w, true)

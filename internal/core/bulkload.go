@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"parmsf/internal/batch"
-	"parmsf/internal/graph"
 )
 
 // This file implements the static bulk-load path of the engine: direct
@@ -61,8 +60,8 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 
 	// --- Graph inserts and forest links. ---
 	st.ch.Seq(len(ops))
-	edges := make([]*graph.Edge, 0, len(ops))
-	treeEdges := make([]*graph.Edge, 0, len(ops))
+	edges := make([]int32, 0, len(ops))
+	treeEdges := make([]int32, 0, len(ops))
 	for i, op := range ops {
 		if op.Del || op.Splice {
 			panic("core: BulkLoad is insert-only")
@@ -71,41 +70,43 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 			errs[i] = ErrWeight
 			continue
 		}
-		e, err := st.g.Insert(op.U, op.V, op.W)
+		id, err := st.g.Insert(op.U, op.V, op.W)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		edges = append(edges, e)
+		edges = append(edges, id)
 		if tree[i] {
-			treeEdges = append(treeEdges, e)
+			treeEdges = append(treeEdges, id)
 		}
 	}
 	m.growTables()
-	// Acyclicity of the tree flags is checked by a host union-find rather
-	// than per-link dynamic-tree queries (same guarantee, no extra splays).
+	// A host union-find checks that the tree flags are acyclic, so a bad
+	// flag set panics here with its own message. lct.Link still runs its
+	// own Connected assertion (two findRoot splays) on every link.
 	var uf batch.UF
 	uf.Reset(st.n)
-	for _, e := range treeEdges {
-		u, v := int(e.U), int(e.V)
+	for _, id := range treeEdges {
+		eu, ev := st.g.Ends(id)
+		u, v, w := int(eu), int(ev), st.g.Weight(id)
 		st.ch.Seq(1 + log2ceil(st.n+1)) // acyclicity check + dynamic-tree link
 		if !uf.Union(u, v) {
 			panic("core: BulkLoad tree flags do not form a forest")
 		}
-		m.lctE[e.ID] = m.lf.Link(u, v, e.W)
-		e.Tree = true
-		m.w += e.W
+		m.lctE[id] = m.lf.Link(u, v, w, id)
+		m.w += w
 		m.size++
 		if m.Events != nil {
-			m.Events(u, v, e.W, true)
+			m.Events(u, v, w, true)
 		}
 	}
 
 	// --- Forest adjacency (CSR over tree edges, in op order). ---
 	treeDeg := make([]int32, st.n)
-	for _, e := range treeEdges {
-		treeDeg[e.U]++
-		treeDeg[e.V]++
+	for _, id := range treeEdges {
+		u, v := st.g.Ends(id)
+		treeDeg[u]++
+		treeDeg[v]++
 	}
 	off := make([]int32, st.n+1)
 	for v := 0; v < st.n; v++ {
@@ -115,11 +116,12 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 	adj := make([]half, off[st.n])
 	cur := make([]int32, st.n)
 	copy(cur, off[:st.n])
-	for _, e := range treeEdges {
-		adj[cur[e.U]] = half{e.V, e.ID}
-		cur[e.U]++
-		adj[cur[e.V]] = half{e.U, e.ID}
-		cur[e.V]++
+	for _, id := range treeEdges {
+		u, v := st.g.Ends(id)
+		adj[cur[u]] = half{v, id}
+		cur[u]++
+		adj[cur[v]] = half{u, id}
+		cur[v]++
 	}
 	st.ch.Seq(2 * len(treeEdges))
 
@@ -156,7 +158,7 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 		seq = append(seq, cp)
 	}
 	setOcc := func(from, eid int32, anchor *Copy) {
-		if st.g.ByID(eid).U == from {
+		if u, _ := st.g.Ends(eid); u == from {
 			st.occU[eid] = anchor
 		} else {
 			st.occV[eid] = anchor
@@ -278,18 +280,20 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 		st.pcid[v] = cp.chunk.id
 	}
 	st.ch.Seq(len(edges))
-	for _, e := range edges {
-		a, b := int(st.pcid[e.U]), int(st.pcid[e.V])
+	for _, id := range edges {
+		u, v := st.g.Ends(id)
+		a, b := int(st.pcid[u]), int(st.pcid[v])
 		if a < 0 || b < 0 || a == b {
 			continue // unrecorded, or on the unmaintained diagonal
 		}
+		w := st.g.Weight(id)
 		x := &st.C[a*st.J+b]
-		if e.W < *x {
-			*x = e.W
+		if w < *x {
+			*x = w
 		}
 		y := &st.C[b*st.J+a]
-		if e.W < *y {
-			*y = e.W
+		if w < *y {
+			*y = w
 		}
 	}
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"parmsf/internal/graph"
 	"parmsf/internal/seqtree"
 )
 
@@ -183,8 +182,7 @@ func (st *Store) CheckInvariants() error {
 			pairSeen := map[dir]int{}
 			for i, cp := range tourCopies {
 				nxt := tourCopies[(i+1)%len(tourCopies)]
-				e := st.g.Find(int(cp.v), int(nxt.v))
-				if e == nil || !e.Tree {
+				if e := st.g.Find(int(cp.v), int(nxt.v)); e < 0 || !st.isTree(e) {
 					return fmt.Errorf("tour pair (%d,%d) is not a tree edge", cp.v, nxt.v)
 				}
 				pairSeen[dir{cp.v, nxt.v}]++
@@ -208,44 +206,42 @@ func (st *Store) CheckInvariants() error {
 		}
 	}
 
-	// --- Tree edges: occurrence anchors. ---
-	var edgeErr error
-	st.g.Edges(func(e *graph.Edge) bool {
-		if !e.Tree {
-			return true
+	// --- Tree edges: occurrence anchors, set for both directions of live
+	// edges only, each preceding its edge's pair. (VerifyTours checks them
+	// against the link-cut handles.) ---
+	if len(st.occU) != st.g.IDBound() || len(st.occV) != len(st.occU) {
+		return fmt.Errorf("occurrence tables sized %d/%d, edge ID bound %d", len(st.occU), len(st.occV), st.g.IDBound())
+	}
+	for i, a := range st.occU {
+		id, c := int32(i), st.occV[i]
+		if a == nil && c == nil {
+			continue
 		}
-		if int(e.ID) >= len(st.occU) {
-			edgeErr = fmt.Errorf("tree edge %v has no occurrence table entry", e)
-			return false
+		u, v := st.g.Ends(id)
+		if st.g.Find(int(u), int(v)) != id {
+			return fmt.Errorf("edge %d (%d,%d) is not live but holds occurrence anchors", id, u, v)
 		}
-		a, c := st.occU[e.ID], st.occV[e.ID]
 		if a == nil || c == nil {
-			edgeErr = fmt.Errorf("tree edge %v missing occurrence anchors", e)
-			return false
+			return fmt.Errorf("tree edge %d (%d,%d) has one occurrence anchor", id, u, v)
 		}
-		if a.v != e.U || a.next.v != e.V || c.v != e.V || c.next.v != e.U {
-			edgeErr = fmt.Errorf("tree edge %v anchors inconsistent", e)
-			return false
+		if a.v != u || a.next.v != v || c.v != v || c.next.v != u {
+			return fmt.Errorf("tree edge %d (%d,%d) anchors inconsistent", id, u, v)
 		}
-		return true
-	})
-	if edgeErr != nil {
-		return edgeErr
 	}
 
 	// --- CAdj ground truth. ---
 	exp := make(map[[2]int32]Weight)
-	st.g.Edges(func(e *graph.Edge) bool {
-		a := st.pcs[e.U].chunk
-		b := st.pcs[e.V].chunk
+	st.g.Edges(func(id int32) bool {
+		u, v := st.g.Ends(id)
+		a := st.pcs[u].chunk
+		b := st.pcs[v].chunk
 		if a.id < 0 || b.id < 0 || a == b {
 			return true
 		}
 		k1 := [2]int32{a.id, b.id}
 		k2 := [2]int32{b.id, a.id}
-		if w, ok := exp[k1]; !ok || e.W < w {
-			exp[k1] = e.W
-			exp[k2] = e.W
+		if w, ok := exp[k1]; !ok || st.g.Weight(id) < w {
+			exp[k1], exp[k2] = st.g.Weight(id), st.g.Weight(id)
 		}
 		return true
 	})
@@ -282,12 +278,11 @@ func (st *Store) CheckInvariants() error {
 // treeDegree returns the number of tree edges incident to v.
 func (st *Store) treeDegree(v int) int {
 	d := 0
-	st.g.Incident(v, func(e *graph.Edge) bool {
-		if e.Tree {
+	for _, h := range st.g.Adj(int32(v)) {
+		if st.isTree(h.ID) {
 			d++
 		}
-		return true
-	})
+	}
 	return d
 }
 

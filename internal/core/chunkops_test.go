@@ -137,8 +137,8 @@ func TestCutBoundariesInOneChunk(t *testing.T) {
 		checkAll(t, m)
 		st := m.Store()
 		e := st.g.Find(h, x)
-		a := st.occU[e.ID]
-		b, c := a.next, st.occV[e.ID]
+		a := st.occU[e]
+		b, c := a.next, st.occV[e]
 		d := c.next
 		ck := b.chunk
 		after := 0

@@ -149,6 +149,24 @@ func TestCheckerDetectsCorruption(t *testing.T) {
 			}
 			return false
 		}, "pcid"},
+		{"occurrence-anchors-dropped", func(st *Store) bool {
+			for id, a := range st.occU {
+				if a != nil {
+					st.occU[id], st.occV[id] = nil, nil // edge leaves the forest
+					return true
+				}
+			}
+			return false
+		}, "copies"},
+		{"occurrence-anchor-half", func(st *Store) bool {
+			for id, a := range st.occU {
+				if a != nil {
+					st.occV[id] = nil
+					return true
+				}
+			}
+			return false
+		}, "anchor"},
 		{"chunk-id-table", func(st *Store) bool {
 			c := firstRegistered(st)
 			if c == nil {
@@ -171,6 +189,57 @@ func TestCheckerDetectsCorruption(t *testing.T) {
 			}
 			if tc.expect != "" && !strings.Contains(err.Error(), tc.expect) {
 				t.Logf("caught with different class: %v", err)
+			}
+		})
+	}
+}
+
+// TestVerifyToursDetectsMembershipCorruption mutation-tests the forest
+// membership check of VerifyTours, the one check that sees both records:
+// the occurrence anchors CheckInvariants validates and the link-cut
+// handles. Each corruption leaves CheckInvariants green.
+func TestVerifyToursDetectsMembershipCorruption(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(m *MSF)
+		expect  string
+	}{
+		{"dropped-handle", func(m *MSF) {
+			for id, h := range m.lctE {
+				if h != nil {
+					m.lctE[id] = nil
+					return
+				}
+			}
+		}, "link-cut handle false"},
+		{"handle-for-other-edge", func(m *MSF) {
+			var ids []int
+			for id, h := range m.lctE {
+				if h != nil {
+					ids = append(ids, id)
+				}
+			}
+			a, b := ids[0], ids[len(ids)-1]
+			m.lctE[a], m.lctE[b] = m.lctE[b], m.lctE[a]
+		}, "linked for edge"},
+		{"forest-size", func(m *MSF) { m.size++ }, "ForestSize"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := buildChurned(t, 32)
+			if err := m.VerifyTours(); err != nil {
+				t.Fatalf("pre-corruption state invalid: %v", err)
+			}
+			tc.corrupt(m)
+			if err := m.Store().CheckInvariants(); err != nil {
+				t.Fatalf("CheckInvariants saw the corruption itself: %v", err)
+			}
+			err := m.VerifyTours()
+			if err == nil {
+				t.Fatalf("VerifyTours missed corruption %q", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.expect) {
+				t.Fatalf("VerifyTours caught %q as %v, want %q", tc.name, err, tc.expect)
 			}
 		})
 	}

@@ -11,8 +11,9 @@ import "parmsf/internal/seqtree"
 // touching the larger one: a ping-pong walk over both tours' LSDS leaves
 // accumulates chunk copy counts and always advances the lighter
 // accumulation, so the walk is bounded by the smaller tour. Enumeration
-// then visits that tour's copies (BTc leaves chunk by chunk) and collects
-// each principal copy's vertex — one per vertex of the tree.
+// then walks that tour's copy cycle once, from the first copy of its first
+// chunk (the cyclic order is the chunk order, which VerifyTours checks),
+// and collects each principal copy's vertex — one per vertex of the tree.
 //
 // Like the export sweep, this is uncharged maintenance: it reads structure
 // state but models no paper primitive, so it must not perturb the PRAM
@@ -29,12 +30,13 @@ func (m *MSF) emitCutSide(t1, t2 *Tour) {
 	}
 	t := smallerTour(t1, t2)
 	m.cutBuf = m.cutBuf[:0]
-	for ln := seqtree.First(t.root); ln != nil; ln = seqtree.Next(ln) {
-		c := lsItem(ln)
-		for bl := seqtree.First(c.bt); bl != nil; bl = seqtree.Next(bl) {
-			if cp := btItem(bl); cp.principal {
-				m.cutBuf = append(m.cutBuf, cp.v)
-			}
+	first := firstCopy(t)
+	for cp := first; ; {
+		if cp.principal {
+			m.cutBuf = append(m.cutBuf, cp.v)
+		}
+		if cp = cp.next; cp == first {
+			break
 		}
 	}
 	m.CutSides(m.cutBuf)

@@ -67,13 +67,15 @@ func (m *MSF) Connected(u, v int) bool {
 	return m.lf.Connected(u, v)
 }
 
-// ForestEdges calls f for every forest edge.
+// ForestEdges calls f for every forest edge, in edge-ID order.
 func (m *MSF) ForestEdges(f func(u, v int, w Weight) bool) {
-	m.st.g.Edges(func(e *graph.Edge) bool {
-		if e.Tree {
-			return f(int(e.U), int(e.V), e.W)
+	g := m.st.g
+	g.Edges(func(id int32) bool {
+		if !m.st.isTree(id) {
+			return true
 		}
-		return true
+		u, v := g.Ends(id)
+		return f(int(u), int(v), g.Weight(id))
 	})
 }
 
@@ -108,7 +110,7 @@ func (m *MSF) applySingle(op BatchOp) error {
 // swap — flushes first when it needs surgery, because surgery reads the
 // Memb aggregates.
 func (m *MSF) applyInsertPlanned(u, v int, w Weight, connected bool) error {
-	e, err := m.st.g.Insert(u, v, w)
+	id, err := m.st.g.Insert(u, v, w)
 	if err != nil {
 		return err
 	}
@@ -122,23 +124,22 @@ func (m *MSF) applyInsertPlanned(u, v int, w Weight, connected bool) error {
 	if pv != pu {
 		st.bumpCharge(pv, +1)
 	}
-	st.noteEdgeEntryInserted(e)
+	st.noteEdgeEntryInserted(id)
 	st.normalize([]*Chunk{pu.chunk, pv.chunk})
 
 	if !connected {
-		m.becomeTree(e)
+		m.becomeTree(id)
 		return nil
 	}
 	st.ch.Seq(log2ceil(st.n + 1)) // dynamic-tree path-max query
 	heavy := m.lf.PathMaxEdge(u, v)
 	if w < heavy.W {
-		old := st.g.Find(heavy.U, heavy.V)
-		if old == nil || !old.Tree {
+		if !st.isTree(heavy.ID) || m.lctE[heavy.ID] != heavy {
 			panic("core: path-max edge not a tree edge")
 		}
 		st.flushCAdj() // cycle-swap surgery reads Memb aggregates
-		m.removeFromForest(old)
-		m.becomeTree(e)
+		m.removeFromForest(heavy.ID)
+		m.becomeTree(id)
 	}
 	return nil
 }
@@ -148,34 +149,30 @@ func (m *MSF) applyInsertPlanned(u, v int, w Weight, connected bool) error {
 // edge; the plan guarantees that remains true when it applies.
 func (m *MSF) deleteTreeEdge(u, v int) {
 	st := m.st
-	e := st.g.Find(u, v)
-	if e == nil || !e.Tree {
+	id, err := st.g.Delete(u, v)
+	if err != nil || !st.isTree(id) {
 		panic("core: planned tree deletion is not a live tree edge")
 	}
-	eid := e.ID
-	occA, occB := st.occU[eid], st.occV[eid]
-	if _, err := st.g.Delete(u, v); err != nil {
-		panic("core: tree deletion failed: " + err.Error())
-	}
+	w := st.g.Weight(id)
 
 	pu, pv := st.pcs[u], st.pcs[v]
 	st.bumpCharge(pu, -1)
 	if pv != pu {
 		st.bumpCharge(pv, -1)
 	}
-	st.recomputeEntryPair(pu.chunk, pv.chunk, e.W)
+	st.recomputeEntryPair(pu.chunk, pv.chunk, w)
 
 	st.ch.Seq(log2ceil(st.n + 1)) // dynamic-tree cut
-	m.lf.Cut(m.lctE[eid])
-	m.lctE[eid] = nil
-	m.w -= e.W
+	m.lf.Cut(m.lctE[id])
+	m.lctE[id] = nil
+	m.w -= w
 	m.size--
 	if m.Events != nil {
-		m.Events(u, v, e.W, false)
+		m.Events(u, v, w, false)
 	}
 
 	st.flushCAdj() // surgery and MWR read the LSDS aggregates
-	t1, t2, dirty := st.cutTours(e, occA, occB)
+	t1, t2, dirty := st.cutTours(id)
 	// Re-read the principal copies: surgery may have deleted the old ones.
 	dirty = append(dirty, st.pcs[u].chunk, st.pcs[v].chunk)
 	st.normalize(dirty)
@@ -183,7 +180,7 @@ func (m *MSF) deleteTreeEdge(u, v int) {
 	st.normTourStatus(t2)
 	m.emitCutSide(t1, t2)
 
-	if r := st.MWR(t1, t2); r != nil {
+	if r := st.MWR(t1, t2); r >= 0 {
 		m.becomeTree(r)
 	}
 }
@@ -199,8 +196,8 @@ func (m *MSF) splice(op BatchOp) {
 	st := m.st
 	a, h, b, w := op.U, int(op.H), op.V, op.W
 	e1, e2 := st.g.Find(a, h), st.g.Find(h, b)
-	if a == b || e1 == nil || e2 == nil || !e1.Tree || !e2.Tree ||
-		e1.W != w || e2.W != w || st.g.Degree(h) != 2 {
+	if a == b || e1 < 0 || e2 < 0 || !st.isTree(e1) || !st.isTree(e2) ||
+		st.g.Weight(e1) != w || st.g.Weight(e2) != w || st.g.Degree(h) != 2 {
 		panic(fmt.Sprintf("core: splice of %d between %d and %d: not a degree-2 forest vertex on two weight-%d edges", h, a, b, w))
 	}
 	// x precedes the a->h pair and y the b->h pair; they become the
@@ -212,15 +209,16 @@ func (m *MSF) splice(op BatchOp) {
 	pa, ph, pb := st.pcs[a].chunk, st.pcs[h].chunk, st.pcs[b].chunk
 
 	st.ch.Seq(3 * log2ceil(st.n+1)) // two dynamic-tree cuts and one link
-	for _, e := range [2]*graph.Edge{e1, e2} {
-		m.lf.Cut(m.lctE[e.ID])
-		m.lctE[e.ID] = nil
-		st.occU[e.ID], st.occV[e.ID] = nil, nil
-		if _, err := st.g.Delete(int(e.U), int(e.V)); err != nil {
+	for _, e := range [2]int32{e1, e2} {
+		m.lf.Cut(m.lctE[e])
+		m.lctE[e] = nil
+		st.occU[e], st.occV[e] = nil, nil
+		eu, ev := st.g.Ends(e)
+		if _, err := st.g.Delete(int(eu), int(ev)); err != nil {
 			panic("core: splice deletion failed: " + err.Error())
 		}
 		if m.Events != nil {
-			m.Events(int(e.U), int(e.V), w, false)
+			m.Events(int(eu), int(ev), w, false)
 		}
 	}
 	e3, err := st.g.Insert(a, b, w)
@@ -228,8 +226,7 @@ func (m *MSF) splice(op BatchOp) {
 		panic("core: splice insertion failed: " + err.Error())
 	}
 	m.growTables()
-	e3.Tree = true
-	m.lctE[e3.ID] = m.lf.Link(a, b, w)
+	m.lctE[e3] = m.lf.Link(a, b, w, e3)
 	m.w -= w
 	m.size--
 	if m.Events != nil {
@@ -237,7 +234,7 @@ func (m *MSF) splice(op BatchOp) {
 	}
 
 	dirty := st.spliceTours(x, y)
-	st.occU[e3.ID], st.occV[e3.ID] = x, y
+	st.occU[e3], st.occV[e3] = x, y
 	// CAdj: (a, h) and (h, b) leave, (a, b) arrives, all of weight w. An
 	// entry that loses a weight-w edge and gains one keeps its minimum, so
 	// only entries left with no replacement are recomputed. A diagonal
@@ -260,39 +257,40 @@ func (m *MSF) splice(op BatchOp) {
 	st.normalize(dirty)
 }
 
-// becomeTree promotes graph edge e to a forest edge: dynamic-tree link plus
-// tour splice.
-func (m *MSF) becomeTree(e *graph.Edge) {
+// becomeTree promotes graph edge id to a forest edge: dynamic-tree link
+// plus tour splice, which sets its occurrence anchors.
+func (m *MSF) becomeTree(id int32) {
 	st := m.st
+	u, v := st.g.Ends(id)
+	w := st.g.Weight(id)
 	st.ch.Seq(log2ceil(st.n + 1))
-	m.lctE[e.ID] = m.lf.Link(int(e.U), int(e.V), e.W)
-	e.Tree = true
-	m.w += e.W
+	m.lctE[id] = m.lf.Link(int(u), int(v), w, id)
+	m.w += w
 	m.size++
 	if m.Events != nil {
-		m.Events(int(e.U), int(e.V), e.W, true)
+		m.Events(int(u), int(v), w, true)
 	}
-	dirty := st.linkTours(e)
+	dirty := st.linkTours(id)
 	st.normalize(dirty)
-	st.normTourStatus(st.tourOf(st.pcs[e.U].chunk))
+	st.normTourStatus(st.tourOf(st.pcs[u].chunk))
 }
 
-// removeFromForest demotes tree edge e to a non-tree edge (the cycle-swap
-// path of insertion): dynamic-tree cut plus tour split. The edge stays in
-// the graph and in CAdj.
-func (m *MSF) removeFromForest(e *graph.Edge) {
+// removeFromForest demotes tree edge id to a non-tree edge (the cycle-swap
+// path of insertion): dynamic-tree cut plus tour split, which clears its
+// occurrence anchors. The edge stays in the graph and in CAdj.
+func (m *MSF) removeFromForest(id int32) {
 	st := m.st
+	u, v := st.g.Ends(id)
+	w := st.g.Weight(id)
 	st.ch.Seq(log2ceil(st.n + 1))
-	m.lf.Cut(m.lctE[e.ID])
-	m.lctE[e.ID] = nil
-	e.Tree = false
-	m.w -= e.W
+	m.lf.Cut(m.lctE[id])
+	m.lctE[id] = nil
+	m.w -= w
 	m.size--
 	if m.Events != nil {
-		m.Events(int(e.U), int(e.V), e.W, false)
+		m.Events(int(u), int(v), w, false)
 	}
-	occA, occB := st.occU[e.ID], st.occV[e.ID]
-	t1, t2, dirty := st.cutTours(e, occA, occB)
+	t1, t2, dirty := st.cutTours(id)
 	st.normalize(dirty)
 	st.normTourStatus(t1)
 	st.normTourStatus(t2)
@@ -311,13 +309,17 @@ func (m *MSF) growTables() {
 	}
 }
 
-// anchorAt returns tree edge e's occurrence anchor at endpoint v: the copy
-// of v that precedes the pair leaving v along e.
-func (st *Store) anchorAt(e *graph.Edge, v int) *Copy {
-	if int(e.U) == v {
-		return st.occU[e.ID]
+// isTree reports whether graph edge id is a forest edge: exactly the edges
+// whose occurrence anchors are set.
+func (st *Store) isTree(id int32) bool { return st.occU[id] != nil }
+
+// anchorAt returns tree edge id's occurrence anchor at endpoint v: the copy
+// of v that precedes the pair leaving v along the edge.
+func (st *Store) anchorAt(id int32, v int) *Copy {
+	if u, _ := st.g.Ends(id); int(u) == v {
+		return st.occU[id]
 	}
-	return st.occV[e.ID]
+	return st.occV[id]
 }
 
 // bumpCharge adjusts the edge charge of a principal copy's chunk after an
@@ -344,18 +346,43 @@ func (m *MSF) DebugString() string {
 }
 
 // VerifyTours is a test hook: checks every tour's cyclic order matches its
-// chunk sequence.
+// chunk sequence, and that the structure's two records of forest
+// membership agree: the edges with occurrence anchors (which
+// CheckInvariants validates) are exactly the edges holding a link-cut
+// handle linked for that edge, its endpoints and weight, and they number
+// ForestSize.
 func (m *MSF) VerifyTours() error {
-	for root, t := range m.st.tourByRoot {
+	st := m.st
+	for root, t := range st.tourByRoot {
 		if t.root != root {
 			return fmt.Errorf("tour root map inconsistent")
 		}
 		if err := seqtree.Validate(root); err != nil {
 			return err
 		}
-		if !m.st.verifyTourMatchesCycle(t) {
+		if !verifyTourMatchesCycle(t) {
 			return fmt.Errorf("tour cyclic order does not match chunk sequence")
 		}
+	}
+	if len(m.lctE) != len(st.occU) {
+		return fmt.Errorf("%d link-cut handle slots, %d occurrence anchor slots", len(m.lctE), len(st.occU))
+	}
+	forest := 0
+	for i, h := range m.lctE {
+		id := int32(i)
+		if (h != nil) != st.isTree(id) {
+			return fmt.Errorf("edge %d: link-cut handle %v, occurrence anchors %v", id, h != nil, st.isTree(id))
+		}
+		if h == nil {
+			continue
+		}
+		forest++
+		if u, v := st.g.Ends(id); h.ID != id || h.U != int(u) || h.V != int(v) || h.W != st.g.Weight(id) {
+			return fmt.Errorf("edge %d (%d,%d): link-cut handle linked for edge %d (%d,%d)", id, u, v, h.ID, h.U, h.V)
+		}
+	}
+	if forest != m.size {
+		return fmt.Errorf("%d forest edges hold link-cut handles, ForestSize is %d", forest, m.size)
 	}
 	return nil
 }

@@ -17,8 +17,9 @@ func kruskal(g *graph.G) (Weight, int) {
 		w    Weight
 	}
 	var edges []ed
-	g.Edges(func(e *graph.Edge) bool {
-		edges = append(edges, ed{int(e.U), int(e.V), e.W})
+	g.Edges(func(id int32) bool {
+		u, v := g.Ends(id)
+		edges = append(edges, ed{int(u), int(v), g.Weight(id)})
 		return true
 	})
 	sort.Slice(edges, func(i, j int) bool { return edges[i].w < edges[j].w })
@@ -353,8 +354,9 @@ func kruskalEdges(g *graph.G) [][2]int {
 		w    Weight
 	}
 	var edges []ed
-	g.Edges(func(e *graph.Edge) bool {
-		edges = append(edges, ed{int(e.U), int(e.V), e.W})
+	g.Edges(func(id int32) bool {
+		u, v := g.Ends(id)
+		edges = append(edges, ed{int(u), int(v), g.Weight(id)})
 		return true
 	})
 	sort.Slice(edges, func(i, j int) bool { return edges[i].w < edges[j].w })

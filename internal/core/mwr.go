@@ -3,16 +3,15 @@ package core
 import (
 	"math/bits"
 
-	"parmsf/internal/graph"
 	"parmsf/internal/seqtree"
 )
 
 // MWR finds the minimum-weight replacement edge between tours t1 and t2:
 // the lightest graph edge with one endpoint's principal copy in a chunk of
 // t1 and the other's in a chunk of t2 (Lemma 2.4 sequentially, Lemma 3.3 in
-// parallel, Section 6 when either tour is short). Returns nil when the
-// tours are not reconnectable.
-func (st *Store) MWR(t1, t2 *Tour) *graph.Edge {
+// parallel, Section 6 when either tour is short). Returns its edge ID, or
+// -1 when the tours are not reconnectable.
+func (st *Store) MWR(t1, t2 *Tour) int32 {
 	st.sts.MWRQueries++
 	if t1.Short() {
 		return st.mwrScanShort(t1, t2)
@@ -45,7 +44,7 @@ func tourHasChunkID(t *Tour, id int32) bool {
 // mwrGamma is the normal-by-normal case: build gamma = CAdj_{r1} masked by
 // Memb_{r2}, locate the chunk holding the minimum, then scan that chunk's
 // charged edges and verify candidates against Memb_{r1}.
-func (st *Store) mwrGamma(t1, t2 *Tour) *graph.Edge {
+func (st *Store) mwrGamma(t1, t2 *Tour) int32 {
 	cadj1 := st.rootCAdj(t1)
 	bestID := -1
 	best := Inf
@@ -67,14 +66,14 @@ func (st *Store) mwrGamma(t1, t2 *Tour) *graph.Edge {
 		chargeMinReduce(st.ch, live)
 	}
 	if bestID < 0 {
-		return nil
+		return -1
 	}
 	hat := st.chunks[bestID]
 	if hat == nil {
 		panic("core: gamma pointed at a free chunk id")
 	}
 	e := st.scanChunkForMWR(hat, t1)
-	if e == nil || e.W != best {
+	if e < 0 || st.g.Weight(e) != best {
 		panic("core: MWR scan disagrees with gamma minimum")
 	}
 	return e
@@ -83,8 +82,8 @@ func (st *Store) mwrGamma(t1, t2 *Tour) *graph.Edge {
 // scanChunkForMWR scans hat's charged edges for the lightest one whose far
 // endpoint lies in the other tour (the verified-candidate scan of Lemmas
 // 2.4 / 3.3), filtering inline during the charged-edge walk: the earliest
-// strictly-minimal candidate wins.
-func (st *Store) scanChunkForMWR(hat *Chunk, other *Tour) *graph.Edge {
+// strictly-minimal candidate wins. Returns its edge ID, or -1.
+func (st *Store) scanChunkForMWR(hat *Chunk, other *Tour) int32 {
 	ec := hat.edgeCount()
 	st.ch.Par(btHeight(hat)+3, ec) // getEdge assignment
 	st.ch.Par(log2ceil(st.K+1), ec)
@@ -105,10 +104,7 @@ func (st *Store) scanChunkForMWR(hat *Chunk, other *Tour) *graph.Edge {
 			break
 		}
 	}
-	if found < 0 {
-		return nil
-	}
-	return g.ByID(found)
+	return found
 }
 
 // principalInTour reports whether vertex v's principal copy lies in tour t.
@@ -124,7 +120,7 @@ func (st *Store) principalInTour(v int32, t *Tour) bool {
 // mwrScanShort handles the Section 6 case: scan every principal copy of the
 // short tour's single chunk directly (O(K) sequentially; a tournament over
 // O(K) processors in parallel).
-func (st *Store) mwrScanShort(short, other *Tour) *graph.Edge {
+func (st *Store) mwrScanShort(short, other *Tour) int32 {
 	hat := lsItem(short.root)
 	if !short.root.IsLeaf() {
 		panic("core: mwrScanShort on non-short tour")
@@ -166,27 +162,21 @@ func chargeMinReduce(ch Charger, live int) {
 	}
 }
 
+// firstCopy returns the first copy of t's first chunk.
+func firstCopy(t *Tour) *Copy { return btItem(seqtree.First(lsItem(seqtree.First(t.root)).bt)) }
+
 // verifyTourMatchesCycle is a debug helper used by the checker: it walks
-// the cyclic copy order from the first copy of the first chunk and checks
-// it visits exactly the leaves of the tour's chunks in order.
-func (st *Store) verifyTourMatchesCycle(t *Tour) bool {
-	var seq []*Copy
+// the cyclic copy order from the tour's first copy and checks it visits
+// exactly the leaves of the tour's chunks in order, then closes.
+func verifyTourMatchesCycle(t *Tour) bool {
+	first := firstCopy(t)
+	cur, ok := first, true
 	seqtree.Leaves(t.root, func(l *lsNode) bool {
 		seqtree.Leaves(lsItem(l).bt, func(b *btNode) bool {
-			seq = append(seq, btItem(b))
-			return true
+			ok, cur = btItem(b) == cur, cur.next
+			return ok
 		})
-		return true
+		return ok
 	})
-	if len(seq) == 0 {
-		return false
-	}
-	cur := seq[0]
-	for i := 0; i < len(seq); i++ {
-		if cur != seq[i] {
-			return false
-		}
-		cur = cur.next
-	}
-	return cur == seq[0]
+	return ok && cur == first
 }

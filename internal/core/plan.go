@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"parmsf/internal/faultinject"
-	"parmsf/internal/graph"
 	"parmsf/internal/workload"
 )
 
@@ -77,10 +76,10 @@ func (st *Store) classifyOp(op BatchOp) opClass {
 		return opSplice
 	}
 	if op.Del {
-		switch e := st.g.Find(op.U, op.V); {
-		case e == nil:
+		switch id := st.g.Find(op.U, op.V); {
+		case id < 0:
 			return opDelMissing
-		case e.Tree:
+		case st.isTree(id):
 			return opDelTree
 		default:
 			return opDelNonTree
@@ -216,10 +215,12 @@ func LoadNontreeScenario(m *MSF, n int) (del, ins []BatchOp) {
 			panic(err)
 		}
 	}
-	m.Graph().Edges(func(e *graph.Edge) bool {
-		if !e.Tree {
-			del = append(del, BatchOp{Del: true, U: int(e.U), V: int(e.V)})
-			ins = append(ins, BatchOp{U: int(e.U), V: int(e.V), W: e.W})
+	g := m.Graph()
+	g.Edges(func(id int32) bool {
+		if !m.st.isTree(id) {
+			u, v := g.Ends(id)
+			del = append(del, BatchOp{Del: true, U: int(u), V: int(v)})
+			ins = append(ins, BatchOp{U: int(u), V: int(v), W: g.Weight(id)})
 		}
 		return true
 	})
@@ -266,7 +267,7 @@ func (m *MSF) applyNonTreeDeletes(idx []int, ops []BatchOp) {
 	seen := st.pairSeen // empty between batches
 	for _, i := range idx {
 		op := ops[i]
-		e, err := st.g.Delete(op.U, op.V)
+		id, err := st.g.Delete(op.U, op.V)
 		if err != nil {
 			panic("core: planned non-tree deletion vanished: " + err.Error())
 		}
@@ -280,7 +281,7 @@ func (m *MSF) applyNonTreeDeletes(idx []int, ops []BatchOp) {
 		if c1.id < 0 || c2.id < 0 {
 			continue // entries of unregistered chunks are not recorded
 		}
-		scan := st.entryMayChange(c1, c2, e.W)
+		scan := st.entryMayChange(c1, c2, st.g.Weight(id))
 		k := entryKey(c1, c2)
 		if at, ok := seen[k]; ok {
 			pairs[at].scan = pairs[at].scan || scan

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"parmsf/internal/graph"
 	"parmsf/internal/pram"
 	"parmsf/internal/workload"
 	"parmsf/internal/xrand"
@@ -21,9 +20,10 @@ func loadBatchState(t *testing.T, n int, seed uint64, ch Charger) (m *MSF, tree,
 			t.Fatalf("load insert (%d,%d): %v", e.U, e.V, err)
 		}
 	}
-	m.Graph().Edges(func(e *graph.Edge) bool {
-		p := [2]int{int(e.U), int(e.V)}
-		if e.Tree {
+	m.Graph().Edges(func(id int32) bool {
+		u, v := m.Graph().Ends(id)
+		p := [2]int{int(u), int(v)}
+		if m.st.isTree(id) {
 			tree = append(tree, p)
 		} else {
 			nonTree = append(nonTree, p)

@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 
-	"parmsf/internal/graph"
 	"parmsf/internal/seqtree"
 )
 
@@ -230,9 +229,10 @@ func (st *Store) unregisterChunk(c *Chunk) {
 // noteEdgeEntryInserted records a new graph edge in the matrix: a min-update
 // of the symmetric entry pair (Section 2.6, insertion). The aggregate
 // refreshes above the touched chunks are deferred to the batch flush.
-func (st *Store) noteEdgeEntryInserted(e *graph.Edge) {
+func (st *Store) noteEdgeEntryInserted(id int32) {
 	st.ch.Seq(1)
-	st.lowerEntryPair(st.pcs[e.U].chunk, st.pcs[e.V].chunk, e.W)
+	u, v := st.g.Ends(id)
+	st.lowerEntryPair(st.pcs[u].chunk, st.pcs[v].chunk, st.g.Weight(id))
 }
 
 // lowerEntryPair min-updates the symmetric entry pair (c1, c2) with an edge

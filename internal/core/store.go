@@ -216,9 +216,6 @@ func NewStore(g *graph.G, cfg Config, ch Charger) *Store {
 	return st
 }
 
-// Graph returns the underlying graph.
-func (st *Store) Graph() *graph.G { return st.g }
-
 // Stats returns a copy of the structural event counters.
 func (st *Store) Stats() Stats { return st.sts }
 

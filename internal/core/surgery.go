@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 
-	"parmsf/internal/graph"
 	"parmsf/internal/seqtree"
 )
 
@@ -36,15 +35,16 @@ func (st *Store) newCopy(v int) *Copy {
 	return cp
 }
 
-// linkTours splices the tours of e's endpoints into one around new tree
-// edge e, setting its occurrence anchors. The endpoints must currently be
-// in different tours. Returns the chunks whose contents changed (for
-// normalize). A link with an isolated endpoint takes the leaf-local path of
-// linkIsolated; any other link makes each endpoint's copy a chunk head,
-// splitting up to two chunks.
-func (st *Store) linkTours(e *graph.Edge) []*Chunk {
+// linkTours splices the tours of edge id's endpoints into one around it,
+// setting its occurrence anchors, which makes it a tree edge. The endpoints
+// must currently be in different tours. Returns the chunks whose contents
+// changed (for normalize). A link with an isolated endpoint takes the
+// leaf-local path of linkIsolated; any other link makes each endpoint's
+// copy a chunk head, splitting up to two chunks.
+func (st *Store) linkTours(id int32) []*Chunk {
 	st.sts.TourLinks++
-	u, v := int(e.U), int(e.V)
+	eu, ev := st.g.Ends(id)
+	u, v := int(eu), int(ev)
 	cu, cv := st.pcs[u], st.pcs[v]
 	tu := st.tourOf(cu.chunk)
 	tv := st.tourOf(cv.chunk)
@@ -53,9 +53,9 @@ func (st *Store) linkTours(e *graph.Edge) []*Chunk {
 	}
 	switch {
 	case cu.next == cu: // u isolated: single copy, no pairs
-		return st.linkIsolated(e, cu, tu, cv)
+		return st.linkIsolated(id, cu, tu, cv)
 	case cv.next == cv:
-		return st.linkIsolated(e, cv, tv, cu)
+		return st.linkIsolated(id, cv, tv, cu)
 	}
 
 	// --- Rearrange the v-side list (tv) to start at cv. ---
@@ -97,8 +97,8 @@ func (st *Store) linkTours(e *graph.Edge) []*Chunk {
 	cu.prev = v2
 
 	// --- Occurrence anchors: the copy preceding each directed pair. ---
-	st.occU[e.ID] = u2
-	st.occV[e.ID] = v2
+	st.occU[id] = u2
+	st.occV[id] = v2
 
 	// --- Splice the linear chunk sequences: X + tv' + Y. ---
 	cuLeft, cuChunk := st.ensureBoundaryBefore(cu)
@@ -127,7 +127,7 @@ func (st *Store) linkTours(e *graph.Edge) []*Chunk {
 // the host chunk's row is a symmetric min-update per edge, exact because a
 // row is a minimum over its chunk's charged edges. When y is isolated too,
 // y gains no copy and the tour is just cx, cy.
-func (st *Store) linkIsolated(e *graph.Edge, cx *Copy, tx *Tour, cy *Copy) []*Chunk {
+func (st *Store) linkIsolated(id int32, cx *Copy, tx *Tour, cy *Copy) []*Chunk {
 	c := cy.chunk
 	y2 := cy
 	if cy.next != cy {
@@ -159,10 +159,10 @@ func (st *Store) linkIsolated(e *graph.Edge, cx *Copy, tx *Tour, cy *Copy) []*Ch
 	cy.prev = cx
 
 	// Occurrence anchors: cx precedes x->y, p (y2, or cy) precedes y->x.
-	if e.U == cx.v {
-		st.occU[e.ID], st.occV[e.ID] = cx, p
+	if u, _ := st.g.Ends(id); u == cx.v {
+		st.occU[id], st.occV[id] = cx, p
 	} else {
-		st.occU[e.ID], st.occV[e.ID] = p, cx
+		st.occU[id], st.occV[id] = p, cx
 	}
 
 	if c.id >= 0 {
@@ -174,25 +174,26 @@ func (st *Store) linkIsolated(e *graph.Edge, cx *Copy, tx *Tour, cy *Copy) []*Ch
 	return []*Chunk{c}
 }
 
-// cutTours splits the tour containing tree edge e in two, removing the
-// duplicate copies at the cut points. occA and occB are e's occurrence
-// anchors (captured before the edge left the graph). It returns the two
-// resulting tours — first the one containing e.U, then e.V — and the dirty
-// chunks for normalize. A cut that isolates an endpoint takes the
-// leaf-local path of cutLeaf; any other cut makes both segment heads chunk
-// heads, splitting up to two chunks.
-func (st *Store) cutTours(e *graph.Edge, occA, occB *Copy) (tU, tV *Tour, dirty []*Chunk) {
+// cutTours splits the tour containing tree edge id (u, v) in two, removing
+// the duplicate copies at the cut points, and clears the edge's occurrence
+// anchors. The edge may already have left the graph (Ends still reads it).
+// It returns the two resulting tours — first the one containing u, then
+// v — and the dirty chunks for normalize. A cut that isolates an endpoint
+// takes the leaf-local path of cutLeaf; any other cut makes both segment
+// heads chunk heads, splitting up to two chunks.
+func (st *Store) cutTours(id int32) (tU, tV *Tour, dirty []*Chunk) {
 	st.sts.TourCuts++
-	a := occA // copy of u; pair (a, b) is the u->v traversal
+	u, v := st.g.Ends(id)
+	a := st.occU[id] // copy of u; pair (a, b) is the u->v traversal
 	b := a.next
-	c := occB // copy of v; pair (c, d) is the v->u traversal
+	c := st.occV[id] // copy of v; pair (c, d) is the v->u traversal
 	d := c.next
-	if a.v != e.U || b.v != e.V || c.v != e.V || d.v != e.U {
+	if a.v != u || b.v != v || c.v != v || d.v != u {
 		panic("core: occurrence anchors inconsistent with edge")
 	}
 	t := st.tourOf(a.chunk)
-	st.occU[e.ID] = nil
-	st.occV[e.ID] = nil
+	st.occU[id] = nil
+	st.occV[id] = nil
 	switch {
 	case b == c: // v becomes isolated: segment [b..c] is one copy
 		tV, dirty = st.cutLeaf(b)

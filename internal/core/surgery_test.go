@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"parmsf/internal/graph"
 	"parmsf/internal/seqtree"
 )
 
@@ -101,7 +100,7 @@ func TestLeafLocalSurgery(t *testing.T) {
 			step("relink isolated", 1, 0, 0, func() error { return m.InsertEdge(u, v, 1000) })
 			a, b := ends(x, z)
 			step("cycle swap", 1, 1, 1, func() error { return m.InsertEdge(a, b, 2) })
-			if e := m.Graph().Find(x, y); e == nil || e.Tree {
+			if e := m.Graph().Find(x, y); e < 0 || m.st.isTree(e) {
 				t.Fatal("(x, y) should remain as a non-tree edge")
 			}
 		})
@@ -154,12 +153,8 @@ func TestSplice(t *testing.T) {
 			if g.Degree(h) != 2 {
 				continue
 			}
-			var nb []int
-			g.Incident(h, func(e *graph.Edge) bool {
-				nb = append(nb, int(e.Other(int32(h))))
-				return true
-			})
-			out = append(out, triple{nb[0], h, nb[1]})
+			nb := g.Adj(int32(h))
+			out = append(out, triple{int(nb[0].To), h, int(nb[1].To)})
 		}
 		return out
 	}

@@ -4,42 +4,23 @@
 // The paper (Section 1.1) assumes the input graph has maximum degree 3,
 // obtained from a general graph by Frederickson's vertex-splitting technique
 // (implemented in internal/ternary). This package enforces the bound and
-// provides O(1) edge lookup and O(degree) incidence iteration, which the
-// chunk machinery relies on (every vertex contributes at most 3 edges to the
+// provides O(degree) edge lookup and incidence iteration, which the chunk
+// machinery relies on (every vertex contributes at most 3 edges to the
 // count n_c of Invariant 1).
 //
-// Incidence is stored flat: vertex v's edges are the first Degree(v) of
-// maxDeg fixed slots of one array, each a (far endpoint, edge ID) pair, and
-// weights sit in an array indexed by edge ID, so a scan over a vertex's
-// edges is index loads with no pointer chasing.
+// An edge is named by its int32 ID and has no record of its own: its
+// endpoints and weight sit in arrays indexed by ID, and incidence is stored
+// flat — vertex v's edges are the first Degree(v) of maxDeg fixed slots of
+// one array, each a (far endpoint, edge ID) pair — so a scan over a vertex's
+// edges is index loads with no pointer chasing, and a warm graph allocates
+// nothing per update. Deleted IDs are reused, the last freed first; callers
+// that keep per-edge side tables index them by ID and size them by IDBound.
 package graph
 
 import (
 	"errors"
 	"fmt"
 )
-
-// Edge is a live graph edge. The struct address is stable for the lifetime
-// of the edge; ID values are recycled after deletion, and callers that keep
-// per-edge side tables index them by ID.
-type Edge struct {
-	ID   int32
-	U, V int32
-	W    int64
-	Tree bool // maintained by the MSF engine: e is in the current forest
-}
-
-// Other returns the endpoint of e opposite to x.
-func (e *Edge) Other(x int32) int32 {
-	if e.U == x {
-		return e.V
-	}
-	return e.U
-}
-
-func (e *Edge) String() string {
-	return fmt.Sprintf("(%d,%d;w=%d,id=%d)", e.U, e.V, e.W, e.ID)
-}
 
 // Half is one incidence of a vertex: the far endpoint and the edge's ID.
 type Half struct{ To, ID int32 }
@@ -57,10 +38,11 @@ var (
 type G struct {
 	n      int
 	maxDeg int
-	half   []Half  // v's incidences: half[v*maxDeg : v*maxDeg+deg[v]]
-	deg    []uint8 // degree by vertex
-	wt     []int64 // weight by edge ID (stale in free slots)
-	byID   []*Edge
+	half   []Half     // v's incidences: half[v*maxDeg : v*maxDeg+deg[v]]
+	deg    []uint8    // degree by vertex
+	ends   [][2]int32 // endpoints by edge ID, as inserted
+	wt     []int64    // weight by edge ID
+	live   []bool     // by edge ID: false in free slots
 	freeID []int32
 	m      int
 }
@@ -82,7 +64,7 @@ func (g *G) M() int { return g.m }
 
 // IDBound returns an exclusive upper bound on live edge IDs, for sizing
 // side tables.
-func (g *G) IDBound() int { return len(g.byID) }
+func (g *G) IDBound() int { return len(g.ends) }
 
 // Degree returns the degree of v.
 func (g *G) Degree(v int) int { return int(g.deg[v]) }
@@ -94,54 +76,64 @@ func (g *G) Adj(v int32) []Half {
 	return g.half[at : at+int(g.deg[v])]
 }
 
-// Weight returns the weight of the live edge with the given ID.
+// Ends returns edge id's endpoints in the order Insert was given them. A
+// deleted edge's endpoints and weight stay readable until Insert reuses
+// its ID.
+func (g *G) Ends(id int32) (u, v int32) {
+	e := g.ends[id]
+	return e[0], e[1]
+}
+
+// Weight returns edge id's weight (see Ends for deleted edges).
 func (g *G) Weight(id int32) int64 { return g.wt[id] }
 
-// Find returns the edge between u and v, or nil.
-func (g *G) Find(u, v int) *Edge {
+// Find returns the ID of the edge between u and v, or -1.
+func (g *G) Find(u, v int) int32 {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return nil
+		return -1
 	}
 	if g.deg[v] < g.deg[u] {
 		u, v = v, u
 	}
 	for _, h := range g.Adj(int32(u)) {
 		if int(h.To) == v {
-			return g.byID[h.ID]
+			return h.ID
 		}
 	}
-	return nil
+	return -1
 }
 
-// Insert adds edge (u, v) with weight w and returns it.
-func (g *G) Insert(u, v int, w int64) (*Edge, error) {
+// Insert adds edge (u, v) with weight w and returns its ID: the last freed
+// ID if any, else IDBound, which then grows by one.
+func (g *G) Insert(u, v int, w int64) (int32, error) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return nil, ErrBadVertex
+		return -1, ErrBadVertex
 	}
 	if u == v {
-		return nil, ErrSelfLoop
+		return -1, ErrSelfLoop
 	}
-	if g.Find(u, v) != nil {
-		return nil, ErrExists
+	if g.Find(u, v) >= 0 {
+		return -1, ErrExists
 	}
 	if int(g.deg[u]) >= g.maxDeg || int(g.deg[v]) >= g.maxDeg {
-		return nil, ErrDegree
+		return -1, ErrDegree
 	}
-	e := &Edge{U: int32(u), V: int32(v), W: w}
+	ends := [2]int32{int32(u), int32(v)}
+	var id int32
 	if k := len(g.freeID); k > 0 {
-		e.ID = g.freeID[k-1]
+		id = g.freeID[k-1]
 		g.freeID = g.freeID[:k-1]
-		g.byID[e.ID] = e
-		g.wt[e.ID] = w
+		g.ends[id], g.wt[id], g.live[id] = ends, w, true
 	} else {
-		e.ID = int32(len(g.byID))
-		g.byID = append(g.byID, e)
+		id = int32(len(g.ends))
+		g.ends = append(g.ends, ends)
 		g.wt = append(g.wt, w)
+		g.live = append(g.live, true)
 	}
-	g.addHalf(u, Half{int32(v), e.ID})
-	g.addHalf(v, Half{int32(u), e.ID})
+	g.addHalf(u, Half{int32(v), id})
+	g.addHalf(v, Half{int32(u), id})
 	g.m++
-	return e, nil
+	return id, nil
 }
 
 func (g *G) addHalf(v int, h Half) {
@@ -149,19 +141,18 @@ func (g *G) addHalf(v int, h Half) {
 	g.deg[v]++
 }
 
-// Delete removes the edge between u and v and returns it (with its final
-// state, including the Tree flag, still set).
-func (g *G) Delete(u, v int) (*Edge, error) {
-	e := g.Find(u, v)
-	if e == nil {
-		return nil, ErrMissing
+// Delete removes the edge between u and v and returns its ID.
+func (g *G) Delete(u, v int) (int32, error) {
+	id := g.Find(u, v)
+	if id < 0 {
+		return -1, ErrMissing
 	}
-	g.removeFrom(e.U, e.ID)
-	g.removeFrom(e.V, e.ID)
-	g.byID[e.ID] = nil
-	g.freeID = append(g.freeID, e.ID)
+	g.removeFrom(int32(u), id)
+	g.removeFrom(int32(v), id)
+	g.live[id] = false
+	g.freeID = append(g.freeID, id)
 	g.m--
-	return e, nil
+	return id, nil
 }
 
 // removeFrom drops edge id from v's incidences, moving v's last incidence
@@ -178,30 +169,12 @@ func (g *G) removeFrom(v, id int32) {
 	panic("graph: adjacency list corrupt")
 }
 
-// ByID returns the live edge with the given id, or nil.
-func (g *G) ByID(id int32) *Edge {
-	if int(id) >= len(g.byID) {
-		return nil
-	}
-	return g.byID[id]
-}
-
-// Incident calls f for each edge incident to v, in Adj order, stopping
-// early if f returns false.
-func (g *G) Incident(v int, f func(*Edge) bool) {
-	for _, h := range g.Adj(int32(v)) {
-		if !f(g.byID[h.ID]) {
-			return
-		}
-	}
-}
-
-// Edges calls f for each live edge, stopping early if f returns false.
-// Iteration order is by edge ID slot, deterministic for a fixed operation
+// Edges calls f with each live edge ID in increasing order, stopping early
+// if f returns false. The order is deterministic for a fixed operation
 // history.
-func (g *G) Edges(f func(*Edge) bool) {
-	for _, e := range g.byID {
-		if e != nil && !f(e) {
+func (g *G) Edges(f func(id int32) bool) {
+	for id, ok := range g.live {
+		if ok && !f(int32(id)) {
 			return
 		}
 	}

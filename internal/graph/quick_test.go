@@ -54,7 +54,7 @@ func TestQuickGraphScripts(t *testing.T) {
 		for k := range live {
 			deg[k[0]]++
 			deg[k[1]]++
-			if g.Find(k[0], k[1]) == nil {
+			if g.Find(k[0], k[1]) < 0 {
 				return false
 			}
 		}

@@ -24,6 +24,7 @@ type Edge struct {
 	n    node
 	U, V int
 	W    int64
+	ID   int32 // the caller's name for the edge, as given to Link
 }
 
 // Forest is a link-cut forest over vertices 0..n-1.
@@ -164,14 +165,15 @@ func (f *Forest) Connected(u, v int) bool {
 	return findRoot(&f.vs[u]) == findRoot(&f.vs[v])
 }
 
-// Link adds edge (u, v) of weight w to the forest and returns its handle.
-// u and v must be in different trees; Link panics otherwise, since linking
-// within a tree would corrupt the forest invariant.
-func (f *Forest) Link(u, v int, w int64) *Edge {
+// Link adds edge (u, v) of weight w to the forest and returns its handle,
+// which records id, so a PathMaxEdge answer names the caller's edge. u and
+// v must be in different trees; Link panics otherwise, since linking within
+// a tree would corrupt the forest invariant.
+func (f *Forest) Link(u, v int, w int64, id int32) *Edge {
 	if f.Connected(u, v) {
 		panic("lct: Link within one tree")
 	}
-	e := &Edge{U: u, V: v, W: w}
+	e := &Edge{U: u, V: v, W: w, ID: id}
 	e.n.w = w
 	e.n.maxn = &e.n
 	e.n.edge = e

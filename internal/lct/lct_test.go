@@ -90,13 +90,13 @@ func TestLinkCutBasic(t *testing.T) {
 	if f.Connected(0, 1) {
 		t.Fatal("fresh vertices connected")
 	}
-	e01 := f.Link(0, 1, 5)
-	e12 := f.Link(1, 2, 3)
+	e01 := f.Link(0, 1, 5, 7)
+	e12 := f.Link(1, 2, 3, 8)
 	if !f.Connected(0, 2) {
 		t.Fatal("0 and 2 should be connected")
 	}
-	if m := f.PathMaxEdge(0, 2); m != e01 {
-		t.Fatalf("path max = (%d,%d,%d), want edge (0,1)", m.U, m.V, m.W)
+	if m := f.PathMaxEdge(0, 2); m != e01 || m.ID != 7 {
+		t.Fatalf("path max = (%d,%d,%d) id %d, want edge (0,1) id 7", m.U, m.V, m.W, m.ID)
 	}
 	f.Cut(e01)
 	if f.Connected(0, 2) {
@@ -110,14 +110,14 @@ func TestLinkCutBasic(t *testing.T) {
 
 func TestLinkPanicsOnCycle(t *testing.T) {
 	f := New(3)
-	f.Link(0, 1, 1)
-	f.Link(1, 2, 2)
+	f.Link(0, 1, 1, 0)
+	f.Link(1, 2, 2, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Link forming a cycle did not panic")
 		}
 	}()
-	f.Link(0, 2, 3)
+	f.Link(0, 2, 3, 2)
 }
 
 func TestPathMaxChain(t *testing.T) {
@@ -127,13 +127,13 @@ func TestPathMaxChain(t *testing.T) {
 	f := New(n)
 	edges := make([]*Edge, n-1)
 	for i := 0; i < n-1; i++ {
-		edges[i] = f.Link(i, i+1, int64(i+1))
+		edges[i] = f.Link(i, i+1, int64(i+1), int32(i))
 	}
 	for a := 0; a < n; a += 7 {
 		for b := a + 1; b < n; b += 5 {
 			got := f.PathMaxEdge(a, b)
-			if got.W != int64(b) {
-				t.Fatalf("PathMax(%d,%d) = %d, want %d", a, b, got.W, b)
+			if got.W != int64(b) || got.ID != int32(b-1) {
+				t.Fatalf("PathMax(%d,%d) = w %d id %d, want w %d id %d", a, b, got.W, got.ID, b, b-1)
 			}
 		}
 	}
@@ -157,7 +157,7 @@ func TestRandomAgainstReference(t *testing.T) {
 				continue
 			}
 			w := rng.Int63() % 1000
-			e := f.Link(u, v, w)
+			e := f.Link(u, v, w, int32(step))
 			ref.link(u, v, w)
 			edges = append(edges, live{e, u, v})
 		case 2: // cut a random live edge
@@ -192,7 +192,7 @@ func TestStarAndRelink(t *testing.T) {
 	f := New(n)
 	var es []*Edge
 	for i := 1; i < n; i++ {
-		es = append(es, f.Link(0, i, int64(i)))
+		es = append(es, f.Link(0, i, int64(i), int32(i)))
 	}
 	if got := f.PathMaxEdge(5, 7); got.W != 7 {
 		t.Fatalf("star path max = %d, want 7", got.W)
@@ -206,7 +206,7 @@ func TestStarAndRelink(t *testing.T) {
 		}
 	}
 	for i := 0; i < n-1; i++ {
-		f.Link(i, i+1, 1)
+		f.Link(i, i+1, 1, int32(i))
 	}
 	if !f.Connected(0, n-1) {
 		t.Fatal("path endpoints not connected after rebuild")
@@ -219,7 +219,7 @@ func BenchmarkLinkCut(b *testing.B) {
 	rng := xrand.New(5)
 	var edges []*Edge
 	for i := 1; i < n; i++ {
-		edges = append(edges, f.Link(rng.Intn(i), i, rng.Int63()%1000))
+		edges = append(edges, f.Link(rng.Intn(i), i, rng.Int63()%1000, int32(i)))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -227,7 +227,7 @@ func BenchmarkLinkCut(b *testing.B) {
 		e := edges[j]
 		u, v, w := e.U, e.V, e.W
 		f.Cut(e)
-		edges[j] = f.Link(u, v, w)
+		edges[j] = f.Link(u, v, w, int32(j))
 	}
 }
 
@@ -235,7 +235,7 @@ func BenchmarkPathMax(b *testing.B) {
 	const n = 1 << 12
 	f := New(n)
 	for i := 0; i < n-1; i++ {
-		f.Link(i, i+1, int64(i))
+		f.Link(i, i+1, int64(i), int32(i))
 	}
 	rng := xrand.New(6)
 	b.ResetTimer()

@@ -37,7 +37,7 @@ func TestQuickLinkCutScripts(t *testing.T) {
 					continue
 				}
 				w := int64(op >> 16)
-				edges = append(edges, live{f.Link(u, v, w), u, v})
+				edges = append(edges, live{f.Link(u, v, w, int32(len(edges))), u, v})
 				ref.link(u, v, w)
 			case 2: // cut a pseudo-random live edge
 				if len(edges) == 0 {
