@@ -103,8 +103,8 @@ func TestTreeEdgeCycleAllocs(t *testing.T) {
 		ch    Charger
 		limit float64
 	}{
-		{"seq", SeqCharger{}, 84},                     // measured 79
-		{"pram", PRAMCharger{M: pram.New(false)}, 86}, // measured 81
+		{"seq", SeqCharger{}, 26},                     // measured 22
+		{"pram", PRAMCharger{M: pram.New(false)}, 26}, // measured 22
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n, u = 512, 256
@@ -133,5 +133,25 @@ func TestTreeEdgeCycleAllocs(t *testing.T) {
 			}
 			checkAll(t, m)
 		})
+	}
+}
+
+// TestNewMSFFootprintAllocs pins what an empty engine allocates: NewStore
+// builds no per-vertex state (every vertex starts implicit) and no CAdj
+// row (no chunk id is registered yet), and the graph and the link-cut
+// forest each take flat arrays, so the object count does not grow with n.
+// Building every vertex's short list up front cost about 5n objects.
+func TestNewMSFFootprintAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs without -race")
+	}
+	const limit = 24 // measured 21
+	count := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() { NewMSF(n, Config{}, SeqCharger{}) })
+	}
+	small, large := count(1<<10), count(1<<16)
+	t.Logf("NewMSF allocates %v objects at n=2^10, %v at n=2^16", small, large)
+	if small != large || large > limit {
+		t.Fatalf("NewMSF allocates %v objects at n=2^10 and %v at n=2^16, want equal and <= %d", small, large, limit)
 	}
 }

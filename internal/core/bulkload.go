@@ -134,7 +134,7 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 	// Invariant 1 holds by construction: every cut leaves at least K weight
 	// behind, and a tail too light to stand alone is absorbed into the last
 	// chunk (<= 2.5K+4 <= 3K for K >= 8).
-	used := make([]bool, st.n) // principal copy consumed / vertex visited
+	used := make([]bool, st.n) // principal copy placed / vertex visited
 	type frame struct{ v, eid, idx int32 }
 	var stack []frame
 	var seq []*Copy
@@ -146,11 +146,13 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 		var cp *Copy
 		if !used[v] {
 			used[v] = true
-			cp = st.pcs[v]
-			// Retire the singleton tour the vertex has held since NewStore;
-			// its chunk is replaced below, its BTc leaf is reused.
-			if t := st.tourByRoot[cp.chunk.leaf]; t != nil {
-				st.dropTour(t)
+			if cp = st.pcs[v]; cp == nil {
+				cp = st.newPrincipal(int(v))
+			} else {
+				// Retire the singleton tour an earlier, since deleted, edge
+				// left the vertex; its chunk is replaced below, its BTc
+				// leaf is reused.
+				st.dropTour(st.tourOf(cp.chunk))
 			}
 		} else {
 			cp = st.newCopy(int(v))
@@ -249,17 +251,18 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 	}
 
 	// --- Vertices that stay isolated in the forest but carry non-tree
-	// edges: the charge lands on their existing singleton chunk. Degree <= 3
-	// keeps n_c <= 4 < K, so the tour stays short (unregistered), as the
-	// incremental path would leave it. ---
+	// edges: the charge lands on their singleton chunk. Degree <= 3 keeps
+	// n_c <= 4 < K, so the tour stays short (unregistered), as the
+	// incremental path would leave it. Vertices with no edge stay as they
+	// are, implicit unless an earlier edge materialized them. ---
 	st.ch.Seq(st.n)
 	for v := 0; v < st.n; v++ {
 		if treeDeg[v] != 0 {
 			continue
 		}
 		if d := st.g.Degree(v); d != 0 {
-			cp := st.pcs[v]
-			cp.leaf.Agg = btAgg{copies: 1, edges: int32(d)}
+			st.materialize(v)
+			st.pcs[v].leaf.Agg = btAgg{copies: 1, edges: int32(d)}
 		}
 	}
 
@@ -277,7 +280,9 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 		}
 	}
 	for v, cp := range st.pcs {
-		st.pcid[v] = cp.chunk.id
+		if cp != nil {
+			st.pcid[v] = cp.chunk.id
+		}
 	}
 	st.ch.Seq(len(edges))
 	for _, id := range edges {
@@ -287,14 +292,8 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 			continue // unrecorded, or on the unmaintained diagonal
 		}
 		w := st.g.Weight(id)
-		x := &st.C[a*st.J+b]
-		if w < *x {
-			*x = w
-		}
-		y := &st.C[b*st.J+a]
-		if w < *y {
-			*y = w
-		}
+		st.rows[a][b] = min(st.rows[a][b], w)
+		st.rows[b][a] = min(st.rows[b][a], w)
 	}
 
 	// --- LSDS assembly and tour handles. Chunks fold pairwise bottom-up

@@ -9,14 +9,30 @@ import (
 // CheckInvariants exhaustively verifies the structure against its paper
 // invariants: principal-copy rings, Euler-tour validity, Invariant 1, CAdj
 // ground truth (Inf on the unmaintained diagonal), LSDS aggregation, and
-// registry consistency. It sweeps all J ids of every row and vector, so it
-// also verifies that every cell at or above the high-water mark reads Inf.
-// It is O(n + J^2) and meant for tests.
+// registry consistency. An implicit vertex must have no edges and no chunk
+// id, and CAdj rows must exist for exactly the ids below the high-water
+// mark. It sweeps all J cells of every row and vector, so it also verifies
+// that every cell at or above the mark reads Inf. It is O(n + m + hi·J)
+// plus O(J) per internal LSDS node, and meant for tests.
 func (st *Store) CheckInvariants() error {
+	if len(st.normQ) != 0 {
+		return fmt.Errorf("%d chunks still queued for normalize", len(st.normQ))
+	}
+
 	// --- Vertices: rings and principal copies. ---
+	ringCopies := 0
 	for v := 0; v < st.n; v++ {
 		pc := st.pcs[v]
-		if pc == nil || !pc.principal || int(pc.v) != v {
+		if pc == nil {
+			if d := st.g.Degree(v); d != 0 {
+				return fmt.Errorf("vertex %d: degree %d but no state", v, d)
+			}
+			if st.pcid[v] != -1 {
+				return fmt.Errorf("vertex %d: no state but pcid %d", v, st.pcid[v])
+			}
+			continue
+		}
+		if !pc.principal || int(pc.v) != v {
 			return fmt.Errorf("vertex %d: bad principal copy", v)
 		}
 		count, principals := 0, 0
@@ -43,6 +59,7 @@ func (st *Store) CheckInvariants() error {
 		if principals != 1 {
 			return fmt.Errorf("vertex %d: %d principal copies", v, principals)
 		}
+		ringCopies += count
 		if pc.chunk != nil && st.pcid[v] != pc.chunk.id {
 			return fmt.Errorf("vertex %d: pcid %d, principal copy's chunk has id %d", v, st.pcid[v], pc.chunk.id)
 		}
@@ -195,15 +212,22 @@ func (st *Store) CheckInvariants() error {
 		}
 	}
 
-	// Every copy reachable from vertices must have been visited.
+	// Every copy reachable from vertices must have been visited, and the
+	// tours hold no other copy.
 	for v := 0; v < st.n; v++ {
 		cp := st.pcs[v]
+		if cp == nil {
+			continue
+		}
 		for first := true; first || cp != st.pcs[v]; first = false {
 			if !seenCopies[cp] {
 				return fmt.Errorf("vertex %d has a copy not in any tour", v)
 			}
 			cp = cp.ringNext
 		}
+	}
+	if len(seenCopies) != ringCopies {
+		return fmt.Errorf("tours hold %d copies, vertex rings %d", len(seenCopies), ringCopies)
 	}
 
 	// --- Tree edges: occurrence anchors, set for both directions of live
@@ -245,22 +269,33 @@ func (st *Store) CheckInvariants() error {
 		}
 		return true
 	})
-	for i := 0; i < st.J; i++ {
+	if len(st.rows) != st.hi {
+		return fmt.Errorf("CAdj rows exist for %d ids, want the %d below hi", len(st.rows), st.hi)
+	}
+	for i, c := range st.chunks[st.hi:] {
+		if c != nil {
+			return fmt.Errorf("chunk id %d at or above hi=%d is registered", st.hi+i, st.hi)
+		}
+	}
+	for i, row := range st.rows {
+		if len(row) != st.J {
+			return fmt.Errorf("CAdj row %d has %d cells, want J=%d", i, len(row), st.J)
+		}
 		if st.chunks[i] == nil {
-			// Free rows/columns must be clear.
-			for j := 0; j < st.J; j++ {
-				if st.C[i*st.J+j] != Inf {
+			// Free rows must be clear.
+			for j, w := range row {
+				if w != Inf {
 					return fmt.Errorf("free row %d has entry %d", i, j)
 				}
 			}
 			continue
 		}
-		for j := 0; j < st.J; j++ {
+		for j, got := range row {
 			want, ok := exp[[2]int32{int32(i), int32(j)}]
 			if !ok {
 				want = Inf
 			}
-			if got := st.C[i*st.J+j]; got != want {
+			if got != want {
 				return fmt.Errorf("CAdj[%d][%d] = %v, want %v", i, j, got, want)
 			}
 		}

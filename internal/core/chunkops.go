@@ -186,12 +186,9 @@ func (st *Store) mergeInto(left, right *Chunk) *Chunk {
 			if oc == nil || oc == keep || oc == lose {
 				continue
 			}
-			kcell := &st.C[j*st.J+ki]
-			lcell := &st.C[j*st.J+li]
-			if *lcell < *kcell {
-				*kcell = *lcell
-			}
-			*lcell = Inf
+			r := st.rows[j]
+			r[ki] = min(r[ki], r[li])
+			r[li] = Inf
 		}
 		lid := lose.id
 		st.freeID(lose)

@@ -81,7 +81,8 @@ func TestSplitMergeRelabelSmaller(t *testing.T) {
 			if sv != c || c.id != id || c.size() != size || small.bt != nil {
 				t.Fatal("the merge did not keep the larger chunk")
 			}
-			st.normalize([]*Chunk{sv})
+			st.normQ = append(st.normQ, sv)
+			st.normalize()
 			checkAll(t, m)
 		})
 	}

@@ -85,9 +85,8 @@ func TestCheckerDetectsCorruption(t *testing.T) {
 			return false
 		}, "CAdj"},
 		{"principal-flag", func(st *Store) bool {
-			for v := range st.pcs {
-				pc := st.pcs[v]
-				if pc.ringNext != pc {
+			for _, pc := range st.pcs {
+				if pc != nil && pc.ringNext != pc {
 					pc.ringNext.principal = true // second principal in ring
 					return true
 				}
@@ -95,9 +94,8 @@ func TestCheckerDetectsCorruption(t *testing.T) {
 			return false
 		}, "principal"},
 		{"ring-broken", func(st *Store) bool {
-			for v := range st.pcs {
-				pc := st.pcs[v]
-				if pc.ringNext != pc {
+			for _, pc := range st.pcs {
+				if pc != nil && pc.ringNext != pc {
 					pc.ringNext.ringPrev = pc.ringNext // snap the back link
 					return true
 				}
@@ -117,9 +115,8 @@ func TestCheckerDetectsCorruption(t *testing.T) {
 			return true
 		}, "agg"},
 		{"cyclic-order", func(st *Store) bool {
-			for v := range st.pcs {
-				cp := st.pcs[v]
-				if cp.next != cp && cp.next.next != cp {
+			for _, cp := range st.pcs {
+				if cp != nil && cp.next != cp && cp.next.next != cp {
 					// Swap two forward pointers within one tour.
 					a, b := cp.next, cp.next.next
 					cp.next = b
@@ -128,7 +125,7 @@ func TestCheckerDetectsCorruption(t *testing.T) {
 				}
 			}
 			return false
-		}, ""},
+		}, "cyclic"},
 		{"cadj-beyond-high-water", func(st *Store) bool {
 			// No loop writes an aggregate cell at or above hi, so only the
 			// checker's sweep over all J ids can see one.
@@ -142,7 +139,7 @@ func TestCheckerDetectsCorruption(t *testing.T) {
 		}, "LSDS"},
 		{"pcid", func(st *Store) bool {
 			for v, pc := range st.pcs {
-				if pc.chunk.id >= 0 {
+				if pc != nil && pc.chunk.id >= 0 {
 					st.pcid[v] = -1 // scans would skip v's edges
 					return true
 				}
@@ -167,6 +164,24 @@ func TestCheckerDetectsCorruption(t *testing.T) {
 			}
 			return false
 		}, "anchor"},
+		{"vertex-edge-without-state", func(st *Store) bool {
+			for v, pc := range st.pcs {
+				if pc != nil && st.g.Degree(v) > 0 {
+					st.pcs[v], st.pcid[v] = nil, -1 // v's edges lose their copy
+					return true
+				}
+			}
+			return false
+		}, "no state"},
+		{"row-beyond-high-water", func(st *Store) bool {
+			if st.hi == st.J {
+				return false
+			}
+			row := make([]Weight, st.J)
+			fillInf(row)
+			st.rows = append(st.rows, row) // a row for id hi, never handed out
+			return true
+		}, "rows exist"},
 		{"chunk-id-table", func(st *Store) bool {
 			c := firstRegistered(st)
 			if c == nil {

@@ -12,7 +12,7 @@ import "parmsf/internal/seqtree"
 // accumulates chunk copy counts and always advances the lighter
 // accumulation, so the walk is bounded by the smaller tour. Enumeration
 // then walks that tour's copy cycle once, from the first copy of its first
-// chunk (the cyclic order is the chunk order, which VerifyTours checks),
+// chunk (the cyclic order is the chunk order, which CheckInvariants checks),
 // and collects each principal copy's vertex — one per vertex of the tree.
 //
 // Like the export sweep, this is uncharged maintenance: it reads structure

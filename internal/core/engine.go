@@ -7,7 +7,6 @@ import (
 	"parmsf/internal/faultinject"
 	"parmsf/internal/graph"
 	"parmsf/internal/lct"
-	"parmsf/internal/seqtree"
 )
 
 // MSF maintains a minimum spanning forest of a dynamic bounded-degree
@@ -125,7 +124,8 @@ func (m *MSF) applyInsertPlanned(u, v int, w Weight, connected bool) error {
 		st.bumpCharge(pv, +1)
 	}
 	st.noteEdgeEntryInserted(id)
-	st.normalize([]*Chunk{pu.chunk, pv.chunk})
+	st.normQ = append(st.normQ, pu.chunk, pv.chunk)
+	st.normalize()
 
 	if !connected {
 		m.becomeTree(id)
@@ -172,10 +172,10 @@ func (m *MSF) deleteTreeEdge(u, v int) {
 	}
 
 	st.flushCAdj() // surgery and MWR read the LSDS aggregates
-	t1, t2, dirty := st.cutTours(id)
+	t1, t2 := st.cutTours(id)
 	// Re-read the principal copies: surgery may have deleted the old ones.
-	dirty = append(dirty, st.pcs[u].chunk, st.pcs[v].chunk)
-	st.normalize(dirty)
+	st.normQ = append(st.normQ, st.pcs[u].chunk, st.pcs[v].chunk)
+	st.normalize()
 	st.normTourStatus(t1)
 	st.normTourStatus(t2)
 	m.emitCutSide(t1, t2)
@@ -233,7 +233,7 @@ func (m *MSF) splice(op BatchOp) {
 		m.Events(a, b, w, true)
 	}
 
-	dirty := st.spliceTours(x, y)
+	st.spliceTours(x, y)
 	st.occU[e3], st.occV[e3] = x, y
 	// CAdj: (a, h) and (h, b) leave, (a, b) arrives, all of weight w. An
 	// entry that loses a weight-w edge and gains one keeps its minimum, so
@@ -254,7 +254,7 @@ func (m *MSF) splice(op BatchOp) {
 	}
 	// a and b keep their copies and charges; only the chunks h left need
 	// repair, and normalize keeps the tour's registry status with them.
-	st.normalize(dirty)
+	st.normalize()
 }
 
 // becomeTree promotes graph edge id to a forest edge: dynamic-tree link
@@ -270,8 +270,8 @@ func (m *MSF) becomeTree(id int32) {
 	if m.Events != nil {
 		m.Events(int(u), int(v), w, true)
 	}
-	dirty := st.linkTours(id)
-	st.normalize(dirty)
+	st.linkTours(id)
+	st.normalize()
 	st.normTourStatus(st.tourOf(st.pcs[u].chunk))
 }
 
@@ -290,8 +290,8 @@ func (m *MSF) removeFromForest(id int32) {
 	if m.Events != nil {
 		m.Events(int(u), int(v), w, false)
 	}
-	t1, t2, dirty := st.cutTours(id)
-	st.normalize(dirty)
+	t1, t2 := st.cutTours(id)
+	st.normalize()
 	st.normTourStatus(t1)
 	st.normTourStatus(t2)
 	m.emitCutSide(t1, t2)
@@ -345,25 +345,13 @@ func (m *MSF) DebugString() string {
 		st.n, st.g.M(), m.size, st.K, st.J, reg, len(st.normal))
 }
 
-// VerifyTours is a test hook: checks every tour's cyclic order matches its
-// chunk sequence, and that the structure's two records of forest
-// membership agree: the edges with occurrence anchors (which
-// CheckInvariants validates) are exactly the edges holding a link-cut
-// handle linked for that edge, its endpoints and weight, and they number
-// ForestSize.
+// VerifyTours is a test hook: checks that the structure's two records of
+// forest membership agree. The edges with occurrence anchors (which
+// CheckInvariants validates, with the tours themselves) are exactly the
+// edges holding a link-cut handle linked for that edge, its endpoints and
+// weight, and they number ForestSize.
 func (m *MSF) VerifyTours() error {
 	st := m.st
-	for root, t := range st.tourByRoot {
-		if t.root != root {
-			return fmt.Errorf("tour root map inconsistent")
-		}
-		if err := seqtree.Validate(root); err != nil {
-			return err
-		}
-		if !verifyTourMatchesCycle(t) {
-			return fmt.Errorf("tour cyclic order does not match chunk sequence")
-		}
-	}
 	if len(m.lctE) != len(st.occU) {
 		return fmt.Errorf("%d link-cut handle slots, %d occurrence anchor slots", len(m.lctE), len(st.occU))
 	}

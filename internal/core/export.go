@@ -23,7 +23,8 @@ import "slices"
 // and v are in one tree. upto must be at most the structure's vertex count
 // (callers embedding the structure in a gadget pass the original-vertex
 // prefix). Ids are dense in [0, #components among the swept vertices) in
-// first-occurrence order. Must not run concurrently with updates.
+// first-occurrence order; an implicit vertex is a component of its own.
+// Must not run concurrently with updates.
 func (m *MSF) ExportComponents(comp []int32, upto int) {
 	st := m.st
 	st.snapRoots = slices.Grow(st.snapRoots[:0], upto)[:upto]
@@ -32,7 +33,11 @@ func (m *MSF) ExportComponents(comp []int32, upto int) {
 	// O(log n) tour-root walk writing only its own cell (the Lemma 3.1
 	// shape insertclass.go charges on the update path; here uncharged).
 	st.ch.Apply(upto, func(p int) {
-		roots[p] = st.tourOf(st.pcs[p].chunk)
+		var t *Tour // nil: an implicit vertex
+		if cp := st.pcs[p]; cp != nil {
+			t = st.tourOf(cp.chunk)
+		}
+		roots[p] = t
 	})
 	// Host pass: densify the root pointers into component ids.
 	densify(roots, comp[:upto])

@@ -55,11 +55,17 @@ func (m *MSF) planInsertConnectivity() *insertConn {
 
 // densify writes to ids[i] a dense id of tour roots[i], handing ids out in
 // first-occurrence order (deterministic for every worker count), and
-// returns the number of distinct tours. A tour holds its id in tok during
-// the call only.
+// returns the number of distinct tours. A nil root is an implicit vertex,
+// whose one-copy tour gets the next id as the singleton it stands for. A
+// tour holds its id in tok during the call only.
 func densify(roots []*Tour, ids []int32) int {
 	var n int32
 	for i, t := range roots {
+		if t == nil {
+			n++
+			ids[i] = n - 1
+			continue
+		}
 		if t.tok == 0 {
 			n++
 			t.tok = n
@@ -67,7 +73,9 @@ func densify(roots []*Tour, ids []int32) int {
 		ids[i] = t.tok - 1
 	}
 	for _, t := range roots {
-		t.tok = 0
+		if t != nil {
+			t.tok = 0
+		}
 	}
 	return int(n)
 }

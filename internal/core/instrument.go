@@ -7,7 +7,20 @@ import (
 
 // This file exposes read-only instrumentation used by the benchmark harness
 // (experiments E5, E6, E9): chunk occupancy against Invariant 1, BTc
-// heights (the getEdge depth of Section 3), and LSDS shape statistics.
+// heights (the getEdge depth of Section 3), and LSDS shape statistics. Each
+// implicit vertex counts as the one-copy chunk and one-leaf tour it stands
+// for.
+
+// implicitVertices returns the number of vertices that have no state yet.
+func (st *Store) implicitVertices() int {
+	k := 0
+	for _, cp := range st.pcs {
+		if cp == nil {
+			k++
+		}
+	}
+	return k
+}
 
 // Occupancy summarizes n_c over all live chunks: the count of chunks and
 // the min / mean / max of n_c / K (Invariant 1 requires values in [1, 3]
@@ -30,6 +43,17 @@ func (st *Store) Occupancy() (count int, min, mean, max float64) {
 			return true
 		})
 	}
+	if k := st.implicitVertices(); k > 0 {
+		r := 1 / float64(st.K)
+		if r < min {
+			min = r
+		}
+		if r > max {
+			max = r
+		}
+		sum += float64(k) * r
+		count += k
+	}
 	if count == 0 {
 		return 0, 0, 0, 0
 	}
@@ -51,6 +75,7 @@ func (st *Store) BTHeightStats() (mean float64, max int) {
 			return true
 		})
 	}
+	cnt += float64(st.implicitVertices())
 	if cnt == 0 {
 		return 0, 0
 	}
@@ -69,6 +94,7 @@ func (st *Store) LSDSHeightStats() (mean float64, max int) {
 		sum += float64(h)
 		cnt++
 	}
+	cnt += float64(st.implicitVertices())
 	if cnt == 0 {
 		return 0, 0
 	}
@@ -93,9 +119,14 @@ func (m *MSF) Machine() *pram.Machine { return m.st.ch.Machine() }
 // SameTour reports whether u and v lie on one Euler tour — connectivity
 // answered by the list structure itself (root comparison, O(log n)),
 // independent of the link-cut forest. The checker cross-validates the two.
+// An implicit vertex is alone on its tour.
 func (st *Store) SameTour(u, v int) bool {
 	if u == v {
 		return true
 	}
-	return st.tourOf(st.pcs[u].chunk) == st.tourOf(st.pcs[v].chunk)
+	pu, pv := st.pcs[u], st.pcs[v]
+	if pu == nil || pv == nil {
+		return false
+	}
+	return st.tourOf(pu.chunk) == st.tourOf(pv.chunk)
 }

@@ -164,19 +164,3 @@ func chargeMinReduce(ch Charger, live int) {
 
 // firstCopy returns the first copy of t's first chunk.
 func firstCopy(t *Tour) *Copy { return btItem(seqtree.First(lsItem(seqtree.First(t.root)).bt)) }
-
-// verifyTourMatchesCycle is a debug helper used by the checker: it walks
-// the cyclic copy order from the tour's first copy and checks it visits
-// exactly the leaves of the tour's chunks in order, then closes.
-func verifyTourMatchesCycle(t *Tour) bool {
-	first := firstCopy(t)
-	cur, ok := first, true
-	seqtree.Leaves(t.root, func(l *lsNode) bool {
-		seqtree.Leaves(lsItem(l).bt, func(b *btNode) bool {
-			ok, cur = btItem(b) == cur, cur.next
-			return ok
-		})
-		return ok
-	})
-	return ok && cur == first
-}

@@ -2,21 +2,21 @@ package core
 
 import "parmsf/internal/seqtree"
 
-// normalize restores the structure's invariants for the given recently
-// touched chunks, in this order per chunk: pending row rebuilds, chunk
-// registration (every chunk of a multi-chunk list must be registered, and a
-// single-chunk list is registered iff n_c >= K — Section 6), then Invariant
-// 1 size repair by O(1) splits and merges (Section 2.2). Each engine
-// operation touches O(1) chunks, so this is the paper's "O(1) splits and
-// merges followed by O(1) LSDS operations".
-func (st *Store) normalize(dirty []*Chunk) {
-	queue := dirty
-	for guard := 0; len(queue) > 0; guard++ {
-		if guard > 10000 {
+// normalize restores the structure's invariants for the recently touched
+// chunks queued in normQ, in queue order, and empties the queue. Per chunk,
+// in this order: pending row rebuilds, chunk registration (every chunk of
+// a multi-chunk list must be registered, and a single-chunk list is
+// registered iff n_c >= K — Section 6), then Invariant 1 size repair by
+// O(1) splits and merges (Section 2.2), whose pieces join the queue. Each
+// engine operation touches O(1) chunks, so this is the paper's "O(1)
+// splits and merges followed by O(1) LSDS operations". Nothing normalize
+// calls queues chunks of its own, so surgery never nests inside it.
+func (st *Store) normalize() {
+	for i := 0; i < len(st.normQ); i++ {
+		if i > 10000 {
 			panic("core: normalize did not converge")
 		}
-		c := queue[0]
-		queue = queue[1:]
+		c := st.normQ[i]
 		if c == nil || c.bt == nil {
 			continue // chunk died in an earlier merge or copy deletion
 		}
@@ -42,7 +42,7 @@ func (st *Store) normalize(dirty []*Chunk) {
 		// Size repair.
 		if nc > 3*st.K {
 			left, right := st.splitBySize(c)
-			queue = append(queue, left, right)
+			st.normQ = append(st.normQ, left, right)
 			continue
 		}
 		if nc < st.K && !single {
@@ -53,10 +53,13 @@ func (st *Store) normalize(dirty []*Chunk) {
 			} else {
 				left, right = lsItem(seqtree.Prev(c.leaf)), c
 			}
-			queue = append(queue, st.mergeInto(left, right))
+			st.normQ = append(st.normQ, st.mergeInto(left, right))
 			continue
 		}
 	}
+	// Drop the pointers so the pooled capacity pins no retired chunks.
+	clear(st.normQ)
+	st.normQ = st.normQ[:0]
 }
 
 // normTourStatus re-derives a tour's registry membership after surgery (a

@@ -94,8 +94,9 @@ func (st *Store) classifyOp(op BatchOp) opClass {
 // planBatch runs the classify stage: a one-round kernel with one processor
 // per item (read-only graph lookups, each writing its own class slot),
 // followed by a host pass that resolves duplicate deletions (the first
-// occurrence wins, as under sequential application) and records the errors
-// of inapplicable items.
+// occurrence wins, as under sequential application), records the errors
+// of inapplicable items and materializes both endpoints of every planned
+// insertion, which the insert stage's root kernel then reads.
 func (m *MSF) planBatch(ops []BatchOp, errs []error) Plan {
 	st := m.st
 	st.clsScratch = slices.Grow(st.clsScratch[:0], len(ops))[:len(ops)]
@@ -141,6 +142,8 @@ func (m *MSF) planBatch(ops []BatchOp, errs []error) Plan {
 			p.Splices = append(p.Splices, i)
 		case opInsert:
 			p.Inserts = append(p.Inserts, i)
+			st.materialize(ops[i].U)
+			st.materialize(ops[i].V)
 		case opDelMissing:
 			errs[i] = ErrNotFound
 		case opBadWeight:
@@ -260,7 +263,6 @@ func (m *MSF) applyNonTreeDeletes(idx []int, ops []BatchOp) {
 	}
 	st := m.st
 	pairs := st.pairScratch[:0]
-	touched := st.touchScratch[:0]
 	if st.pairSeen == nil {
 		st.pairSeen = make(map[[2]int32]int, len(idx))
 	}
@@ -277,7 +279,7 @@ func (m *MSF) applyNonTreeDeletes(idx []int, ops []BatchOp) {
 			st.bumpCharge(pv, -1)
 		}
 		c1, c2 := pu.chunk, pv.chunk
-		touched = append(touched, c1, c2)
+		st.normQ = append(st.normQ, c1, c2)
 		if c1.id < 0 || c2.id < 0 {
 			continue // entries of unregistered chunks are not recorded
 		}
@@ -312,12 +314,9 @@ func (m *MSF) applyNonTreeDeletes(idx []int, ops []BatchOp) {
 		st.markCAdjDirty(p.a)
 		st.markCAdjDirty(p.b)
 	}
-	st.normalize(touched)
+	st.normalize()
 	// Return the scratch with its pointers dropped, so retired chunks are
-	// not pinned by pool capacity until the next batch. normalize may have
-	// appended split/merge work past touched's length within its capacity,
-	// so the whole capacity is cleared.
+	// not pinned by pool capacity until the next batch.
 	clear(pairs)
-	clear(touched[:cap(touched)])
-	st.pairScratch, st.touchScratch = pairs[:0], touched[:0]
+	st.pairScratch = pairs[:0]
 }

@@ -120,7 +120,7 @@ func (st *Store) pushColumn(c *Chunk) {
 	st.ch.Par(1, st.J)
 	for j, oc := range st.chunks[:st.hi] {
 		if oc != nil {
-			st.C[j*st.J+int(c.id)] = row[j]
+			st.rows[j][c.id] = row[j]
 		}
 	}
 }
@@ -130,7 +130,7 @@ func (st *Store) clearColumn(id int32) {
 	st.ch.Par(1, st.J)
 	for j, oc := range st.chunks[:st.hi] {
 		if oc != nil {
-			st.C[j*st.J+int(id)] = Inf
+			st.rows[j][id] = Inf
 		}
 	}
 }
@@ -250,13 +250,9 @@ func (st *Store) lowerEntryPair(c1, c2 *Chunk, w Weight) {
 		return
 	}
 	st.markCAdjDirty(c2)
-	i, j := int(c1.id), int(c2.id)
-	if w < st.C[i*st.J+j] {
-		st.C[i*st.J+j] = w
-	}
-	if w < st.C[j*st.J+i] {
-		st.C[j*st.J+i] = w
-	}
+	r1, r2 := st.row(c1.id), st.row(c2.id)
+	r1[c2.id] = min(r1[c2.id], w)
+	r2[c1.id] = min(r2[c1.id], w)
 }
 
 // recomputeEntryPair recomputes the symmetric entry pair (c1, c2) after an
@@ -289,7 +285,7 @@ func (st *Store) entryMayChange(c1, c2 *Chunk, w Weight) bool {
 	if c1 == c2 {
 		return false
 	}
-	return c1.rowStale || c2.rowStale || w <= st.C[int(c1.id)*st.J+int(c2.id)]
+	return c1.rowStale || c2.rowStale || w <= st.row(c1.id)[c2.id]
 }
 
 // chargeEntryPairScan charges the model cost of one entry-pair scan (the
@@ -321,8 +317,8 @@ func (st *Store) scanEntryPair(c1, c2 *Chunk) {
 			break
 		}
 	}
-	st.C[int(c1.id)*st.J+int(c2.id)] = w
-	st.C[int(c2.id)*st.J+int(c1.id)] = w
+	st.row(c1.id)[id2] = w
+	st.row(id2)[c1.id] = w
 }
 
 // btHeight returns the height of c's BTc.

@@ -68,7 +68,7 @@ func TestEntryScanSkips(t *testing.T) {
 				}
 			}
 			if cA == nil || cA.id < 0 || cB.id < 0 || cA == cB || chunk(b[1]) != cB ||
-				st.C[int(cA.id)*st.J+int(cB.id)] != 1000 {
+				st.row(cA.id)[cB.id] != 1000 {
 				t.Fatal("entry (A, B) is not set by the chord of weight 1000; fixture needs new vertices")
 			}
 			checkAll(t, m)

@@ -66,11 +66,15 @@ type Store struct {
 	ch  Charger
 	sts Stats
 
-	// C is the J x J CAdj matrix (Section 3's two-dimensional matrix C;
-	// the sequential algorithm reads the same storage). Row i is
-	// C[i*J:(i+1)*J]. The diagonal is not maintained (MWR never reads it)
-	// and stays Inf, as does every cell in a row or column at or above hi.
-	C []Weight
+	// rows is the CAdj matrix (Section 3's two-dimensional matrix C; the
+	// sequential algorithm reads the same storage), one J-cell row per
+	// chunk id below hi: allocID allocates an id's row, all Inf, the first
+	// time it hands the id out, and a freed id keeps its row for reuse.
+	// Rows are separate slices, so a new id copies no existing row, only
+	// (when the slice grows) the hi row headers.
+	// The diagonal is not maintained (MWR never reads it) and stays Inf,
+	// as does every cell in a column at or above hi.
+	rows [][]Weight
 
 	chunks  []*Chunk // registered chunks by id; nil = free
 	freeIDs []int32  // freed ids below hi, reused last-freed first
@@ -84,11 +88,19 @@ type Store struct {
 	btT *seqtree.Tree[btAgg, any]
 	lsT *seqtree.Tree[*lsVec, any]
 
-	pcs        []*Copy // principal copy of each vertex (always non-nil)
-	pcid       []int32 // id of the chunk holding pcs[v], -1 if unregistered
+	// pcs is the principal copy of each vertex, or nil while the vertex is
+	// implicit: it has never been able to gain an edge, and stands for the
+	// one-copy short list every vertex starts as (materialize).
+	pcs        []*Copy
+	pcid       []int32 // id of the chunk holding pcs[v], -1 if unregistered or implicit
 	occU, occV []*Copy // tree-edge occurrence anchors, indexed by edge ID
 	tourByRoot map[*lsNode]*Tour
 	normal     []*Tour // tours owning registered chunks (column sweeps)
+
+	// normQ is the chunks normalize must revisit, in the order surgery
+	// touched them. Surgery appends and normalize drains it, so it is
+	// empty between operations.
+	normQ []*Chunk
 
 	vecPool []*lsVec
 
@@ -112,7 +124,6 @@ type Store struct {
 	delSeen      map[[2]int]bool  // planBatch: duplicate-deletion filter
 	pairScratch  []entryPair      // applyNonTreeDeletes: deduped chunk pairs
 	pairSeen     map[[2]int32]int // applyNonTreeDeletes: pair -> index
-	touchScratch []*Chunk         // applyNonTreeDeletes: touched chunks
 	flushDepth   map[*lsNode]int  // flushCAdj: node -> depth from root
 	flushNodes   []*lsNode        // flushCAdj: union of dirty ancestor paths
 	flushBuckets [][]*lsNode      // flushCAdj: nodes grouped by depth
@@ -152,6 +163,8 @@ const jSlack = 6
 
 // NewStore builds the structure for graph g (which must be empty: edges are
 // inserted through the engine). ch selects sequential or PRAM accounting.
+// Every vertex starts implicit and no chunk id is registered, so the store
+// allocates O(1) objects whatever n is.
 func NewStore(g *graph.G, cfg Config, ch Charger) *Store {
 	if g.M() != 0 {
 		panic("core: NewStore requires an empty graph")
@@ -167,13 +180,14 @@ func NewStore(g *graph.G, cfg Config, ch Charger) *Store {
 		J:          J,
 		jw:         (J + 63) / 64,
 		ch:         ch,
-		C:          make([]Weight, J*J),
 		chunks:     make([]*Chunk, J),
-		tourByRoot: make(map[*lsNode]*Tour, n),
+		tourByRoot: make(map[*lsNode]*Tour),
 		pcs:        make([]*Copy, n),
 		pcid:       make([]int32, n),
 	}
-	fillInf(st.C)
+	for v := range st.pcid {
+		st.pcid[v] = -1
+	}
 	st.btT = &seqtree.Tree[btAgg, any]{
 		Update: func(nd *btNode) {
 			st.btTouches++
@@ -197,23 +211,43 @@ func NewStore(g *graph.G, cfg Config, ch Charger) *Store {
 	}
 	st.rootKernel = st.rootWalk
 	st.flushKernel = func(i int) { st.recomputeVec(st.flushCur[i]) }
-	// Every vertex starts as an isolated singleton tour (Section 6 short
-	// list): one principal copy in one unregistered chunk.
-	for v := 0; v < n; v++ {
-		cp := &Copy{v: int32(v), principal: true}
-		cp.next, cp.prev = cp, cp
-		cp.ringNext, cp.ringPrev = cp, cp
-		cp.leaf = st.btT.NewLeaf(cp)
-		cp.leaf.Agg = btAgg{copies: 1}
-		c := &Chunk{id: -1, bt: cp.leaf}
-		cp.chunk = c
-		c.leaf = st.lsT.NewLeaf(c)
-		st.pcs[v] = cp
-		st.pcid[v] = -1
-		t := &Tour{root: c.leaf, regIdx: -1}
-		st.tourByRoot[c.leaf] = t
-	}
 	return st
+}
+
+// materialize gives implicit vertex v the state every vertex starts with
+// in the paper: one principal copy alone in an unregistered chunk, its own
+// short-list tour (Section 6). It runs on the host the first time v can
+// gain an edge, and v keeps the state after it loses its edges. It charges
+// nothing, since the paper's structure holds this state from the start. A
+// vertex that already has state is left as it is.
+func (st *Store) materialize(v int) {
+	if st.pcs[v] == nil {
+		st.soloTour(st.newPrincipal(v))
+	}
+}
+
+// newPrincipal creates v's principal copy, alone in its ring and cyclic
+// order, with a detached BTc leaf carrying one copy and no charged edges.
+func (st *Store) newPrincipal(v int) *Copy {
+	cp := &Copy{v: int32(v), principal: true}
+	cp.next, cp.prev = cp, cp
+	cp.ringNext, cp.ringPrev = cp, cp
+	cp.leaf = st.btT.NewLeaf(cp)
+	cp.leaf.Agg = btAgg{copies: 1}
+	st.pcs[v] = cp
+	return cp
+}
+
+// soloTour puts principal copy cp, whose BTc leaf is detached, into a
+// fresh one-copy unregistered chunk and a tour of its own: a short list.
+func (st *Store) soloTour(cp *Copy) *Tour {
+	c := &Chunk{id: -1, bt: cp.leaf}
+	c.leaf = st.lsT.NewLeaf(c)
+	cp.chunk = c
+	st.pcid[cp.v] = -1
+	t := &Tour{regIdx: -1}
+	st.setRoot(t, c.leaf)
+	return t
 }
 
 // Stats returns a copy of the structural event counters.
@@ -223,7 +257,7 @@ func (st *Store) Stats() Stats { return st.sts }
 func (st *Store) Params() (int, int) { return st.K, st.J }
 
 // row returns registered chunk id's CAdj row.
-func (st *Store) row(id int32) []Weight { return st.C[int(id)*st.J : (int(id)+1)*st.J] }
+func (st *Store) row(id int32) []Weight { return st.rows[id] }
 
 // lsUpdate recomputes an internal LSDS node's vectors, counting the touch
 // for the caller's Lemma 2.3 / 3.2 charge.
@@ -343,9 +377,9 @@ func (st *Store) putVec(v *lsVec) {
 }
 
 // allocID registers chunk c in the matrix, with a cleared row and column:
-// the last-freed id if any, else hi, which then grows by one. The caller
-// writes the id into pcid for c's principal copies (stampPCID, or
-// adoptCopies when c is a fresh split piece).
+// the last-freed id if any, else hi, which then grows by one and gets its
+// row, all Inf. The caller writes the id into pcid for c's principal
+// copies (stampPCID, or adoptCopies when c is a fresh split piece).
 func (st *Store) allocID(c *Chunk) {
 	var id int32
 	if k := len(st.freeIDs); k > 0 {
@@ -357,6 +391,9 @@ func (st *Store) allocID(c *Chunk) {
 		}
 		id = int32(st.hi)
 		st.hi++
+		row := make([]Weight, st.J)
+		fillInf(row)
+		st.rows = append(st.rows, row)
 	}
 	c.id = id
 	st.chunks[id] = c

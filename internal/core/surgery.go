@@ -37,11 +37,11 @@ func (st *Store) newCopy(v int) *Copy {
 
 // linkTours splices the tours of edge id's endpoints into one around it,
 // setting its occurrence anchors, which makes it a tree edge. The endpoints
-// must currently be in different tours. Returns the chunks whose contents
-// changed (for normalize). A link with an isolated endpoint takes the
-// leaf-local path of linkIsolated; any other link makes each endpoint's
-// copy a chunk head, splitting up to two chunks.
-func (st *Store) linkTours(id int32) []*Chunk {
+// must currently be in different tours. It queues the chunks whose
+// contents changed for normalize. A link with an isolated endpoint takes
+// the leaf-local path of linkIsolated; any other link makes each
+// endpoint's copy a chunk head, splitting up to two chunks.
+func (st *Store) linkTours(id int32) {
 	st.sts.TourLinks++
 	eu, ev := st.g.Ends(id)
 	u, v := int(eu), int(ev)
@@ -53,9 +53,11 @@ func (st *Store) linkTours(id int32) []*Chunk {
 	}
 	switch {
 	case cu.next == cu: // u isolated: single copy, no pairs
-		return st.linkIsolated(id, cu, tu, cv)
+		st.linkIsolated(id, cu, tu, cv)
+		return
 	case cv.next == cv:
-		return st.linkIsolated(id, cv, tv, cu)
+		st.linkIsolated(id, cv, tv, cu)
+		return
 	}
 
 	// --- Rearrange the v-side list (tv) to start at cv. ---
@@ -114,7 +116,7 @@ func (st *Store) linkTours(id int32) []*Chunk {
 	// The chunks whose contents changed, for normalize: the piece before
 	// each endpoint's copy (its whole chunk when no split happened), the
 	// v-side head chunk, the chunk v2 joined and the u-side head chunk.
-	return []*Chunk{cmp.Or(cuLeft, cuChunk), cmp.Or(cvLeft, cvChunk), cvChunk, bqChunk, cuChunk}
+	st.normQ = append(st.normQ, cmp.Or(cuLeft, cuChunk), cmp.Or(cvLeft, cvChunk), cvChunk, bqChunk, cuChunk)
 }
 
 // linkIsolated is linkTours' leaf-local path for an endpoint x that is
@@ -127,7 +129,7 @@ func (st *Store) linkTours(id int32) []*Chunk {
 // the host chunk's row is a symmetric min-update per edge, exact because a
 // row is a minimum over its chunk's charged edges. When y is isolated too,
 // y gains no copy and the tour is just cx, cy.
-func (st *Store) linkIsolated(id int32, cx *Copy, tx *Tour, cy *Copy) []*Chunk {
+func (st *Store) linkIsolated(id int32, cx *Copy, tx *Tour, cy *Copy) {
 	c := cy.chunk
 	y2 := cy
 	if cy.next != cy {
@@ -171,17 +173,17 @@ func (st *Store) linkIsolated(id int32, cx *Copy, tx *Tour, cy *Copy) []*Chunk {
 			st.lowerEntryPair(c, st.pcs[h.To].chunk, st.g.Weight(h.ID))
 		}
 	}
-	return []*Chunk{c}
+	st.normQ = append(st.normQ, c)
 }
 
 // cutTours splits the tour containing tree edge id (u, v) in two, removing
 // the duplicate copies at the cut points, and clears the edge's occurrence
 // anchors. The edge may already have left the graph (Ends still reads it).
 // It returns the two resulting tours — first the one containing u, then
-// v — and the dirty chunks for normalize. A cut that isolates an endpoint
-// takes the leaf-local path of cutLeaf; any other cut makes both segment
-// heads chunk heads, splitting up to two chunks.
-func (st *Store) cutTours(id int32) (tU, tV *Tour, dirty []*Chunk) {
+// v — and queues the dirty chunks for normalize. A cut that isolates an
+// endpoint takes the leaf-local path of cutLeaf; any other cut makes both
+// segment heads chunk heads, splitting up to two chunks.
+func (st *Store) cutTours(id int32) (tU, tV *Tour) {
 	st.sts.TourCuts++
 	u, v := st.g.Ends(id)
 	a := st.occU[id] // copy of u; pair (a, b) is the u->v traversal
@@ -196,11 +198,9 @@ func (st *Store) cutTours(id int32) (tU, tV *Tour, dirty []*Chunk) {
 	st.occV[id] = nil
 	switch {
 	case b == c: // v becomes isolated: segment [b..c] is one copy
-		tV, dirty = st.cutLeaf(b)
-		return t, tV, dirty
+		return t, st.cutLeaf(b)
 	case a == d:
-		tU, dirty = st.cutLeaf(a)
-		return tU, t, dirty
+		return st.cutLeaf(a), t
 	}
 
 	// Chunk boundaries before the segment heads. Both may fall in one
@@ -209,7 +209,7 @@ func (st *Store) cutTours(id int32) (tU, tV *Tour, dirty []*Chunk) {
 	st.ensureBoundaryBefore(b)
 	st.ensureBoundaryBefore(d)
 	cb, cd := b.chunk, d.chunk
-	dirty = append(dirty, cb, cd, a.chunk, c.chunk)
+	st.normQ = append(st.normQ, cb, cd, a.chunk, c.chunk)
 
 	// Split the linear chunk sequence into the two cyclic segments
 	// S_v = [b..c] and S_u = [d..a].
@@ -249,9 +249,9 @@ func (st *Store) cutTours(id int32) (tU, tV *Tour, dirty []*Chunk) {
 	st.setNormal(tV, anyRegistered(svRoot))
 
 	// Remove the duplicate copies at the seams.
-	dirty = append(dirty, st.deleteCopy(c)...)
-	dirty = append(dirty, st.deleteCopy(a)...)
-	return t, tV, dirty
+	st.deleteCopy(c)
+	st.deleteCopy(a)
+	return t, tV
 }
 
 // cutLeaf is cutTours' leaf-local path for a cut that leaves x's vertex
@@ -259,15 +259,14 @@ func (st *Store) cutTours(id int32) (tU, tV *Tour, dirty []*Chunk) {
 // short list, and the seam copy preceding it — a duplicate of the other
 // endpoint's copy that follows x — is deleted as on the general path (none
 // when that side is a single copy too). No chunk boundary moves. Returns
-// x's new tour and the dirty chunks.
-func (st *Store) cutLeaf(x *Copy) (*Tour, []*Chunk) {
+// x's new tour; the dirty chunks are queued.
+func (st *Store) cutLeaf(x *Copy) *Tour {
 	p, q := x.prev, x.next
-	t, old := st.detachCopy(x)
-	dirty := []*Chunk{old}
+	t := st.detachCopy(x)
 	if p != q {
-		dirty = append(dirty, st.deleteCopy(p)...)
+		st.deleteCopy(p)
 	}
-	return t, dirty
+	return t
 }
 
 // spliceTours is the Euler-tour surgery of a splice (engine.go): the two
@@ -275,45 +274,40 @@ func (st *Store) cutLeaf(x *Copy) (*Tour, []*Chunk) {
 // so "… x,h,b … y,h,a …" reads "… x,b … y,a …" and x and y precede the
 // pairs of the new edge (a, b). h's non-principal copy is deleted and its
 // principal copy, whose edges are gone, is detached into a fresh short
-// list. No chunk boundary moves. Returns the dirty chunks.
-func (st *Store) spliceTours(x, y *Copy) []*Chunk {
+// list. No chunk boundary moves. The dirty chunks are queued.
+func (st *Store) spliceTours(x, y *Copy) {
 	hp, hn := x.next, y.next
 	if !hp.principal {
 		hp, hn = hn, hp
 	}
-	dirty := st.deleteCopy(hn)
+	st.deleteCopy(hn)
 	// Drop h's edge charge; detaching refreshes the old BTc path.
 	hp.leaf.Agg = btAgg{copies: 1}
-	_, old := st.detachCopy(hp)
-	return append(dirty, old)
+	st.detachCopy(hp)
 }
 
 // detachCopy moves x, the only copy of its vertex, out of its chunk's BTc
 // into a fresh one-copy short list and tour, closing the cyclic order
 // around it. No chunk boundary moves; the old chunk's row is rebuilt by
 // normalize only if x still has incident edges, whose charges leave with
-// it. Returns x's new tour and the old chunk, which keeps a copy: under
-// Invariant 1 every chunk of a tour with two or more copies holds at least
-// two.
-func (st *Store) detachCopy(x *Copy) (*Tour, *Chunk) {
+// it. Returns x's new tour, and queues the old chunk, which keeps a copy:
+// under Invariant 1 every chunk of a tour with two or more copies holds at
+// least two.
+func (st *Store) detachCopy(x *Copy) *Tour {
 	old := x.chunk
 	st.btOp(func() { old.bt = st.btT.DeleteLeaf(x.leaf) })
 	if x.leaf.Agg.edges > 0 {
 		old.rowStale = true
 	}
-	c := &Chunk{id: -1, bt: x.leaf}
-	c.leaf = st.lsT.NewLeaf(c)
-	x.chunk = c
-	st.pcid[x.v] = -1
-	t := &Tour{regIdx: -1}
-	st.setRoot(t, c.leaf)
+	t := st.soloTour(x)
 
 	st.ch.Seq(1)
 	p, q := x.prev, x.next
 	p.next = q
 	q.prev = p
 	x.next, x.prev = x, x
-	return t, old
+	st.normQ = append(st.normQ, old)
+	return t
 }
 
 // anyRegistered reports whether the subtree rooted at nd contains a
@@ -331,10 +325,9 @@ func anyRegistered(nd *lsNode) bool {
 }
 
 // deleteCopy removes cp from its ring, cyclic order, chunk and (if the
-// chunk empties) LSDS, migrating the principal designation if needed.
-// Returns chunks whose charge sets changed.
-func (st *Store) deleteCopy(cp *Copy) []*Chunk {
-	var dirty []*Chunk
+// chunk empties) LSDS, migrating the principal designation if needed. It
+// queues the chunks whose charge sets changed.
+func (st *Store) deleteCopy(cp *Copy) {
 	st.ch.Seq(1)
 	if cp.ringNext == cp {
 		panic("core: deleting the only copy of a vertex")
@@ -350,7 +343,7 @@ func (st *Store) deleteCopy(cp *Copy) []*Chunk {
 		st.btOp(func() { st.btT.RefreshUp(np.leaf) })
 		np.chunk.rowStale = true
 		cp.chunk.rowStale = true
-		dirty = append(dirty, np.chunk, cp.chunk)
+		st.normQ = append(st.normQ, np.chunk, cp.chunk)
 	}
 	cp.ringPrev.ringNext = cp.ringNext
 	cp.ringNext.ringPrev = cp.ringPrev
@@ -369,9 +362,8 @@ func (st *Store) deleteCopy(cp *Copy) []*Chunk {
 		ck.leaf = nil
 	} else {
 		st.btOp(func() { ck.bt = st.btT.DeleteLeaf(cp.leaf) })
-		dirty = append(dirty, ck)
+		st.normQ = append(st.normQ, ck)
 	}
 	cp.chunk = nil
 	cp.leaf = nil
-	return dirty
 }

@@ -265,13 +265,16 @@ func (t *Tree[A, I]) SplitBefore(v *Node[A, I]) (l, r *Node[A, I]) {
 		panic("seqtree: SplitBefore on internal node")
 	}
 	// Record the root path first: releasing nodes while walking would let
-	// Join recycle a node whose address we still need for side tests.
+	// Join recycle a node whose address we still need for side tests. The
+	// path lives in a stack array sized past any AVL height reached here
+	// (depth 48 needs over 10^10 leaves); append spills only beyond it.
 	type step struct {
 		node    *Node[A, I]
 		sibling *Node[A, I]
 		wasLeft bool
 	}
-	var path []step
+	var buf [48]step
+	path := buf[:0]
 	child := v
 	for p := v.parent; p != nil; p = p.parent {
 		wasLeft := p.left == child

@@ -396,3 +396,35 @@ func TestBeforeAdjacentAndEnds(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitJoinAllocs pins the steady state of split and join: internal
+// nodes come from the tree's free list and SplitBefore records its root
+// path in a stack array, so once the free list has warmed, cutting a
+// 1,024-leaf sequence at several positions and joining it back allocates
+// nothing.
+func TestSplitJoinAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs without -race")
+	}
+	tr := sumTree()
+	items := make([]int, 1024)
+	for i := range items {
+		items[i] = i
+	}
+	root := buildSeq(tr, items)
+	var at []*Node[int, int]
+	for _, i := range []int{1, 255, 512, 700, 1023} {
+		at = append(at, leafAt(root, i))
+	}
+	cycle := func() {
+		for _, v := range at {
+			l, r := tr.SplitBefore(v)
+			root = tr.Join(l, r)
+		}
+	}
+	cycle() // warm the free list
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("warm split+join cycle allocates %v objects, want 0", avg)
+	}
+	checkAgainst(t, tr, root, items)
+}
