@@ -6,7 +6,9 @@
 package baseline
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 
 	"parmsf/internal/lct"
@@ -29,6 +31,23 @@ func key(u, v int) [2]int {
 		u, v = v, u
 	}
 	return [2]int{u, v}
+}
+
+// sortedEdges calls f with each key of forest, in increasing order, and its
+// weight in edges, until f returns false.
+func sortedEdges[V any](forest map[[2]int]V, edges map[[2]int]int64, f func(u, v int, w int64) bool) {
+	keys := make([][2]int, 0, len(forest))
+	for ky := range forest {
+		keys = append(keys, ky)
+	}
+	slices.SortFunc(keys, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	for _, ky := range keys {
+		if !f(ky[0], ky[1], edges[ky]) {
+			return
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -155,23 +174,7 @@ func (k *Kruskal) Weight() int64 { return k.weight }
 func (k *Kruskal) ForestSize() int { return k.size }
 
 // ForestEdges implements the engine interface. Iteration order is sorted.
-func (k *Kruskal) ForestEdges(f func(u, v int, w int64) bool) {
-	keys := make([][2]int, 0, len(k.inMSF))
-	for ky := range k.inMSF {
-		keys = append(keys, ky)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, ky := range keys {
-		if !f(ky[0], ky[1], k.edges[ky]) {
-			return
-		}
-	}
-}
+func (k *Kruskal) ForestEdges(f func(u, v int, w int64) bool) { sortedEdges(k.inMSF, k.edges, f) }
 
 // M returns the number of live edges.
 func (k *Kruskal) M() int { return len(k.edges) }
@@ -187,7 +190,8 @@ type LCTScan struct {
 	n      int
 	f      *lct.Forest
 	edges  map[[2]int]int64
-	tree   map[[2]int]*lct.Edge
+	tree   map[[2]int]int32 // forest edge -> its link-cut ID
+	free   []int32          // IDs of cut forest edges, reused last-cut first
 	weight int64
 	events func(u, v int, w int64, added bool)
 }
@@ -198,7 +202,7 @@ func NewLCTScan(n int) *LCTScan {
 		n:     n,
 		f:     lct.New(n),
 		edges: make(map[[2]int]int64),
-		tree:  make(map[[2]int]*lct.Edge),
+		tree:  make(map[[2]int]int32),
 	}
 }
 
@@ -206,7 +210,12 @@ func NewLCTScan(n int) *LCTScan {
 func (s *LCTScan) SetEvents(f func(u, v int, w int64, added bool)) { s.events = f }
 
 func (s *LCTScan) link(u, v int, w int64) {
-	s.tree[key(u, v)] = s.f.Link(u, v, w, -1) // handles are keyed by endpoints here
+	id := int32(len(s.tree)) // every ID below it is in use when none is free
+	if k := len(s.free); k > 0 {
+		id, s.free = s.free[k-1], s.free[:k-1]
+	}
+	s.f.Link(u, v, w, id)
+	s.tree[key(u, v)] = id
 	s.weight += w
 	if s.events != nil {
 		s.events(u, v, w, true)
@@ -215,12 +224,14 @@ func (s *LCTScan) link(u, v int, w int64) {
 
 func (s *LCTScan) cut(u, v int) {
 	ky := key(u, v)
-	h := s.tree[ky]
-	s.f.Cut(h)
+	id := s.tree[ky]
+	_, _, w, _ := s.f.Linked(id)
+	s.f.Cut(id)
 	delete(s.tree, ky)
-	s.weight -= h.W
+	s.free = append(s.free, id)
+	s.weight -= w
 	if s.events != nil {
-		s.events(u, v, h.W, false)
+		s.events(u, v, w, false)
 	}
 }
 
@@ -238,9 +249,8 @@ func (s *LCTScan) InsertEdge(u, v int, w int64) error {
 		s.link(u, v, w)
 		return nil
 	}
-	heavy := s.f.PathMaxEdge(u, v)
-	if w < heavy.W {
-		s.cut(heavy.U, heavy.V)
+	if hu, hv, hw, _ := s.f.Linked(s.f.PathMaxEdge(u, v)); w < hw {
+		s.cut(hu, hv)
 		s.link(u, v, w)
 	}
 	return nil
@@ -287,24 +297,8 @@ func (s *LCTScan) Weight() int64 { return s.weight }
 // ForestSize implements the engine interface.
 func (s *LCTScan) ForestSize() int { return len(s.tree) }
 
-// ForestEdges implements the engine interface.
-func (s *LCTScan) ForestEdges(f func(u, v int, w int64) bool) {
-	keys := make([][2]int, 0, len(s.tree))
-	for ky := range s.tree {
-		keys = append(keys, ky)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, ky := range keys {
-		if !f(ky[0], ky[1], s.edges[ky]) {
-			return
-		}
-	}
-}
+// ForestEdges implements the engine interface. Iteration order is sorted.
+func (s *LCTScan) ForestEdges(f func(u, v int, w int64) bool) { sortedEdges(s.tree, s.edges, f) }
 
 // M returns the number of live edges.
 func (s *LCTScan) M() int { return len(s.edges) }

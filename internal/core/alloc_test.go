@@ -103,8 +103,8 @@ func TestTreeEdgeCycleAllocs(t *testing.T) {
 		ch    Charger
 		limit float64
 	}{
-		{"seq", SeqCharger{}, 26},                     // measured 22
-		{"pram", PRAMCharger{M: pram.New(false)}, 26}, // measured 22
+		{"seq", SeqCharger{}, 24},                     // measured 20
+		{"pram", PRAMCharger{M: pram.New(false)}, 24}, // measured 20
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n, u = 512, 256

@@ -93,7 +93,7 @@ func (m *MSF) BulkLoad(ops []BatchOp, tree []bool) []error {
 		if !uf.Union(u, v) {
 			panic("core: BulkLoad tree flags do not form a forest")
 		}
-		m.lctE[id] = m.lf.Link(u, v, w, id)
+		m.lf.Link(u, v, w, id)
 		m.w += w
 		m.size++
 		if m.Events != nil {

@@ -232,7 +232,7 @@ func (st *Store) CheckInvariants() error {
 
 	// --- Tree edges: occurrence anchors, set for both directions of live
 	// edges only, each preceding its edge's pair. (VerifyTours checks them
-	// against the link-cut handles.) ---
+	// against the link-cut forest's edges by ID.) ---
 	if len(st.occU) != st.g.IDBound() || len(st.occV) != len(st.occU) {
 		return fmt.Errorf("occurrence tables sized %d/%d, edge ID bound %d", len(st.occU), len(st.occV), st.g.IDBound())
 	}

@@ -212,31 +212,33 @@ func TestCheckerDetectsCorruption(t *testing.T) {
 // TestVerifyToursDetectsMembershipCorruption mutation-tests the forest
 // membership check of VerifyTours, the one check that sees both records:
 // the occurrence anchors CheckInvariants validates and the link-cut
-// handles. Each corruption leaves CheckInvariants green.
+// forest's edges by ID. Each corruption leaves CheckInvariants green.
 func TestVerifyToursDetectsMembershipCorruption(t *testing.T) {
+	treeIDs := func(m *MSF) []int32 {
+		var ids []int32
+		for i := range m.st.occU {
+			if m.st.isTree(int32(i)) {
+				ids = append(ids, int32(i))
+			}
+		}
+		return ids
+	}
 	cases := []struct {
 		name    string
 		corrupt func(m *MSF)
 		expect  string
 	}{
-		{"dropped-handle", func(m *MSF) {
-			for id, h := range m.lctE {
-				if h != nil {
-					m.lctE[id] = nil
-					return
-				}
-			}
-		}, "link-cut handle false"},
-		{"handle-for-other-edge", func(m *MSF) {
-			var ids []int
-			for id, h := range m.lctE {
-				if h != nil {
-					ids = append(ids, id)
-				}
-			}
+		{"cut-behind-core", func(m *MSF) { m.lf.Cut(treeIDs(m)[0]) }, "linked false"},
+		{"ids-swapped", func(m *MSF) {
+			ids := treeIDs(m)
 			a, b := ids[0], ids[len(ids)-1]
-			m.lctE[a], m.lctE[b] = m.lctE[b], m.lctE[a]
-		}, "linked for edge"},
+			au, av, aw, _ := m.lf.Linked(a)
+			bu, bv, bw, _ := m.lf.Linked(b)
+			m.lf.Cut(a)
+			m.lf.Cut(b)
+			m.lf.Link(au, av, aw, b)
+			m.lf.Link(bu, bv, bw, a)
+		}, "linked as"},
 		{"forest-size", func(m *MSF) { m.size++ }, "ForestSize"},
 	}
 	for _, tc := range cases {

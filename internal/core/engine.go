@@ -15,8 +15,7 @@ import (
 // internal/ternary and internal/sparsify.
 type MSF struct {
 	st   *Store
-	lf   *lct.Forest
-	lctE []*lct.Edge // by graph edge ID
+	lf   *lct.Forest // the forest's edges, linked under their graph edge IDs
 	w    Weight
 	size int
 
@@ -132,13 +131,9 @@ func (m *MSF) applyInsertPlanned(u, v int, w Weight, connected bool) error {
 		return nil
 	}
 	st.ch.Seq(log2ceil(st.n + 1)) // dynamic-tree path-max query
-	heavy := m.lf.PathMaxEdge(u, v)
-	if w < heavy.W {
-		if !st.isTree(heavy.ID) || m.lctE[heavy.ID] != heavy {
-			panic("core: path-max edge not a tree edge")
-		}
+	if heavy := m.lf.PathMaxEdge(u, v); w < st.g.Weight(heavy) {
 		st.flushCAdj() // cycle-swap surgery reads Memb aggregates
-		m.removeFromForest(heavy.ID)
+		m.removeFromForest(heavy)
 		m.becomeTree(id)
 	}
 	return nil
@@ -163,8 +158,7 @@ func (m *MSF) deleteTreeEdge(u, v int) {
 	st.recomputeEntryPair(pu.chunk, pv.chunk, w)
 
 	st.ch.Seq(log2ceil(st.n + 1)) // dynamic-tree cut
-	m.lf.Cut(m.lctE[id])
-	m.lctE[id] = nil
+	m.lf.Cut(id)
 	m.w -= w
 	m.size--
 	if m.Events != nil {
@@ -210,8 +204,7 @@ func (m *MSF) splice(op BatchOp) {
 
 	st.ch.Seq(3 * log2ceil(st.n+1)) // two dynamic-tree cuts and one link
 	for _, e := range [2]int32{e1, e2} {
-		m.lf.Cut(m.lctE[e])
-		m.lctE[e] = nil
+		m.lf.Cut(e)
 		st.occU[e], st.occV[e] = nil, nil
 		eu, ev := st.g.Ends(e)
 		if _, err := st.g.Delete(int(eu), int(ev)); err != nil {
@@ -226,7 +219,7 @@ func (m *MSF) splice(op BatchOp) {
 		panic("core: splice insertion failed: " + err.Error())
 	}
 	m.growTables()
-	m.lctE[e3] = m.lf.Link(a, b, w, e3)
+	m.lf.Link(a, b, w, e3)
 	m.w -= w
 	m.size--
 	if m.Events != nil {
@@ -264,7 +257,7 @@ func (m *MSF) becomeTree(id int32) {
 	u, v := st.g.Ends(id)
 	w := st.g.Weight(id)
 	st.ch.Seq(log2ceil(st.n + 1))
-	m.lctE[id] = m.lf.Link(int(u), int(v), w, id)
+	m.lf.Link(int(u), int(v), w, id)
 	m.w += w
 	m.size++
 	if m.Events != nil {
@@ -283,8 +276,7 @@ func (m *MSF) removeFromForest(id int32) {
 	u, v := st.g.Ends(id)
 	w := st.g.Weight(id)
 	st.ch.Seq(log2ceil(st.n + 1))
-	m.lf.Cut(m.lctE[id])
-	m.lctE[id] = nil
+	m.lf.Cut(id)
 	m.w -= w
 	m.size--
 	if m.Events != nil {
@@ -297,12 +289,9 @@ func (m *MSF) removeFromForest(id int32) {
 	m.emitCutSide(t1, t2)
 }
 
-// growTables sizes the per-edge side tables to the graph's ID bound.
+// growTables sizes the occurrence anchor tables to the graph's ID bound.
 func (m *MSF) growTables() {
 	bound := m.st.g.IDBound()
-	for len(m.lctE) < bound {
-		m.lctE = append(m.lctE, nil)
-	}
 	for len(m.st.occU) < bound {
 		m.st.occU = append(m.st.occU, nil)
 		m.st.occV = append(m.st.occV, nil)
@@ -348,29 +337,27 @@ func (m *MSF) DebugString() string {
 // VerifyTours is a test hook: checks that the structure's two records of
 // forest membership agree. The edges with occurrence anchors (which
 // CheckInvariants validates, with the tours themselves) are exactly the
-// edges holding a link-cut handle linked for that edge, its endpoints and
-// weight, and they number ForestSize.
+// edges the link-cut forest holds linked under their IDs, with their
+// endpoints and weight, and they number ForestSize.
 func (m *MSF) VerifyTours() error {
 	st := m.st
-	if len(m.lctE) != len(st.occU) {
-		return fmt.Errorf("%d link-cut handle slots, %d occurrence anchor slots", len(m.lctE), len(st.occU))
-	}
 	forest := 0
-	for i, h := range m.lctE {
+	for i := range st.occU {
 		id := int32(i)
-		if (h != nil) != st.isTree(id) {
-			return fmt.Errorf("edge %d: link-cut handle %v, occurrence anchors %v", id, h != nil, st.isTree(id))
+		lu, lv, lw, linked := m.lf.Linked(id)
+		if linked != st.isTree(id) {
+			return fmt.Errorf("edge %d: linked %v, occurrence anchors %v", id, linked, st.isTree(id))
 		}
-		if h == nil {
+		if !linked {
 			continue
 		}
 		forest++
-		if u, v := st.g.Ends(id); h.ID != id || h.U != int(u) || h.V != int(v) || h.W != st.g.Weight(id) {
-			return fmt.Errorf("edge %d (%d,%d): link-cut handle linked for edge %d (%d,%d)", id, u, v, h.ID, h.U, h.V)
+		if u, v := st.g.Ends(id); lu != int(u) || lv != int(v) || lw != st.g.Weight(id) {
+			return fmt.Errorf("edge %d (%d,%d) of weight %d: linked as (%d,%d) of weight %d", id, u, v, st.g.Weight(id), lu, lv, lw)
 		}
 	}
 	if forest != m.size {
-		return fmt.Errorf("%d forest edges hold link-cut handles, ForestSize is %d", forest, m.size)
+		return fmt.Errorf("%d forest edges are linked, ForestSize is %d", forest, m.size)
 	}
 	return nil
 }

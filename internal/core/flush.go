@@ -37,16 +37,11 @@ func (st *Store) flushCAdj() {
 	}
 	dirty := st.pendDirty
 
-	// Collect the union of ancestor paths with each node's depth from its
-	// root. Walks stop at the first already-collected node, so every node
-	// is visited once; order stays deterministic (mark order, leaf to root).
-	// All bookkeeping lives in pooled Store scratch — a steady-state flush
-	// allocates nothing.
-	if st.flushDepth == nil {
-		st.flushDepth = make(map[*lsNode]int, 64)
-	}
-	depth := st.flushDepth
-	clear(depth)
+	// Collect the union of ancestor paths, marking each node's vector with
+	// its depth from the root. Walks stop at the first already-marked node,
+	// so every node is visited once; order stays deterministic (mark order,
+	// leaf to root). All bookkeeping lives in pooled Store scratch and the
+	// nodes' own vectors — a steady-state flush allocates nothing.
 	nodes := st.flushNodes[:0]
 	maxDepth := 0
 	for _, c := range dirty {
@@ -55,18 +50,17 @@ func (st *Store) flushCAdj() {
 			continue // chunk died; its staleness was cleaned by the merge
 		}
 		path := st.flushPath[:0]
-		stopDepth := -1
+		d := -1
 		for nd := c.leaf.Parent(); nd != nil; nd = nd.Parent() {
-			if d, seen := depth[nd]; seen {
-				stopDepth = d
+			if at := nd.Agg.flushAt; at > 0 {
+				d = int(at) - 1
 				break
 			}
 			path = append(path, nd)
 		}
-		d := stopDepth
 		for i := len(path) - 1; i >= 0; i-- {
 			d++
-			depth[path[i]] = d
+			path[i].Agg.flushAt = int32(d + 1)
 			nodes = append(nodes, path[i])
 			if d > maxDepth {
 				maxDepth = d
@@ -89,7 +83,9 @@ func (st *Store) flushCAdj() {
 		buckets[d] = buckets[d][:0]
 	}
 	for _, nd := range nodes {
-		buckets[depth[nd]] = append(buckets[depth[nd]], nd)
+		d := nd.Agg.flushAt - 1
+		nd.Agg.flushAt = 0
+		buckets[d] = append(buckets[d], nd)
 	}
 	for d := maxDepth; d >= 0; d-- {
 		b := buckets[d]

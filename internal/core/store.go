@@ -124,7 +124,6 @@ type Store struct {
 	delSeen      map[[2]int]bool  // planBatch: duplicate-deletion filter
 	pairScratch  []entryPair      // applyNonTreeDeletes: deduped chunk pairs
 	pairSeen     map[[2]int32]int // applyNonTreeDeletes: pair -> index
-	flushDepth   map[*lsNode]int  // flushCAdj: node -> depth from root
 	flushNodes   []*lsNode        // flushCAdj: union of dirty ancestor paths
 	flushBuckets [][]*lsNode      // flushCAdj: nodes grouped by depth
 	flushPath    []*lsNode        // flushCAdj: one leaf's walk upward

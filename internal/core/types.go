@@ -57,8 +57,9 @@ type btNode = seqtree.Node[btAgg, any]
 // the CAdj vectors and entrywise OR of the Memb vectors of the chunks below
 // it (Section 2.2, Figure 1). Vectors are J entries long; memb is a bitset.
 type lsVec struct {
-	cadj []Weight
-	memb []uint64
+	cadj    []Weight
+	memb    []uint64
+	flushAt int32 // flushCAdj: 1 + the node's depth from its root while collected, else 0
 }
 
 type lsNode = seqtree.Node[*lsVec, any]

@@ -14,28 +14,31 @@ import "math"
 type node struct {
 	l, r, p *node
 	flip    bool
+	id      int32 // the edge's ID if this node represents an edge, else -1
 	w       int64
 	maxn    *node // node of maximum weight in this splay subtree
-	edge    *Edge // non-nil iff this node represents an edge
 }
 
-// Edge is a handle to a linked edge. It remains valid until Cut.
-type Edge struct {
+// edge is the node of a linked edge, placed between its endpoints.
+type edge struct {
 	n    node
-	U, V int
-	W    int64
-	ID   int32 // the caller's name for the edge, as given to Link
+	u, v int32
 }
 
-// Forest is a link-cut forest over vertices 0..n-1.
+// Forest is a link-cut forest over vertices 0..n-1. Edges are named by the
+// caller's IDs: es holds each linked ID's node, and a cut node waits in free
+// for the next Link, so the nodes number at most the largest forest seen.
 type Forest struct {
-	vs []node
+	vs   []node
+	es   []*edge // by edge ID: its node while linked, else nil
+	free []*edge
 }
 
 // New returns a forest of n isolated vertices.
 func New(n int) *Forest {
 	f := &Forest{vs: make([]node, n)}
 	for i := range f.vs {
+		f.vs[i].id = -1
 		f.vs[i].w = math.MinInt64
 		f.vs[i].maxn = &f.vs[i]
 	}
@@ -165,32 +168,52 @@ func (f *Forest) Connected(u, v int) bool {
 	return findRoot(&f.vs[u]) == findRoot(&f.vs[v])
 }
 
-// Link adds edge (u, v) of weight w to the forest and returns its handle,
-// which records id, so a PathMaxEdge answer names the caller's edge. u and
-// v must be in different trees; Link panics otherwise, since linking within
-// a tree would corrupt the forest invariant.
-func (f *Forest) Link(u, v int, w int64, id int32) *Edge {
+// Link adds edge (u, v) of weight w to the forest under the caller's ID id,
+// which must not be linked already; PathMaxEdge answers name edges by it. u
+// and v must be in different trees; Link panics otherwise, since linking
+// within a tree would corrupt the forest invariant.
+func (f *Forest) Link(u, v int, w int64, id int32) {
 	if f.Connected(u, v) {
 		panic("lct: Link within one tree")
 	}
-	e := &Edge{U: u, V: v, W: w, ID: id}
-	e.n.w = w
+	for len(f.es) <= int(id) {
+		f.es = append(f.es, nil)
+	}
+	if f.es[id] != nil {
+		panic("lct: Link of a linked ID")
+	}
+	if len(f.free) == 0 {
+		f.free = append(f.free, new(edge))
+	}
+	e := f.free[len(f.free)-1]
+	f.free = f.free[:len(f.free)-1]
+	*e = edge{n: node{id: id, w: w}, u: int32(u), v: int32(v)}
 	e.n.maxn = &e.n
-	e.n.edge = e
+	f.es[id] = e
 	// Attach the edge node between u and v: make e the root of a singleton,
 	// hang it off u, then hang v's rerooted tree off e.
 	makeRoot(&e.n)
 	e.n.p = &f.vs[u]
 	makeRoot(&f.vs[v])
 	f.vs[v].p = &e.n
-	return e
 }
 
-// Cut removes a previously linked edge. The handle must not be reused.
-func (f *Forest) Cut(e *Edge) {
-	f.cutPair(&e.n, &f.vs[e.U])
-	f.cutPair(&e.n, &f.vs[e.V])
-	e.n = node{}
+// Cut removes the linked edge id; its node waits for the next Link.
+func (f *Forest) Cut(id int32) {
+	e := f.es[id]
+	f.cutPair(&e.n, &f.vs[e.u])
+	f.cutPair(&e.n, &f.vs[e.v])
+	f.es[id] = nil
+	f.free = append(f.free, e)
+}
+
+// Linked reports the endpoints and weight edge id was linked with, and
+// whether it is linked now (zero values when not).
+func (f *Forest) Linked(id int32) (u, v int, w int64, ok bool) {
+	if int(id) >= len(f.es) || f.es[id] == nil {
+		return 0, 0, 0, false
+	}
+	return int(f.es[id].u), int(f.es[id].v), f.es[id].n.w, true
 }
 
 // cutPair disconnects adjacent represented-tree nodes x and y.
@@ -208,10 +231,10 @@ func (f *Forest) cutPair(x, y *node) {
 	pull(y)
 }
 
-// PathMaxEdge returns the heaviest edge on the tree path between u and v.
-// It panics if u == v or they are disconnected (callers check Connected
-// first). Ties are broken arbitrarily.
-func (f *Forest) PathMaxEdge(u, v int) *Edge {
+// PathMaxEdge returns the ID of the heaviest edge on the tree path between
+// u and v. It panics if u == v or they are disconnected (callers check
+// Connected first). Ties are broken arbitrarily.
+func (f *Forest) PathMaxEdge(u, v int) int32 {
 	if u == v {
 		panic("lct: PathMaxEdge with u == v")
 	}
@@ -221,8 +244,8 @@ func (f *Forest) PathMaxEdge(u, v int) *Edge {
 	}
 	access(&f.vs[v])
 	m := f.vs[v].maxn
-	if m.edge == nil {
+	if m.id < 0 {
 		panic("lct: path maximum is not an edge")
 	}
-	return m.edge
+	return m.id
 }

@@ -90,22 +90,60 @@ func TestLinkCutBasic(t *testing.T) {
 	if f.Connected(0, 1) {
 		t.Fatal("fresh vertices connected")
 	}
-	e01 := f.Link(0, 1, 5, 7)
-	e12 := f.Link(1, 2, 3, 8)
+	f.Link(0, 1, 5, 7)
+	f.Link(1, 2, 3, 8)
 	if !f.Connected(0, 2) {
 		t.Fatal("0 and 2 should be connected")
 	}
-	if m := f.PathMaxEdge(0, 2); m != e01 || m.ID != 7 {
-		t.Fatalf("path max = (%d,%d,%d) id %d, want edge (0,1) id 7", m.U, m.V, m.W, m.ID)
+	if id := f.PathMaxEdge(0, 2); id != 7 {
+		t.Fatalf("path max = edge %d, want 7", id)
 	}
-	f.Cut(e01)
+	if u, v, w, ok := f.Linked(7); !ok || u != 0 || v != 1 || w != 5 {
+		t.Fatalf("Linked(7) = (%d,%d,%d,%v), want (0,1,5,true)", u, v, w, ok)
+	}
+	f.Cut(7)
+	if _, _, _, ok := f.Linked(7); ok {
+		t.Fatal("edge 7 still linked after its cut")
+	}
+	if _, _, _, ok := f.Linked(100); ok {
+		t.Fatal("an ID beyond every link reads as linked")
+	}
 	if f.Connected(0, 2) {
 		t.Fatal("0 and 2 still connected after cut")
 	}
 	if !f.Connected(1, 2) {
 		t.Fatal("1 and 2 disconnected by unrelated cut")
 	}
-	_ = e12
+}
+
+// TestRelinkIDElsewhere cuts an ID and links it again with other endpoints
+// and a different weight: the reused node must carry nothing of the old
+// edge into path-max answers or the per-ID read.
+func TestRelinkIDElsewhere(t *testing.T) {
+	f := New(6)
+	f.Link(0, 1, 9, 0) // heaviest on 0-1-2
+	f.Link(1, 2, 4, 1)
+	f.Link(3, 4, 2, 2)
+	f.Cut(0)
+	f.Link(2, 3, 1, 0) // ID 0 again: now the lightest, on another pair
+	if f.Connected(0, 1) {
+		t.Fatal("0 and 1 still connected after ID 0's cut")
+	}
+	if u, v, w, ok := f.Linked(0); !ok || u != 2 || v != 3 || w != 1 {
+		t.Fatalf("Linked(0) = (%d,%d,%d,%v), want (2,3,1,true)", u, v, w, ok)
+	}
+	if id := f.PathMaxEdge(1, 4); id != 1 {
+		t.Fatalf("PathMax(1,4) = edge %d, want 1", id)
+	}
+	if id := f.PathMaxEdge(2, 3); id != 0 {
+		t.Fatalf("PathMax(2,3) = edge %d, want 0", id)
+	}
+	f.Link(0, 5, 3, 3)
+	f.Cut(1)
+	f.Link(0, 4, 7, 1) // ID 1 again, now the heaviest on 5-0-4-3-2
+	if id := f.PathMaxEdge(5, 2); id != 1 {
+		t.Fatalf("PathMax(5,2) = edge %d, want 1", id)
+	}
 }
 
 func TestLinkPanicsOnCycle(t *testing.T) {
@@ -125,30 +163,27 @@ func TestPathMaxChain(t *testing.T) {
 	// weight of the highest-index edge in the subpath.
 	const n = 64
 	f := New(n)
-	edges := make([]*Edge, n-1)
 	for i := 0; i < n-1; i++ {
-		edges[i] = f.Link(i, i+1, int64(i+1), int32(i))
+		f.Link(i, i+1, int64(i+1), int32(i))
 	}
 	for a := 0; a < n; a += 7 {
 		for b := a + 1; b < n; b += 5 {
-			got := f.PathMaxEdge(a, b)
-			if got.W != int64(b) || got.ID != int32(b-1) {
-				t.Fatalf("PathMax(%d,%d) = w %d id %d, want w %d id %d", a, b, got.W, got.ID, b, b-1)
+			if id := f.PathMaxEdge(a, b); id != int32(b-1) {
+				t.Fatalf("PathMax(%d,%d) = edge %d, want %d", a, b, id, b-1)
 			}
 		}
 	}
 }
 
+// TestRandomAgainstReference runs random links, cuts and queries against
+// the naive reference. IDs come from a free list, last cut first, so cut
+// IDs are relinked elsewhere.
 func TestRandomAgainstReference(t *testing.T) {
 	const n = 60
 	rng := xrand.New(99)
 	f := New(n)
 	ref := newRef(n)
-	type live struct {
-		e    *Edge
-		u, v int
-	}
-	var edges []live
+	var live, free []int32
 	for step := 0; step < 6000; step++ {
 		switch rng.Intn(4) {
 		case 0, 1: // try to link a random pair
@@ -156,19 +191,29 @@ func TestRandomAgainstReference(t *testing.T) {
 			if u == v || ref.connected(u, v) {
 				continue
 			}
+			id := int32(len(live))
+			if k := len(free); k > 0 {
+				id, free = free[k-1], free[:k-1]
+			}
 			w := rng.Int63() % 1000
-			e := f.Link(u, v, w, int32(step))
+			f.Link(u, v, w, id)
 			ref.link(u, v, w)
-			edges = append(edges, live{e, u, v})
+			live = append(live, id)
 		case 2: // cut a random live edge
-			if len(edges) == 0 {
+			if len(live) == 0 {
 				continue
 			}
-			i := rng.Intn(len(edges))
-			f.Cut(edges[i].e)
-			ref.cut(edges[i].u, edges[i].v)
-			edges[i] = edges[len(edges)-1]
-			edges = edges[:len(edges)-1]
+			i := rng.Intn(len(live))
+			id := live[i]
+			u, v, _, ok := f.Linked(id)
+			if !ok {
+				t.Fatalf("step %d: live edge %d reads as not linked", step, id)
+			}
+			f.Cut(id)
+			ref.cut(u, v)
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			free = append(free, id)
 		case 3: // query
 			u, v := rng.Intn(n), rng.Intn(n)
 			want := ref.connected(u, v)
@@ -177,8 +222,8 @@ func TestRandomAgainstReference(t *testing.T) {
 			}
 			if want && u != v {
 				wm, _ := ref.pathMax(u, v)
-				if gm := f.PathMaxEdge(u, v); gm.W != wm {
-					t.Fatalf("step %d: PathMax(%d,%d) = %d, want %d", step, u, v, gm.W, wm)
+				if _, _, gm, _ := f.Linked(f.PathMaxEdge(u, v)); gm != wm {
+					t.Fatalf("step %d: PathMax(%d,%d) = %d, want %d", step, u, v, gm, wm)
 				}
 			}
 		}
@@ -190,15 +235,14 @@ func TestStarAndRelink(t *testing.T) {
 	// heavily.
 	const n = 40
 	f := New(n)
-	var es []*Edge
 	for i := 1; i < n; i++ {
-		es = append(es, f.Link(0, i, int64(i), int32(i)))
+		f.Link(0, i, int64(i), int32(i))
 	}
-	if got := f.PathMaxEdge(5, 7); got.W != 7 {
-		t.Fatalf("star path max = %d, want 7", got.W)
+	if _, _, w, _ := f.Linked(f.PathMaxEdge(5, 7)); w != 7 {
+		t.Fatalf("star path max = %d, want 7", w)
 	}
-	for _, e := range es {
-		f.Cut(e)
+	for i := 1; i < n; i++ {
+		f.Cut(int32(i))
 	}
 	for i := 1; i < n; i++ {
 		if f.Connected(0, i) {
@@ -213,21 +257,41 @@ func TestStarAndRelink(t *testing.T) {
 	}
 }
 
+// TestCutLinkAllocs pins a warm Cut+Link of a reused ID at 0 allocations:
+// the cut edge's node is reused, and the ID table does not grow.
+func TestCutLinkAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const n = 256
+	f := New(n)
+	for i := 1; i < n; i++ {
+		f.Link(i/2, i, int64(i), int32(i))
+	}
+	rng := xrand.New(3)
+	if got := testing.AllocsPerRun(200, func() {
+		id := int32(1 + rng.Intn(n-1))
+		u, v, w, _ := f.Linked(id)
+		f.Cut(id)
+		f.Link(u, v, w, id)
+	}); got != 0 {
+		t.Fatalf("warm Cut+Link allocated %.1f objects, want 0", got)
+	}
+}
+
 func BenchmarkLinkCut(b *testing.B) {
 	const n = 1 << 12
 	f := New(n)
 	rng := xrand.New(5)
-	var edges []*Edge
 	for i := 1; i < n; i++ {
-		edges = append(edges, f.Link(rng.Intn(i), i, rng.Int63()%1000, int32(i)))
+		f.Link(rng.Intn(i), i, rng.Int63()%1000, int32(i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := rng.Intn(len(edges))
-		e := edges[j]
-		u, v, w := e.U, e.V, e.W
-		f.Cut(e)
-		edges[j] = f.Link(u, v, w, int32(j))
+		id := int32(1 + rng.Intn(n-1))
+		u, v, w, _ := f.Linked(id)
+		f.Cut(id)
+		f.Link(u, v, w, id)
 	}
 }
 

@@ -23,11 +23,7 @@ func TestQuickLinkCutScripts(t *testing.T) {
 		f := New(n)
 		ref := newRef(n)
 		rng := xrand.New(s.Seed)
-		type live struct {
-			e    *Edge
-			u, v int
-		}
-		var edges []live
+		var live, free []int32 // a cut ID is relinked by the next link
 		for _, op := range s.Ops {
 			u := int(op>>2) % n
 			v := int(op>>10) % n
@@ -37,24 +33,32 @@ func TestQuickLinkCutScripts(t *testing.T) {
 					continue
 				}
 				w := int64(op >> 16)
-				edges = append(edges, live{f.Link(u, v, w, int32(len(edges))), u, v})
+				id := int32(len(live))
+				if k := len(free); k > 0 {
+					id, free = free[k-1], free[:k-1]
+				}
+				f.Link(u, v, w, id)
+				live = append(live, id)
 				ref.link(u, v, w)
 			case 2: // cut a pseudo-random live edge
-				if len(edges) == 0 {
+				if len(live) == 0 {
 					continue
 				}
-				i := rng.Intn(len(edges))
-				f.Cut(edges[i].e)
-				ref.cut(edges[i].u, edges[i].v)
-				edges[i] = edges[len(edges)-1]
-				edges = edges[:len(edges)-1]
+				i := rng.Intn(len(live))
+				id := live[i]
+				eu, ev, _, _ := f.Linked(id)
+				f.Cut(id)
+				ref.cut(eu, ev)
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+				free = append(free, id)
 			case 3: // verify
 				if f.Connected(u, v) != ref.connected(u, v) {
 					return false
 				}
 				if u != v && ref.connected(u, v) {
 					want, _ := ref.pathMax(u, v)
-					if f.PathMaxEdge(u, v).W != want {
+					if _, _, w, _ := f.Linked(f.PathMaxEdge(u, v)); w != want {
 						return false
 					}
 				}

@@ -39,20 +39,25 @@ type keyState struct {
 	w           int64
 }
 
-// group is the coalesced pending delta of one node at the current level.
+// group is the coalesced pending delta of one node at the current level:
+// each touched edge's key and state, in first-touch order (deterministic),
+// found through index.
 type group struct {
-	keys  [][2]int // first-touch order (deterministic)
-	state map[[2]int]*keyState
+	keys  [][2]int
+	sts   []keyState
+	index map[[2]int]int32
 }
 
 func (g *group) add(u, v int, w int64, added bool) {
 	k := key(u, v)
-	st, ok := g.state[k]
+	i, ok := g.index[k]
 	if !ok {
-		g.state[k] = &keyState{first: added, last: added, w: w}
+		g.index[k] = int32(len(g.keys))
 		g.keys = append(g.keys, k)
+		g.sts = append(g.sts, keyState{first: added, last: added, w: w})
 		return
 	}
+	st := &g.sts[i]
 	st.last = added
 	if added {
 		st.w = w
@@ -64,8 +69,8 @@ func (g *group) add(u, v int, w int64, added bool) {
 // net-deleted edge is present before the batch and every net-inserted edge
 // absent, so the two stages never collide.
 func (g *group) net() (dels [][2]int, inss []batch.Edge) {
-	for _, k := range g.keys {
-		st := g.state[k]
+	for i, k := range g.keys {
+		st := g.sts[i]
 		switch {
 		case st.first && st.last:
 			inss = append(inss, batch.Edge{U: k[0], V: k[1], W: st.w})
@@ -82,7 +87,7 @@ type frontier map[nodeKey]*group
 func (fr frontier) group(k nodeKey) *group {
 	g, ok := fr[k]
 	if !ok {
-		g = &group{state: make(map[[2]int]*keyState)}
+		g = &group{index: make(map[[2]int]int32)}
 		fr[k] = g
 	}
 	return g

@@ -216,7 +216,7 @@ func (f *Forest) runBatchPipelined(fr frontier) {
 		// their costs merge and their emptied nodes retire here.
 		g := p.group
 		if g == nil {
-			g = &group{state: make(map[[2]int]*keyState)}
+			g = &group{index: make(map[[2]int]int32)}
 		}
 		for _, c := range p.children {
 			for _, ev := range c.out {

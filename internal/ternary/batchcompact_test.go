@@ -155,15 +155,15 @@ func TestBatchDeleteDoubleMove(t *testing.T) {
 		}
 		wt++
 	}
-	shared := *w.edges[key(0, 1)]
+	shared := w.edges[key(0, 1)]
 	errs := w.DeleteEdges([][2]int{{0, 2}, {0, 3}, {1, 5}, {1, 6}})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("del errs[%d] = %v", i, err)
 		}
 	}
-	if rec := w.edges[key(0, 1)]; rec.su != shared.su || rec.sv != shared.sv {
-		t.Fatalf("(0,1) moved from slots (%d,%d) to (%d,%d)", shared.su, shared.sv, rec.su, rec.sv)
+	if hs := w.edges[key(0, 1)]; hs != shared {
+		t.Fatalf("(0,1) moved from slots %v to %v", shared, hs)
 	}
 	var dels, splices, ins int
 	for _, op := range eng.last {

@@ -83,14 +83,14 @@ func (w *Wrapper) BulkLoad(items []BatchEdge, tree []bool) []error {
 // (always tree) and then its real edge go to the pooled op and flag
 // buffers.
 func (w *Wrapper) stageLoaded(it BatchEdge, tree bool) error {
-	rec, err := w.stageInsert(it.U, it.V, it.W, &w.opsScratch)
+	hs, err := w.stageInsert(it.U, it.V, it.W, &w.opsScratch)
 	if err != nil {
 		return err
 	}
 	for len(w.flagScratch) < len(w.opsScratch) {
 		w.flagScratch = append(w.flagScratch, true) // staged ring edges are always tree
 	}
-	w.opsScratch = append(w.opsScratch, core.BatchOp{U: int(rec.su), V: int(rec.sv), W: it.W})
+	w.opsScratch = append(w.opsScratch, core.BatchOp{U: int(hs[0]), V: int(hs[1]), W: it.W})
 	w.flagScratch = append(w.flagScratch, tree)
 	return nil
 }

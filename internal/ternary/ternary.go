@@ -71,20 +71,14 @@ var (
 	ErrSelfLoop = errors.New("ternary: self loop")
 )
 
-type edgeRec struct {
-	u, v   int // original endpoints, u < v
-	w      int64
-	su, sv int32 // hosting gadget slots
-}
-
 // Wrapper is the unbounded-degree dynamic MSF.
 type Wrapper struct {
 	n      int
 	eng    Engine
-	slots  [][]int32  // per original vertex: slot gadget ids; [0] is base
-	hosted []*edgeRec // per gadget slot: the edge it hosts, or nil
-	owner  []int32    // per gadget slot: its original vertex, once opened
-	edges  map[[2]int]*edgeRec
+	slots  [][]int32           // per original vertex: slot gadget ids; [0] is base
+	hosted []int32             // per gadget slot: the slot hosting the other end of its edge, or -1
+	owner  []int32             // per gadget slot: its original vertex, once opened
+	edges  map[[2]int][2]int32 // edge key -> its hosting slots, in key order
 	free   []int32
 	rings  int
 	nslots int // total live slots across vertices (ring invariant)
@@ -121,18 +115,20 @@ func New(n, maxEdges int, mk func(gadgetN int) Engine) *Wrapper {
 		n:      n,
 		eng:    mk(cap),
 		slots:  make([][]int32, n),
-		hosted: make([]*edgeRec, cap),
+		hosted: make([]int32, cap),
 		owner:  make([]int32, cap),
-		edges:  make(map[[2]int]*edgeRec),
+		edges:  make(map[[2]int][2]int32),
 	}
 	// Base slots are the original ids; extra slots come from the pool.
 	for v := 0; v < n; v++ {
 		w.slots[v] = []int32{int32(v)}
 		w.owner[v] = int32(v)
+		w.hosted[v] = -1
 	}
 	w.nslots = n
 	for id := cap - 1; id >= n; id-- {
 		w.free = append(w.free, int32(id))
+		w.hosted[id] = -1
 	}
 	w.eng.SetEvents(w.forward)
 	w.eng.SetCutSides(w.forwardSides)
@@ -231,29 +227,30 @@ func (w *Wrapper) check(u, v int, wt int64) error {
 // the wrapper bookkeeping. Any ring edge a new slot needs is staged into
 // *rings, so a whole batch of slot surgeries — independent isolated-vertex
 // links — goes through one gadget-level engine batch; the hosted real edge
-// (rec.su, rec.sv, wt) is left for the caller to stage after them.
-func (w *Wrapper) stageInsert(u, v int, wt int64, rings *[]core.BatchOp) (*edgeRec, error) {
+// between the returned hosting slots, in key order, is left for the caller
+// to stage after them.
+func (w *Wrapper) stageInsert(u, v int, wt int64, rings *[]core.BatchOp) ([2]int32, error) {
 	if err := w.check(u, v, wt); err != nil {
-		return nil, err
+		return [2]int32{}, err
 	}
 	k := key(u, v)
 	if _, dup := w.edges[k]; dup {
-		return nil, ErrExists
+		return [2]int32{}, ErrExists
 	}
 	if len(w.free) < 2 {
-		return nil, ErrCapacity
+		return [2]int32{}, ErrCapacity
 	}
 	// The >= 2 pre-check above guarantees both openSlot calls succeed: each
 	// consumes at most one pool slot.
 	su := w.openSlot(u, rings)
 	sv := w.openSlot(v, rings)
-	rec := &edgeRec{u: k[0], v: k[1], w: wt, su: su, sv: sv}
+	w.hosted[su], w.hosted[sv] = sv, su
+	hs := [2]int32{su, sv}
 	if k[0] == v {
-		rec.su, rec.sv = sv, su
+		hs = [2]int32{sv, su}
 	}
-	w.hosted[su], w.hosted[sv] = rec, rec
-	w.edges[k] = rec
-	return rec, nil
+	w.edges[k] = hs
+	return hs, nil
 }
 
 // openSlot returns a slot of x able to host a new edge: the base when it is
@@ -262,7 +259,7 @@ func (w *Wrapper) stageInsert(u, v int, wt int64, rings *[]core.BatchOp) (*edgeR
 // free pool slot.
 func (w *Wrapper) openSlot(x int, rings *[]core.BatchOp) int32 {
 	s := w.slots[x]
-	if w.hosted[s[0]] == nil {
+	if w.hosted[s[0]] < 0 {
 		return s[0]
 	}
 	if len(w.free) == 0 {
@@ -342,12 +339,12 @@ func (w *Wrapper) InsertEdges(items []BatchEdge) []error {
 	errs := make([]error, len(items))
 	ops := w.opsScratch[:0]
 	for i, it := range items {
-		rec, err := w.stageInsert(it.U, it.V, it.W, &ops)
+		hs, err := w.stageInsert(it.U, it.V, it.W, &ops)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		ops = append(ops, core.BatchOp{U: int(rec.su), V: int(rec.sv), W: it.W})
+		ops = append(ops, core.BatchOp{U: int(hs[0]), V: int(hs[1]), W: it.W})
 	}
 	if len(ops) > 0 {
 		w.fault.Hit(fpBatchInsert)
@@ -401,15 +398,15 @@ func (w *Wrapper) DeleteEdges(keys [][2]int) []error {
 	vs := w.touchedVs[:0]
 	for i, kk := range keys {
 		k := key(kk[0], kk[1])
-		rec, ok := w.edges[k]
+		hs, ok := w.edges[k]
 		if !ok {
 			errs[i] = ErrMissing
 			continue
 		}
 		delete(w.edges, k)
-		ops = append(ops, core.BatchOp{Del: true, U: int(rec.su), V: int(rec.sv)})
-		w.hosted[rec.su], w.hosted[rec.sv] = nil, nil
-		vs = append(vs, rec.u, rec.v)
+		ops = append(ops, core.BatchOp{Del: true, U: int(hs[0]), V: int(hs[1])})
+		w.hosted[hs[0]], w.hosted[hs[1]] = -1, -1
+		vs = append(vs, k[0], k[1])
 	}
 	if len(ops) > 0 {
 		for _, x := range vs {
@@ -435,13 +432,13 @@ func (w *Wrapper) DeleteEdges(keys [][2]int) []error {
 func (w *Wrapper) closeHoles(x int, ops []core.BatchOp) []core.BatchOp {
 	s := w.slots[x]
 	last := len(s) - 1
-	for ; last > 0 && w.hosted[s[last]] == nil; last-- {
+	for ; last > 0 && w.hosted[s[last]] < 0; last-- {
 		ops = append(ops, core.BatchOp{Del: true, U: int(s[last-1]), V: int(s[last])})
 		w.free = append(w.free, s[last])
 	}
 	j := 1
 	for i := 1; i <= last; i++ {
-		if w.hosted[s[i]] != nil {
+		if w.hosted[s[i]] >= 0 {
 			s[j] = s[i]
 			j++
 			continue
@@ -457,16 +454,16 @@ func (w *Wrapper) closeHoles(x int, ops []core.BatchOp) []core.BatchOp {
 
 // CheckGadget verifies wrapper bookkeeping (tests): every slot but the base
 // hosts an edge, so a vertex holds one slot per hosted edge plus its base
-// when that is unhosted, every edge's hosting is mutual, and pool slots
-// host nothing.
+// when that is unhosted, every edge's hosting is mutual and named by its
+// map entry, and pool slots host nothing.
 func (w *Wrapper) CheckGadget() error {
 	deg := make([]int, w.n)
-	for _, rec := range w.edges {
-		deg[rec.u]++
-		deg[rec.v]++
+	for k := range w.edges {
+		deg[k[0]]++
+		deg[k[1]]++
 	}
 	for _, g := range w.free {
-		if w.hosted[g] != nil {
+		if w.hosted[g] >= 0 {
 			return fmt.Errorf("pool slot %d hosts an edge", g)
 		}
 	}
@@ -477,23 +474,30 @@ func (w *Wrapper) CheckGadget() error {
 			if int(w.owner[g]) != v {
 				return fmt.Errorf("vertex %d: slot %d has owner %d", v, g, w.owner[g])
 			}
-			rec := w.hosted[g]
-			if rec == nil {
+			p := w.hosted[g]
+			if p < 0 {
 				if i != 0 {
 					return fmt.Errorf("vertex %d: unhosted slot %d is not the base", v, i)
 				}
 				continue
 			}
-			mutual := (rec.u == v && rec.su == g) || (rec.v == v && rec.sv == g)
-			if !mutual || w.edges[key(rec.u, rec.v)] != rec {
-				return fmt.Errorf("vertex %d: slot %d hosts a record that does not name it", v, i)
+			if w.hosted[p] != g {
+				return fmt.Errorf("vertex %d: slot %d hosts toward slot %d, which does not host back", v, i, p)
+			}
+			x := int(w.owner[p])
+			want := [2]int32{g, p}
+			if x < v {
+				want = [2]int32{p, g}
+			}
+			if hs, ok := w.edges[key(v, x)]; !ok || hs != want {
+				return fmt.Errorf("vertex %d: slot %d hosts edge (%d,%d), whose map entry does not name slots %v", v, i, v, x, want)
 			}
 			hosted++
 		}
 		if hosted != deg[v] {
 			return fmt.Errorf("vertex %d: hosts %d edges, want %d", v, hosted, deg[v])
 		}
-		if w.hosted[s[0]] == nil && len(s) != deg[v]+1 {
+		if w.hosted[s[0]] < 0 && len(s) != deg[v]+1 {
 			return fmt.Errorf("vertex %d: %d slots for %d edges and an unhosted base", v, len(s), deg[v])
 		}
 	}

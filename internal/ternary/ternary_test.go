@@ -1,6 +1,7 @@
 package ternary
 
 import (
+	"strings"
 	"testing"
 
 	"parmsf/internal/baseline"
@@ -334,6 +335,88 @@ func TestBatchRingCapacity(t *testing.T) {
 	// Still usable after the rollback.
 	if err := w.DeleteEdge(0, 1); err != nil {
 		t.Fatal(err)
+	}
+	if err := w.CheckGadget(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckGadgetCatchesCorruption mutation-tests CheckGadget: each
+// corruption of the slot bookkeeping must fail it.
+func TestCheckGadgetCatchesCorruption(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(w *Wrapper)
+		expect  string
+	}{
+		{"one-sided-hosting", func(w *Wrapper) {
+			hs := w.edges[key(0, 3)]
+			w.hosted[hs[1]] = -1
+		}, "does not host back"},
+		{"entry-names-other-edge", func(w *Wrapper) {
+			a, b := key(0, 1), key(4, 5)
+			w.edges[a], w.edges[b] = w.edges[b], w.edges[a]
+		}, "map entry"},
+		{"pool-slot-hosts", func(w *Wrapper) {
+			g := w.free[len(w.free)-1]
+			w.hosted[g] = g
+		}, "pool slot"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newCoreWrapper(6, 16)
+			for i, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {4, 5}} {
+				if err := w.InsertEdge(e[0], e[1], int64(10+i)); err != nil {
+					t.Fatalf("insert %v: %v", e, err)
+				}
+			}
+			if err := w.CheckGadget(); err != nil {
+				t.Fatalf("pre-corruption state invalid: %v", err)
+			}
+			tc.corrupt(w)
+			err := w.CheckGadget()
+			if err == nil {
+				t.Fatalf("CheckGadget missed corruption %q", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.expect) {
+				t.Fatalf("CheckGadget caught %q as %v, want %q", tc.name, err, tc.expect)
+			}
+		})
+	}
+}
+
+// TestWarmNonTreeCycleAllocs pins a warm delete+reinsert, through
+// DeleteEdges and InsertEdges, of a heavy non-tree edge hosted on both
+// endpoints' base slots at the two error slices those calls return: the
+// wrapper holds the edge's hosting by value, and core's non-tree path
+// allocates nothing.
+func TestWarmNonTreeCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs without -race")
+	}
+	w := newCoreWrapper(4, 16)
+	for _, e := range []BatchEdge{{U: 0, V: 1, W: 9}, {U: 0, V: 2, W: 1}, {U: 2, V: 1, W: 2}} {
+		if err := w.InsertEdge(e.U, e.V, e.W); err != nil {
+			t.Fatalf("insert %v: %v", e, err)
+		}
+	}
+	if hs := w.edges[key(0, 1)]; hs != [2]int32{0, 1} || w.Weight() != 3 {
+		t.Fatalf("(0,1) hosted on slots %v with forest weight %d, want the base slots and a non-tree edge", hs, w.Weight())
+	}
+	del, ins := [][2]int{{0, 1}}, []BatchEdge{{U: 0, V: 1, W: 9}}
+	cycle := func() {
+		if err := w.DeleteEdges(del)[0]; err != nil {
+			panic(err)
+		}
+		if err := w.InsertEdges(ins)[0]; err != nil {
+			panic(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		cycle() // warm the pooled scratch
+	}
+	if got := testing.AllocsPerRun(200, cycle); got > 2 {
+		t.Fatalf("warm non-tree delete+reinsert allocates %.1f objects, want <= 2 (the error slices)", got)
 	}
 	if err := w.CheckGadget(); err != nil {
 		t.Fatal(err)
