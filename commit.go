@@ -31,7 +31,8 @@ type EdgeKey struct {
 // below MinWeight and the weight math.MaxInt64 are rejected with
 // ErrBadEdge.
 func (f *Forest) Insert(u, v int, w Weight) error {
-	if errs := f.commit([]Edge{{U: u, V: v, W: w}}, nil); errs != nil {
+	one := [1]Edge{{U: u, V: v, W: w}} // commit copies it; nothing keeps it
+	if errs := f.commit(one[:], nil); errs != nil {
 		return errs[0]
 	}
 	return nil
@@ -40,7 +41,8 @@ func (f *Forest) Insert(u, v int, w Weight) error {
 // Delete removes edge (u, v) and updates the forest (finding a replacement
 // when a forest edge is removed): a one-element DeleteEdges.
 func (f *Forest) Delete(u, v int) error {
-	if errs := f.commit(nil, []EdgeKey{{U: u, V: v}}); errs != nil {
+	one := [1]EdgeKey{{U: u, V: v}} // commit copies it; nothing keeps it
+	if errs := f.commit(nil, one[:]); errs != nil {
 		return errs[0]
 	}
 	return nil
@@ -55,11 +57,11 @@ func (f *Forest) Delete(u, v int) error {
 // effect application sharded across the worker pool (one deduplicated,
 // level-parallel aggregate flush per batch instead of one climb per edge).
 // With Options.Sparsify the sorted batch instead enters the Section 5 tree
-// at its leaf nodes and propagates toward the root (see Options.Sparsify
-// for the scheduler). Application order is deterministic — (weight,
-// endpoints, batch index) — so the resulting forest and the PRAM cost
-// counters are independent of the worker count. A batch that changed the
-// forest publishes one epoch.
+// at its lowest stored level and propagates toward the root (see
+// Options.Sparsify for the scheduler). Application order is deterministic
+// — (weight, endpoints, batch index) — so the resulting forest and the
+// PRAM cost counters are independent of the worker count. A batch that
+// changed the forest publishes one epoch.
 //
 // The result is nil when every edge was inserted; otherwise it has one
 // entry per input edge, nil for successes and the same error Insert would
@@ -113,13 +115,36 @@ func updateErr(n int, up Update) error {
 
 // commitScratch is commit's working set, pooled on the Forest under its
 // mutator lock. Nothing in it outlives one commit: a result slice is copied
-// out of errs.
+// out of errs. The two kernels are built once (New) and read the batch from
+// here, so no commit allocates a closure and none keeps the caller's slice.
 type commitScratch struct {
-	errs  []error             // one result slot per input item
-	items []batch.Item        // valid insertions, weight-sorted
-	edges []ternary.BatchEdge // the engine's insert batch
-	keys  [][2]int            // canonical delete keys; the valid ones are compacted to the front
-	idx   []int               // input slot of each compacted delete key
+	errs     []error             // one result slot per input item
+	out      []error             // the slots the running kernel writes: errs, or Build's own
+	items    []batch.Item        // the insertions; the valid ones are compacted to the front, weight-sorted
+	edges    []ternary.BatchEdge // the engine's insert batch
+	keys     [][2]int            // the delete keys, canonicalized; the valid ones are compacted to the front
+	idx      []int               // input slot of each compacted delete key
+	validate func(i int)         // insertBatch's validation kernel
+	canon    func(i int)         // deleteBatch's canonicalization kernel
+}
+
+// validateKernel checks insertion i: one processor per item, reading its
+// own items cell and writing only its own result slot.
+func (f *Forest) validateKernel(i int) {
+	if it := f.sc.items[i]; !validEdge(f.n, Edge{U: it.A, V: it.B, W: it.Key}) {
+		f.sc.out[i] = ErrBadEdge
+	}
+}
+
+// canonKernel canonicalizes delete key i in place: one processor per key,
+// writing only its own key and result slot. A key no edge can carry fails
+// as absent without consulting the engine.
+func (f *Forest) canonKernel(i int) {
+	k := f.sc.keys[i]
+	if !validPair(f.n, k[0], k[1]) {
+		f.sc.out[i] = ErrNotFound
+	}
+	f.sc.keys[i] = jkey(k[0], k[1])
 }
 
 // commit is the one path from a mutator or the ingest drainer to the
@@ -184,17 +209,18 @@ func (f *Forest) commitLocked(ins []Edge, del []EdgeKey) (errs []error) {
 // insertBatch validates ins into errs, applies the valid edges as one
 // weight-sorted engine batch, and journals the edges the engine accepted.
 func (f *Forest) insertBatch(ins []Edge, errs []error) {
-	// Validation kernel: one EREW round, one processor per item, each
-	// writing only its own errs cell.
-	f.ch.ParDo(len(ins), func(i int) {
-		if !validEdge(f.n, ins[i]) {
-			errs[i] = ErrBadEdge
-		}
-	})
-	items := f.sc.items[:0]
+	all := slices.Grow(f.sc.items[:0], len(ins))[:len(ins)]
 	for i, e := range ins {
+		all[i] = batch.Item{Key: e.W, A: e.U, B: e.V, Idx: i}
+	}
+	f.sc.items, f.sc.out = all, errs
+	// Validation kernel: one EREW round (validateKernel).
+	f.ch.ParDo(len(all), f.sc.validate)
+	f.sc.out = nil
+	items := all[:0]
+	for i, it := range all {
 		if errs[i] == nil {
-			items = append(items, batch.Item{Key: e.W, A: e.U, B: e.V, Idx: i})
+			items = append(items, it)
 		}
 	}
 	batch.Sort(f.mach, items)
@@ -202,7 +228,7 @@ func (f *Forest) insertBatch(ins []Edge, errs []error) {
 	for _, it := range items {
 		bes = append(bes, ternary.BatchEdge{U: it.A, V: it.B, W: it.Key})
 	}
-	f.sc.items, f.sc.edges = items, bes
+	f.sc.edges = bes
 	for i, err := range f.eng.InsertEdges(bes) {
 		if it := items[i]; err != nil {
 			errs[it.Idx] = mapBatchInsertErr(err)
@@ -217,16 +243,13 @@ func (f *Forest) insertBatch(ins []Edge, errs []error) {
 // journal.
 func (f *Forest) deleteBatch(del []EdgeKey, errs []error) {
 	keys := slices.Grow(f.sc.keys[:0], len(del))[:len(del)]
-	f.sc.keys = keys
-	// Canonicalization kernel: one EREW round, one processor per key, each
-	// writing only its own cells. A key no edge can carry fails as absent
-	// without consulting the engine.
-	f.ch.ParDo(len(del), func(i int) {
-		if !validPair(f.n, del[i].U, del[i].V) {
-			errs[i] = ErrNotFound
-		}
-		keys[i] = jkey(del[i].U, del[i].V)
-	})
+	for i, k := range del {
+		keys[i] = [2]int{k.U, k.V}
+	}
+	f.sc.keys, f.sc.out = keys, errs
+	// Canonicalization kernel: one EREW round (canonKernel).
+	f.ch.ParDo(len(del), f.sc.canon)
+	f.sc.out = nil
 	live, idx := keys[:0], f.sc.idx[:0]
 	for i, k := range keys {
 		if errs[i] == nil {

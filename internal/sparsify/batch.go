@@ -1,8 +1,9 @@
 package sparsify
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"parmsf/internal/batch"
 	"parmsf/internal/faultinject"
@@ -15,19 +16,19 @@ var (
 )
 
 // This file implements the batch path of the sparsification tree: a whole
-// batch of updates enters at its leaf nodes and propagates strictly
-// level-by-level, the reference scheduler the pipeline (pipeline.go) is
-// tested and measured against. At each level the pending updates and the
-// accumulated forest deltas of the level below (the paper's REdges
-// bookkeeping) are grouped by node and coalesced per edge, then every
-// touched sibling node of the level applies its delta concurrently — the
-// siblings own disjoint local engines, so the only synchronization is the
-// level barrier — and each node's emitted events are collected into its
-// parent's pending group before the sweep advances. Nodes whose local graph
-// empties are destroyed only after their events have been drained into the
-// parent (teardown ordering), and per-batch cost is accounted as per-level
-// max depth over the concurrent siblings plus the O(log n) coordination of
-// Section 5.3.
+// batch of updates enters at the lowest stored level and propagates
+// strictly level-by-level, the reference scheduler the pipeline
+// (pipeline.go) is tested and measured against. At each level the pending
+// updates and the accumulated forest deltas of the level below (the
+// paper's REdges bookkeeping) are grouped by node and coalesced per edge,
+// then every touched sibling node of the level applies its delta
+// concurrently — the siblings own disjoint local engines, so the only
+// synchronization is the level barrier — and each node's emitted events
+// are collected into its parent's pending group before the sweep advances.
+// Nodes whose local graph empties are destroyed only after their events
+// have been drained into the parent (teardown ordering), and per-batch
+// cost is accounted as per-level max depth over the concurrent siblings
+// plus the O(log n) coordination of Section 5.3.
 
 // keyState tracks one edge's event history inside a node's pending group:
 // the first event type pins the edge's membership before the batch, the
@@ -93,6 +94,12 @@ func (fr frontier) group(k nodeKey) *group {
 	return g
 }
 
+// cmpNodeKey orders the node keys of one level by (a, b): the order in
+// which both schedulers start a level's siblings.
+func cmpNodeKey(x, y nodeKey) int {
+	return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
+}
+
 // parentKey returns the key of a node's unique parent. Every forest-change
 // event a node emits has both endpoints inside the node's intervals, so the
 // whole emitted delta routes to this one node.
@@ -103,13 +110,13 @@ func parentKey(k nodeKey) nodeKey {
 // InsertEdges inserts a batch of edges, returning one error slot per item
 // (nil on success; ErrBadEdge and ErrExists mirror InsertEdge, with a
 // repeated in-batch edge failing from its second occurrence on). The
-// surviving edges seed the leaf frontier and propagate level-by-level. With
-// distinct weights the resulting forest is identical to per-edge insertion
-// in any order (each node's MSF is unique given its local edge set).
+// surviving edges seed the lowest stored level (see run) and propagate
+// level-by-level. With distinct weights the resulting forest is identical
+// to per-edge insertion in any order (each node's MSF is unique given its
+// local edge set).
 func (f *Forest) InsertEdges(items []batch.Edge) []error {
 	errs := make([]error, len(items))
-	fr := make(frontier)
-	staged := 0
+	seeds := make([]batch.Edge, 0, len(items))
 	for i, it := range items {
 		u, v := it.U, it.V
 		if u == v || u < 0 || v < 0 || u >= f.n || v >= f.n {
@@ -122,13 +129,9 @@ func (f *Forest) InsertEdges(items []batch.Edge) []error {
 			continue
 		}
 		f.edges[k] = it.W
-		fr.group(f.keyAt(f.levels, u, v)).add(u, v, it.W, true)
-		staged++
+		seeds = append(seeds, batch.Edge{U: k[0], V: k[1], W: it.W})
 	}
-	if staged > 0 {
-		f.runBatch(fr)
-		f.applied()
-	}
+	f.run(seeds, true)
 	return errs
 }
 
@@ -139,8 +142,7 @@ func (f *Forest) InsertEdges(items []batch.Edge) []error {
 // deletions that caused them.
 func (f *Forest) DeleteEdges(keys [][2]int) []error {
 	errs := make([]error, len(keys))
-	fr := make(frontier)
-	staged := 0
+	seeds := make([]batch.Edge, 0, len(keys))
 	for i, kk := range keys {
 		k := key(kk[0], kk[1])
 		if _, ok := f.edges[k]; !ok {
@@ -148,23 +150,41 @@ func (f *Forest) DeleteEdges(keys [][2]int) []error {
 			continue
 		}
 		delete(f.edges, k)
-		fr.group(f.keyAt(f.levels, k[0], k[1])).add(k[0], k[1], 0, false)
-		staged++
+		seeds = append(seeds, batch.Edge{U: k[0], V: k[1]})
 	}
-	if staged > 0 {
-		f.runBatch(fr)
-		f.applied()
-	}
+	f.run(seeds, false)
 	return errs
 }
 
-// runBatch drives one staged batch from the leaves to the root: through
-// the dependency-driven pipeline scheduler when Pipeline is set, else the
-// strict level-by-level sweep below. Depth is accounted as the max over
-// levels of each level's max over its concurrent siblings (equivalently,
-// under either scheduler: the max over all touched nodes); work as the sum
-// over every touched node; both plus the O(log n) coordination of Section
-// 5.3.
+// run seeds the lowest stored level with a batch's staged edges (canonical
+// endpoints, all added or all removed) and drives the batch to the root. A
+// node there holds the graph edges between its two intervals, so a staged
+// edge is itself the forest delta of the one-edge leaf that would sit
+// below it. The edges enter the nodes' groups in canonical key order, the
+// order in which such leaves would drain into their parent under either
+// scheduler, so no node's op sequence depends on the batch's input order.
+func (f *Forest) run(seeds []batch.Edge, added bool) {
+	if len(seeds) == 0 {
+		return
+	}
+	slices.SortFunc(seeds, func(x, y batch.Edge) int {
+		return cmp.Or(cmp.Compare(x.U, y.U), cmp.Compare(x.V, y.V))
+	})
+	fr := make(frontier)
+	for _, e := range seeds {
+		fr.group(f.keyAt(f.levels, e.U, e.V)).add(e.U, e.V, e.W, added)
+	}
+	f.runBatch(fr)
+	f.applied()
+}
+
+// runBatch drives one staged batch from the lowest stored level to the
+// root: through the dependency-driven pipeline scheduler when Pipeline is
+// set, else the strict level-by-level sweep below. Depth is accounted as
+// the max over levels of each level's max over its concurrent siblings
+// (equivalently, under either scheduler: the max over all touched nodes);
+// work as the sum over every touched node; both plus the O(log n)
+// coordination of Section 5.3, two per stored level.
 func (f *Forest) runBatch(fr frontier) {
 	f.Fault.Hit(fpRunBatch)
 	if f.Pipeline {
@@ -194,12 +214,7 @@ func (f *Forest) runLevel(level int, fr frontier) (next frontier, depth, work in
 	for k := range fr {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
-	})
+	slices.SortFunc(keys, cmpNodeKey)
 
 	type task struct {
 		nd   *node

@@ -152,7 +152,7 @@ func TestBatchTeardownOrdering(t *testing.T) {
 	const n = 16
 	f := New(n, coreFactory)
 	ref := baseline.NewKruskal(n)
-	// A clique on vertices 0..3 (one subtree of the leaf level) plus a few
+	// A clique on vertices 0..3 (one subtree of the tree) plus a few
 	// spanning edges elsewhere.
 	var sub [][2]int
 	w := int64(1)

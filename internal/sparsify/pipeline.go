@@ -1,7 +1,7 @@
 package sparsify
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"parmsf/internal/batch"
@@ -13,7 +13,7 @@ import (
 // barrier per level (batch.go), a tree node becomes runnable as soon as all
 // of its own children have drained their REdges deltas and pending events
 // into it. Readiness is a per-node counter over the dependency closure (the
-// ancestors of the batch's touched leaves), so a fast subtree's parent can
+// ancestors of the batch's seeded nodes), so a fast subtree's parent can
 // apply while a slow sibling subtree is still working a lower level — the
 // overlap Section 5.3's depth accounting permits, since only the
 // child-before-parent order is semantically required.
@@ -48,7 +48,7 @@ type trappedPanic struct{ val any }
 // pnode is one node of a batch's dependency closure.
 type pnode struct {
 	key      nodeKey
-	group    *group       // leaf seed group (nil for internal nodes)
+	group    *group       // seed group (nil above the lowest stored level)
 	parent   *pnode       // nil at the root
 	children []*pnode     // closure children in sorted sibling order
 	waiting  atomic.Int32 // children that have not yet completed
@@ -64,7 +64,7 @@ type pnode struct {
 // bounded by the spawner); with Spawn nil every task runs inline, which
 // executes the identical schedule sequentially.
 func (f *Forest) runBatchPipelined(fr frontier) {
-	// Build the closure: every touched leaf and all of its ancestors. The
+	// Build the closure: every seeded node and all of its ancestors. The
 	// recursion always reaches level 0, so the closure has exactly one
 	// root (parent == nil).
 	nodes := make(map[nodeKey]*pnode, 2*len(fr))
@@ -96,15 +96,15 @@ func (f *Forest) runBatchPipelined(fr frontier) {
 		}
 	}
 
-	// Seed the ready queue with the leaves in sorted key order (the same
-	// deterministic order the barrier sweep uses within a level).
+	// Seed the ready queue with the seeded nodes in sorted key order (the
+	// same deterministic order the barrier sweep uses within a level).
 	ready := make([]*pnode, 0, len(fr))
 	for _, p := range all {
 		if p.waiting.Load() == 0 {
 			ready = append(ready, p)
 		}
 	}
-	sortNodeKeysOf(ready)
+	slices.SortFunc(ready, func(p, q *pnode) int { return cmpNodeKey(p.key, q.key) })
 
 	// Every node sends at most one notification (a released parent, or the
 	// completed root), so the buffer bounds every send as non-blocking.
@@ -210,7 +210,7 @@ func (f *Forest) runBatchPipelined(fr frontier) {
 			continue
 		}
 
-		// Assemble the node's input: its leaf seed, plus its children's
+		// Assemble the node's input: its seed group, or its children's
 		// drained events in sibling order. The children all completed (the
 		// release that scheduled p happens-after every child's drain), so
 		// their costs merge and their emptied nodes retire here.
@@ -289,14 +289,3 @@ type TaskPool = pram.Pool
 // NewTaskPool starts a pool of workers goroutines; install its Spawn as
 // Forest.Spawn and Close it when done.
 func NewTaskPool(workers int) *TaskPool { return pram.NewPool(workers) }
-
-// sortNodeKeysOf sorts pnodes by (a, b); used only within one level, where
-// that order matches the barrier sweep's sorted task order.
-func sortNodeKeysOf(ps []*pnode) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].key.a != ps[j].key.a {
-			return ps[i].key.a < ps[j].key.a
-		}
-		return ps[i].key.b < ps[j].key.b
-	})
-}

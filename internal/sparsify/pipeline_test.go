@@ -32,8 +32,8 @@ func withCounters(f *Forest) *Forest {
 // identical forests, identical node-op counters and — because per-node
 // engines are private and the batch aggregate merges them commutatively —
 // bit-identical ParDepth/ParWork after every batch, regardless of task
-// completion order. Run with -race to certify the concurrent node
-// applications share no state.
+// completion order, and pins the stream's final totals. Run with -race to
+// certify the concurrent node applications share no state.
 func TestPipelineMatchesBarrier(t *testing.T) {
 	const n = 32
 	barrier := withCounters(New(n, pramFactory))
@@ -135,6 +135,12 @@ func TestPipelineMatchesBarrier(t *testing.T) {
 	if barrier.BatchNodeOps == 0 {
 		t.Fatal("stream never exercised a node batch")
 	}
+	// The stream's totals are pinned, so a change that moves a charge, a
+	// node application or the stored node count has to say so here.
+	if barrier.ParDepth != 51161 || barrier.ParWork != 2043418 || barrier.BatchNodeOps != 756 || barrier.NodeCount() != 120 {
+		t.Fatalf("totals {D=%d W=%d ops=%d nodes=%d}, pinned {D=51161 W=2043418 ops=756 nodes=120}",
+			barrier.ParDepth, barrier.ParWork, barrier.BatchNodeOps, barrier.NodeCount())
+	}
 }
 
 // TestPipelineTeardownOrdering mirrors the barrier teardown regression for
@@ -174,5 +180,63 @@ func TestPipelineTeardownOrdering(t *testing.T) {
 	}
 	if f.ForestSize() != 4 {
 		t.Fatalf("forest size after teardown = %d, want 4", f.ForestSize())
+	}
+}
+
+// TestTiedBatchSeedOrder inserts one batch of equal-weight edges into two
+// trees in opposite input orders, after a base batch that leaves the
+// lowest-level nodes non-empty (so they insert incrementally, where the
+// first of two tied edges on a cycle wins). Seeding in canonical key order
+// makes every node apply the same op sequence either way: the root's forest
+// events, the forests and ParDepth/ParWork must all be identical.
+func TestTiedBatchSeedOrder(t *testing.T) {
+	const n = 16
+	var base, tied []batch.Edge
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if u%4 == 0 && v == u+2 {
+				base = append(base, batch.Edge{U: u, V: v, W: int64(1 + u)})
+			} else {
+				tied = append(tied, batch.Edge{U: u, V: v, W: 100})
+			}
+		}
+	}
+	reversed := make([]batch.Edge, len(tied))
+	for i, e := range tied {
+		reversed[len(tied)-1-i] = batch.Edge{U: e.V, V: e.U, W: e.W}
+	}
+	tp := NewTaskPool(3)
+	defer tp.Close()
+	type run struct {
+		f      *Forest
+		events []event
+	}
+	runs := make([]*run, 2)
+	for i, order := range [][]batch.Edge{tied, reversed} {
+		r := &run{f: withCounters(New(n, pramFactory))}
+		r.f.Pipeline = true
+		if i == 1 {
+			r.f.Spawn = tp.Spawn
+		}
+		mustNil(t, firstErr(r.f.InsertEdges(base)))
+		r.f.SetEvents(func(u, v int, w int64, added bool) {
+			r.events = append(r.events, event{u, v, w, added})
+		})
+		mustNil(t, firstErr(r.f.InsertEdges(order)))
+		mustNil(t, r.f.CheckInvariant())
+		runs[i] = r
+	}
+	a, b := runs[0], runs[1]
+	if len(a.events) == 0 || len(a.events) != len(b.events) {
+		t.Fatalf("root forest events: %d vs %d", len(a.events), len(b.events))
+	}
+	for i := range a.events {
+		if a.events[i] != b.events[i] {
+			t.Fatalf("root forest event %d: %+v vs %+v", i, a.events[i], b.events[i])
+		}
+	}
+	sameForests(t, "tied batch in two orders", a.f, b.f)
+	if a.f.ParDepth != b.f.ParDepth || a.f.ParWork != b.f.ParWork {
+		t.Fatalf("counters: {D=%d W=%d} vs {D=%d W=%d}", a.f.ParDepth, a.f.ParWork, b.f.ParDepth, b.f.ParWork)
 	}
 }

@@ -6,12 +6,15 @@
 //
 // Every stored node E_{alpha,beta} owns a dynamic MSF engine, behind the one
 // node contract Engine, on the local graph whose edge set is the union of
-// its children's forests (at leaves: the actual graph edges between the two
-// singleton vertex sets). Updates enter at a leaf and propagate upward: each
-// level applies the forest delta of the level below, reported through the
-// engine's event callback — the concrete realization of the paper's REdges
-// bookkeeping. Nodes are created lazily and destroyed when their local
-// graph empties, giving the paper's O(m log n) space.
+// its children's forests. The tree stores no one-edge leaves: its lowest
+// stored level has intervals of two vertices, and a node there holds the
+// actual graph edges between its two intervals, which is exactly the union
+// of the one-edge forests of the leaves below it. Updates enter at that
+// level and propagate upward: each level applies the forest delta of the
+// level below, reported through the engine's event callback — the concrete
+// realization of the paper's REdges bookkeeping. Nodes are created lazily
+// and destroyed when their local graph empties, giving the paper's
+// O(m log n) space.
 package sparsify
 
 import (
@@ -99,8 +102,8 @@ func (nd *node) global(l int) int {
 // Forest is the sparsification tree.
 type Forest struct {
 	n       int // original vertex count
-	pn      int // padded to a power of two
-	levels  int // leaf level (intervals of size 1)
+	pn      int // padded to a power of two, at least 2
+	levels  int // lowest stored level (intervals of two vertices)
 	factory Factory
 	nodes   map[nodeKey]*node
 	edges   map[[2]int]int64
@@ -175,7 +178,7 @@ type Forest struct {
 
 // New builds an empty sparsification tree over n >= 2 vertices.
 func New(n int, factory Factory) *Forest {
-	pn := 1
+	pn := 2
 	levels := 0
 	for pn < n {
 		pn *= 2
@@ -355,17 +358,19 @@ func (f *Forest) ExportComponents(comp []int32, upto int) bool {
 }
 
 // CheckInvariant verifies, for every stored node, that its local edge count
-// matches m and that its local graph equals the union of its children's
-// forests (leaves: the live graph edges of its pair). O(total size); tests
-// only.
+// m matches the size of the edge set it should hold: the union of its
+// children's forests, or at the lowest stored level the live graph edges
+// between its two intervals. O(total size); tests only.
 func (f *Forest) CheckInvariant() error {
 	for k, nd := range f.nodes {
 		want := map[[2]int]int64{}
 		if int(k.level) == f.levels {
-			// Leaf: actual graph edges between the singletons.
-			u, v := int(k.a), int(k.b)
-			if w, ok := f.edges[key(u, v)]; ok {
-				want[key(u, v)] = w
+			for x := nd.aStart; x < nd.aStart+nd.span; x++ {
+				for y := nd.bStart; y < nd.bStart+nd.span; y++ {
+					if w, ok := f.edges[[2]int{x, y}]; ok {
+						want[[2]int{x, y}] = w
+					}
+				}
 			}
 		} else {
 			for _, ck := range childKeys(k) {
@@ -386,7 +391,8 @@ func (f *Forest) CheckInvariant() error {
 	return nil
 }
 
-// childKeys lists the (up to four) children of a non-leaf node key.
+// childKeys lists the (up to four) children of a node key above the lowest
+// stored level.
 func childKeys(k nodeKey) []nodeKey {
 	l := k.level + 1
 	a1, a2 := 2*k.a, 2*k.a+1

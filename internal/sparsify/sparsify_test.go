@@ -234,3 +234,111 @@ func TestUpdateCostIndependentOfM(t *testing.T) {
 		t.Fatalf("node count %d too large for m=%d", f.NodeCount(), len(added))
 	}
 }
+
+// TestLowestLevelHoldsPairs checks that no node is stored below level
+// levels, whose intervals hold two vertices, after a dense load and after
+// delete+insert churn, and that each node there holds the graph edges
+// between its two intervals (CheckInvariant).
+func TestLowestLevelHoldsPairs(t *testing.T) {
+	const n = 32
+	f := New(n, kruskalFactory)
+	if span := f.pn >> uint(f.levels); span != 2 {
+		t.Fatalf("lowest stored level %d has intervals of %d vertices, want 2", f.levels, span)
+	}
+	rng := xrand.New(97)
+	live := map[[2]int]bool{}
+	var liveL [][2]int
+	fresh := func(m int) []batch.Edge {
+		var es []batch.Edge
+		for len(es) < m {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if k := key(u, v); u != v && !live[k] {
+				live[k] = true
+				liveL = append(liveL, k)
+				es = append(es, batch.Edge{U: u, V: v, W: rng.Int63()%1000 + 1})
+			}
+		}
+		return es
+	}
+	check := func(stage string) {
+		t.Helper()
+		bottom := 0
+		for k := range f.nodes {
+			if int(k.level) > f.levels {
+				t.Fatalf("%s: node %v stored below level %d", stage, k, f.levels)
+			}
+			if int(k.level) == f.levels {
+				bottom++
+			}
+		}
+		if bottom == 0 {
+			t.Fatalf("%s: no node at level %d", stage, f.levels)
+		}
+		if err := f.CheckInvariant(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+	}
+	mustNil(t, firstErr(f.InsertEdges(fresh(8*n))))
+	check("after load")
+	for round := 0; round < 20; round++ {
+		del := liveL[:8]
+		for _, k := range del {
+			delete(live, k)
+		}
+		mustNil(t, firstErr(f.DeleteEdges(del)))
+		liveL = append([][2]int(nil), liveL[8:]...)
+		mustNil(t, firstErr(f.InsertEdges(fresh(8))))
+	}
+	check("after churn")
+}
+
+// TestCheckInvariantCatchesCorruption plants a node at the lowest stored
+// level whose edge count disagrees with the graph's edge map and a node
+// above it whose count disagrees with its children's forests; each must
+// fail CheckInvariant.
+func TestCheckInvariantCatchesCorruption(t *testing.T) {
+	f := New(16, coreFactory)
+	w := int64(1)
+	for u := 0; u < 16; u++ {
+		for v := u + 1; v < 16; v += 3 {
+			mustNil(t, f.InsertEdge(u, v, w))
+			w++
+		}
+	}
+	mustNil(t, f.CheckInvariant())
+
+	// An edge dropped from the map behind the tree's back.
+	k := [2]int{0, 1}
+	wt, ok := f.edges[k]
+	if !ok {
+		t.Fatalf("edge %v not loaded", k)
+	}
+	delete(f.edges, k)
+	if err := f.CheckInvariant(); err == nil {
+		t.Fatal("CheckInvariant missed a lowest-level node holding an edge the map lacks")
+	}
+	f.edges[k] = wt
+	mustNil(t, f.CheckInvariant())
+
+	// A node above the lowest level miscounting its children's forests.
+	nd := f.nodes[f.keyAt(f.levels-1, 0, 4)]
+	if nd == nil || nd.m == 0 {
+		t.Fatal("no populated node above the lowest level")
+	}
+	nd.m++
+	if err := f.CheckInvariant(); err == nil {
+		t.Fatal("CheckInvariant missed a node whose count disagrees with its children's forests")
+	}
+	nd.m--
+	mustNil(t, f.CheckInvariant())
+}
+
+// firstErr returns the first non-nil error of a batch result.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

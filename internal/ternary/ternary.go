@@ -22,6 +22,7 @@ package ternary
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"parmsf/internal/batch"
 	"parmsf/internal/core"
@@ -97,12 +98,14 @@ type Wrapper struct {
 	OnApplied func()
 
 	// Pooled batch scratch: the staged-slot op buffer shared by every
-	// entry point and the tree flags of a load, and the touched vertices
-	// of a delete batch. Reused across batches (contents never retained),
-	// so warm batch entry points allocate only their returned error slices.
+	// entry point and the tree flags of a load, the touched vertices of a
+	// delete batch, and the error slots InsertEdges and DeleteEdges return
+	// (valid until the next batch). Reused across batches, so warm batch
+	// entry points allocate nothing.
 	opsScratch  []core.BatchOp
 	flagScratch []bool
 	touchedVs   []int
+	errScratch  []error
 
 	fault *faultinject.Injector // crash points (SetFault; nil no-op)
 }
@@ -334,9 +337,10 @@ type BatchEdge = batch.Edge
 // with one deferred aggregate flush instead of one engine insert per slot.
 // With distinct real weights the resulting forest is identical to per-edge
 // insertion (the MSF is unique; ring edges are forced into every gadget
-// MSF).
+// MSF). The returned slots are pooled wrapper scratch, valid until the next
+// batch enters this wrapper; callers that keep them must copy them.
 func (w *Wrapper) InsertEdges(items []BatchEdge) []error {
-	errs := make([]error, len(items))
+	errs := w.errSlots(len(items))
 	ops := w.opsScratch[:0]
 	for i, it := range items {
 		hs, err := w.stageInsert(it.U, it.V, it.W, &ops)
@@ -357,6 +361,13 @@ func (w *Wrapper) InsertEdges(items []BatchEdge) []error {
 		w.applied()
 	}
 	return errs
+}
+
+// errSlots returns n cleared error slots from the pooled scratch.
+func (w *Wrapper) errSlots(n int) []error {
+	w.errScratch = slices.Grow(w.errScratch[:0], n)[:n]
+	clear(w.errScratch)
+	return w.errScratch
 }
 
 // apply hands a staged gadget batch to the engine as one ApplyBatch.
@@ -391,9 +402,9 @@ func (w *Wrapper) assertRings() {
 // out every other unhosted slot but the base (a core splice each). The
 // engine's planner orders the deletions before the splices, which need
 // their slots at degree 2. The ring-count invariant is asserted after the
-// batch.
+// batch. The returned slots are pooled as InsertEdges' are.
 func (w *Wrapper) DeleteEdges(keys [][2]int) []error {
-	errs := make([]error, len(keys))
+	errs := w.errSlots(len(keys))
 	ops := w.opsScratch[:0]
 	vs := w.touchedVs[:0]
 	for i, kk := range keys {

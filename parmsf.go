@@ -103,11 +103,11 @@ type Options struct {
 	MaxEdges int
 	// Sparsify routes updates through the sparsification tree of Section
 	// 5, making update cost depend on n rather than m. Worthwhile when the
-	// graph is dense. A batch enters the tree at its leaf nodes and
-	// propagates toward the root through the dependency pipeline, where a
-	// node applies as soon as its children have drained into it (node
-	// tasks run concurrently on the machine's goroutine pool when Workers
-	// exceeds 1).
+	// graph is dense. A batch enters the tree at its lowest stored level
+	// and propagates toward the root through the dependency pipeline,
+	// where a node applies as soon as its children have drained into it
+	// (node tasks run concurrently on the machine's goroutine pool when
+	// Workers exceeds 1).
 	Sparsify bool
 	// Workers runs the core structure's EREW PRAM driver (Section 3) on a
 	// machine with this many workers, whose depth and work counters are
@@ -255,6 +255,7 @@ func New(n int, opt Options) (*Forest, error) {
 		opt.MaxEdges = 4 * n
 	}
 	f := &Forest{n: n, opt: opt, fault: faultinject.New(), jour: make(map[[2]int]int64)}
+	f.sc.validate, f.sc.canon = f.validateKernel, f.canonKernel
 	if opt.Workers != 0 {
 		f.mach = pram.NewParallel(opt.Workers)
 	}

@@ -282,8 +282,9 @@ func TestBatchParityAcrossBackends(t *testing.T) {
 
 func TestForestCloseIdempotent(t *testing.T) {
 	// Still usable after Close: kernels fall back to sequential. The batch
-	// spans six leaf nodes of the sparsification tree, so the pipeline
-	// spawns node tasks through the closed machine, which runs them inline.
+	// spans six nodes of the sparsification tree's lowest stored level, so
+	// the pipeline spawns node tasks through the closed machine, which
+	// runs them inline.
 	edges := []Edge{{0, 1, 5}, {2, 3, 6}, {4, 5, 7}, {6, 7, 8}, {1, 2, 9}, {0, 7, 10}}
 	for _, opt := range []Options{{Workers: 2}, {Sparsify: true, Workers: 2}} {
 		f := MustNew(8, opt)

@@ -148,7 +148,8 @@ func TestBuildMatchesReplay(t *testing.T) {
 
 // TestBuildRejects checks per-edge validation: malformed edges and
 // duplicates fail with the same errors a per-edge replay resolves, while
-// the surviving edges still load.
+// the surviving edges still load, both through the flat loader and
+// through the commit path's insert stage that a sparsified Build takes.
 func TestBuildRejects(t *testing.T) {
 	edges := []Edge{
 		{U: 0, V: 1, W: 5},
@@ -162,19 +163,21 @@ func TestBuildRejects(t *testing.T) {
 		{U: 3, V: 2, W: 11},            // duplicate
 		{U: 0, V: 2, W: 13},            // ok
 	}
-	f, errs := MustBuild(4, edges, Options{})
-	defer f.Close()
-	if errs == nil {
-		t.Fatal("want per-edge errors")
-	}
 	want := []error{nil, ErrBadEdge, ErrBadEdge, ErrBadEdge, ErrBadEdge, ErrBadEdge, ErrExists, nil, ErrExists, nil}
-	for i, err := range errs {
-		if err != want[i] {
-			t.Fatalf("edge %d: err = %v, want %v", i, err, want[i])
+	for _, opt := range []Options{{}, {Sparsify: true}} {
+		f, errs := MustBuild(4, edges, opt)
+		if errs == nil {
+			t.Fatalf("%+v: want per-edge errors", opt)
 		}
-	}
-	if f.Weight() != 5+9+13 || f.Size() != 3 {
-		t.Fatalf("loaded forest (w=%d,s=%d)", f.Weight(), f.Size())
+		for i, err := range errs {
+			if err != want[i] {
+				t.Fatalf("%+v: edge %d: err = %v, want %v", opt, i, err, want[i])
+			}
+		}
+		if f.Weight() != 5+9+13 || f.Size() != 3 {
+			t.Fatalf("%+v: loaded forest (w=%d,s=%d)", opt, f.Weight(), f.Size())
+		}
+		f.Close()
 	}
 
 	// MaxEdges below the accepted count is raised, not an error.
