@@ -16,7 +16,8 @@
 package batch
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"parmsf/internal/pram"
 )
@@ -43,17 +44,17 @@ type Item struct {
 	Idx  int
 }
 
-func itemLess(x, y Item) bool {
-	if x.Key != y.Key {
-		return x.Key < y.Key
+// cmpItem is the package's one item comparator, over (Key, A, B, Idx).
+func cmpItem(x, y Item) int {
+	switch {
+	case x.Key != y.Key:
+		return cmp.Compare(x.Key, y.Key)
+	case x.A != y.A:
+		return cmp.Compare(x.A, y.A)
+	case x.B != y.B:
+		return cmp.Compare(x.B, y.B)
 	}
-	if x.A != y.A {
-		return x.A < y.A
-	}
-	if x.B != y.B {
-		return x.B < y.B
-	}
-	return x.Idx < y.Idx
+	return cmp.Compare(x.Idx, y.Idx)
 }
 
 // parallelSortMin is the batch size below which fan-out costs more than it
@@ -76,7 +77,7 @@ func Sort(m *pram.Machine, items []Item) {
 		m.Steps(l*l, (n+l-1)/l)
 	}
 	if m == nil || m.Workers() == 1 || n < parallelSortMin {
-		sort.Slice(items, func(i, j int) bool { return itemLess(items[i], items[j]) })
+		slices.SortFunc(items, cmpItem)
 		return
 	}
 
@@ -90,8 +91,7 @@ func Sort(m *pram.Machine, items []Item) {
 		if hi > n {
 			hi = n
 		}
-		s := items[lo:hi]
-		sort.Slice(s, func(i, j int) bool { return itemLess(s[i], s[j]) })
+		slices.SortFunc(items[lo:hi], cmpItem)
 	})
 
 	// Phase 2: merge adjacent run pairs, doubling the run length each
@@ -123,7 +123,7 @@ func Sort(m *pram.Machine, items []Item) {
 func mergeRuns(out, a, b []Item) {
 	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		if itemLess(b[j], a[i]) {
+		if cmpItem(b[j], a[i]) < 0 {
 			out[k] = b[j]
 			j++
 		} else {

@@ -26,7 +26,7 @@ func randomItems(n int, seed uint64) []Item {
 
 func sortedRef(items []Item) []Item {
 	ref := append([]Item(nil), items...)
-	sort.Slice(ref, func(i, j int) bool { return itemLess(ref[i], ref[j]) })
+	sort.Slice(ref, func(i, j int) bool { return cmpItem(ref[i], ref[j]) < 0 })
 	return ref
 }
 

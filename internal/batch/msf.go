@@ -5,7 +5,7 @@ import "parmsf/internal/pram"
 // This file is the module's one static minimum-spanning-forest kernel, a
 // filter-Kruskal classifier (SNIPPETS snippet 1) behind Build and
 // Recover's flat load, the sparsification tree's per-node bulk load and
-// the cluster's composed view; the core engine replays batch merges on its
+// small-node recompute, and the cluster's composed view; the core engine replays batch merges on its
 // union-find. The MSF of a union of minimum spanning forests is the MSF of
 // the whole, so one kernel serves the flat graph and every contraction of
 // it.
@@ -107,7 +107,7 @@ func (k *MSF) Classify(m *pram.Machine, n int, items []Item, isTree []bool) []It
 			k.flag = make([]bool, len(work))
 		}
 		flag := k.flag[:len(work)]
-		kernel(m, 1, len(work), func(i int) { flag[i] = !itemLess(pivot, work[i]) })
+		kernel(m, 1, len(work), func(i int) { flag[i] = cmpItem(pivot, work[i]) >= 0 })
 		light := 0
 		for i, it := range work {
 			if flag[i] {
@@ -203,13 +203,13 @@ func (k *MSF) kth(items []Item, r int) Item {
 // median-of-three pivot, returning the pivot's final index.
 func partition(s []Item, lo, hi int) int {
 	mid := lo + (hi-lo)/2
-	if itemLess(s[mid], s[lo]) {
+	if cmpItem(s[mid], s[lo]) < 0 {
 		s[mid], s[lo] = s[lo], s[mid]
 	}
-	if itemLess(s[hi], s[lo]) {
+	if cmpItem(s[hi], s[lo]) < 0 {
 		s[hi], s[lo] = s[lo], s[hi]
 	}
-	if itemLess(s[hi], s[mid]) {
+	if cmpItem(s[hi], s[mid]) < 0 {
 		s[hi], s[mid] = s[mid], s[hi]
 	}
 	// Median at mid; park it just before hi and partition the interior.
@@ -220,7 +220,7 @@ func partition(s []Item, lo, hi int) int {
 	pv := s[hi-1]
 	i := lo
 	for j := lo; j < hi-1; j++ {
-		if itemLess(s[j], pv) {
+		if cmpItem(s[j], pv) < 0 {
 			s[i], s[j] = s[j], s[i]
 			i++
 		}

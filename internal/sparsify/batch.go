@@ -7,6 +7,7 @@ import (
 
 	"parmsf/internal/batch"
 	"parmsf/internal/faultinject"
+	"parmsf/internal/pram"
 )
 
 // Crash points of the sparsification tree (see Forest.Fault).
@@ -22,7 +23,7 @@ var (
 // updates and the accumulated forest deltas of the level below (the
 // paper's REdges bookkeeping) are grouped by node and coalesced per edge,
 // then every touched sibling node of the level applies its delta
-// concurrently — the siblings own disjoint local engines, so the only
+// concurrently — the siblings own disjoint local state, so the only
 // synchronization is the level barrier — and each node's emitted events
 // are collected into its parent's pending group before the sweep advances.
 // Nodes whose local graph empties are destroyed only after their events
@@ -217,9 +218,10 @@ func (f *Forest) runLevel(level int, fr frontier) (next frontier, depth, work in
 	slices.SortFunc(keys, cmpNodeKey)
 
 	type task struct {
-		nd   *node
-		dels [][2]int
-		inss []batch.Edge
+		nd          *node
+		dels        [][2]int
+		inss        []batch.Edge
+		depth, work int64 // the node's charge, written by its own task
 	}
 	tasks := make([]task, 0, len(keys))
 	for _, k := range keys {
@@ -227,23 +229,12 @@ func (f *Forest) runLevel(level int, fr frontier) (next frontier, depth, work in
 		if len(dels) == 0 && len(inss) == 0 {
 			continue // fully cancelled: don't materialize the node
 		}
-		tasks = append(tasks, task{f.getOrCreateKey(k), dels, inss})
+		tasks = append(tasks, task{nd: f.getOrCreateKey(k), dels: dels, inss: inss})
 	}
 	if len(tasks) == 0 {
 		return nil, 0, 0
 	}
-
-	before := make([]int64, len(tasks))
-	beforeW := make([]int64, len(tasks))
-	for t := range tasks {
-		if f.DepthFn != nil {
-			before[t] = f.DepthFn(tasks[t].nd.eng)
-		}
-		if f.WorkFn != nil {
-			beforeW[t] = f.WorkFn(tasks[t].nd.eng)
-		}
-		f.BatchNodeOps++
-	}
+	f.BatchNodeOps += int64(len(tasks))
 
 	exec := f.Exec
 	if exec == nil {
@@ -253,19 +244,16 @@ func (f *Forest) runLevel(level int, fr frontier) (next frontier, depth, work in
 			}
 		}
 	}
-	exec(len(tasks), func(t int) { f.applyNodeDelta(tasks[t].nd, tasks[t].dels, tasks[t].inss) })
+	exec(len(tasks), func(t int) {
+		tk := &tasks[t]
+		tk.depth, tk.work = f.applyNodeDelta(tk.nd, tk.dels, tk.inss)
+	})
 
 	next = make(frontier)
 	for t := range tasks {
 		nd := tasks[t].nd
-		if f.DepthFn != nil {
-			if d := f.DepthFn(nd.eng) - before[t]; d > depth {
-				depth = d
-			}
-		}
-		if f.WorkFn != nil {
-			work += f.WorkFn(nd.eng) - beforeW[t]
-		}
+		depth = max(depth, tasks[t].depth)
+		work += tasks[t].work
 		evs := nd.drain()
 		if level > 0 {
 			pg := next.group(parentKey(nd.key))
@@ -279,20 +267,38 @@ func (f *Forest) runLevel(level int, fr frontier) (next frontier, depth, work in
 }
 
 // applyNodeDelta applies one node's net delta — deletions first, then
-// insertions, both in first-touch order — through the node's engine. It
-// runs concurrently with its siblings and touches only nd's state plus the
-// tree's atomic load counter. An insert-only delta into an empty node
-// (every node of a fresh tree during a bulk build, and any node recreated
-// after its local graph emptied) takes the engine's static Load with no
-// machine: the classification goes uncharged, as the node's cost is its
-// engine's. Load's tie-break matches the incremental path exactly: local()
-// is increasing on each of the node's intervals and interval a precedes
-// interval b, so the (w, lu, lv) order equals the (w, u, v) order of the
-// global canonical keys under which sorted per-edge replay resolves
-// equal-weight conflicts (first arrival wins, and sorted arrival never
-// swaps).
-func (f *Forest) applyNodeDelta(nd *node, dels [][2]int, inss []batch.Edge) {
+// insertions, both in first-touch order — and returns the visit's charge:
+// an engine node's depth and work deltas read through DepthFn and WorkFn,
+// or a small node's recompute charge (applySmall), each 0 when its
+// function is unset. It runs concurrently with its siblings and touches
+// only nd's state plus the tree's atomic load counter. An insert-only
+// delta into an empty engine node (every such node of a fresh tree during
+// a bulk build, and any node recreated after its local graph emptied)
+// takes the engine's static Load with no machine: the classification goes
+// uncharged, as the node's cost is its engine's. Load's tie-break matches
+// the incremental path exactly: local() is increasing on each of the
+// node's intervals and interval a precedes interval b, so the (w, lu, lv)
+// order equals the (w, u, v) order of the global canonical keys under
+// which sorted per-edge replay resolves equal-weight conflicts (first
+// arrival wins, and sorted arrival never swaps).
+func (f *Forest) applyNodeDelta(nd *node, dels [][2]int, inss []batch.Edge) (depth, work int64) {
 	f.Fault.Hit(fpNodeTask)
+	if nd.eng == nil {
+		depth, work = f.applySmall(nd, dels, inss)
+		if f.DepthFn == nil {
+			depth = 0
+		}
+		if f.WorkFn == nil {
+			work = 0
+		}
+		return depth, work
+	}
+	if f.DepthFn != nil {
+		depth = -f.DepthFn(nd.eng)
+	}
+	if f.WorkFn != nil {
+		work = -f.WorkFn(nd.eng)
+	}
 	if len(dels) > 0 {
 		ldels := make([][2]int, len(dels))
 		for i, k := range dels {
@@ -324,4 +330,65 @@ func (f *Forest) applyNodeDelta(nd *node, dels [][2]int, inss []batch.Edge) {
 		}
 		nd.m += len(inss)
 	}
+	if f.DepthFn != nil {
+		depth += f.DepthFn(nd.eng)
+	}
+	if f.WorkFn != nil {
+		work += f.WorkFn(nd.eng)
+	}
+	return depth, work
+}
+
+// applySmall applies a small node's net delta to its edge slice and
+// recomputes the slice's MSF with the static kernel, appending the forest
+// difference to the node's pending events: removals, then additions, each
+// ascending by (w, u, v). Local ids rise with global ids, so the kernel's
+// (w, lu, lv) order is that canonical order, and the forest is the
+// node's Kruskal forest whatever order its edges arrived in. It returns
+// what the kernel charges on a sequential machine — its sort plus its
+// sweep — as the visit's depth and work.
+func (f *Forest) applySmall(nd *node, dels [][2]int, inss []batch.Edge) (depth, work int64) {
+	s := &nd.sm
+	mark := len(nd.pending)
+	for _, k := range dels {
+		lu, lv := nd.local(k[0]), nd.local(k[1])
+		i := 0
+		for i < len(s.items) && (s.items[i].A != lu || s.items[i].B != lv) {
+			i++
+		}
+		if i == len(s.items) {
+			panic(fmt.Sprintf("sparsify: local batch delete (%d,%d): %v", k[0], k[1], ErrMissing))
+		}
+		if it := s.items[i]; it.Idx == 1 {
+			nd.pending = append(nd.pending, event{k[0], k[1], it.Key, false})
+		}
+		last := len(s.items) - 1
+		s.items[i] = s.items[last]
+		s.items = s.items[:last]
+	}
+	for _, e := range inss {
+		s.items = append(s.items, batch.Item{Key: e.W, A: nd.local(e.U), B: nd.local(e.V)})
+	}
+	nd.m = len(s.items)
+	var m pram.Machine
+	forest := s.k.Classify(&m, nd.localN(), s.items, nil)
+	for i := len(forest); i < len(s.items); i++ {
+		if it := &s.items[i]; it.Idx == 1 {
+			it.Idx = 0
+			nd.pending = append(nd.pending, event{nd.global(it.A), nd.global(it.B), it.Key, false})
+		}
+	}
+	slices.SortFunc(nd.pending[mark:], cmpEvent)
+	for i := range forest {
+		if it := &forest[i]; it.Idx == 0 {
+			it.Idx = 1
+			nd.pending = append(nd.pending, event{nd.global(it.A), nd.global(it.B), it.Key, true})
+		}
+	}
+	return m.Time, m.Work
+}
+
+// cmpEvent orders events by (w, u, v).
+func cmpEvent(x, y event) int {
+	return cmp.Or(cmp.Compare(x.w, y.w), cmp.Compare(x.u, y.u), cmp.Compare(x.v, y.v))
 }

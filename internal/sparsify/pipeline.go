@@ -36,7 +36,8 @@ import (
 //     the coalesced group — and therefore the node's engine op order — is
 //     exactly what the level-barrier sweep produces.
 //   - Per-node depth/work deltas come from the node's private engine
-//     simulator, which only the node's own task touches; the batch
+//     simulator, which only the node's own task touches, or from a small
+//     node's recompute charge, a function of its edge count; the batch
 //     aggregate merges them commutatively (max for depth, sum for work),
 //     so ParDepth/ParWork are identical to the barrier path for every
 //     worker count and every completion order.
@@ -50,12 +51,13 @@ type pnode struct {
 	key      nodeKey
 	group    *group       // seed group (nil above the lowest stored level)
 	parent   *pnode       // nil at the root
-	children []*pnode     // closure children in sorted sibling order
+	children [4]*pnode    // closure children in sorted sibling order
+	nchild   int          // the number of them
 	waiting  atomic.Int32 // children that have not yet completed
 	nd       *node        // materialized tree node (nil when the delta cancelled)
 	out      []event      // forest-delta events drained at completion
-	depthD   int64        // this node's engine depth delta
-	workD    int64        // this node's engine work delta
+	depthD   int64        // this node's depth charge (applyNodeDelta)
+	workD    int64        // this node's work charge
 	finished bool         // set (pre-notification) once the node completed
 }
 
@@ -87,12 +89,14 @@ func (f *Forest) runBatchPipelined(fr frontier) {
 	}
 	for _, p := range all {
 		if int(p.key.level) < f.levels {
-			for _, ck := range childKeys(p.key) {
+			cks, nc := childKeys(p.key)
+			for _, ck := range cks[:nc] {
 				if c, ok := nodes[ck]; ok {
-					p.children = append(p.children, c)
+					p.children[p.nchild] = c
+					p.nchild++
 				}
 			}
-			p.waiting.Store(int32(len(p.children)))
+			p.waiting.Store(int32(p.nchild))
 		}
 	}
 
@@ -147,7 +151,7 @@ func (f *Forest) runBatchPipelined(fr frontier) {
 				trap.CompareAndSwap(nil, &trappedPanic{val: r})
 			}
 		}()
-		f.runNodeTask(p, dels, inss)
+		p.depthD, p.workD = f.applyNodeDelta(p.nd, dels, inss)
 	}
 
 	var depth, work int64
@@ -218,7 +222,7 @@ func (f *Forest) runBatchPipelined(fr frontier) {
 		if g == nil {
 			g = &group{index: make(map[[2]int]int32)}
 		}
-		for _, c := range p.children {
+		for _, c := range p.children[:p.nchild] {
 			for _, ev := range c.out {
 				g.add(ev.u, ev.v, ev.w, ev.added)
 			}
@@ -259,26 +263,6 @@ func (f *Forest) runBatchPipelined(fr frontier) {
 		// the schedule fully drained and the workers quiescent — the API
 		// layer's poisoning recover takes it from here.
 		panic(t.val)
-	}
-}
-
-// runNodeTask applies one node's net delta and measures its private
-// engine's depth/work deltas. It touches only p and p.nd, so closure nodes
-// with disjoint engines run concurrently without synchronization.
-func (f *Forest) runNodeTask(p *pnode, dels [][2]int, inss []batch.Edge) {
-	var before, beforeW int64
-	if f.DepthFn != nil {
-		before = f.DepthFn(p.nd.eng)
-	}
-	if f.WorkFn != nil {
-		beforeW = f.WorkFn(p.nd.eng)
-	}
-	f.applyNodeDelta(p.nd, dels, inss)
-	if f.DepthFn != nil {
-		p.depthD = f.DepthFn(p.nd.eng) - before
-	}
-	if f.WorkFn != nil {
-		p.workD = f.WorkFn(p.nd.eng) - beforeW
 	}
 }
 

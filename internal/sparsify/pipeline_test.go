@@ -137,8 +137,8 @@ func TestPipelineMatchesBarrier(t *testing.T) {
 	}
 	// The stream's totals are pinned, so a change that moves a charge, a
 	// node application or the stored node count has to say so here.
-	if barrier.ParDepth != 51161 || barrier.ParWork != 2043418 || barrier.BatchNodeOps != 756 || barrier.NodeCount() != 120 {
-		t.Fatalf("totals {D=%d W=%d ops=%d nodes=%d}, pinned {D=51161 W=2043418 ops=756 nodes=120}",
+	if barrier.ParDepth != 48271 || barrier.ParWork != 1254346 || barrier.BatchNodeOps != 756 || barrier.NodeCount() != 120 {
+		t.Fatalf("totals {D=%d W=%d ops=%d nodes=%d}, pinned {D=48271 W=1254346 ops=756 nodes=120}",
 			barrier.ParDepth, barrier.ParWork, barrier.BatchNodeOps, barrier.NodeCount())
 	}
 }

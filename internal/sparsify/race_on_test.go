@@ -1,0 +1,8 @@
+//go:build race
+
+package sparsify
+
+// raceEnabled reports whether the race detector is instrumenting this test
+// binary (its instrumentation allocates, so allocation-regression gates are
+// skipped under -race while the exercised code paths still run).
+const raceEnabled = true

@@ -4,16 +4,21 @@
 // m edges to O(log n) updates on sparse instances of geometrically
 // decreasing size. The root instance's forest is the graph's MSF.
 //
-// Every stored node E_{alpha,beta} owns a dynamic MSF engine, behind the one
-// node contract Engine, on the local graph whose edge set is the union of
-// its children's forests. The tree stores no one-edge leaves: its lowest
-// stored level has intervals of two vertices, and a node there holds the
-// actual graph edges between its two intervals, which is exactly the union
-// of the one-edge forests of the leaves below it. Updates enter at that
-// level and propagate upward: each level applies the forest delta of the
-// level below, reported through the engine's event callback — the concrete
-// realization of the paper's REdges bookkeeping. Nodes are created lazily
-// and destroyed when their local graph empties, giving the paper's
+// Every stored node E_{alpha,beta} keeps the MSF of its local graph, whose
+// edge set is the union of its children's forests. The root and every node
+// of more than smallMax local vertices own a dynamic MSF engine behind the
+// one node contract Engine; a smaller node below the root keeps no engine:
+// it holds its local edges in a slice and recomputes their MSF with the
+// static kernel (batch.MSF) on each delta, which costs O(1) for a constant
+// smallMax (Section 5 lets a node keep its forest with any structure). The
+// tree stores no one-edge leaves: its lowest stored level has intervals of
+// two vertices, and a node there holds the actual graph edges between its
+// two intervals, which is exactly the union of the one-edge forests of the
+// leaves below it. Updates enter at that level and propagate upward: each
+// level applies the forest delta of the level below, reported through the
+// engine's event callback or the recompute's forest difference — the
+// concrete realization of the paper's REdges bookkeeping. Nodes are created
+// lazily and destroyed when their local graph empties, giving the paper's
 // O(m log n) space.
 package sparsify
 
@@ -31,10 +36,12 @@ import (
 // ids, with the batch entry points the tree applies deltas through, the
 // static Load an empty node takes its first delta through, the queries the
 // tree answers from the root, and the callbacks that report forest
-// changes. Every node engine a parmsf forest builds is a ternary wrapper
-// over the core structure (ternary.Wrapper meets the contract as it is).
-// Machine is the node's private PRAM simulator (nil without one), which
-// DepthFn and WorkFn read.
+// changes. Only the root and the nodes of more than smallMax local
+// vertices hold one; smaller nodes recompute their forest instead. Every
+// node engine a parmsf forest builds is a ternary wrapper over the core
+// structure (ternary.Wrapper meets the contract as it is). Machine is the
+// node's private PRAM simulator (nil without one), which DepthFn and
+// WorkFn read.
 type Engine interface {
 	InsertEdges(items []batch.Edge) []error
 	DeleteEdges(keys [][2]int) []error
@@ -50,8 +57,13 @@ type Engine interface {
 }
 
 // Factory builds a node engine over localN vertices holding at most
-// maxEdges concurrent edges.
+// maxEdges concurrent edges. The tree calls it only for the root and for
+// nodes of more than smallMax local vertices.
 type Factory func(localN, maxEdges int) Engine
+
+// smallMax is the largest local vertex count of a node below the root that
+// keeps no engine (see small).
+const smallMax = 16
 
 // Common errors.
 var (
@@ -73,12 +85,30 @@ type event struct {
 
 type node struct {
 	key     nodeKey
-	eng     Engine
-	aStart  int // original id of the first vertex of interval a
-	bStart  int // of interval b (== aStart when a == b)
-	span    int // interval size
-	m       int // live local edges
+	eng     Engine // nil for a small node
+	sm      small  // a small node's edges (unused with an engine)
+	aStart  int    // original id of the first vertex of interval a
+	bStart  int    // of interval b (== aStart when a == b)
+	span    int    // interval size
+	m       int    // live local edges
 	pending []event
+}
+
+// small is the state of a node that keeps no engine: its local edges, with
+// Idx set to 1 on the current forest's edges and 0 on the rest, and the
+// static kernel's pooled scratch. A node's local edges are distinct under
+// (Key, A, B), so Idx never decides the kernel's order.
+type small struct {
+	items []batch.Item
+	k     batch.MSF
+}
+
+// localN returns the node's local vertex count.
+func (nd *node) localN() int {
+	if nd.aStart == nd.bStart {
+		return nd.span
+	}
+	return 2 * nd.span
 }
 
 // local maps an original vertex id into the node's engine id space:
@@ -107,15 +137,19 @@ type Forest struct {
 	factory Factory
 	nodes   map[nodeKey]*node
 	edges   map[[2]int]int64
-	// DepthFn, when set, extracts an engine's accumulated parallel depth;
-	// per-batch depth is then the max over the concurrently applied
-	// siblings of a level, then the max over levels, plus the O(log n)
-	// coordination cost (Section 5.3), accumulated in ParDepth.
+	// DepthFn, when set, extracts an engine's accumulated parallel depth,
+	// and a small node's visit is charged the static kernel's depth on a
+	// sequential machine instead; per-batch depth is then the max over
+	// the concurrently applied siblings of a level, then the max over
+	// levels, plus the O(log n) coordination cost (Section 5.3),
+	// accumulated in ParDepth. It is called only on engine nodes.
 	DepthFn  func(Engine) int64
 	ParDepth int64
-	// WorkFn, when set, extracts an engine's accumulated parallel work;
-	// per-batch work is the sum over every touched node plus the O(log n)
-	// coordination cost, accumulated in ParWork.
+	// WorkFn, when set, extracts an engine's accumulated parallel work,
+	// and a small node's visit is charged the kernel's work; per-batch
+	// work is the sum over every touched node plus the O(log n)
+	// coordination cost, accumulated in ParWork. It is called only on
+	// engine nodes.
 	WorkFn  func(Engine) int64
 	ParWork int64
 	// Exec, when set, executes tasks independent node applications of the
@@ -142,8 +176,8 @@ type Forest struct {
 	// applies whole deltas, so it always reads 0.
 	BatchNodeOps   int64
 	PerEdgeNodeOps int64
-	// BulkNodeLoads counts node applications that went through the static
-	// Load (an insert-only delta into an empty node). Atomic: node
+	// BulkNodeLoads counts engine node applications that went through the
+	// static Load (an insert-only delta into an empty node). Atomic: node
 	// applications run on worker goroutines.
 	BulkNodeLoads atomic.Int64
 	// Fault, when set, arms the tree's crash points (fault-injection
@@ -219,15 +253,16 @@ func (f *Forest) getOrCreateKey(k nodeKey) *node {
 		return nd
 	}
 	span := f.pn >> uint(k.level)
-	localN := span
-	if k.a != k.b {
-		localN = 2 * span
-	}
 	nd := &node{
 		key:    k,
 		aStart: int(k.a) * span,
 		bStart: int(k.b) * span,
 		span:   span,
+	}
+	f.nodes[k] = nd
+	localN := nd.localN()
+	if k.level != 0 && localN <= smallMax {
+		return nd
 	}
 	// Local graphs hold unions of up to four child forests plus transient
 	// slack during delta application.
@@ -244,7 +279,6 @@ func (f *Forest) getOrCreateKey(k nodeKey) *node {
 			nd.pending = append(nd.pending, event{nd.global(lu), nd.global(lv), w, added})
 		})
 	}
-	f.nodes[k] = nd
 	return nd
 }
 
@@ -255,11 +289,30 @@ func (f *Forest) applied() {
 	}
 }
 
-// drain returns and clears a node's pending forest-change events.
+// drain returns and clears a node's pending forest-change events. The
+// buffer is kept for the node's next visit: its consumer, the parent's
+// assembly, reads it within the same batch, and a node applies at most
+// once per batch.
 func (nd *node) drain() []event {
 	out := nd.pending
-	nd.pending = nil
+	nd.pending = out[:0]
 	return out
+}
+
+// forestEdges iterates the node's forest edges in original vertex space.
+func (nd *node) forestEdges(fn func(u, v int, w int64)) {
+	if nd.eng != nil {
+		nd.eng.ForestEdges(func(lu, lv int, w int64) bool {
+			fn(nd.global(lu), nd.global(lv), w)
+			return true
+		})
+		return
+	}
+	for _, it := range nd.sm.items {
+		if it.Idx == 1 {
+			fn(nd.global(it.A), nd.global(it.B), it.Key)
+		}
+	}
 }
 
 // gc removes an emptied node.
@@ -360,7 +413,9 @@ func (f *Forest) ExportComponents(comp []int32, upto int) bool {
 // CheckInvariant verifies, for every stored node, that its local edge count
 // m matches the size of the edge set it should hold: the union of its
 // children's forests, or at the lowest stored level the live graph edges
-// between its two intervals. O(total size); tests only.
+// between its two intervals. A small node's slice must hold exactly m
+// edges, and its forest must be their Kruskal forest in (w, u, v) order.
+// O(total size); tests only.
 func (f *Forest) CheckInvariant() error {
 	for k, nd := range f.nodes {
 		want := map[[2]int]int64{}
@@ -373,32 +428,56 @@ func (f *Forest) CheckInvariant() error {
 				}
 			}
 		} else {
-			for _, ck := range childKeys(k) {
-				c, ok := f.nodes[ck]
-				if !ok {
-					continue
+			cks, nc := childKeys(k)
+			for _, ck := range cks[:nc] {
+				if c, ok := f.nodes[ck]; ok {
+					c.forestEdges(func(u, v int, w int64) { want[key(u, v)] = w })
 				}
-				c.eng.ForestEdges(func(lu, lv int, w int64) bool {
-					want[key(c.global(lu), c.global(lv))] = w
-					return true
-				})
 			}
 		}
 		if len(want) != nd.m {
 			return fmt.Errorf("node %v: m=%d, want %d", k, nd.m, len(want))
+		}
+		if nd.eng == nil {
+			if err := nd.checkSmall(); err != nil {
+				return fmt.Errorf("node %v: %v", k, err)
+			}
+		}
+	}
+	return nil
+}
+
+// checkSmall verifies a small node's slice against its edge count and its
+// forest flags against the kernel's forest of a copy.
+func (nd *node) checkSmall() error {
+	items := nd.sm.items
+	if len(items) != nd.m {
+		return fmt.Errorf("holds %d edges, m=%d", len(items), nd.m)
+	}
+	cp := make([]batch.Item, len(items))
+	for i, it := range items {
+		cp[i] = batch.Item{Key: it.Key, A: it.A, B: it.B, Idx: i}
+	}
+	isTree := make([]bool, len(items))
+	var k batch.MSF
+	k.Classify(nil, nd.localN(), cp, isTree)
+	for i, it := range items {
+		if isTree[i] != (it.Idx == 1) {
+			return fmt.Errorf("edge (%d,%d) w=%d: forest flag %d, Kruskal says %v",
+				nd.global(it.A), nd.global(it.B), it.Key, it.Idx, isTree[i])
 		}
 	}
 	return nil
 }
 
 // childKeys lists the (up to four) children of a node key above the lowest
-// stored level.
-func childKeys(k nodeKey) []nodeKey {
+// stored level, in sorted sibling order, and their count.
+func childKeys(k nodeKey) ([4]nodeKey, int) {
 	l := k.level + 1
 	a1, a2 := 2*k.a, 2*k.a+1
 	b1, b2 := 2*k.b, 2*k.b+1
 	if k.a == k.b {
-		return []nodeKey{{l, a1, a1}, {l, a1, a2}, {l, a2, a2}}
+		return [4]nodeKey{{l, a1, a1}, {l, a1, a2}, {l, a2, a2}}, 3
 	}
-	return []nodeKey{{l, a1, b1}, {l, a1, b2}, {l, a2, b1}, {l, a2, b2}}
+	return [4]nodeKey{{l, a1, b1}, {l, a1, b2}, {l, a2, b1}, {l, a2, b2}}, 4
 }

@@ -1,6 +1,7 @@
 package sparsify
 
 import (
+	"slices"
 	"testing"
 
 	"parmsf/internal/baseline"
@@ -293,9 +294,10 @@ func TestLowestLevelHoldsPairs(t *testing.T) {
 }
 
 // TestCheckInvariantCatchesCorruption plants a node at the lowest stored
-// level whose edge count disagrees with the graph's edge map and a node
-// above it whose count disagrees with its children's forests; each must
-// fail CheckInvariant.
+// level whose edge count disagrees with the graph's edge map, a node above
+// it whose count disagrees with its children's forests, and a small node
+// whose forest is not the Kruskal forest of its edges; each must fail
+// CheckInvariant.
 func TestCheckInvariantCatchesCorruption(t *testing.T) {
 	f := New(16, coreFactory)
 	w := int64(1)
@@ -330,6 +332,32 @@ func TestCheckInvariantCatchesCorruption(t *testing.T) {
 		t.Fatal("CheckInvariant missed a node whose count disagrees with its children's forests")
 	}
 	nd.m--
+	mustNil(t, f.CheckInvariant())
+
+	// A small node whose forest flags swap a forest edge for a non-forest
+	// one: every count still agrees, but the forest is not the Kruskal
+	// forest of its slice.
+	var sm *node
+	var in, out int
+	for _, c := range f.nodes {
+		if c.eng != nil {
+			continue
+		}
+		in = slices.IndexFunc(c.sm.items, func(it batch.Item) bool { return it.Idx == 1 })
+		out = slices.IndexFunc(c.sm.items, func(it batch.Item) bool { return it.Idx == 0 })
+		if in >= 0 && out >= 0 {
+			sm = c
+			break
+		}
+	}
+	if sm == nil {
+		t.Fatal("no small node holds a non-forest edge")
+	}
+	sm.sm.items[in].Idx, sm.sm.items[out].Idx = 0, 1
+	if err := f.CheckInvariant(); err == nil {
+		t.Fatal("CheckInvariant missed a small node whose forest is not its slice's Kruskal forest")
+	}
+	sm.sm.items[in].Idx, sm.sm.items[out].Idx = 1, 0
 	mustNil(t, f.CheckInvariant())
 }
 
