@@ -1,6 +1,7 @@
 package sparsify
 
 import (
+	"slices"
 	"testing"
 
 	"parmsf/internal/baseline"
@@ -213,6 +214,58 @@ func TestBatchTeardownOrdering(t *testing.T) {
 	}
 	if err := f.CheckInvariant(); err != nil {
 		t.Fatalf("invariant after repopulation: %v", err)
+	}
+}
+
+// TestBatchPropagationAllocs pins a warm cycle of one delete batch and one
+// reinsert batch of a single edge, through the whole batch path, at 0
+// allocations under the inline pipeline and under the level sweep: the
+// closure, the readiness counts, the node inputs and outputs, the ready
+// queue, the seeds and the error slots all live on the tree's nodes or in
+// its reused scratch. The churned edge (0,2) lies in the half of the
+// vertices where every node below the root is small, and it is a forest
+// edge in each node on its path; a lighter path through the other half,
+// (0,16) and (16,2), makes it a non-tree edge at the root. It was inserted
+// first, in a batch of its own, so it holds its endpoints' base gadget
+// slots at the root, and each cycle frees and retakes them with no ring
+// surgery: the root engine takes its allocation-free non-tree path. The
+// companion edge (1,3) shares every node on the churned edge's path, so
+// none of them empties (an emptied node is destroyed and rebuilt, which
+// allocates by design).
+func TestBatchPropagationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, pipelined := range []bool{true, false} {
+		f := New(32, coreFactory)
+		f.Pipeline = pipelined
+		mustNil(t, f.InsertEdge(0, 2, 100))
+		mustNil(t, firstErr(f.InsertEdges([]batch.Edge{{U: 0, V: 16, W: 1}, {U: 16, V: 2, W: 2}, {U: 1, V: 3, W: 3}})))
+		if snapshot(f)[[3]int64{0, 2, 100}] {
+			t.Fatal("the churned edge is a forest edge at the root")
+		}
+		for level := f.levels; level > 0; level-- {
+			nd := f.nodes[f.keyAt(level, 0, 2)]
+			if nd == nil || nd.eng != nil || !slices.ContainsFunc(nd.sm.items, func(it batch.Item) bool { return it.Key == 100 && it.Idx == 1 }) {
+				t.Fatalf("level %d: the churned edge is not a forest edge of a small node", level)
+			}
+		}
+		del := [][2]int{{0, 2}}
+		ins := []batch.Edge{{U: 0, V: 2, W: 100}}
+		failed := false
+		cycle := func() {
+			failed = failed || firstErr(f.DeleteEdges(del)) != nil || firstErr(f.InsertEdges(ins)) != nil
+		}
+		ops := f.BatchNodeOps
+		cycle()
+		// Both batches apply every node on the path, the root included.
+		if got, want := f.BatchNodeOps-ops, 2*int64(f.levels+1); got != want {
+			t.Fatalf("pipeline=%v: a cycle applied %d nodes, want %d", pipelined, got, want)
+		}
+		if avg := testing.AllocsPerRun(100, cycle); avg != 0 || failed {
+			t.Fatalf("pipeline=%v: warm propagation cycle allocations = %.1f (failed %v), want 0", pipelined, avg, failed)
+		}
+		mustNil(t, f.CheckInvariant())
 	}
 }
 

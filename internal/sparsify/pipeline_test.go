@@ -207,9 +207,14 @@ func TestTiedBatchSeedOrder(t *testing.T) {
 	}
 	tp := NewTaskPool(3)
 	defer tp.Close()
+	type rootEvent struct {
+		u, v  int
+		w     int64
+		added bool
+	}
 	type run struct {
 		f      *Forest
-		events []event
+		events []rootEvent
 	}
 	runs := make([]*run, 2)
 	for i, order := range [][]batch.Edge{tied, reversed} {
@@ -220,7 +225,7 @@ func TestTiedBatchSeedOrder(t *testing.T) {
 		}
 		mustNil(t, firstErr(r.f.InsertEdges(base)))
 		r.f.SetEvents(func(u, v int, w int64, added bool) {
-			r.events = append(r.events, event{u, v, w, added})
+			r.events = append(r.events, rootEvent{u, v, w, added})
 		})
 		mustNil(t, firstErr(r.f.InsertEdges(order)))
 		mustNil(t, r.f.CheckInvariant())

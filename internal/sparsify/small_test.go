@@ -18,7 +18,8 @@ import (
 // the forests must match edge for edge, the node's emitted events must be
 // exactly the forest difference — removals, then additions, each
 // ascending by (w, u, v) — and the visit's charge must be what the static
-// kernel charges for the same edges on a sequential machine.
+// kernel charges for the same edges on a sequential machine. The node's
+// local ids equal the original ids.
 func TestSmallNodeMatchesKruskal(t *testing.T) {
 	for _, tied := range []bool{false, true} {
 		t.Run(fmt.Sprintf("tied=%v", tied), func(t *testing.T) {
@@ -73,26 +74,26 @@ func TestSmallNodeMatchesKruskal(t *testing.T) {
 				if len(dels) == 0 && len(inss) == 0 {
 					continue
 				}
-				depth, work := f.applyNodeDelta(nd, dels, inss)
-				evs := nd.drain()
+				nd.dels, nd.ins = dels, inss
+				depth, work := f.applyNodeDelta(nd)
 
 				after := forestOf()
-				var want []event
+				var want []batch.Edge
 				for k, w := range before {
 					if _, ok := after[k]; !ok {
-						want = append(want, event{k[0], k[1], w, false})
+						want = append(want, batch.Edge{U: k[0], V: k[1], W: w})
 					}
 				}
-				slices.SortFunc(want, cmpEvent)
+				slices.SortFunc(want, cmpEdge)
 				mark := len(want)
 				for k, w := range after {
 					if _, ok := before[k]; !ok {
-						want = append(want, event{k[0], k[1], w, true})
+						want = append(want, batch.Edge{U: k[0], V: k[1], W: w})
 					}
 				}
-				slices.SortFunc(want[mark:], cmpEvent)
-				if !slices.Equal(evs, want) {
-					t.Fatalf("step %d: events %+v, want %+v", step, evs, want)
+				slices.SortFunc(want[mark:], cmpEdge)
+				if !slices.Equal(nd.out, want) || nd.ndel != mark {
+					t.Fatalf("step %d: output %+v with %d removals, want %+v with %d", step, nd.out, nd.ndel, want, mark)
 				}
 
 				got := map[[2]int]int64{}
@@ -194,8 +195,8 @@ func TestSmallNodesKeepNoEngine(t *testing.T) {
 }
 
 // TestSmallNodeVisitAllocs pins a warm small-node visit at 0 allocations:
-// the edge slice, the kernel's scratch and the pending-event buffer are
-// all reused.
+// the edge slice, the kernel's scratch and the output buffer are all
+// reused.
 func TestSmallNodeVisitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -208,17 +209,20 @@ func TestSmallNodeVisitAllocs(t *testing.T) {
 			base = append(base, batch.Edge{U: u, V: v, W: int64(100*u + v)})
 		}
 	}
-	f.applyNodeDelta(nd, nil, base)
+	// The node's local ids equal the original ids.
+	nd.ins = base
+	f.applyNodeDelta(nd)
 	// The lightest edge is a forest edge: its deletion and reinsertion each
 	// move the forest.
 	dels := [][2]int{{base[0].U, base[0].V}}
 	inss := base[:1]
 	visit := func() {
-		f.applyNodeDelta(nd, dels, nil)
-		nd.drain()
-		f.applyNodeDelta(nd, nil, inss)
-		if len(nd.drain()) == 0 {
-			t.Fatal("reinserting a forest edge emitted no event")
+		nd.dels, nd.ins = dels, nil
+		f.applyNodeDelta(nd)
+		nd.dels, nd.ins = nil, inss
+		f.applyNodeDelta(nd)
+		if len(nd.out) == 0 {
+			t.Fatal("reinserting a forest edge emitted no forest change")
 		}
 	}
 	visit()

@@ -14,12 +14,17 @@
 // tree stores no one-edge leaves: its lowest stored level has intervals of
 // two vertices, and a node there holds the actual graph edges between its
 // two intervals, which is exactly the union of the one-edge forests of the
-// leaves below it. Updates enter at that level and propagate upward: each
-// level applies the forest delta of the level below, reported through the
-// engine's event callback or the recompute's forest difference — the
-// concrete realization of the paper's REdges bookkeeping. Nodes are created
-// lazily and destroyed when their local graph empties, giving the paper's
-// O(m log n) space.
+// leaves below it. Updates enter at that level in batches and propagate
+// upward along one path (batch.go): each node applies the net forest delta
+// of its children — netted from its engine's event callback or taken from
+// its recompute's forest difference, the concrete realization of the
+// paper's REdges bookkeeping — with the batch's propagation state kept on
+// the nodes themselves. Two dispatch policies (pipeline.go) decide only
+// when a ready node's task starts. Sibling local graphs are disjoint, so
+// a node's input, its children's net deltas concatenated in sibling
+// order, does not depend on the policy or on which child finished first.
+// Nodes are created lazily and destroyed when their local graph empties,
+// giving the paper's O(m log n) space.
 package sparsify
 
 import (
@@ -77,21 +82,32 @@ type nodeKey struct {
 	a, b  int32 // interval indices at level, a <= b
 }
 
-type event struct {
-	u, v  int // original vertex ids
-	w     int64
-	added bool
+type node struct {
+	key    nodeKey
+	eng    Engine     // nil for a small node
+	sm     small      // a small node's edges (unused with an engine)
+	co     *coalescer // an engine node below the root: its visit's forest changes
+	aStart int        // original id of the first vertex of interval a
+	bStart int        // of interval b (== aStart when a == b)
+	span   int        // interval size
+	m      int        // live local edges
+	task   func()     // the node's visit, bound once for Spawn
+
+	batchState
+	waiting atomic.Int32 // closure children that have not completed
 }
 
-type node struct {
-	key     nodeKey
-	eng     Engine // nil for a small node
-	sm      small  // a small node's edges (unused with an engine)
-	aStart  int    // original id of the first vertex of interval a
-	bStart  int    // of interval b (== aStart when a == b)
-	span    int    // interval size
-	m       int    // live local edges
-	pending []event
+// batchState is a node's part in the propagation of the batch whose closure
+// last enlisted it (stamp); enlist resets it, keeping out's capacity, and
+// run drops the input slices once the batch is done.
+type batchState struct {
+	stamp       uint64
+	parent      *node        // nil at the root
+	dels        [][2]int     // the visit's input deletions, local ids, in the tree's arena
+	ins         []batch.Edge // its input insertions, local ids, in the arena
+	out         []batch.Edge // its net forest delta, original ids: removals, then additions
+	ndel        int          // the number of removals in out
+	depth, work int64        // the visit's charge
 }
 
 // small is the state of a node that keeps no engine: its local edges, with
@@ -140,9 +156,10 @@ type Forest struct {
 	// DepthFn, when set, extracts an engine's accumulated parallel depth,
 	// and a small node's visit is charged the static kernel's depth on a
 	// sequential machine instead; per-batch depth is then the max over
-	// the concurrently applied siblings of a level, then the max over
-	// levels, plus the O(log n) coordination cost (Section 5.3),
-	// accumulated in ParDepth. It is called only on engine nodes.
+	// the batch's node visits (under the level sweep: over each level's
+	// concurrently applied siblings, then over levels), plus the O(log n)
+	// coordination cost (Section 5.3), accumulated in ParDepth. It is
+	// called only on engine nodes.
 	DepthFn  func(Engine) int64
 	ParDepth int64
 	// WorkFn, when set, extracts an engine's accumulated parallel work,
@@ -152,24 +169,26 @@ type Forest struct {
 	// engine nodes.
 	WorkFn  func(Engine) int64
 	ParWork int64
-	// Exec, when set, executes tasks independent node applications of the
-	// batch path — the touched siblings of one level — possibly
-	// concurrently. Nil runs them inline. Tasks touch disjoint node state,
+	// Exec, when set, executes one round of the level sweep's node tasks
+	// (Pipeline false) — the ready siblings of one level — possibly
+	// concurrently; nil runs them inline. Tasks touch disjoint node state,
 	// so any executor that completes all tasks before returning preserves
-	// determinism. Exec is only consulted by the level-barrier sweep
-	// (Pipeline false), the reference the pipeline is tested and measured
-	// against.
+	// determinism. The sweep is the reference the pipeline is tested and
+	// measured against.
 	Exec func(tasks int, run func(t int))
-	// Pipeline routes batches through the dependency-driven scheduler
-	// (pipeline.go), the one parmsf runs, instead of the strict
-	// level-barrier sweep: a node applies as soon as its own children have
-	// drained into it, so levels overlap. Forests, error slots and
-	// ParDepth/ParWork are identical either way.
+	// Pipeline selects the batch path's dispatch policy (pipeline.go):
+	// start each node as soon as its last child has completed, so levels
+	// overlap, instead of sweeping rounds of ready nodes level by level.
+	// Both policies run the same propagation steps, and each node's input
+	// is its children's net deltas concatenated in sibling order whatever
+	// order they completed in, since sibling local graphs are disjoint:
+	// forests, error slots and ParDepth/ParWork are identical either way.
+	// parmsf runs the pipeline.
 	Pipeline bool
-	// Spawn, when set with Pipeline, runs one node application
-	// asynchronously (parmsf installs its machine's pram.Machine.Spawn
-	// here). finish-side bookkeeping stays on the scheduler goroutine. Nil
-	// executes the identical schedule inline.
+	// Spawn, when set with Pipeline, runs one node task asynchronously
+	// (parmsf installs its machine's pram.Machine.Spawn here); the task is
+	// a function value bound once per node. Input assembly stays on the
+	// batch goroutine. Nil runs the identical schedule inline.
 	Spawn func(run func())
 	// BatchNodeOps counts node applications. PerEdgeNodeOps counted those
 	// of a per-edge adapter the tree no longer has: every node engine
@@ -183,15 +202,15 @@ type Forest struct {
 	// Fault, when set, arms the tree's crash points (fault-injection
 	// testing): sparsify/run-batch fires on the batch goroutine after the
 	// edge map committed but before any node applied; sparsify/node-task
-	// fires inside a node application — on a worker goroutine under the
-	// pipeline scheduler, where the trap/complete containment must carry
-	// the panic back to the caller without deadlocking the schedule.
+	// fires inside every node task — on a worker goroutine under a spawned
+	// pipeline, where the trap/complete containment must carry the panic
+	// back to the caller without stalling the batch.
 	Fault *faultinject.Injector
 	// OnApplied, when set, fires once per batch entry point call that
 	// staged at least one edge (a single-edge operation is a one-item
-	// batch), strictly past the batch's pipeline (or level-barrier)
-	// completion: every touched node has applied, every REdges delta has
-	// drained and every task goroutine has joined — the epoch source of the
+	// batch), strictly past the batch's completion: every touched node has
+	// applied, every REdges delta has been assembled into its parent and
+	// every node task has completed — the epoch source of the
 	// concurrent read plane, which publishes one immutable snapshot per
 	// applied update batch and must never observe the tree
 	// mid-propagation.
@@ -208,6 +227,22 @@ type Forest struct {
 	// smaller side of each real forest cut, original-id space); like
 	// events, it persists across root destruction and recreation.
 	cutSides func(side []int32)
+
+	// Batch scratch, reused across batches until a bulk batch drops it
+	// (batch.go): the staged seeds, the pooled error slots, the batch's
+	// closure and its stamp, the input arenas, the ready-node queue (grown
+	// to fit the closure), the sweep's current round and its bound task,
+	// and the first trapped node-task panic.
+	seeds      []batch.Edge
+	errs       []error
+	closure    []*node
+	stamp      uint64
+	dbuf       [][2]int
+	ibuf       []batch.Edge
+	notify     chan *node
+	round      []*node
+	visitRound func(t int)
+	trap       atomic.Pointer[trappedPanic]
 }
 
 // New builds an empty sparsification tree over n >= 2 vertices.
@@ -218,7 +253,7 @@ func New(n int, factory Factory) *Forest {
 		pn *= 2
 		levels++
 	}
-	return &Forest{
+	f := &Forest{
 		n:       n,
 		pn:      pn,
 		levels:  levels,
@@ -226,6 +261,8 @@ func New(n int, factory Factory) *Forest {
 		nodes:   make(map[nodeKey]*node),
 		edges:   make(map[[2]int]int64),
 	}
+	f.visitRound = func(t int) { f.visit(f.round[t]) }
+	return f
 }
 
 // NodeCount returns the number of stored tree nodes (space check).
@@ -267,16 +304,16 @@ func (f *Forest) getOrCreateKey(k nodeKey) *node {
 	// Local graphs hold unions of up to four child forests plus transient
 	// slack during delta application.
 	nd.eng = f.factory(localN, 2*localN+8)
-	if k.level == 0 && f.events != nil {
-		// The root's forest deltas are the tree's own output — nothing
-		// above consumes its pending events (drain discards them) — so the
-		// external callback takes their place, in original-id space (root
-		// locals are original ids).
+	if k.level == 0 {
+		// The root's forest deltas are the tree's own output, so the
+		// external callbacks take them, in original-id space (root locals
+		// are original ids).
 		nd.eng.SetEvents(f.events)
 		nd.eng.SetCutSides(f.cutSides)
 	} else {
+		nd.co = new(coalescer)
 		nd.eng.SetEvents(func(lu, lv int, w int64, added bool) {
-			nd.pending = append(nd.pending, event{nd.global(lu), nd.global(lv), w, added})
+			nd.co.add(nd.global(lu), nd.global(lv), w, added)
 		})
 	}
 	return nd
@@ -287,16 +324,6 @@ func (f *Forest) applied() {
 	if f.OnApplied != nil {
 		f.OnApplied()
 	}
-}
-
-// drain returns and clears a node's pending forest-change events. The
-// buffer is kept for the node's next visit: its consumer, the parent's
-// assembly, reads it within the same batch, and a node applies at most
-// once per batch.
-func (nd *node) drain() []event {
-	out := nd.pending
-	nd.pending = out[:0]
-	return out
 }
 
 // forestEdges iterates the node's forest edges in original vertex space.
@@ -312,13 +339,6 @@ func (nd *node) forestEdges(fn func(u, v int, w int64)) {
 		if it.Idx == 1 {
 			fn(nd.global(it.A), nd.global(it.B), it.Key)
 		}
-	}
-}
-
-// gc removes an emptied node.
-func (f *Forest) gc(nd *node) {
-	if nd.m == 0 && nd.key.level != 0 {
-		delete(f.nodes, nd.key)
 	}
 }
 
@@ -413,11 +433,16 @@ func (f *Forest) ExportComponents(comp []int32, upto int) bool {
 // CheckInvariant verifies, for every stored node, that its local edge count
 // m matches the size of the edge set it should hold: the union of its
 // children's forests, or at the lowest stored level the live graph edges
-// between its two intervals. A small node's slice must hold exactly m
+// between its two intervals. A stored node below the root must hold an
+// edge: an emptied node is destroyed, and a batch's closure materializes
+// only nodes its deltas reach. A small node's slice must hold exactly m
 // edges, and its forest must be their Kruskal forest in (w, u, v) order.
 // O(total size); tests only.
 func (f *Forest) CheckInvariant() error {
 	for k, nd := range f.nodes {
+		if nd.m == 0 && k.level != 0 {
+			return fmt.Errorf("node %v: stored with no edges", k)
+		}
 		want := map[[2]int]int64{}
 		if int(k.level) == f.levels {
 			for x := nd.aStart; x < nd.aStart+nd.span; x++ {

@@ -295,9 +295,9 @@ func TestLowestLevelHoldsPairs(t *testing.T) {
 
 // TestCheckInvariantCatchesCorruption plants a node at the lowest stored
 // level whose edge count disagrees with the graph's edge map, a node above
-// it whose count disagrees with its children's forests, and a small node
-// whose forest is not the Kruskal forest of its edges; each must fail
-// CheckInvariant.
+// it whose count disagrees with its children's forests, a small node
+// whose forest is not the Kruskal forest of its edges, and an empty node
+// stored below the root; each must fail CheckInvariant.
 func TestCheckInvariantCatchesCorruption(t *testing.T) {
 	f := New(16, coreFactory)
 	w := int64(1)
@@ -358,6 +358,21 @@ func TestCheckInvariantCatchesCorruption(t *testing.T) {
 		t.Fatal("CheckInvariant missed a small node whose forest is not its slice's Kruskal forest")
 	}
 	sm.sm.items[in].Idx, sm.sm.items[out].Idx = 1, 0
+	mustNil(t, f.CheckInvariant())
+
+	// An emptied node left stored below the root: its count agrees with
+	// its empty edge set, but the tree destroys emptied nodes, and a
+	// batch's closure materializes only nodes its deltas reach.
+	mustNil(t, f.DeleteEdge(0, 1))
+	k0 := f.keyAt(f.levels, 0, 1)
+	if f.nodes[k0] != nil {
+		t.Fatalf("node %v outlived the deletion of its only edge", k0)
+	}
+	f.getOrCreateKey(k0)
+	if err := f.CheckInvariant(); err == nil {
+		t.Fatal("CheckInvariant missed an empty node stored below the root")
+	}
+	delete(f.nodes, k0)
 	mustNil(t, f.CheckInvariant())
 }
 

@@ -56,9 +56,10 @@
 package parmsf
 
 import (
+	"cmp"
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -340,8 +341,7 @@ func (f *Forest) buildEngine() {
 		sp.DepthFn = func(e sparsify.Engine) int64 { return e.Machine().Time }
 		sp.WorkFn = func(e sparsify.Engine) int64 { return e.Machine().Work }
 		if f.mach.Workers() > 1 {
-			// A one-worker machine would run each task inline too, after
-			// the scheduler allocated a closure for it.
+			// A one-worker machine would run each task inline anyway.
 			sp.Spawn = f.mach.Spawn
 		}
 	}
@@ -563,15 +563,8 @@ func (f *Forest) Recover() error {
 	}
 	// The journal is a set; load in ascending (W, U, V) so the rebuild's
 	// tie-breaks match the incremental path's canonical order.
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i], edges[j]
-		if a.W != b.W {
-			return a.W < b.W
-		}
-		if a.U != b.U {
-			return a.U < b.U
-		}
-		return a.V < b.V
+	slices.SortFunc(edges, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.W, b.W), cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
 	if err := f.reload(edges); err != nil {
 		return err
